@@ -69,15 +69,6 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-def dyadic_from_fraction(q: Fraction) -> Dyadic:
-    """Convert an exact fraction whose denominator is a power of two."""
-    den = q.denominator
-    exp = den.bit_length() - 1
-    if (1 << exp) != den:
-        raise ValueError(f"{q} is not dyadic (denominator {den})")
-    return Dyadic(q.numerator, exp)
-
-
 def parse_dyadic(text: str) -> Dyadic:
     """Parse 'p', 'p/q' (q a power of two) or 'p/2^k'."""
     text = text.strip()

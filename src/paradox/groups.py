@@ -8,8 +8,6 @@ generator indices) order so that downstream results are byte-reproducible.
 
 from __future__ import annotations
 
-import json
-import os
 import string
 import threading
 from dataclasses import dataclass
@@ -113,13 +111,6 @@ class Group:
         with self._lock:
             while len(self._ball_layers) <= upto:
                 r = len(self._ball_layers)
-                cached = _load_cached_layer(self, r)
-                if cached is not None:
-                    layer = cached
-                    for g in layer:
-                        self._ball_index.setdefault(g, r)
-                    self._ball_layers.append(layer)
-                    continue
                 layer = []
                 for parent in self._ball_layers[r - 1]:
                     for gen in self.generators():
@@ -128,7 +119,6 @@ class Group:
                             self._ball_index[child] = r
                             layer.append(child)
                 self._ball_layers.append(layer)
-                _store_cached_layer(self, r, layer)
 
     def ball_elements(self, radius: int) -> list[Elem]:
         """All elements of word length <= radius, in canonical order."""
@@ -441,43 +431,6 @@ def ball(group: Group, radius: int) -> Window:
 
 def explicit_window(group: Group, elements: Sequence[Elem], radius: int) -> Window:
     return Window(group, radius, tuple(elements), kind="explicit")
-
-
-# ---- optional on-disk layer cache ----------------------------------------
-
-_CACHE_ENV = "PARADOX_CACHE_DIR"
-
-
-def _cache_path(group: Group, radius: int) -> str | None:
-    root = os.environ.get(_CACHE_ENV)
-    if not root:
-        return None
-    safe = group.key.replace(":", "_")
-    return os.path.join(root, f"{safe}.layer{radius}.json")
-
-
-def _load_cached_layer(group: Group, radius: int) -> list[Elem] | None:
-    path = _cache_path(group, radius)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            texts = json.load(fh)
-        return [group.parse(t) for t in texts]
-    except (OSError, ValueError):
-        return None
-
-
-def _store_cached_layer(group: Group, radius: int, layer: list[Elem]) -> None:
-    path = _cache_path(group, radius)
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([group.show(g) for g in layer], fh)
-    except OSError:
-        pass
 
 
 def affine_fraction(g: AffineElem) -> tuple[Fraction, Fraction]:

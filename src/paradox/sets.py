@@ -133,9 +133,6 @@ class SetContext:
     budget: int = 8
     caches: dict = field(default_factory=dict)
 
-    def for_window(self, window: Window, slack: int = 4) -> "SetContext":
-        return SetContext(self.group, window.radius + slack, self.caches)
-
 
 def context_for(window: Window, slack: int = 4) -> SetContext:
     return SetContext(window.group, window.radius + slack)

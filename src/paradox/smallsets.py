@@ -35,23 +35,12 @@ def greedy_small_set(group: Group, count: int) -> tuple[Elem, ...]:
             if key == group.key and n >= count:
                 return seq[:count]
         chosen: list[Elem] = []
+        invs: list[Elem] = []
         forbidden: set[Elem] = set()
         for g in group.enumerate_elements():
             if g in forbidden:
                 continue
-            # extend the forbidden triple products by those involving g
-            elems = chosen + [g]
-            invs = [group.inv(x) for x in elems]
-            g_inv = invs[-1]
-            for x, x_inv in zip(elems, invs):
-                for y_inv in invs:
-                    forbidden.add(group.mul(group.mul(x, y_inv), g))
-                xg = group.mul(x, g_inv)
-                gx = group.mul(g, x_inv)
-                for z in elems:
-                    forbidden.add(group.mul(xg, z))
-                    forbidden.add(group.mul(gx, z))
-            chosen.append(g)
+            _choose(group, chosen, invs, forbidden, g)
             if len(chosen) == count:
                 break
         result = tuple(chosen)
@@ -60,28 +49,37 @@ def greedy_small_set(group: Group, count: int) -> tuple[Elem, ...]:
 
 
 def verify_greedy_exclusion(group: Group, elems: tuple[Elem, ...]) -> bool:
-    """Independent re-check of the defining exclusion at every index.
+    """Re-check of the defining exclusion x_k not in {x_i x_j^(-1) x_l :
+    i, j, l < k} at every index k.
 
-    The triple-product set is rebuilt incrementally (products involving the
-    newest element only), which recomputes exactly the same exclusion set."""
-    products: set[Elem] = set()
+    It shares `_choose` with the producer; the tests check both against a
+    brute-force evaluation of the definition."""
     prefix: list[Elem] = []
     invs: list[Elem] = []
-    for n, g in enumerate(elems):
-        if n and g in products:
+    products: set[Elem] = set()
+    for g in elems:
+        if g in products:
             return False
-        g_inv = group.inv(g)
-        prefix.append(g)
-        invs.append(g_inv)
-        for x, x_inv in zip(prefix, invs):
-            for y_inv in invs:
-                products.add(group.mul(group.mul(x, y_inv), g))
-            xg = group.mul(x, g_inv)
-            gx = group.mul(g, x_inv)
-            for z in prefix:
-                products.add(group.mul(xg, z))
-                products.add(group.mul(gx, z))
+        _choose(group, prefix, invs, products, g)
     return True
+
+
+def _choose(group: Group, chosen: list[Elem], invs: list[Elem],
+            products: set[Elem], g: Elem) -> None:
+    """Append g to `chosen` (and its inverse to `invs`), and add to `products`
+    every triple product x_i x_j^(-1) x_l of the chosen elements that
+    involves g in at least one position."""
+    g_inv = group.inv(g)
+    chosen.append(g)
+    invs.append(g_inv)
+    for x, x_inv in zip(chosen, invs):
+        for y_inv in invs:
+            products.add(group.mul(group.mul(x, y_inv), g))
+        xg = group.mul(x, g_inv)
+        gx = group.mul(g, x_inv)
+        for z in chosen:
+            products.add(group.mul(xg, z))
+            products.add(group.mul(gx, z))
 
 
 @dataclass(frozen=True)

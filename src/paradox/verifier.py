@@ -41,15 +41,17 @@ class VerifyOutcome:
 def verify_certificate(cert: dict) -> VerifyOutcome:
     """Re-check every semantic fact of a certificate; the first violated fact
     is named in the outcome message."""
-    if not isinstance(cert, dict) or cert.get("schema") != SCHEMA:
+    if not isinstance(cert, dict):
+        raise CertificateFormatError("certificate is not a JSON object")
+    if cert.get("schema") != SCHEMA:
         raise CertificateFormatError(f"unknown schema {cert.get('schema')!r}")
     kind = cert.get("kind")
     checkers = {
-        "match": _verify_match,
-        "deficiency": _verify_deficiency,
+        "match": _verify_assignment,
+        "deficiency": _verify_violator,
         "witness": _verify_witness,
-        "flow": _verify_flow,
-        "flow-deficiency": _verify_flow_deficiency,
+        "flow": _verify_assignment,
+        "flow-deficiency": _verify_violator,
         "cp-witness": _verify_cp_witness,
     }
     if kind not in checkers:
@@ -75,141 +77,69 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     return outcome
 
 
-def _window_slice(cert: dict, group, window, ctx):
-    expr = parse_setexpr(cert["set"], group)
-    mat = materialize(expr, window, ctx)
-    if not mat.complete:
-        return expr, None
-    return expr, list(mat.elements)
+def _transport(cert: dict, group):
+    """(m, A, n, B) of a transport fact: m copies of every point of A go to
+    targets in B, each target taking at most n.  A doubling (match or
+    deficiency) is the case m = 2, n = 1, A = B of a flow."""
+    if cert["kind"] in ("match", "deficiency"):
+        expr = parse_setexpr(cert["set"], group)
+        return 2, expr, 1, expr
+    return (
+        int(cert["copies"]),
+        parse_setexpr(cert["setA"], group),
+        int(cert["capacity"]),
+        parse_setexpr(cert["setB"], group),
+    )
 
 
-def _verify_match(cert: dict, group, window, ctx) -> VerifyOutcome:
-    expr, points = _window_slice(cert, group, window, ctx)
-    if points is None:
-        return VerifyOutcome.failed("window memberships undecided at this budget")
-    translators = {group.parse(t) for t in cert["translators"]}
-    assignment = [
-        (group.parse(x), group.parse(s1), group.parse(s2))
-        for x, s1, s2 in cert["assignment"]
-    ]
-    assigned = [x for x, _, _ in assignment]
-    if sorted(map(group.sort_key, assigned)) != sorted(map(group.sort_key, points)):
-        return VerifyOutcome.failed(
-            "assignment domain differs from the set's window slice"
-        )
-    if len(set(assigned)) != len(assigned):
-        return VerifyOutcome.failed("assignment lists a point twice")
-    images = set()
-    for x, s1, s2 in assignment:
-        for s in (s1, s2):
-            if s not in translators:
-                return VerifyOutcome.failed(
-                    f"translator {group.show(s)} for {group.show(x)} is not declared"
-                )
-            img = group.mul(s, x)
-            if member(expr, img, ctx) is not True:
-                return VerifyOutcome.failed(
-                    f"image {group.show(img)} of {group.show(x)} leaves the set"
-                )
-            if img in images:
-                return VerifyOutcome.failed(
-                    f"image collision at {group.show(img)} (from {group.show(x)})"
-                )
-            images.add(img)
-    return VerifyOutcome.passed()
-
-
-def _verify_deficiency(cert: dict, group, window, ctx) -> VerifyOutcome:
-    expr, points = _window_slice(cert, group, window, ctx)
-    if points is None:
-        return VerifyOutcome.failed("window memberships undecided at this budget")
-    point_set = set(points)
-    violator = [group.parse(x) for x in cert["violator"]]
-    if not violator:
-        return VerifyOutcome.failed("empty violator certifies nothing")
-    if len(set(violator)) != len(violator):
-        return VerifyOutcome.failed("violator lists a point twice")
-    for x in violator:
-        if x not in point_set:
-            return VerifyOutcome.failed(
-                f"violator point {group.show(x)} is outside the window slice"
-            )
-    translators = [group.parse(t) for t in cert["translators"]]
-    targets = set()
-    for x in violator:
-        for s in translators:
-            img = group.mul(s, x)
-            res = member(expr, img, ctx)
-            if res is BUDGET_EXCEEDED:
-                return VerifyOutcome.failed(
-                    f"membership of {group.show(img)} undecided at this budget"
-                )
-            if res:
-                targets.add(img)
-    if not len(targets) < 2 * len(violator):
-        return VerifyOutcome.failed(
-            f"|targets| = {len(targets)} is not below 2|D| = {2 * len(violator)}"
-        )
-    return VerifyOutcome.passed()
-
-
-def _verify_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
-    w = witness_from_cert(cert, group)
-    report = witness_check(w, window, ctx)
-    if not report.passed:
-        name, msg = report.failures()[0]
-        return VerifyOutcome.failed(f"{name}: {msg}")
-    return VerifyOutcome.passed()
-
-
-def _verify_flow(cert: dict, group, window, ctx) -> VerifyOutcome:
-    set_a = parse_setexpr(cert["setA"], group)
-    set_b = parse_setexpr(cert["setB"], group)
-    copies, capacity = int(cert["copies"]), int(cert["capacity"])
+def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
+    copies, set_a, capacity, set_b = _transport(cert, group)
     mat = materialize(set_a, window, ctx)
     if not mat.complete:
         return VerifyOutcome.failed("window memberships undecided at this budget")
-    points = list(mat.elements)
     translators = {group.parse(t) for t in cert["translators"]}
-    assignment = [
-        (group.parse(x), [group.parse(s) for s in used])
-        for x, used in cert["assignment"]
-    ]
-    assigned = [x for x, _ in assignment]
-    if sorted(map(group.sort_key, assigned)) != sorted(map(group.sort_key, points)):
+    if cert["kind"] == "match":
+        rows = ((x, (s1, s2)) for x, s1, s2 in cert["assignment"])
+    else:
+        rows = cert["assignment"]
+    # Translators stay text until their row is replayed, which keeps the
+    # peak memory of a large window at one parsed element per row.
+    assignment = [(group.parse(x), used) for x, used in rows]
+    # The slice lists each point once, so equal sorted lists also rule out a
+    # point assigned twice.
+    assigned = sorted(group.sort_key(x) for x, _ in assignment)
+    if assigned != sorted(map(group.sort_key, mat.elements)):
         return VerifyOutcome.failed(
             "assignment domain differs from the set's window slice"
         )
-    if len(set(assigned)) != len(assigned):
-        return VerifyOutcome.failed("assignment lists a point twice")
     arrivals: dict = {}
     for x, used in assignment:
         if len(used) != copies:
             return VerifyOutcome.failed(
                 f"{group.show(x)} sends {len(used)} copies, expected {copies}"
             )
-        for s in used:
+        for s in map(group.parse, used):
             if s not in translators:
                 return VerifyOutcome.failed(
-                    f"translator {group.show(s)} is not declared"
+                    f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
             img = group.mul(s, x)
             if member(set_b, img, ctx) is not True:
                 return VerifyOutcome.failed(
-                    f"image {group.show(img)} leaves the target set"
+                    f"image {group.show(img)} of {group.show(x)} leaves the target set"
                 )
-            arrivals[img] = arrivals.get(img, 0) + 1
-            if arrivals[img] > capacity:
+            count = arrivals.get(img, 0) + 1
+            if count > capacity:
                 return VerifyOutcome.failed(
-                    f"target {group.show(img)} exceeds capacity {capacity}"
+                    f"target {group.show(img)} (from {group.show(x)}) "
+                    f"exceeds capacity {capacity}"
                 )
+            arrivals[img] = count
     return VerifyOutcome.passed()
 
 
-def _verify_flow_deficiency(cert: dict, group, window, ctx) -> VerifyOutcome:
-    set_a = parse_setexpr(cert["setA"], group)
-    set_b = parse_setexpr(cert["setB"], group)
-    copies, capacity = int(cert["copies"]), int(cert["capacity"])
+def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
+    copies, set_a, capacity, set_b = _transport(cert, group)
     mat = materialize(set_a, window, ctx)
     if not mat.complete:
         return VerifyOutcome.failed("window memberships undecided at this budget")
@@ -241,6 +171,15 @@ def _verify_flow_deficiency(cert: dict, group, window, ctx) -> VerifyOutcome:
             f"m|D| = {copies * len(violator)} does not exceed "
             f"n|targets| = {capacity * len(targets)}"
         )
+    return VerifyOutcome.passed()
+
+
+def _verify_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
+    w = witness_from_cert(cert, group)
+    report = witness_check(w, window, ctx)
+    if not report.passed:
+        name, msg = report.failures()[0]
+        return VerifyOutcome.failed(f"{name}: {msg}")
     return VerifyOutcome.passed()
 
 

@@ -15,6 +15,7 @@ from .sets import (
     SemigroupSet,
     SetContext,
     SetExpr,
+    Union,
     context_for,
     materialize,
     member_strict,
@@ -175,19 +176,13 @@ def base_translation_maps(w: ParadoxWitness, group: Group) -> tuple[PwT, PwT]:
             region = translate(t, part, group)
             piece = region if claimed is None else Diff(region, claimed)
             pieces.append((piece, group.inv(t)))
-            claimed = region if claimed is None else _union(claimed, region)
+            claimed = region if claimed is None else Union(claimed, region)
         displacement = sorted({t for _, t in pieces}, key=group.sort_key)
         return PwT(w.set_expr, tuple(pieces), tuple(displacement))
 
     first = family(list(range(0, w.split)))
     second = family(list(range(w.split, len(w.parts))))
     return first, second
-
-
-def _union(a: SetExpr, b: SetExpr) -> SetExpr:
-    from .sets import Union
-
-    return Union(a, b)
 
 
 def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -131,8 +132,6 @@ class TestVerifierRejections:
         rng = random.Random(2024)
         for name, cert in cert_pool.items():
             for op_name, fn in mutation_operators(cert):
-                import copy
-
                 mutated = fn(copy.deepcopy(cert), rng)
                 outcome = verify_certificate(mutated)
                 assert not outcome.ok, f"{name}/{op_name} was accepted"
@@ -145,3 +144,50 @@ class TestVerifierRejections:
             op_name, mutated = mutate_certificate(cert, rng)
             outcome = verify_certificate(mutated)
             assert not outcome.ok, f"mutation {op_name} on trial {trial} accepted"
+
+
+def _as_flow(cert):
+    """The same fact stated as a flow: copies 2, capacity 1, setA = setB."""
+    flow = {k: v for k, v in cert.items() if k not in ("set", "assignment")}
+    flow.update(copies=2, capacity=1, setA=cert["set"], setB=cert["set"])
+    if cert["kind"] == "match":
+        flow["kind"] = "flow"
+        flow["assignment"] = [[x, [s1, s2]] for x, s1, s2 in cert["assignment"]]
+    else:
+        flow["kind"] = "flow-deficiency"
+    flow["digest"] = content_digest(flow)
+    return flow
+
+
+def _verdicts(*certs):
+    for cert in certs:
+        cert["digest"] = content_digest(cert)
+    return [verify_certificate(cert) for cert in certs]
+
+
+class TestDoublingIsFlow:
+    """match/deficiency are the m = 2, n = 1, A = B case of
+    flow/flow-deficiency and replay through the same checks."""
+
+    @pytest.mark.parametrize("name", ["match", "match-free"])
+    def test_match_and_its_flow_form(self, cert_pool, name):
+        match = copy.deepcopy(cert_pool[name])
+        flow = _as_flow(match)
+        assert all(v.ok for v in _verdicts(match, flow))
+        # s1 := s2 on one row: the two images of that point collide
+        match["assignment"][0][1] = match["assignment"][0][2]
+        flow["assignment"][0][1][0] = flow["assignment"][0][1][1]
+        as_match, as_flow = _verdicts(match, flow)
+        assert not as_match.ok and not as_flow.ok
+        assert as_match.message == as_flow.message
+
+    def test_deficiency_and_its_flow_form(self, cert_pool):
+        deficiency = copy.deepcopy(cert_pool["deficiency"])
+        flow = _as_flow(deficiency)
+        assert all(v.ok for v in _verdicts(deficiency, flow))
+        # one point has three targets, not fewer than 2 * 1
+        for cert in (deficiency, flow):
+            cert["violator"] = cert["violator"][:1]
+        as_def, as_flow = _verdicts(deficiency, flow)
+        assert not as_def.ok and not as_flow.ok
+        assert as_def.message == as_flow.message

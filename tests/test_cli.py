@@ -82,6 +82,14 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert run(["verify", str(tmp_path / "absent.json"), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("payload", ["[]", '"x"', "null"])
+    def test_json_that_is_not_an_object(self, tmp_path, capsys, payload):
+        path = tmp_path / "cert.json"
+        path.write_text(payload)
+        assert run(["verify", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: certificate is not a JSON object\n"
+
 
 class TestPipelines:
     @pytest.fixture()

@@ -1,52 +1,84 @@
 import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import paradox
+from paradox.certificates import content_digest, window_digest, write_certificate
 from paradox.embedding import build_embedding, eval_embedding
 from paradox.engine import doubling_matching
-from paradox.groups import DyadicAffineGroup, ball, group_from_string
+from paradox.groups import DyadicAffineGroup, explicit_window, group_from_string
 from paradox.sets import SemigroupSet
 from paradox.witness import free_semigroup_witness, semigroup_window
 
 BS = group_from_string("bs12")
 S_GEN = BS.parse("(2,0)")
 T_GEN = BS.parse("(2,1)")
+Z1 = group_from_string("zn:1")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
 
 
-class TestLayerCache:
-    def test_cache_dir_round_trip(self, tmp_path):
-        env_script = f"""
-import os
-os.environ["PARADOX_CACHE_DIR"] = {str(tmp_path)!r}
-from paradox.groups import group_from_string
-group = group_from_string("bs12")
-print(len(group.ball_elements(4)))
-"""
-        first = subprocess.run(
-            [sys.executable, "-c", env_script], capture_output=True, text=True
-        )
-        assert first.returncode == 0
-        cached = list(tmp_path.glob("bs12.layer*.json"))
-        assert cached
-        second = subprocess.run(
-            [sys.executable, "-c", env_script], capture_output=True, text=True
-        )
-        assert second.stdout == first.stdout
+def _run(args, cache_dir):
+    """A fresh interpreter, with PARADOX_CACHE_DIR set only when cache_dir is."""
+    env = {k: v for k, v in os.environ.items() if k != "PARADOX_CACHE_DIR"}
+    env["PYTHONPATH"] = SRC
+    if cache_dir is not None:
+        env["PARADOX_CACHE_DIR"] = str(cache_dir)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        (tmp_path / "bs12.layer1.json").write_text("{broken")
-        env_script = f"""
-import os
-os.environ["PARADOX_CACHE_DIR"] = {str(tmp_path)!r}
-from paradox.groups import group_from_string
-print(len(group_from_string("bs12").ball_elements(2)))
-"""
-        proc = subprocess.run(
-            [sys.executable, "-c", env_script], capture_output=True, text=True
+
+class TestBallsIgnoreStrayFiles:
+    """Balls come from group arithmetic alone.  A layer file in the directory
+    that PARADOX_CACHE_DIR once named as an on-disk ball cache must change
+    neither what `check` writes nor what `verify` accepts."""
+
+    @pytest.fixture()
+    def forged_dir(self, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        (root / "zn_1.layer1.json").write_text(json.dumps(["(2)", "(-2)"]))
+        return root
+
+    def test_ball_ignores_forged_layer(self, forged_dir):
+        script = (
+            "from paradox.groups import group_from_string\n"
+            "z = group_from_string('zn:1')\n"
+            "print(','.join(map(z.show, z.ball_elements(1))))\n"
         )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "17"
+        proc = _run(["-c", script], forged_dir)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(0),(1),(-1)"
+
+    def test_check_and_verify_ignore_forged_layer(self, forged_dir, tmp_path):
+        written = {}
+        for label, cache in (("plain", None), ("forged", forged_dir)):
+            out = tmp_path / f"{label}.json"
+            proc = _run(
+                ["-m", "paradox.cli", "check", "--group", "zn:1", "--set", "all",
+                 "--translators", "(1),(-1),(0)", "--window", "2",
+                 "--out", str(out), "--quiet"],
+                cache,
+            )
+            written[label] = (proc.returncode, out.read_bytes())
+        assert written["forged"] == written["plain"]
+
+        # The radius-2 ball that grows from the forged first layer.
+        forged_ball = explicit_window(
+            Z1, [Z1.parse(t) for t in "(0) (2) (-2) (3) (1) (-1) (-3)".split()], 2
+        )
+        cert = json.loads(written["plain"][1])
+        cert["checkedOn"] = window_digest(forged_ball)
+        cert["digest"] = content_digest(cert)
+        path = tmp_path / "forged-window.json"
+        write_certificate(cert, str(path))
+        for cache in (None, forged_dir):
+            proc = _run(["-m", "paradox.cli", "verify", str(path), "--quiet"], cache)
+            assert proc.returncode == 3, proc.stderr
 
 
 class TestConcurrency:

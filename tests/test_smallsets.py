@@ -63,6 +63,47 @@ class TestGreedy:
             greedy_small_set(Z1, 0)
 
 
+def brute_triples(group, prefix):
+    """{x_i x_j^(-1) x_l : i, j, l < len(prefix)}, straight from the definition."""
+    return {
+        group.mul(group.mul(x, group.inv(y)), z)
+        for x in prefix for y in prefix for z in prefix
+    }
+
+
+def brute_exclusion_holds(group, elems):
+    return all(elems[k] not in brute_triples(group, elems[:k])
+               for k in range(len(elems)))
+
+
+class TestGreedyAgainstDefinition:
+    """The producer and `verify_greedy_exclusion` share their incremental
+    update, so both are checked here against the definition itself."""
+
+    @pytest.mark.parametrize("group", [Z1, F2], ids=["zn:1", "free:2"])
+    def test_greedy_is_first_admissible_sequence(self, group):
+        n = 12
+        expected = []
+        for g in group.enumerate_elements():
+            if g not in brute_triples(group, expected):
+                expected.append(g)
+                if len(expected) == n:
+                    break
+        assert greedy_small_set(group, n) == tuple(expected)
+        for k in range(1, n + 1):
+            prefix = tuple(expected[:k])
+            assert brute_exclusion_holds(group, prefix)
+            assert verify_greedy_exclusion(group, prefix)
+
+    @pytest.mark.parametrize("group", [Z1, F2], ids=["zn:1", "free:2"])
+    def test_planted_violation_found_by_both(self, group):
+        elems = greedy_small_set(group, 7)
+        x, y, z = elems[4], elems[1], elems[2]
+        planted = elems[:6] + (group.mul(group.mul(x, group.inv(y)), z),)
+        assert not brute_exclusion_holds(group, planted)
+        assert not verify_greedy_exclusion(group, planted)
+
+
 class TestPairIntersections:
     def test_greedy_lattice_is_small(self):
         elems = greedy_small_set(Z1, 50)
