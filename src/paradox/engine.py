@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .flow import FlowNetwork
 from .groups import Elem, Group, Window
-from .matching import alternating_reachable, max_matching
+from .matching import max_matching
 from .sets import (
     BUDGET_EXCEEDED,
     BudgetError,
@@ -19,6 +19,7 @@ from .sets import (
     context_for,
     materialize,
     member,
+    show_setexpr,
 )
 from .witness import ParadoxWitness
 
@@ -47,33 +48,41 @@ class DeficiencyCert:
     violator: tuple[Elem, ...]
 
 
-def _window_slice(a: SetExpr, window: Window, ctx: SetContext) -> list[Elem]:
+def _undecided(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
+    group = ctx.group
+    return BudgetError(
+        f"membership of {group.show(g)} in {show_setexpr(expr, group)} "
+        f"undecided at budget {ctx.budget}; increase the budget slack"
+    )
+
+
+def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
+    """The transport graph from a's window slice into b, built once.
+
+    Returns (sorted translators, points, rows, image count): rows[i] lists
+    (image id, translator index) for each translator s with s * points[i] in
+    b, in translator order; image ids are numbered in first-seen order."""
+    if not translators:
+        raise ValueError("translator set must be nonempty")
+    ctx = context_for(window, slack)
+    group = ctx.group
+    s_list = tuple(sorted(set(translators), key=group.sort_key))
     mat = materialize(a, window, ctx)
     if not mat.complete:
-        raise BudgetError(
-            f"{len(mat.undecided)} window memberships undecided at budget "
-            f"{ctx.budget}; increase the budget slack"
-        )
-    return list(mat.elements)
-
-
-def _image_members(
-    a: SetExpr, points: list[Elem], s_list: list[Elem], ctx: SetContext
-) -> dict[tuple[Elem, Elem], bool]:
-    """(s, x) -> whether s*x lies in a, demanding exact answers."""
-    group = ctx.group
-    out = {}
-    for x in points:
-        for s in s_list:
+        raise _undecided(a, mat.undecided[0], ctx)
+    image_id: dict[Elem, int] = {}
+    rows = []
+    for x in mat.elements:
+        row = []
+        for k, s in enumerate(s_list):
             img = group.mul(s, x)
-            res = member(a, img, ctx)
+            res = member(b, img, ctx)
             if res is BUDGET_EXCEEDED:
-                raise BudgetError(
-                    f"membership of {group.show(img)} undecided at budget "
-                    f"{ctx.budget}; increase the budget slack"
-                )
-            out[(s, x)] = res
-    return out
+                raise _undecided(b, img, ctx)
+            if res:
+                row.append((image_id.setdefault(img, len(image_id)), k))
+        rows.append(row)
+    return s_list, mat.elements, rows, len(image_id)
 
 
 def doubling_matching(
@@ -86,43 +95,32 @@ def doubling_matching(
 
     Fast path: when the full window slice already violates the counting bound
     (fewer than twice as many reachable targets as sources), it is emitted as
-    the violator directly.  Otherwise a maximum matching is built and, on
-    failure, the violator comes from the final alternating-reachability cut.
+    the violator directly.  Otherwise a maximum matching is built with left
+    vertex 2i + c for copy c of point i and, on failure, the violator is read
+    off the matching's final alternating-reachability layering.
     """
-    if not translators:
-        raise ValueError("translator set must be nonempty")
-    ctx = context_for(window, slack)
-    group = ctx.group
-    s_list = sorted(set(translators), key=group.sort_key)
-    points = _window_slice(a, window, ctx)
-    edges = _image_members(a, points, s_list, ctx)
+    s_list, points, rows, n_images = _transport(a, a, translators, window, slack)
+    group = window.group
+    if n_images < 2 * len(points):
+        return DeficiencyCert(group, a, s_list, window, points)
 
-    targets = {}
-    for x in points:
-        for s in s_list:
-            if edges[(s, x)]:
-                targets.setdefault(group.mul(s, x), None)
-    if len(targets) < 2 * len(points):
-        return DeficiencyCert(
-            group, a, tuple(s_list), window, tuple(points)
-        )
-
-    lefts = [(x, i) for x in points for i in (0, 1)]
-    adjacency = {
-        (x, i): [group.mul(s, x) for s in s_list if edges[(s, x)]]
-        for x, i in lefts
-    }
-    pair_left, pair_right = max_matching(lefts, adjacency)
-    if len(pair_left) == len(lefts):
+    adjacency = []
+    for row in rows:
+        images = [img for img, _ in row]
+        adjacency += [images, images]
+    pair_left, _, reached = max_matching(range(len(adjacency)), adjacency)
+    if len(pair_left) == len(adjacency):
         assignment = []
-        for x in points:
-            img1, img2 = pair_left[(x, 0)], pair_left[(x, 1)]
-            x_inv = group.inv(x)
-            assignment.append((x, group.mul(img1, x_inv), group.mul(img2, x_inv)))
-        return MatchCert(group, a, tuple(s_list), window, tuple(assignment))
-    reached = alternating_reachable(lefts, adjacency, pair_left, pair_right)
-    violator = [x for x in points if (x, 0) in reached or (x, 1) in reached]
-    return DeficiencyCert(group, a, tuple(s_list), window, tuple(violator))
+        for i, (x, row) in enumerate(zip(points, rows)):
+            translator_of = dict(row)
+            s1 = s_list[translator_of[pair_left[2 * i]]]
+            s2 = s_list[translator_of[pair_left[2 * i + 1]]]
+            assignment.append((x, s1, s2))
+        return MatchCert(group, a, s_list, window, tuple(assignment))
+    violator = [
+        x for i, x in enumerate(points) if 2 * i in reached or 2 * i + 1 in reached
+    ]
+    return DeficiencyCert(group, a, s_list, window, tuple(violator))
 
 
 def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
@@ -207,29 +205,10 @@ def type_order(
     multiplicity at most n, displacements drawn from the translator set."""
     if copies < 1 or capacity < 1:
         raise ValueError("copies and capacity must be >= 1")
-    if not translators:
-        raise ValueError("translator set must be nonempty")
-    ctx = context_for(window, slack)
-    group = ctx.group
-    s_list = sorted(set(translators), key=group.sort_key)
-    points = _window_slice(a, window, ctx)
-    edges = _image_members(b, points, s_list, ctx)
+    s_list, points, rows, n_images = _transport(a, b, translators, window, slack)
+    group = window.group
 
-    rights: list[Elem] = []
-    right_id: dict[Elem, int] = {}
-    adj: list[list[tuple[int, Elem]]] = []
-    for x in points:
-        row = []
-        for s in s_list:
-            if edges[(s, x)]:
-                img = group.mul(s, x)
-                if img not in right_id:
-                    right_id[img] = len(rights)
-                    rights.append(img)
-                row.append((right_id[img], s))
-        adj.append(row)
-
-    n_nodes = 2 + len(points) + len(rights)
+    n_nodes = 2 + len(points) + n_images
     source, sink = 0, n_nodes - 1
     net = FlowNetwork(n_nodes)
     for i in range(len(points)):
@@ -237,29 +216,25 @@ def type_order(
     # middle edges are effectively uncapacitated so a min cut never uses one
     # and the residual-reachable rights contain the whole neighbourhood
     big = copies * len(points) + 1
-    mid_edges: list[list[tuple[int, Elem]]] = []
-    for i, row in enumerate(adj):
-        mids = []
-        for rid, s in row:
-            eid = net.add_edge(1 + i, 1 + len(points) + rid, big)
-            mids.append((eid, s))
-        mid_edges.append(mids)
-    for rid in range(len(rights)):
-        net.add_edge(1 + len(points) + rid, sink, capacity)
+    mid_edges = [
+        [net.add_edge(1 + i, 1 + len(points) + img, big) for img, _ in row]
+        for i, row in enumerate(rows)
+    ]
+    for img in range(n_images):
+        net.add_edge(1 + len(points) + img, sink, capacity)
 
     total = net.max_flow(source, sink)
     if total == copies * len(points):
         assignment = []
         for i, x in enumerate(points):
             used: list[Elem] = []
-            for eid, s in mid_edges[i]:
-                used.extend([s] * net.flow_on(eid))
+            for eid, (_, k) in zip(mid_edges[i], rows[i]):
+                used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
         return FlowCert(
-            group, copies, a, capacity, b, tuple(s_list), window, tuple(assignment)
+            group, copies, a, capacity, b, s_list, window, tuple(assignment)
         )
-    reachable = net.residual_reachable(source)
-    violator = [x for i, x in enumerate(points) if (1 + i) in reachable]
+    violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]
     return FlowDeficiency(
-        group, copies, a, capacity, b, tuple(s_list), window, tuple(violator)
+        group, copies, a, capacity, b, s_list, window, tuple(violator)
     )

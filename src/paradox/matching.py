@@ -1,5 +1,5 @@
-"""Deterministic maximum bipartite matching (Hopcroft-Karp shape) with
-alternating-reachability extraction of Hall violators."""
+"""Deterministic maximum bipartite matching (Hopcroft-Karp shape) whose final
+BFS layering gives the Hall violator."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ from typing import Hashable, Sequence
 INF = -1
 
 
-def max_matching(
-    lefts: Sequence[Hashable], adjacency: dict
-) -> tuple[dict, dict]:
-    """Maximum matching; vertices are processed in the given order so the
-    result is reproducible.  Returns (pair_left, pair_right)."""
+def max_matching(lefts: Sequence[Hashable], adjacency) -> tuple[dict, dict, set]:
+    """Maximum matching, where adjacency[u] lists the rights of the left u.
+    Vertices are processed in the given order so the result is
+    reproducible.  Returns (pair_left, pair_right, reached), where
+    `reached` holds the lefts reachable from the unmatched ones by alternating
+    paths (unmatched edge out, matched edge back): the classical Hall
+    violator, read off the final BFS, which finds no augmenting path."""
     pair_left: dict = {}
     pair_right: dict = {}
     dist: dict = {}
@@ -42,35 +44,35 @@ def max_matching(
                         queue.append(w)
         return found != INF
 
-    def dfs(u) -> bool:
-        for v in adjacency[u]:
-            w = pair_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = INF
-        return False
-
     while bfs():
         for u in lefts:
             if u not in pair_left:
-                dfs(u)
-    return pair_left, pair_right
+                _augment(u, adjacency, pair_left, pair_right, dist)
+    reached = {u for u in lefts if dist[u] != INF}
+    return pair_left, pair_right, reached
 
 
-def alternating_reachable(
-    lefts: Sequence[Hashable], adjacency: dict, pair_left: dict, pair_right: dict
-) -> set:
-    """Left vertices reachable from the unmatched ones by alternating paths
-    (unmatched edge out, matched edge back); the classical Hall violator."""
-    reached = {u for u in lefts if u not in pair_left}
-    queue = deque(reached)
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
+def _augment(root, adjacency, pair_left: dict, pair_right: dict, dist: dict) -> None:
+    """Depth-first search along the BFS layering for an augmenting path from
+    the free left `root`, on an explicit stack; flips the path when found.  A
+    left whose neighbours are exhausted leaves the layering (dist INF)."""
+    path = [(root, iter(adjacency[root]))]  # (left, its untried neighbours)
+    taken: list = []  # taken[j]: the right vertex leading out of path[j]
+    while path:
+        u, untried = path[-1]
+        for v in untried:
             w = pair_right.get(v)
-            if w is not None and w not in reached:
-                reached.add(w)
-                queue.append(w)
-    return reached
+            if w is None or dist[w] == dist[u] + 1:
+                taken.append(v)
+                if w is None:
+                    for (left, _), right in zip(path, taken):
+                        pair_left[left] = right
+                        pair_right[right] = left
+                    return
+                path.append((w, iter(adjacency[w])))
+                break
+        else:
+            dist[u] = INF
+            path.pop()
+            if taken:
+                taken.pop()

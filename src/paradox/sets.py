@@ -58,6 +58,11 @@ class EmptySet(SetExpr):
 @dataclass(frozen=True, slots=True)
 class FiniteSet(SetExpr):
     elems: tuple[Elem, ...]
+    # hashed copy of elems for membership; elems keeps the written order
+    members: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(self.elems))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +175,7 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
     if isinstance(expr, EmptySet):
         return False
     if isinstance(expr, FiniteSet):
-        return g in expr.elems
+        return g in expr.members
     if isinstance(expr, BallSet):
         if isinstance(group, DyadicAffineGroup):
             return g in set(group.ball_elements(expr.radius))
@@ -368,7 +373,6 @@ class _AffineSemigroupDecider:
         self.memo: dict[AffineElem, bool] = {}
         self.bounds: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
         self.lock = threading.Lock()
-        self.nodes = 0
 
     def _bound(self, n: int) -> tuple[Fraction, Fraction]:
         while len(self.bounds) <= n:
@@ -390,36 +394,50 @@ class _AffineSemigroupDecider:
         return self.bounds[n]
 
     def decide(self, g: AffineElem):
+        """True or False exactly, or BUDGET_EXCEEDED once the search would
+        visit more than _NODE_CAP new elements.  Depth-first over the
+        generators in order, on an explicit stack, so the answer depends on
+        the node cap alone and never on the interpreter's stack depth."""
         with self.lock:
-            self.nodes = 0
-            try:
-                return self._decide(g)
-            except RecursionError:
-                return BUDGET_EXCEEDED
+            memo = self.memo
+            if g in memo:
+                return memo[g]
+            nodes = 1
+            stack = [(g, self._peel(g))]
+            while stack:
+                h, children = stack[-1]
+                for child in children:
+                    if child is None or memo.get(child) is True:
+                        # a positive word for this element, hence for every
+                        # element on the stack: each is a generator times the next
+                        for elem, _ in stack:
+                            memo[elem] = True
+                        return True
+                    if child not in memo:
+                        nodes += 1
+                        if nodes > self._NODE_CAP:
+                            return BUDGET_EXCEEDED
+                        stack.append((child, self._peel(child)))
+                        break
+                else:
+                    memo[h] = False
+                    stack.pop()
+            return False
 
-    def _decide(self, g: AffineElem) -> bool:
-        if g in self.memo:
-            return self.memo[g]
-        self.nodes += 1
-        if self.nodes > self._NODE_CAP:
-            raise RecursionError
-        result = False
-        if g.a_exp >= self.min_exp and g.b.exp <= self.max_b_exp:
-            lo, hi = self._bound(g.a_exp)
-            bf = g.b.as_fraction()
-            if lo <= bf <= hi:
-                for gen, giv in zip(self.gens, self.inv_gens):
-                    if g == gen:
-                        result = True
-                        break
-                    rest_exp = g.a_exp - gen.a_exp
-                    if rest_exp < self.min_exp:
-                        continue
-                    if self._decide(self.group.mul(giv, g)):
-                        result = True
-                        break
-        self.memo[g] = result
-        return result
+    def _peel(self, g: AffineElem):
+        """In generator order: None when g is that generator, otherwise
+        gen^(-1) * g when what remains can still be a positive word."""
+        if g.a_exp < self.min_exp or g.b.exp > self.max_b_exp:
+            return
+        lo, hi = self._bound(g.a_exp)
+        if not lo <= g.b.as_fraction() <= hi:
+            return
+        for gen, giv in zip(self.gens, self.inv_gens):
+            if g == gen:
+                yield None
+                return
+            if g.a_exp - gen.a_exp >= self.min_exp:
+                yield self.group.mul(giv, g)
 
 
 def _member_affine_semigroup(expr: SemigroupSet, g: AffineElem, ctx: SetContext):

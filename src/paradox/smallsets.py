@@ -160,7 +160,7 @@ def small_check(
             if member(b, img, ctx) is False:
                 row.append(img)
         adjacency[x] = row
-    pair_left, _ = max_matching(list(sources.elements), adjacency)
+    pair_left, _, _ = max_matching(list(sources.elements), adjacency)
     if len(pair_left) < len(sources.elements):
         return None
     blocks: dict[Elem, list[Elem]] = {}

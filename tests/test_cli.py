@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import paradox
 from paradox.certificates import load_certificate
 from paradox.cli import main
 
@@ -36,6 +38,17 @@ class TestCheck:
         )
         assert code == 2
         assert load_certificate(str(out))["kind"] == "deficiency"
+        assert run(["verify", str(out), "--quiet"]) == 0
+
+    def test_deep_affine_translator(self, tmp_path):
+        # the image (2^1500,0) = s^1500 is decided however deep its word
+        out = tmp_path / "match.json"
+        code = run(
+            ["check", "--group", "bs12", "--set", "semigroup((2,0),(2,1);e)",
+             "--translators", f"(2,0),({2 ** 1500},0)", "--window", "0",
+             "--out", str(out), "--quiet"]
+        )
+        assert code == 0
         assert run(["verify", str(out), "--quiet"]) == 0
 
     def test_malformed_set_expression(self, capsys):
@@ -140,6 +153,19 @@ class TestPipelines:
         assert code == 2
         assert run(["verify", str(out), "--quiet"]) == 0
 
+    def test_type_order_long_path(self, tmp_path):
+        # a flow exists (shift every point by (-1)), found along augmenting
+        # paths longer than the interpreter's recursion limit
+        out = tmp_path / "flow.json"
+        code = run(
+            ["type-order", "--group", "zn:1", "--m", "1",
+             "--set-a", r"ball(600)\finite{(-600)}", "--n", "1",
+             "--set-b", r"ball(600)\finite{(600)}", "--translators", "(0),(-1)",
+             "--window", "600", "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        assert run(["verify", str(out), "--quiet"]) == 0
+
     def test_induce(self, tmp_path):
         tokens = tmp_path / "tokens.json"
         tokens.write_text(json.dumps({
@@ -169,6 +195,9 @@ def test_console_entry_point(tmp_path):
          "--out", str(out), "--quiet"],
         capture_output=True,
         text=True,
+        # the package as imported here, also when it is not installed
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(paradox.__file__)))),
     )
     assert proc.returncode == 2
     assert out.exists()

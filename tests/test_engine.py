@@ -14,6 +14,7 @@ from paradox.engine import (
     witness_from_matching,
 )
 from paradox.groups import IntVec, ball, explicit_window, group_from_string
+from paradox.matching import max_matching
 from paradox.pwt import pwt_apply
 from paradox.sets import (
     AllSet,
@@ -81,8 +82,14 @@ class TestDoublingMatching:
 
     def test_budget_exhaustion_is_an_error(self):
         semi = SemigroupSet((IntVec((1,)),), False)
-        with pytest.raises(BudgetError):
+        # the error names the first undecided point and the set: a window
+        # point at budget 2, an image of the window at budget 8
+        with pytest.raises(BudgetError, match=r"^membership of \(3\) in "
+                           r"semigroup\(\(1\)\) undecided at budget 2;"):
             doubling_matching(semi, [IntVec((1,))], ball(Z1, 8), slack=-6)
+        with pytest.raises(BudgetError, match=r"^membership of \(9\) in "
+                           r"semigroup\(\(1\)\) undecided at budget 8;"):
+            doubling_matching(semi, [IntVec((1,))], ball(Z1, 8), slack=0)
 
     def test_agreement_with_independent_oracle(self):
         rng = random.Random(42)
@@ -107,6 +114,17 @@ class TestDoublingMatching:
         assert all(x in big_points for x in small.violator)
         targets = {Z1.mul(s, x) for s in s_list for x in small.violator}
         assert len(targets) < 2 * len(small.violator)
+
+
+class TestMaxMatching:
+    def test_long_augmenting_path(self):
+        # the second phase augments along all 2000 vertices at once, far
+        # deeper than the interpreter's recursion limit
+        n = 2000
+        adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        pair_left, pair_right, reached = max_matching(range(n), adjacency)
+        assert pair_left == {i: i for i in range(n)} == pair_right
+        assert reached == set()
 
 
 class TestWitnessFromMatching:

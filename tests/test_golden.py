@@ -1,4 +1,5 @@
-"""Golden certificate bytes: one small certificate of each kind, pinned by
+"""Golden certificate bytes: one small certificate of each kind, and a
+deficiency found by the matching rather than the counting bound, pinned by
 sha256 and regenerated in fresh processes under two hash seeds.  A refactor
 that changes a single written byte fails here."""
 
@@ -23,10 +24,11 @@ from paradox.certificates import (
 from paradox.crossed import pi_witness
 from paradox.engine import doubling_matching, type_order, witness_from_matching
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet
+from paradox.sets import AllSet, SemigroupSet, parse_setexpr
 from paradox.witness import semigroup_window
 
 Z1, BS = group_from_string("zn:1"), group_from_string("bs12")
+F2 = group_from_string("free:2")
 s, t = BS.parse("(2,0)"), BS.parse("(2,1)")
 z1_ball1 = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
 window = semigroup_window(BS, s, t, 3)
@@ -42,10 +44,17 @@ certs = {
     "flow-deficiency": cert_from_flow_deficiency(
         type_order(2, AllSet(), 1, AllSet(), z1_ball1, ball(Z1, 3))),
     "cp-witness": cert_from_pi_witness(pi_witness(witness, BS), window),
+    # 15 points with 33 images pass the counting bound, so this violator
+    # comes from the matching's alternating-reachability cut
+    "deficiency-hall": cert_from_deficiency(doubling_matching(
+        parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
+                      r"a b^-1 a^-1}", F2),
+        [F2.parse(w) for w in ("a", "a^-1", "b")], ball(F2, 2))),
 }
-for kind, cert in certs.items():
-    assert cert["kind"] == kind, (kind, cert["kind"])
-    write_certificate(cert, os.path.join(sys.argv[1], kind + ".json"))
+for name, cert in certs.items():
+    kind = {"deficiency-hall": "deficiency"}.get(name, name)
+    assert cert["kind"] == kind, (name, cert["kind"])
+    write_certificate(cert, os.path.join(sys.argv[1], name + ".json"))
 """
 
 GOLDEN = {
@@ -55,6 +64,7 @@ GOLDEN = {
     "flow": "294d49d0b37be2f3c6342e94b63335bcdec43d2bb7922615e8e081d3f29b888b",
     "flow-deficiency": "9e3567ad3425458e96ac8d53a6e46e299da0d5f01e069adde75f0f468d6ac4e7",
     "cp-witness": "5fedc247c5151c00c6ec0cad239fcc5de41bbab7bdcf8205c4e31d57fc9386d4",
+    "deficiency-hall": "802dd6508af4801e3fc5c96e7e644a95aad99e301abf19dc395e25159df24016",
 }
 
 

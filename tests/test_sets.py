@@ -67,6 +67,12 @@ class TestMember:
         assert member(semi, BS.identity(), bs_ctx()) is False
         assert member(semi, S_GEN, bs_ctx()) is True
 
+    def test_deep_affine_words_are_decided(self):
+        # s^k peels one generator per step; the answer must not depend on the
+        # interpreter's stack depth, so a fresh context decides both
+        for k in (1500, 3000):
+            assert member(SEMI, BS.parse(f"({2 ** k},0)"), bs_ctx()) is True
+
     def test_budget_exceeded_is_distinguished(self):
         # words in a single lattice direction: membership of far points with a
         # small budget must come back undecided, never wrongly False
