@@ -7,13 +7,15 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .crossed import CPElem, PIWitness
-from .engine import DeficiencyCert, FlowCert, FlowDeficiency, MatchCert
 from .groups import Group, Window, ball, explicit_window
 from .sets import parse_setexpr, show_setexpr
 from .witness import ParadoxWitness
+
+if TYPE_CHECKING:  # annotations only: the verifier must not load the solver
+    from .engine import DeficiencyCert, FlowCert, FlowDeficiency, MatchCert
 
 SCHEMA = "paradox-cert/v1"
 PRODUCER = "paradox 0.1.0"

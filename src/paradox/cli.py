@@ -35,7 +35,7 @@ from .induced import (
     induce_witness,
     subgroup_from_string,
 )
-from .sets import BudgetError, parse_setexpr
+from .sets import BudgetError, context_for, parse_setexpr
 from .smallsets import check_pair_intersections, greedy_small_set
 from .verifier import CertificateFormatError, verify_certificate
 from .witness import witness_check
@@ -55,9 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
+def _slack(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-slack", type=int, default=4,
                      help="extra length allowed in semigroup enumeration (default 4)")
+
+
+def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path for the produced JSON")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout reporting")
 
@@ -73,6 +76,15 @@ def _emit(args, payload: dict) -> None:
         _say(args, f"wrote {args.out}")
     elif not args.quiet:
         print(certs.canonical_json(payload))
+
+
+def _report(args, payload: dict) -> None:
+    """Write a JSON report to --out (no trailing newline) and echo it."""
+    text = certs.canonical_json(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _say(args, text)
 
 
 def _parse_translators(group, text: str):
@@ -96,6 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", required=True, type=int, help="ball window radius")
     p.add_argument("--witness-out",
                    help="also write the derived witness certificate here")
+    _slack(p)
     _common(p)
 
     p = subs.add_parser("verify", help="re-check a certificate with no solver")
@@ -129,6 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--set-b", required=True)
     p.add_argument("--translators", required=True)
     p.add_argument("--window", required=True, type=int)
+    _slack(p)
     _common(p)
 
     p = subs.add_parser("induce", help="transport a token witness to the ambient group")
@@ -185,7 +199,7 @@ def cmd_verify(args) -> int:
     return EXIT_SEMANTIC
 
 
-def _witness_from_any_cert(data: dict, group, window, slack: int):
+def _witness_from_any_cert(data: dict, group, window, ctx):
     if data["kind"] == "witness":
         return certs.witness_from_cert(data, group)
     if data["kind"] != "match":
@@ -201,7 +215,7 @@ def _witness_from_any_cert(data: dict, group, window, slack: int):
         ),
     )
     lifted = symbolic_witness_from_matching(match)
-    if lifted is not None and witness_check(lifted, window).passed:
+    if lifted is not None and witness_check(lifted, window, ctx).passed:
         return lifted
     return witness_from_matching(match)
 
@@ -210,8 +224,9 @@ def cmd_embed_f2(args) -> int:
     data = certs.load_certificate(args.from_cert)
     group = group_from_string(data["group"])
     window = certs.window_from_descriptor(group, data["window"])
-    witness = _witness_from_any_cert(data, group, window, args.budget_slack)
-    embedding = build_embedding(witness, window)
+    ctx = context_for(window, int(data.get("budgetSlack", 4)))
+    witness = _witness_from_any_cert(data, group, window, ctx)
+    embedding = build_embedding(witness, window, ctx)
     report = check_injective_lipschitz(embedding, args.depth)
     payload = {
         "injective": report.injective,
@@ -223,10 +238,7 @@ def cmd_embed_f2(args) -> int:
         ],
         "values": report.value_count,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-    _say(args, certs.canonical_json(payload))
+    _report(args, payload)
     return EXIT_OK if report.injective and not report.violations else EXIT_SEMANTIC
 
 
@@ -242,10 +254,7 @@ def cmd_small_set(args) -> int:
         "attainedAt": group.show(pair.attained_at) if pair.attained_at else None,
         "checkRadius": args.check_radius,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-    _say(args, certs.canonical_json(payload))
+    _report(args, payload)
     return EXIT_OK
 
 
@@ -254,14 +263,17 @@ def cmd_cp_witness(args) -> int:
     group = group_from_string(data["group"])
     cert_window = certs.window_from_descriptor(group, data["window"])
     window = ball(group, args.window) if args.window is not None else cert_window
-    witness = _witness_from_any_cert(data, group, cert_window, args.budget_slack)
+    slack = int(data.get("budgetSlack", 4))
+    witness = _witness_from_any_cert(
+        data, group, cert_window, context_for(cert_window, slack)
+    )
     pw = pi_witness(witness, group)
-    report = verify_pi_witness(pw, window)
-    for name, ok, msg in report.identities:
+    report = verify_pi_witness(pw, window, context_for(window, slack))
+    for name, ok, msg in report.checks:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
     if args.out:
         certs.write_certificate(
-            certs.cert_from_pi_witness(pw, window, args.budget_slack), args.out
+            certs.cert_from_pi_witness(pw, window, slack), args.out
         )
         _say(args, f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_SEMANTIC
@@ -317,10 +329,7 @@ def cmd_induce(args) -> int:
             {"name": name, "ok": ok, "detail": msg} for name, ok, msg in report.checks
         ],
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-    _say(args, certs.canonical_json(payload))
+    _report(args, payload)
     return EXIT_OK if report.passed else EXIT_SEMANTIC
 
 

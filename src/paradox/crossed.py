@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Elem, Group, Window
+from .pwt import ValidationReport
 from .sets import (
     AllSet,
     Intersect,
@@ -49,9 +50,6 @@ class CPElem:
             if u == t:
                 return coeff
         return ()
-
-    def is_symbolically_zero(self) -> bool:
-        return not self.terms
 
 
 def _build(group: Group, raw: dict[Elem, list[tuple[Fraction, SetExpr]]]) -> CPElem:
@@ -192,20 +190,8 @@ def pi_witness(w: ParadoxWitness, group: Group) -> PIWitness:
     return PIWitness(group, w.set_expr, v, w_elem)
 
 
-@dataclass(frozen=True)
-class PIReport:
-    identities: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.identities)
-
-    def failures(self) -> list[tuple[str, str]]:
-        return [(name, msg) for name, ok, msg in self.identities if not ok]
-
-
 def verify_pi_witness(pw: PIWitness, window: Window,
-                      ctx: SetContext | None = None) -> PIReport:
+                      ctx: SetContext | None = None) -> ValidationReport:
     """Window-exact check of v*v = p = w*w, orthogonality of the ranges, and
     range domination by p."""
     if ctx is None:
@@ -236,7 +222,7 @@ def verify_pi_witness(pw: PIWitness, window: Window,
                     f"coefficient of u({group.show(t)}) is {val} at {group.show(g)}",
                 )
             )
-    return PIReport(tuple(results))
+    return ValidationReport(tuple(results))
 
 
 # ---- corner compression -----------------------------------------------------

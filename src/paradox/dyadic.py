@@ -56,17 +56,10 @@ class Dyadic:
     def __le__(self, other: "Dyadic") -> bool:
         return self == other or self < other
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)
         return f"{self.num}/{1 << self.exp}"
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
 
 
 def parse_dyadic(text: str) -> Dyadic:

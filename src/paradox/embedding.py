@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .groups import Elem, FreeGroup, FreeWord, Group, Window
-from .pwt import PwT, PwTError, pwt_apply, pwt_compose
+from .pwt import PwT, PwTError, first_overlap, pwt_apply, pwt_compose
 from .sets import FiniteSet, SetContext, context_for, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
@@ -62,32 +62,22 @@ def build_embedding(w: ParadoxWitness, window: Window,
     first = base.elements[0]
     base_point = pwt_apply(minus, first, ctx)
 
-    data = EmbeddingData(group, *branches, base_point, ctx)
-    _check_disjoint_images(data, base.elements)
-    return data
-
-
-def _check_disjoint_images(data: EmbeddingData, points) -> None:
-    group, ctx = data.group, data.ctx
     image_sets = []
-    for mp in data.branch_maps():
+    for mp in branches:
         images = set()
-        for g in points:
+        for g in base.elements:
             try:
                 images.add(pwt_apply(mp, g, ctx))
             except PwTError:
                 # window-scoped witnesses define the composites only partially
                 continue
         image_sets.append(images)
-    image_sets.append({data.base_point})
-    for i in range(len(image_sets)):
-        for j in range(i + 1, len(image_sets)):
-            common = image_sets[i] & image_sets[j]
-            if common:
-                g = next(iter(common))
-                raise AssertionError(
-                    f"branch images {i} and {j} overlap at {group.show(g)}"
-                )
+    hit = first_overlap(image_sets + [{base_point}], group)
+    if hit is not None:
+        raise AssertionError(
+            f"branch images {hit[0]} and {hit[1]} overlap at {group.show(hit[2])}"
+        )
+    return EmbeddingData(group, *branches, base_point, ctx)
 
 
 def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Elem:

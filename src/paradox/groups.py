@@ -142,6 +142,10 @@ class Group:
             if r > cap:
                 raise GroupError(f"word length of {self.show(g)} exceeds cap {cap}")
 
+    def in_ball(self, g: Elem, radius: int) -> bool:
+        """Whether g has word length <= radius."""
+        return self.word_length(g) <= radius
+
     def enumerate_elements(self) -> Iterator[Elem]:
         """Canonical enumeration of the whole group, layer by layer."""
         r = 0
@@ -325,6 +329,11 @@ class DyadicAffineGroup(Group):
         u = AffineElem(0, Dyadic(1))
         return (s, self.inv(s), u, self.inv(u))
 
+    def in_ball(self, g: Elem, radius: int) -> bool:
+        # no closed-form length: read g's layer from the enumerated ball
+        self._extend_layers(radius)
+        return self._ball_index.get(g, radius + 1) <= radius
+
     def sort_key(self, g: AffineElem):
         return (g.a_exp, g.b.as_fraction())
 
@@ -408,18 +417,11 @@ class Window:
     kind: str = "ball"  # "ball" (elements = ball of `radius`) or "explicit"
 
     def __post_init__(self) -> None:
-        index = {}
-        for i, g in enumerate(self.elements):
-            if g in index:
+        seen = set()
+        for g in self.elements:
+            if g in seen:
                 raise GroupError(f"duplicate window element {self.group.show(g)}")
-            index[g] = i
-        object.__setattr__(self, "_index", index)
-
-    def __contains__(self, g: Elem) -> bool:
-        return g in self._index  # type: ignore[attr-defined]
-
-    def position(self, g: Elem) -> int:
-        return self._index[g]  # type: ignore[attr-defined]
+            seen.add(g)
 
     def __len__(self) -> int:
         return len(self.elements)

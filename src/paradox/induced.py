@@ -17,6 +17,7 @@ from .groups import (
     IntVec,
     LatticeGroup,
 )
+from .pwt import ValidationReport
 
 
 class SubgroupError(GroupError):
@@ -257,18 +258,9 @@ def induce_witness(sub: SubgroupSpec, tw: TokenWitness, anchor: Elem) -> Induced
     )
 
 
-@dataclass(frozen=True)
-class InducedReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
 def check_induced_witness(
     sub: SubgroupSpec, tw: TokenWitness, out: InducedWitness
-) -> InducedReport:
+) -> ValidationReport:
     """Replay the bookkeeping: the conjugation identities hold exactly, the
     translators act inside the anchor's coset fibre, and the fibre data lines
     up with the asserted token facts."""
@@ -309,6 +301,4 @@ def check_induced_witness(
     checks.append(("pieces-in-fibre", ok, "" if ok else "piece outside the fibre"))
     ok = out.whole[1] == tw.whole and tuple(tok for _, tok in out.pieces) == tw.pieces
     checks.append(("tokens-preserved", ok, "" if ok else "token labels changed"))
-    return InducedReport(tuple(checks))
-
-
+    return ValidationReport(tuple(checks))

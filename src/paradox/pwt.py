@@ -98,6 +98,17 @@ class ValidationReport:
         )
 
 
+def first_overlap(point_sets, group) -> tuple[int, int, Elem] | None:
+    """The first pair i < j of point sets that meet, with their least shared
+    point by `group.sort_key`; None when the sets are pairwise disjoint."""
+    for i in range(len(point_sets)):
+        for j in range(i + 1, len(point_sets)):
+            common = point_sets[i] & point_sets[j]
+            if common:
+                return i, j, min(common, key=group.sort_key)
+    return None
+
+
 def pwt_validate(p: PwT, window: Window, ctx: SetContext | None = None) -> ValidationReport:
     """Check piece disjointness, coverage of the domain slice, injectivity and
     displacement confinement, all restricted to the window."""
@@ -194,17 +205,12 @@ def check_equi_witness(w: EquiWitness, window: Window,
         return ValidationReport(tuple(checks))
 
     for label, parts in (("a", w.parts_a), ("b", w.parts_b)):
-        mats = [set(materialize(p, window, ctx).elements) for p in parts]
-        bad = ""
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                common = mats[i] & mats[j]
-                if common:
-                    g = next(iter(common))
-                    bad = f"parts {i} and {j} share {group.show(g)}"
-                    break
-            if bad:
-                break
+        hit = first_overlap(
+            [set(materialize(p, window, ctx).elements) for p in parts], group
+        )
+        bad = "" if hit is None else (
+            f"parts {hit[0]} and {hit[1]} share {group.show(hit[2])}"
+        )
         checks.append((f"parts-{label}-disjoint", not bad, bad))
 
     win_set = set(window.elements)

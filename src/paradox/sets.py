@@ -177,9 +177,7 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
     if isinstance(expr, FiniteSet):
         return g in expr.members
     if isinstance(expr, BallSet):
-        if isinstance(group, DyadicAffineGroup):
-            return g in set(group.ball_elements(expr.radius))
-        return group.word_length(g) <= expr.radius
+        return group.in_ball(g, expr.radius)
     if isinstance(expr, Translate):
         return member(expr.inner, group.mul(group.inv(expr.t), g), ctx)
     if isinstance(expr, Union):
@@ -198,10 +196,11 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
     if isinstance(expr, GreedySet):
         from .smallsets import greedy_small_set
 
-        return g in ctx.caches.setdefault(
-            ("greedy", group.key, expr.count),
-            frozenset(greedy_small_set(group, expr.count)),
-        )
+        key = ("greedy", group.key, expr.count)
+        members = ctx.caches.get(key)
+        if members is None:
+            members = ctx.caches[key] = frozenset(greedy_small_set(group, expr.count))
+        return g in members
     raise TypeError(f"unknown set expression {expr!r}")
 
 

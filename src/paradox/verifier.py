@@ -175,17 +175,17 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
 
 
 def _verify_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
-    w = witness_from_cert(cert, group)
-    report = witness_check(w, window, ctx)
-    if not report.passed:
-        name, msg = report.failures()[0]
-        return VerifyOutcome.failed(f"{name}: {msg}")
-    return VerifyOutcome.passed()
+    return _outcome(witness_check(witness_from_cert(cert, group), window, ctx))
 
 
 def _verify_cp_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
-    pw = pi_witness_from_cert(cert, group)
-    report = verify_pi_witness(pw, window, ctx)
+    return _outcome(
+        verify_pi_witness(pi_witness_from_cert(cert, group), window, ctx)
+    )
+
+
+def _outcome(report) -> VerifyOutcome:
+    """Name the first failed check of a window report."""
     if not report.passed:
         name, msg = report.failures()[0]
         return VerifyOutcome.failed(f"{name}: {msg}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Elem, Group, Window, explicit_window
-from .pwt import PwT, ValidationReport, pwt_apply, pwt_compose
+from .pwt import PwT, ValidationReport, first_overlap, pwt_apply, pwt_compose
 from .sets import (
     Diff,
     SemigroupSet,
@@ -106,17 +106,10 @@ def witness_check(w: ParadoxWitness, window: Window,
         return ValidationReport(tuple(checks))
 
     points = [_piece_points(piece, window, ctx) for piece, _ in w.parts]
-    sets = [set(p) for p in points]
-    bad = ""
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            common = sets[i] & sets[j]
-            if common:
-                g = min(common, key=group.sort_key)
-                bad = f"pieces {i} and {j} share {group.show(g)}"
-                break
-        if bad:
-            break
+    hit = first_overlap([set(p) for p in points], group)
+    bad = "" if hit is None else (
+        f"pieces {hit[0]} and {hit[1]} share {group.show(hit[2])}"
+    )
     checks.append(("pieces-disjoint", not bad, bad))
 
     bad = ""
@@ -202,14 +195,13 @@ def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,
     # leaves in sign order (+...+, ..., -...-), composing heads on the left
     maps = _tree_leaves(plus, minus, depth, ctx)
     chosen = maps[:n]
-    images = []
-    for mp in chosen:
-        base = materialize(mp.domain, window, ctx)
-        images.append({pwt_apply(mp, g, ctx) for g in base.elements})
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            if images[i] & images[j]:
-                raise AssertionError(f"images {i} and {j} overlap on the window")
+    images = [
+        {pwt_apply(mp, g, ctx) for g in materialize(mp.domain, window, ctx).elements}
+        for mp in chosen
+    ]
+    hit = first_overlap(images, group)
+    if hit is not None:
+        raise AssertionError(f"images {hit[0]} and {hit[1]} overlap on the window")
     return chosen
 
 

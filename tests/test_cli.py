@@ -187,6 +187,100 @@ class TestPipelines:
         assert all(check["ok"] for check in report["checks"])
 
 
+# The positive quadrant of Z^2, decided through its half-space length bound:
+# membership of a point of length L needs budget L (window radius + slack).
+QUADRANT = "semigroup((1,0),(0,1);e)"
+
+
+def _quadrant_witness_cert(path, slack):
+    """A zn:2 witness on the quadrant whose pieces are translates by (-10,0)
+    and (0,-10), written on ball(3) at the given slack.  Its memberships and
+    identity coefficients are read at points of length up to 13, so they are
+    undecided at slack 4 (budget 7) and decided at slack 10."""
+    from paradox.certificates import cert_from_witness, write_certificate
+    from paradox.groups import ball, group_from_string
+    from paradox.sets import parse_setexpr, translate
+    from paradox.witness import ParadoxWitness
+
+    z2 = group_from_string("zn:2")
+    quadrant = parse_setexpr(QUADRANT, z2)
+    s, t = z2.parse("(-10,0)"), z2.parse("(0,-10)")
+    w = ParadoxWitness(
+        quadrant,
+        ((translate(s, quadrant, z2), z2.inv(s)),
+         (translate(t, quadrant, z2), z2.inv(t))),
+        1,
+    )
+    write_certificate(cert_from_witness(w, z2, ball(z2, 3), slack), str(path))
+
+
+class TestBudgetSlack:
+    """`embed-f2` and `cp-witness` check at the slack their input records."""
+
+    def test_embed_f2_validates_at_the_recorded_slack(self, tmp_path, capsys):
+        from paradox.certificates import (
+            cert_from_witness, window_from_descriptor, witness_from_cert,
+            write_certificate,
+        )
+        from paradox.groups import group_from_string
+
+        # the witness's finite pieces reach length 13 = radius 3 + slack 10
+        match, wit = tmp_path / "match.json", tmp_path / "witness.json"
+        assert run(
+            ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
+             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
+             "--out", str(match), "--witness-out", str(wit), "--quiet"]
+        ) == 0
+        capsys.readouterr()
+        args = ["embed-f2", "--from-cert", str(wit), "--depth", "1", "--quiet"]
+        # recorded at slack 10 the witness validates; the window is then too
+        # small for the embedding itself
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "undecided" not in err
+        assert "left the validated window" in err
+        # the same witness recorded at the default slack is undecided
+        z2 = group_from_string("zn:2")
+        data = load_certificate(str(wit))
+        write_certificate(
+            cert_from_witness(witness_from_cert(data, z2), z2,
+                              window_from_descriptor(z2, data["window"]), 4),
+            str(wit),
+        )
+        assert run(args) == 1
+        assert "undecided at budget 7" in capsys.readouterr().err
+
+    def test_cp_witness_checks_at_the_recorded_slack(self, tmp_path, capsys):
+        wit, out = tmp_path / "witness.json", tmp_path / "cp.json"
+        args = ["cp-witness", "--from-cert", str(wit), "--out", str(out)]
+        _quadrant_witness_cert(wit, 4)
+        assert run(args + ["--quiet"]) == 1
+        assert "undecided at budget 7" in capsys.readouterr().err
+
+        # decided at slack 10; the quadrant is not properly infinite, and the
+        # verifier, replaying at the slack written out, names the same failure
+        _quadrant_witness_cert(wit, 10)
+        assert run(args) == 3
+        lines = capsys.readouterr().out.splitlines()
+        first_fail = next(line for line in lines if ": FAIL " in line)
+        assert load_certificate(str(out))["budgetSlack"] == 10
+        assert run(["verify", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: " + first_fail.replace(": FAIL ", ": ") + "\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["embed-f2", "--from-cert", "witness.json"],
+        ["cp-witness", "--from-cert", "witness.json"],
+        ["small-set", "--group", "zn:1", "--count", "4"],
+        ["induce", "--group", "free:2", "--subgroup", "cyclic:a",
+         "--input", "tokens.json", "--t", "b"],
+    ])
+    def test_taken_only_where_a_budget_is_chosen(self, argv, capsys):
+        assert run(argv + ["--budget-slack", "4"]) == 1
+        assert "unrecognized arguments: --budget-slack" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "cert.json"
     proc = subprocess.run(

@@ -61,6 +61,17 @@ class TestBuild:
             for j in range(i + 1, len(image_sets)):
                 assert not image_sets[i] & image_sets[j]
 
+    def test_overlapping_branches_name_least_shared_point(self, monkeypatch):
+        import paradox.embedding as emb
+
+        w = free_semigroup_witness(BS, S_GEN, T_GEN, 4)
+        plus, _ = emb.base_translation_maps(w, BS)
+        # with minus replaced by plus, all four branches are x -> (8,0) x
+        monkeypatch.setattr(emb, "base_translation_maps", lambda w, group: (plus, plus))
+        with pytest.raises(AssertionError) as info:
+            build_embedding(w, semigroup_window(BS, S_GEN, T_GEN, 4))
+        assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
+
 
 class TestEval:
     def test_identity_and_single_letters(self, embedding):

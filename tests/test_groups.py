@@ -183,9 +183,9 @@ class TestGroupAxioms:
 class TestWindow:
     def test_ball_window_contains(self):
         w = ball(Z1, 2)
-        assert IntVec((2,)) in w
-        assert IntVec((3,)) not in w
-        assert w.position(IntVec((0,))) == 0
+        assert IntVec((2,)) in w.elements
+        assert IntVec((3,)) not in w.elements
+        assert w.elements[0] == IntVec((0,))
 
     def test_duplicate_rejected(self):
         from paradox.groups import explicit_window

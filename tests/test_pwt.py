@@ -10,6 +10,7 @@ from paradox.pwt import (
     PwTError,
     bounded_check,
     check_equi_witness,
+    first_overlap,
     pwt_apply,
     pwt_compose,
     pwt_validate,
@@ -154,6 +155,36 @@ class TestEquiWitness:
         report = check_equi_witness(w, ball(Z1, 5), SetContext(Z1, 8))
         assert not report.passed
         assert any("part-0" in name for name, _ in report.failures())
+
+    def test_overlapping_parts_name_least_shared_point(self):
+        a0 = FiniteSet(int_elems(5, -4, 1, 4))
+        a1 = FiniteSet(int_elems(4, 0, -4, 5))
+        b0 = FiniteSet(int_elems(-1))
+        b1 = FiniteSet(int_elems(2))
+        w = EquiWitness((a0, a1), (b0, b1), (Z1.identity(), Z1.identity()))
+        report = check_equi_witness(w, ball(Z1, 5), SetContext(Z1, 8))
+        failing = dict(report.failures())
+        # shared: (4), (-4), (5); (4) comes first in the group's order
+        assert failing["parts-a-disjoint"] == "parts 0 and 1 share (4)"
+        assert "parts-b-disjoint" not in failing
+
+
+class TestFirstOverlap:
+    def test_pairwise_disjoint(self):
+        sets = [set(int_elems(0, 1)), set(), set(int_elems(-1, 2))]
+        assert first_overlap(sets, Z1) is None
+        assert first_overlap([], Z1) is None
+
+    def test_first_pair_and_least_shared_point(self):
+        sets = [
+            set(int_elems(0, 1)),
+            set(int_elems(5, -3, 3, 7)),
+            set(int_elems(7, 3, -3, 5)),
+            set(int_elems(1, 7)),
+        ]
+        # (1, 2) meets too, but (0, 3) comes first; (3) precedes (-3), (5), (7)
+        assert first_overlap(sets, Z1) == (0, 3, IntVec((1,)))
+        assert first_overlap(sets[1:], Z1) == (0, 1, IntVec((3,)))
 
 
 class TestBoundedCheck:

@@ -108,3 +108,14 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
             results = set(pool.map(run, range(12)))
         assert len(results) == 1
+
+
+def test_verifier_imports_no_solver():
+    code = (
+        "import sys, paradox.verifier; "
+        "print(*(m for m in ('paradox.engine', 'paradox.matching', 'paradox.flow') "
+        "if m in sys.modules))"
+    )
+    proc = _run(["-c", code], None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

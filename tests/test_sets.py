@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from paradox.groups import IntVec, ball, explicit_window, group_from_string
+from paradox.groups import (
+    DyadicAffineGroup,
+    IntVec,
+    ball,
+    explicit_window,
+    group_from_string,
+)
 from paradox.sets import (
     BUDGET_EXCEEDED,
     AllSet,
@@ -54,6 +60,14 @@ class TestMember:
     def test_ball_excludes_longer_words(self):
         assert member(BallSet(1), F2.parse("a b"), SetContext(F2)) is False
         assert member(BallSet(1), F2.parse("a"), SetContext(F2)) is True
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 5])
+    def test_affine_ball_matches_enumeration(self, radius):
+        # a fresh group, so membership enumerates the ball on its own
+        ctx = SetContext(DyadicAffineGroup(), 8)
+        inside = set(BS.ball_elements(radius))
+        for g in BS.ball_elements(radius + 1):
+            assert member(BallSet(radius), g, ctx) is (g in inside)
 
     def test_semigroup_agrees_with_bruteforce(self):
         brute = brute_positive_words(BS, [S_GEN, T_GEN], 5)
@@ -134,7 +148,7 @@ class TestMaterialize:
         small, large = ball(BS, 2), ball(BS, 4)
         small_mat = materialize(slab, small).elements
         large_mat = materialize(slab, large).elements
-        assert [g for g in large_mat if g in small] == list(small_mat)
+        assert [g for g in large_mat if g in small.elements] == list(small_mat)
 
 
 class TestDictionaryLaws:
@@ -231,3 +245,21 @@ class TestGrammar:
         ctx = SetContext(Z1, 8)
         for g in Z1.ball_elements(6):
             assert member(expr, g, ctx) is (g in seq)
+
+    def test_greedy_set_is_built_once_per_context(self, monkeypatch):
+        import paradox.smallsets as smallsets
+
+        built = []
+        real = smallsets.greedy_small_set
+
+        def counting(group, count):
+            built.append(count)
+            return real(group, count)
+
+        monkeypatch.setattr(smallsets, "greedy_small_set", counting)
+        ctx = SetContext(Z1, 8)
+        for g in Z1.ball_elements(6):
+            member(GreedySet(6), g, ctx)
+        assert built == [6]
+        member(GreedySet(6), Z1.identity(), SetContext(Z1, 8))
+        assert built == [6, 6]
