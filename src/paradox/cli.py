@@ -8,6 +8,7 @@ configuration errors, 3 when a verification fails semantically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -37,7 +38,7 @@ from .induced import (
 )
 from .sets import BudgetError, context_for, parse_setexpr
 from .smallsets import check_pair_intersections, greedy_small_set
-from .verifier import CertificateFormatError, verify_certificate
+from .verifier import CertificateFormatError, read_envelope, verify_certificate
 from .witness import witness_check
 
 EXIT_OK = 0
@@ -85,6 +86,15 @@ def _report(args, payload: dict) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     _say(args, text)
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report input that lacks the expected fields or shapes as a usage error."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _CliError(f"{what} does not parse: {exc}") from exc
 
 
 def _parse_translators(group, text: str):
@@ -199,33 +209,36 @@ def cmd_verify(args) -> int:
     return EXIT_SEMANTIC
 
 
-def _witness_from_any_cert(data: dict, group, window, ctx):
-    if data["kind"] == "witness":
-        return certs.witness_from_cert(data, group)
-    if data["kind"] != "match":
-        raise _CliError(f"need a match or witness certificate, got {data['kind']}")
-    match = MatchCert(
-        group,
-        parse_setexpr(data["set"], group),
-        tuple(group.parse(t) for t in data["translators"]),
-        window,
-        tuple(
-            (group.parse(x), group.parse(s1), group.parse(s2))
-            for x, s1, s2 in data["assignment"]
-        ),
-    )
+def _witness_from_any_cert(path: str):
+    """The witness a match or witness certificate gives, with the window and
+    the context it was checked in."""
+    data = certs.load_certificate(path)
+    kind, group, window, slack = read_envelope(data)
+    if kind not in ("match", "witness"):
+        raise _CliError(f"need a match or witness certificate, got {kind}")
+    ctx = context_for(window, slack)
+    with _parsing("certificate payload"):
+        if kind == "witness":
+            return certs.witness_from_cert(data, group), window, ctx
+        match = MatchCert(
+            group,
+            parse_setexpr(data["set"], group),
+            tuple(group.parse(t) for t in data["translators"]),
+            window,
+            tuple(
+                (group.parse(x), group.parse(s1), group.parse(s2))
+                for x, s1, s2 in data["assignment"]
+            ),
+        )
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
-        return lifted
-    return witness_from_matching(match)
+        return lifted, window, ctx
+    return witness_from_matching(match), window, ctx
 
 
 def cmd_embed_f2(args) -> int:
-    data = certs.load_certificate(args.from_cert)
-    group = group_from_string(data["group"])
-    window = certs.window_from_descriptor(group, data["window"])
-    ctx = context_for(window, int(data.get("budgetSlack", 4)))
-    witness = _witness_from_any_cert(data, group, window, ctx)
+    witness, window, ctx = _witness_from_any_cert(args.from_cert)
+    group = ctx.group
     embedding = build_embedding(witness, window, ctx)
     report = check_injective_lipschitz(embedding, args.depth)
     payload = {
@@ -259,19 +272,16 @@ def cmd_small_set(args) -> int:
 
 
 def cmd_cp_witness(args) -> int:
-    data = certs.load_certificate(args.from_cert)
-    group = group_from_string(data["group"])
-    cert_window = certs.window_from_descriptor(group, data["window"])
+    witness, cert_window, cert_ctx = _witness_from_any_cert(args.from_cert)
+    group = cert_ctx.group
+    slack = cert_ctx.budget - cert_window.radius  # as the certificate records
     window = ball(group, args.window) if args.window is not None else cert_window
-    slack = int(data.get("budgetSlack", 4))
-    witness = _witness_from_any_cert(
-        data, group, cert_window, context_for(cert_window, slack)
-    )
     pw = pi_witness(witness, group)
     report = verify_pi_witness(pw, window, context_for(window, slack))
     for name, ok, msg in report.checks:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
-    if args.out:
+    # a certificate is written only for identities that all hold
+    if args.out and report.passed:
         certs.write_certificate(
             certs.cert_from_pi_witness(pw, window, slack), args.out
         )
@@ -303,13 +313,18 @@ def cmd_induce(args) -> int:
     sub = subgroup_from_string(group, args.subgroup)
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise _CliError("token witness is not a JSON object")
     facts = data.get("eqEFacts", {})
-    tw = TokenWitness(
-        data["set"],
-        tuple(data["pieces"]),
-        tuple(group.parse(t) for t in data["gamma0Elems"]),
-        int(data["split"]),
-    )
+    with _parsing("token witness"):
+        tw = TokenWitness(
+            data["set"],
+            tuple(data["pieces"]),
+            tuple(group.parse(t) for t in data["gamma0Elems"]),
+            int(data["split"]),
+        )
+    if not all(isinstance(token, str) for token in (tw.whole, *tw.pieces)):
+        raise _CliError("token witness pieces and set must be token strings")
     anchor = group.parse(args.anchor)
     out = induce_witness(sub, tw, anchor)
     report = check_induced_witness(sub, tw, out)

@@ -14,6 +14,8 @@ from .sets import FiniteSet, SetContext, context_for, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
 F2 = FreeGroup(2)
+# the letters a, a^-1, b, b^-1 of F2, in the order of branch_maps()
+_BRANCH_LETTERS = (1, -1, 2, -2)
 
 
 class EmbeddingWindowError(RuntimeError):
@@ -88,12 +90,7 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
             raise ValueError(f"letter {x} is not one of the two generators")
         if i and letters[i - 1] == -x:
             raise ValueError(f"word {letters} is not reduced")
-    maps = {
-        1: data.sigma_plus,
-        -1: data.sigma_minus,
-        2: data.tau_plus,
-        -2: data.tau_minus,
-    }
+    maps = dict(zip(_BRANCH_LETTERS, data.branch_maps()))
     with data._lock:
         # reuse the longest memoised suffix, then extend letter by letter
         start = len(letters)
@@ -124,12 +121,15 @@ class LipschitzReport:
     value_count: int
     displacement_set: tuple[Elem, ...]  # observed displacements and inverses
     collisions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    # (c w, w) pairs displaced outside what the branch map for c declares
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzReport:
-    """Evaluate on the whole rank-2 ball; verify injectivity and that adjacent
-    words (one-letter difference) have displacements inside the computed set."""
+    """Evaluate on the whole rank-2 ball; verify injectivity, and that each
+    adjacent pair f(c w), f(w) is displaced by a translator the branch map
+    for the letter c declares, which bounds the displacement of the whole
+    map by the declared sets."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     group = data.group
@@ -145,27 +145,24 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         else:
             seen[v] = w
 
+    declared = {
+        c: set(m.displacement)
+        for c, m in zip(_BRANCH_LETTERS, data.branch_maps())
+    }
     observed = set()
+    violations = []
     for w in words:
         if len(w) >= radius:
             continue
-        for c in (1, -1, 2, -2):
+        for c in _BRANCH_LETTERS:
             if w and w[0] == -c:
                 continue
             cw = (c,) + w
-            observed.add(group.mul(values[cw], group.inv(values[w])))
-    t_set = set(observed) | {group.inv(d) for d in observed}
-
-    violations = []
-    word_set = set(words)
-    for w in words:
-        for c in (1, -1, 2, -2):
-            x = _reduce_prepend(c, w)
-            if x not in word_set:
-                continue
-            d = group.mul(values[x], group.inv(values[w]))
-            if d not in t_set:
-                violations.append((x, w))
+            d = group.mul(values[cw], group.inv(values[w]))
+            observed.add(d)
+            if d not in declared[c]:
+                violations.append((cw, w))
+    t_set = observed | {group.inv(d) for d in observed}
     ordered = tuple(sorted(t_set, key=group.sort_key))
     return LipschitzReport(
         radius,
@@ -175,12 +172,6 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         tuple(collisions),
         tuple(violations),
     )
-
-
-def _reduce_prepend(c: int, w: tuple[int, ...]) -> tuple[int, ...]:
-    if w and w[0] == -c:
-        return w[1:]
-    return (c,) + w
 
 
 def transported_pwt(

@@ -12,14 +12,12 @@ from .groups import Elem, Group, Window
 from .matching import max_matching
 from .sets import (
     BUDGET_EXCEEDED,
-    BudgetError,
     FiniteSet,
-    SetContext,
     SetExpr,
     context_for,
     materialize,
     member,
-    show_setexpr,
+    undecided_error,
 )
 from .witness import ParadoxWitness
 
@@ -48,14 +46,6 @@ class DeficiencyCert:
     violator: tuple[Elem, ...]
 
 
-def _undecided(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
-    group = ctx.group
-    return BudgetError(
-        f"membership of {group.show(g)} in {show_setexpr(expr, group)} "
-        f"undecided at budget {ctx.budget}; increase the budget slack"
-    )
-
-
 def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
     """The transport graph from a's window slice into b, built once.
 
@@ -69,7 +59,7 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
     s_list = tuple(sorted(set(translators), key=group.sort_key))
     mat = materialize(a, window, ctx)
     if not mat.complete:
-        raise _undecided(a, mat.undecided[0], ctx)
+        raise undecided_error(a, mat.undecided[0], ctx)
     image_id: dict[Elem, int] = {}
     rows = []
     for x in mat.elements:
@@ -78,7 +68,7 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
             img = group.mul(s, x)
             res = member(b, img, ctx)
             if res is BUDGET_EXCEEDED:
-                raise _undecided(b, img, ctx)
+                raise undecided_error(b, img, ctx)
             if res:
                 row.append((image_id.setdefault(img, len(image_id)), k))
         rows.append(row)

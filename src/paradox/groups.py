@@ -56,6 +56,7 @@ class AffineElem:
 Elem = Union[FreeWord, IntVec, AffineElem]
 
 _LETTERS = string.ascii_lowercase
+_LENGTH_CAP = 64  # word_length gives up beyond this many layers
 
 
 def _reduce_concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,15 +69,48 @@ def _reduce_concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, 
     return tuple(out)
 
 
+class Layers:
+    """Breadth-first layers of the products g1 g2 ... gk of generators from
+    `gens`, grown on demand.
+
+    layers[k] holds the values first reached by a word of length k, and
+    `index` maps each value reached to its layer.  layers[0] holds the empty
+    word's value, the identity, which is in `index` only `with_root` (a
+    ball); without it (the nonempty words of a semigroup) the identity counts
+    as reached only when a nonempty word gives it.  Growth stops after an
+    empty layer: then every value has been found."""
+
+    def __init__(self, group: "Group", gens: Sequence[Elem], with_root: bool):
+        self.group = group
+        self.gens = tuple(gens)
+        root = group.identity()
+        self.layers: list[list[Elem]] = [[root]]
+        self.index: dict[Elem, int] = {root: 0} if with_root else {}
+        self.lock = threading.Lock()
+
+    def extend(self, upto: int) -> None:
+        """Compute the layers up to length `upto`, or to the first empty one."""
+        with self.lock:
+            layers, index, mul = self.layers, self.index, self.group.mul
+            while len(layers) <= upto and layers[-1]:
+                r = len(layers)
+                layer = []
+                for parent in layers[-1]:
+                    for gen in self.gens:
+                        child = mul(parent, gen)
+                        if child not in index:
+                            index[child] = r
+                            layer.append(child)
+                layers.append(layer)
+
+
 class Group:
     """Common interface: exact multiplication, inversion, enumeration, parsing."""
 
     key: str
 
     def __init__(self) -> None:
-        self._ball_layers: list[list[Elem]] = [[self.identity()]]
-        self._ball_index: dict[Elem, int] = {self.identity(): 0}
-        self._lock = threading.Lock()
+        self._balls = Layers(self, self.generators(), with_root=True)
 
     def identity(self) -> Elem:
         raise NotImplementedError
@@ -107,40 +141,21 @@ class Group:
 
     # ---- word metric ----------------------------------------------------
 
-    def _extend_layers(self, upto: int) -> None:
-        with self._lock:
-            while len(self._ball_layers) <= upto:
-                r = len(self._ball_layers)
-                layer = []
-                for parent in self._ball_layers[r - 1]:
-                    for gen in self.generators():
-                        child = self.mul(parent, gen)
-                        if child not in self._ball_index:
-                            self._ball_index[child] = r
-                            layer.append(child)
-                self._ball_layers.append(layer)
-
     def ball_elements(self, radius: int) -> list[Elem]:
         """All elements of word length <= radius, in canonical order."""
         if radius < 0:
             raise GroupError("radius must be >= 0")
-        self._extend_layers(radius)
-        out: list[Elem] = []
-        for layer in self._ball_layers[: radius + 1]:
-            out.extend(layer)
-        return out
+        self._balls.extend(radius)
+        return [g for layer in self._balls.layers[: radius + 1] for g in layer]
 
-    def word_length(self, g: Elem, cap: int = 64) -> int:
+    def word_length(self, g: Elem) -> int:
         """Exact word length with respect to the canonical generators."""
         self.check(g)
-        r = 0
-        while True:
-            self._extend_layers(r)
-            if g in self._ball_index:
-                return self._ball_index[g]
-            r += 1
-            if r > cap:
-                raise GroupError(f"word length of {self.show(g)} exceeds cap {cap}")
+        for r in range(_LENGTH_CAP + 1):
+            self._balls.extend(r)
+            if g in self._balls.index:
+                return self._balls.index[g]
+        raise GroupError(f"word length of {self.show(g)} exceeds cap {_LENGTH_CAP}")
 
     def in_ball(self, g: Elem, radius: int) -> bool:
         """Whether g has word length <= radius."""
@@ -150,8 +165,8 @@ class Group:
         """Canonical enumeration of the whole group, layer by layer."""
         r = 0
         while True:
-            self._extend_layers(r)
-            yield from self._ball_layers[r]
+            self._balls.extend(r)
+            yield from self._balls.layers[r]
             r += 1
 
     def __repr__(self) -> str:
@@ -202,7 +217,7 @@ class FreeGroup(Group):
         idx = tuple(2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in g.letters)
         return (len(g.letters), idx)
 
-    def word_length(self, g: Elem, cap: int = 64) -> int:
+    def word_length(self, g: Elem) -> int:
         return len(self.check(g).letters)
 
     def show(self, g: FreeWord) -> str:
@@ -274,7 +289,7 @@ class LatticeGroup(Group):
             idx.extend([2 * i if v > 0 else 2 * i + 1] * abs(v))
         return (sum(abs(v) for v in g.coords), tuple(idx))
 
-    def word_length(self, g: Elem, cap: int = 64) -> int:
+    def word_length(self, g: Elem) -> int:
         return sum(abs(v) for v in self.check(g).coords)
 
     def show(self, g: IntVec) -> str:
@@ -331,8 +346,8 @@ class DyadicAffineGroup(Group):
 
     def in_ball(self, g: Elem, radius: int) -> bool:
         # no closed-form length: read g's layer from the enumerated ball
-        self._extend_layers(radius)
-        return self._ball_index.get(g, radius + 1) <= radius
+        self._balls.extend(radius)
+        return self._balls.index.get(g, radius + 1) <= radius
 
     def sort_key(self, g: AffineElem):
         return (g.a_exp, g.b.as_fraction())

@@ -118,22 +118,21 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext | None = None) -> Valid
     checks = []
 
     dom = materialize(p.domain, window, ctx)
-    piece_hits: dict[Elem, list[int]] = {g: [] for g in dom.elements}
-    for idx, (piece, _) in enumerate(p.pieces):
-        for g in dom.elements:
-            if member(piece, g, ctx) is True:
-                piece_hits[g].append(idx)
-
-    overlap = next((g for g, hits in piece_hits.items() if len(hits) > 1), None)
+    piece_points = [
+        {g for g in dom.elements if member(piece, g, ctx) is True}
+        for piece, _ in p.pieces
+    ]
+    hit = first_overlap(piece_points, group)
     checks.append(
         (
             "pieces-disjoint",
-            overlap is None,
-            "" if overlap is None else f"{group.show(overlap)} lies in pieces "
-            f"{piece_hits[overlap]}",
+            hit is None,
+            "" if hit is None else f"pieces {hit[0]} and {hit[1]} share "
+            f"{group.show(hit[2])}",
         )
     )
-    uncovered = next((g for g, hits in piece_hits.items() if not hits), None)
+    covered = set().union(*piece_points)
+    uncovered = next((g for g in dom.elements if g not in covered), None)
     checks.append(
         (
             "pieces-cover-domain",
@@ -144,14 +143,17 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext | None = None) -> Valid
 
     images: dict[Elem, tuple[Elem, int]] = {}
     collision = None
-    for g, hits in piece_hits.items():
-        for idx in hits:
-            img = group.mul(p.pieces[idx][1], g)
-            if img in images and (images[img][0] != g or images[img][1] != idx):
-                collision = (g, images[img][0], img)
-                break
-            images[img] = (g, idx)
-        if collision:
+    hits = (
+        (g, idx)
+        for g in dom.elements
+        for idx, points in enumerate(piece_points)
+        if g in points
+    )
+    for g, idx in hits:
+        img = group.mul(p.pieces[idx][1], g)
+        first = images.setdefault(img, (g, idx))
+        if first != (g, idx):
+            collision = (g, first[0], img)
             break
     checks.append(
         (

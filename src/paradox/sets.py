@@ -17,6 +17,7 @@ from .groups import (
     Elem,
     Group,
     GroupError,
+    Layers,
     ParseError,
     Window,
     _split_top,
@@ -207,11 +208,17 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
 def member_strict(expr: SetExpr, g: Elem, ctx: SetContext) -> bool:
     res = member(expr, g, ctx)
     if res is BUDGET_EXCEEDED:
-        raise BudgetError(
-            f"membership of {ctx.group.show(g)} undecided at budget {ctx.budget}; "
-            "increase the budget slack"
-        )
+        raise undecided_error(expr, g, ctx)
     return res
+
+
+def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
+    """The error for a membership of g in expr that the budget cannot settle."""
+    group = ctx.group
+    return BudgetError(
+        f"membership of {group.show(g)} in {show_setexpr(expr, group)} "
+        f"undecided at budget {ctx.budget}; increase the budget slack"
+    )
 
 
 @dataclass(frozen=True)
@@ -242,63 +249,23 @@ def materialize(expr: SetExpr, window: Window, ctx: SetContext | None = None) ->
 # ---- semigroup membership ---------------------------------------------------
 
 
-class _SemigroupEnum:
-    """Breadth-first enumeration of nonempty positive words, extendable."""
-
-    def __init__(self, group: Group, gens: tuple[Elem, ...]):
-        self.group = group
-        self.gens = gens
-        self.found: dict[Elem, int] = {}
-        self.frontier: list[Elem] = []
-        self.length = 0
-        self.exhausted = False
-        self.lock = threading.Lock()
-
-    def extend(self, upto: int) -> None:
-        with self.lock:
-            while self.length < upto and not self.exhausted:
-                if self.length == 0:
-                    new = []
-                    for gen in self.gens:
-                        if gen not in self.found:
-                            self.found[gen] = 1
-                            new.append(gen)
-                else:
-                    new = []
-                    for w in self.frontier:
-                        for gen in self.gens:
-                            v = self.group.mul(w, gen)
-                            if v not in self.found:
-                                self.found[v] = self.length + 1
-                                new.append(v)
-                self.frontier = new
-                self.length += 1
-                if not new:
-                    self.exhausted = True
-
-
-def _semigroup_enum(expr: SemigroupSet, ctx: SetContext) -> _SemigroupEnum:
+def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
+    """The nonempty positive words of expr's generators, enumerated per
+    context, so that no other context's deeper enumeration decides a query
+    beyond this context's budget."""
     key = ("sgenum", ctx.group.key, expr.gens)
-    enum = ctx.caches.get(key)
-    if enum is None:
-        enum = _SemigroupEnum(ctx.group, expr.gens)
-        ctx.caches[key] = enum
-    return enum
+    words = ctx.caches.get(key)
+    if words is None:
+        words = ctx.caches[key] = Layers(ctx.group, expr.gens, with_root=False)
+    return words
 
 
 def positive_words(group: Group, gens: tuple[Elem, ...], length: int) -> list[Elem]:
     """Distinct values of positive words of length <= `length` (including e),
     in breadth-first order."""
-    ctx = SetContext(group)
-    enum = _semigroup_enum(SemigroupSet(gens, True), ctx)
-    enum.extend(length)
-    out = [group.identity()]
-    seen = {group.identity()}
-    for w, ln in enum.found.items():
-        if ln <= length and w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
+    words = Layers(group, gens, with_root=True)
+    words.extend(length)
+    return [g for layer in words.layers[: length + 1] for g in layer]
 
 
 def _member_semigroup(expr: SemigroupSet, g: Elem, ctx: SetContext):
@@ -309,22 +276,22 @@ def _member_semigroup(expr: SemigroupSet, g: Elem, ctx: SetContext):
         gen.a_exp >= 1 for gen in expr.gens
     ):
         return _member_affine_semigroup(expr, g, ctx)
-    enum = _semigroup_enum(expr, ctx)
+    words = _semigroup_words(expr, ctx)
     bound = _lattice_length_bound(expr, g, ctx)
     if bound is not None:
         # every positive word for g is at most this long
         if bound < 1:
             return False
-        enum.extend(min(bound, max(ctx.budget, 0)))
-        if g in enum.found:
+        words.extend(min(bound, max(ctx.budget, 0)))
+        if g in words.index:
             return True
-        if enum.exhausted or enum.length >= bound:
+        if not words.layers[-1] or len(words.layers) > bound:
             return False
         return BUDGET_EXCEEDED
-    enum.extend(max(ctx.budget, 0))
-    if g in enum.found:
+    words.extend(max(ctx.budget, 0))
+    if g in words.index:
         return True
-    if enum.exhausted:
+    if not words.layers[-1]:
         return False
     return BUDGET_EXCEEDED
 

@@ -15,7 +15,7 @@ from .certificates import (
     witness_from_cert,
 )
 from .crossed import verify_pi_witness
-from .groups import group_from_string
+from .groups import Group, Window, group_from_string
 from .sets import BUDGET_EXCEEDED, SetContext, materialize, member, parse_setexpr
 from .witness import witness_check
 
@@ -38,37 +38,35 @@ class VerifyOutcome:
         return VerifyOutcome(False, message)
 
 
-def verify_certificate(cert: dict) -> VerifyOutcome:
-    """Re-check every semantic fact of a certificate; the first violated fact
-    is named in the outcome message."""
+def read_envelope(cert) -> tuple[str, Group, Window, int]:
+    """The kind, group, window and budget slack a certificate declares;
+    CertificateFormatError when any of them cannot be read."""
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate is not a JSON object")
     if cert.get("schema") != SCHEMA:
         raise CertificateFormatError(f"unknown schema {cert.get('schema')!r}")
     kind = cert.get("kind")
-    checkers = {
-        "match": _verify_assignment,
-        "deficiency": _verify_violator,
-        "witness": _verify_witness,
-        "flow": _verify_assignment,
-        "flow-deficiency": _verify_violator,
-        "cp-witness": _verify_cp_witness,
-    }
-    if kind not in checkers:
+    if not isinstance(kind, str) or kind not in _CHECKERS:
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
     try:
         group = group_from_string(cert["group"])
         window = window_from_descriptor(group, cert["window"])
         slack = int(cert.get("budgetSlack", 4))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
+    return kind, group, window, slack
 
+
+def verify_certificate(cert: dict) -> VerifyOutcome:
+    """Re-check every semantic fact of a certificate; the first violated fact
+    is named in the outcome message."""
+    kind, group, window, slack = read_envelope(cert)
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
     ctx = SetContext(group, window.radius + slack)
     try:
-        outcome = checkers[kind](cert, group, window, ctx)
-    except (KeyError, ValueError, TypeError) as exc:
+        outcome = _CHECKERS[kind](cert, group, window, ctx)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         return VerifyOutcome.failed(f"payload does not parse or replay: {exc}")
     if not outcome.ok:
         return outcome
@@ -190,3 +188,13 @@ def _outcome(report) -> VerifyOutcome:
         name, msg = report.failures()[0]
         return VerifyOutcome.failed(f"{name}: {msg}")
     return VerifyOutcome.passed()
+
+
+_CHECKERS = {
+    "match": _verify_assignment,
+    "deficiency": _verify_violator,
+    "witness": _verify_witness,
+    "flow": _verify_assignment,
+    "flow-deficiency": _verify_violator,
+    "cp-witness": _verify_cp_witness,
+}

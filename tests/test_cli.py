@@ -104,6 +104,66 @@ class TestVerify:
         assert err == "error: certificate is not a JSON object\n"
 
 
+class TestMalformedInput:
+    """An input file of the wrong shape ends in exit 1 and one `error:` line."""
+
+    @pytest.fixture(scope="class")
+    def certs_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("certs")
+        run(EX28_ARGS + ["--out", str(root / "match.json"),
+                         "--witness-out", str(root / "witness.json"), "--quiet"])
+        return root
+
+    COMMANDS = {
+        "verify": lambda path: ["verify", path],
+        "embed-f2": lambda path: ["embed-f2", "--from-cert", path, "--depth", "2"],
+        "cp-witness": lambda path: ["cp-witness", "--from-cert", path],
+        "induce": lambda path: ["induce", "--group", "free:2", "--subgroup",
+                                "cyclic:a", "--input", path, "--t", "b"],
+    }
+
+    @pytest.mark.parametrize("command, base, edit", [
+        ("embed-f2", None, []),
+        ("embed-f2", None, "x"),
+        ("cp-witness", None, []),
+        ("cp-witness", None, "x"),
+        ("induce", None, []),
+        ("induce", None, {"set": "E", "pieces": [["E1"]], "gamma0Elems": ["a"],
+                          "split": 1}),
+        ("embed-f2", "witness.json", {"parts": 5}),
+        ("cp-witness", "witness.json", {"parts": 5}),
+        ("embed-f2", "match.json", {"translators": [5]}),
+        ("verify", "match.json", {"group": 5}),
+        ("verify", "match.json", {"kind": ["match"]}),
+    ], ids=["embed-f2-list", "embed-f2-string", "cp-witness-list",
+            "cp-witness-string", "induce-list", "induce-token-list",
+            "embed-f2-parts-int", "cp-witness-parts-int",
+            "embed-f2-translator-int", "verify-group-int", "verify-kind-list"])
+    def test_one_line_error(self, certs_dir, tmp_path, capsys, command, base, edit):
+        payload = edit
+        if base is not None:
+            payload = json.loads((certs_dir / base).read_text())
+            payload.update(edit)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(self.COMMANDS[command](str(path))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_verify_fails_a_payload_of_the_wrong_type(self, certs_dir, tmp_path,
+                                                      capsys):
+        payload = json.loads((certs_dir / "match.json").read_text())
+        payload["translators"] = [5]
+        path = tmp_path / "bad-translators.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "verification failed: payload does not parse or replay: "
+        )
+
+
 class TestPipelines:
     @pytest.fixture()
     def match_cert(self, tmp_path):
@@ -257,16 +317,46 @@ class TestBudgetSlack:
         assert run(args + ["--quiet"]) == 1
         assert "undecided at budget 7" in capsys.readouterr().err
 
-        # decided at slack 10; the quadrant is not properly infinite, and the
-        # verifier, replaying at the slack written out, names the same failure
+        # decided at slack 10; the quadrant is not properly infinite, so no
+        # certificate is written, and the verifier, replaying the same
+        # identities at slack 10, names the same failure
         _quadrant_witness_cert(wit, 10)
         assert run(args) == 3
         lines = capsys.readouterr().out.splitlines()
         first_fail = next(line for line in lines if ": FAIL " in line)
-        assert load_certificate(str(out))["budgetSlack"] == 10
+        assert not out.exists()
+
+        from paradox.certificates import (
+            cert_from_pi_witness, witness_from_cert, write_certificate,
+        )
+        from paradox.crossed import pi_witness
+        from paradox.groups import ball, group_from_string
+
+        z2 = group_from_string("zn:2")
+        pw = pi_witness(witness_from_cert(load_certificate(str(wit)), z2), z2)
+        write_certificate(cert_from_pi_witness(pw, ball(z2, 3), 10), str(out))
         assert run(["verify", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err == (
             "verification failed: " + first_fail.replace(": FAIL ", ": ") + "\n"
+        )
+
+    def test_undecided_membership_names_the_set(self, tmp_path, capsys):
+        match = tmp_path / "match.json"
+        assert run(
+            ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
+             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
+             "--out", str(match), "--quiet"]
+        ) == 0
+        capsys.readouterr()
+        args = ["embed-f2", "--from-cert", str(match), "--depth", "1", "--quiet"]
+        assert run(args) == 1
+        # (0,0) is in the quadrant; the query that runs out is (0,0) in a
+        # branch piece, which needs the word (20,0) of length 20 > 13
+        assert capsys.readouterr().err == (
+            "error: membership of (0,0) in "
+            "((semigroup((1,0),(0,1);e)&(-10,0)*semigroup((1,0),(0,1);e))"
+            "&(-20,0)*semigroup((1,0),(0,1);e)) undecided at budget 13; "
+            "increase the budget slack\n"
         )
 
     @pytest.mark.parametrize("argv", [

@@ -144,6 +144,27 @@ class TestLipschitz:
         assert all(len(w) <= 2 for w in first)
 
 
+    def test_undeclared_displacement_is_a_violation(self, embedding):
+        plus = embedding.sigma_plus
+        undeclared = EmbeddingData(
+            embedding.group,
+            PwT(plus.domain, plus.pieces, ()),  # sigma_plus declares nothing
+            embedding.sigma_minus,
+            embedding.tau_plus,
+            embedding.tau_minus,
+            embedding.base_point,
+            embedding.ctx,
+        )
+        report = check_injective_lipschitz(undeclared, 2)
+        # every edge (a w, w) of the radius-2 ball, in ball order of w
+        assert report.violations == tuple(
+            ((1,) + w, w) for w in [(), (1,), (2,), (-2,)]
+        )
+        assert report.displacement_set == (
+            check_injective_lipschitz(embedding, 2).displacement_set
+        )
+
+
 class TestTransport:
     def test_transport_along_embedding(self, embedding):
         f_map = {

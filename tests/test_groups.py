@@ -9,6 +9,7 @@ from paradox.groups import (
     FreeWord,
     GroupError,
     IntVec,
+    Layers,
     ParseError,
     ball,
     group_from_string,
@@ -104,6 +105,28 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(GroupError):
             F2.ball_elements(-1)
+
+
+class TestLayers:
+    """The breadth-first enumerator behind balls and semigroup words."""
+
+    def test_root_is_reached_only_with_root(self):
+        a, a_inv = F2.parse("a"), F2.parse("a^-1")
+        ball_like = Layers(F2, (a, a_inv), with_root=True)
+        words = Layers(F2, (a, a_inv), with_root=False)
+        for layers in (ball_like, words):
+            layers.extend(2)
+        shown = lambda layers: [[F2.show(g) for g in lay] for lay in layers.layers]
+        assert shown(ball_like) == [["e"], ["a", "a^-1"], ["a a", "a^-1 a^-1"]]
+        # without the root, e is first reached by the nonempty word a a^-1
+        assert shown(words) == [["e"], ["a", "a^-1"], ["a a", "e", "a^-1 a^-1"]]
+        assert ball_like.index[F2.identity()] == 0
+        assert words.index[F2.identity()] == 2
+
+    def test_growth_stops_after_an_empty_layer(self):
+        zero = Layers(Z1, (Z1.identity(),), with_root=False)
+        zero.extend(10)
+        assert zero.layers == [[IntVec((0,))], [IntVec((0,))], []]
 
 
 class TestParse:

@@ -130,6 +130,20 @@ class TestValidate:
         assert "(0)" in failing["pieces-disjoint"] or "(" in failing["pieces-disjoint"]
         assert "injective" in failing  # both zero translators collide on overlap
 
+    def test_overlap_names_pieces_and_least_shared_point(self):
+        evens = FiniteSet(int_elems(2, 0, -2))
+        everything = FiniteSet(int_elems(-2, -1, 0, 1, 2))
+        bad = PwT(
+            everything,
+            ((everything, IntVec((1,))), (evens, IntVec((0,)))),
+            (IntVec((0,)), IntVec((1,))),
+        )
+        report = pwt_validate(bad, ball(Z1, 2), SetContext(Z1, 8))
+        assert dict(report.failures()) == {
+            "pieces-disjoint": "pieces 0 and 1 share (0)",
+            "injective": "(-1) and (0) both map to (0)",
+        }
+
     def test_undeclared_translator_fails(self):
         bad = PwT(AllSet(), ((AllSet(), IntVec((1,))),), (IntVec((2,)),))
         report = pwt_validate(bad, ball(Z1, 1), SetContext(Z1, 8))

@@ -96,6 +96,14 @@ class TestMember:
         assert member(semi, IntVec((9,)), ctx) is BUDGET_EXCEEDED
         assert member(semi, IntVec((9,)), SetContext(Z1, budget=9)) is True
 
+    def test_enumeration_depth_stays_per_context(self):
+        # a deeper enumeration left in one context must not decide a query
+        # that another context's budget leaves open
+        semi = SemigroupSet((F2.parse("a"), F2.parse("b")), False)
+        word = F2.parse("a b a b a")
+        assert member(semi, word, SetContext(F2, budget=6)) is True
+        assert member(semi, word, SetContext(F2, budget=3)) is BUDGET_EXCEEDED
+
     def test_finite_semigroup_exhausts_to_exact_false(self):
         # the cyclic subgroup {0} of Z: enumeration exhausts instantly
         semi = SemigroupSet((IntVec((0,)),), False)
