@@ -29,7 +29,6 @@ from .engine import (
 )
 from .groups import GroupError, ParseError, ball, group_from_string
 from .induced import (
-    IncompleteTableError,
     SubgroupError,
     TokenWitness,
     check_induced_witness,
@@ -373,7 +372,6 @@ def main(argv=None) -> int:
         BudgetError,
         EmbeddingWindowError,
         _CliError,
-        IncompleteTableError,
         OSError,
         json.JSONDecodeError,
         ValueError,

@@ -15,7 +15,6 @@ from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    context_for,
     member_strict,
     show_setexpr,
     translate,
@@ -132,28 +131,15 @@ def coeff_value(coeff: Coefficient, g: Elem, ctx: SetContext) -> Fraction:
     return total
 
 
-def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext | None = None):
+def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
     """None when every coefficient evaluates to zero at every window point;
     otherwise the first offending (unitary element, point, value)."""
-    if ctx is None:
-        ctx = context_for(window)
     for t, coeff in x.terms:
         for g in window.elements:
             val = coeff_value(coeff, g, ctx)
             if val != 0:
                 return (t, g, val)
     return None
-
-
-def show_cp(x: CPElem) -> str:
-    group = x.group
-    if not x.terms:
-        return "0"
-    parts = []
-    for t, coeff in x.terms:
-        for q, expr in coeff:
-            parts.append(f"{q}*[{show_setexpr(expr, group)}]u({group.show(t)})")
-    return " + ".join(parts)
 
 
 # ---- proper-infiniteness witnesses -----------------------------------------
@@ -191,11 +177,9 @@ def pi_witness(w: ParadoxWitness, group: Group) -> PIWitness:
 
 
 def verify_pi_witness(pw: PIWitness, window: Window,
-                      ctx: SetContext | None = None) -> ValidationReport:
+                      ctx: SetContext) -> ValidationReport:
     """Window-exact check of v*v = p = w*w, orthogonality of the ranges, and
     range domination by p."""
-    if ctx is None:
-        ctx = context_for(window)
     group = pw.group
     p = pw.p
     v, w = pw.v, pw.w
@@ -236,11 +220,9 @@ class CornerReport:
 
 
 def corner_compress(a: SetExpr, x: CPElem, window: Window,
-                    ctx: SetContext | None = None) -> CornerReport:
+                    ctx: SetContext) -> CornerReport:
     """Compute 1_a * x * 1_a and measure how concentrated every off-identity
     coefficient is on the window."""
-    if ctx is None:
-        ctx = context_for(window)
     group = x.group
     p = indicator(group, a)
     compressed = cp_mul(cp_mul(p, x), p)

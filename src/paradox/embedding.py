@@ -1,16 +1,15 @@
 """Recursive injective Lipschitz embedding of the rank-2 free group into any
-group carrying a validated doubling witness, plus transport of piecewise
-translations along injective maps."""
+group carrying a validated doubling witness, and its exhaustive check on a
+free-group ball."""
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .groups import Elem, FreeGroup, FreeWord, Group, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_apply, pwt_compose
-from .sets import FiniteSet, SetContext, context_for, materialize
+from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
 F2 = FreeGroup(2)
@@ -43,12 +42,10 @@ class EmbeddingData:
 
 
 def build_embedding(w: ParadoxWitness, window: Window,
-                    ctx: SetContext | None = None) -> EmbeddingData:
+                    ctx: SetContext) -> EmbeddingData:
     """Derive four pairwise-disjoint-image maps and an unhit base point from a
     validated two-map witness: depth-three composites inside the plus branch,
     base point from the minus branch."""
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     report = witness_check(w, window, ctx)
     if not report.passed:
@@ -60,7 +57,7 @@ def build_embedding(w: ParadoxWitness, window: Window,
     branches = []
     for eps in (plus, minus):
         for delta in (plus, minus):
-            branches.append(pwt_compose(plus, pwt_compose(eps, delta, ctx=ctx), ctx=ctx))
+            branches.append(pwt_compose(plus, pwt_compose(eps, delta, ctx), ctx))
     first = base.elements[0]
     base_point = pwt_apply(minus, first, ctx)
 
@@ -172,46 +169,3 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         tuple(collisions),
         tuple(violations),
     )
-
-
-def transported_pwt(
-    f_map: Mapping[Elem, Elem], sigma: PwT, window: Window,
-    ctx: SetContext | None = None, target_ctx: SetContext | None = None
-) -> PwT:
-    """Push a piecewise translation through an injective map: the result sends
-    f(x) to f(sigma(x)), with pieces grouped by the observed displacement.
-
-    `ctx` evaluates sigma on the source group; `target_ctx` supplies the
-    target group (defaults to the window's group).
-    """
-    if ctx is None:
-        ctx = context_for(window)
-    if target_ctx is None:
-        target_ctx = ctx
-    target = target_ctx.group
-    inverse: dict[Elem, Elem] = {}
-    for x, fx in f_map.items():
-        if fx in inverse:
-            raise ValueError(
-                f"map is not injective: {inverse[fx]!r} and {x!r} share an image"
-            )
-        inverse[fx] = x
-    source_group = ctx.group
-    keys = sorted(f_map.keys(), key=source_group.sort_key)
-    blocks: dict[Elem, list[Elem]] = {}
-    for x in keys:
-        from .sets import member
-
-        if member(sigma.domain, x, ctx) is not True:
-            continue
-        sx = pwt_apply(sigma, x, ctx)
-        if sx not in f_map:
-            continue
-        disp = target.mul(f_map[sx], target.inv(f_map[x]))
-        blocks.setdefault(disp, []).append(f_map[x])
-    pieces = tuple(
-        (FiniteSet(tuple(blocks[d])), d)
-        for d in sorted(blocks, key=target.sort_key)
-    )
-    domain = FiniteSet(tuple(g for piece, _ in pieces for g in piece.elems))
-    return PwT(domain, pieces, tuple(sorted(blocks, key=target.sort_key)))

@@ -59,7 +59,7 @@ _LETTERS = string.ascii_lowercase
 _LENGTH_CAP = 64  # word_length gives up beyond this many layers
 
 
-def _reduce_concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+def _reduce_concat(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
     out = list(left)
     for x in right:
         if out and out[-1] == -x:
@@ -233,7 +233,7 @@ class FreeGroup(Group):
         text = text.strip()
         if text in ("", "e"):
             return FreeWord(())
-        letters: tuple[int, ...] = ()
+        letters: list[int] = []
         for pos, token in enumerate(text.split()):
             if token == "e":
                 continue
@@ -244,8 +244,8 @@ class FreeGroup(Group):
                 raise ParseError(f"unsupported power in {token!r}", pos)
             if len(name) != 1 or name not in _LETTERS[: self.rank]:
                 raise ParseError(f"unknown generator {name!r} for {self.key}", pos)
-            letters = _reduce_concat(letters, (sign * (_LETTERS.index(name) + 1),))
-        return FreeWord(letters)
+            letters.append(sign * (_LETTERS.index(name) + 1))
+        return FreeWord(_reduce_concat((), letters))
 
 
 class LatticeGroup(Group):

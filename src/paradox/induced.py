@@ -1,11 +1,10 @@
-"""Induction of actions along a subgroup: coset bookkeeping, the induced
-point action on (coset representative, token) pairs, and constructive
-transport of token-level doubling witnesses to the ambient group."""
+"""Induction of actions along a subgroup: coset bookkeeping and the
+constructive transport of token-level doubling witnesses to the ambient
+group."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .groups import (
     DyadicAffineGroup,
@@ -22,10 +21,6 @@ from .pwt import ValidationReport
 
 class SubgroupError(GroupError):
     """The requested subgroup is not supported for this ambient group."""
-
-
-class IncompleteTableError(KeyError):
-    """The supplied token action table lacks a needed entry."""
 
 
 class SubgroupSpec:
@@ -186,25 +181,6 @@ def coset_normalize(sub: SubgroupSpec, g: Elem) -> tuple[Elem, Elem]:
     if sub.group.mul(rep, r) != g:
         raise AssertionError("transversal factorisation failed")
     return rep, r
-
-
-YPoint = tuple[Elem, str]
-
-
-def induced_act(
-    sub: SubgroupSpec, s: Elem, point: YPoint, table: Mapping[tuple[Elem, str], str]
-) -> YPoint:
-    """Act by s on (coset representative, token): normalise s*rep = rep' * r
-    and move the token by r through the supplied partial action table."""
-    rep, token = point
-    rep2, r = coset_normalize(sub, sub.group.mul(s, rep))
-    if r == sub.group.identity():
-        return rep2, token
-    if (r, token) not in table:
-        raise IncompleteTableError(
-            f"action table lacks ({sub.group.show(r)}, {token!r})"
-        )
-    return rep2, table[(r, token)]
 
 
 @dataclass(frozen=True)

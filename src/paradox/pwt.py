@@ -1,5 +1,5 @@
-"""Piecewise translations, equidecomposability witnesses, and the finite-cover
-(boundedness) search, all validated exactly on windows."""
+"""Piecewise translations and their exact window validation, plus the report
+type and the pairwise-overlap check that the window checkers share."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    context_for,
     materialize,
     member,
     member_strict,
@@ -51,24 +50,9 @@ def pwt_apply(p: PwT, g: Elem, ctx: SetContext) -> Elem:
     return group.mul(hits[0], g)
 
 
-def pwt_compose(outer: PwT, inner: PwT, window: Window | None = None,
-                ctx: SetContext | None = None) -> PwT:
-    """Compose: outer applied after inner.  When a window is given, composability (the image of
-    inner lands in outer's domain) is checked on it."""
-    if ctx is None and window is not None:
-        ctx = context_for(window)
-    group = ctx.group if ctx else None
-    if window is not None:
-        assert ctx is not None
-        for g in materialize(inner.domain, window, ctx).elements:
-            img = pwt_apply(inner, g, ctx)
-            if not member_strict(outer.domain, img, ctx):
-                raise PwTError(
-                    f"image {ctx.group.show(img)} of {ctx.group.show(g)} "
-                    "escapes the outer domain"
-                )
-    if group is None:
-        raise ValueError("pwt_compose needs a window or a context for the group")
+def pwt_compose(outer: PwT, inner: PwT, ctx: SetContext) -> PwT:
+    """Compose: outer applied after inner, piece by piece."""
+    group = ctx.group
     pieces = []
     for ipiece, s in inner.pieces:
         s_inv = group.inv(s)
@@ -109,11 +93,9 @@ def first_overlap(point_sets, group) -> tuple[int, int, Elem] | None:
     return None
 
 
-def pwt_validate(p: PwT, window: Window, ctx: SetContext | None = None) -> ValidationReport:
+def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
     """Check piece disjointness, coverage of the domain slice, injectivity and
     displacement confinement, all restricted to the window."""
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     checks = []
 
@@ -183,100 +165,3 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext | None = None) -> Valid
             )
         )
     return ValidationReport(tuple(checks))
-
-
-@dataclass(frozen=True)
-class EquiWitness:
-    """Matched partitions witnessing piecewise-translation equivalence:
-    parts_a[j] = translators[j] * parts_b[j]."""
-
-    parts_a: tuple[SetExpr, ...]
-    parts_b: tuple[SetExpr, ...]
-    translators: tuple[Elem, ...]
-
-
-def check_equi_witness(w: EquiWitness, window: Window,
-                       ctx: SetContext | None = None) -> ValidationReport:
-    if ctx is None:
-        ctx = context_for(window)
-    group = ctx.group
-    checks = []
-    ok_len = len(w.parts_a) == len(w.parts_b) == len(w.translators)
-    checks.append(("lengths-match", ok_len, "" if ok_len else "ragged part lists"))
-    if not ok_len:
-        return ValidationReport(tuple(checks))
-
-    for label, parts in (("a", w.parts_a), ("b", w.parts_b)):
-        hit = first_overlap(
-            [set(materialize(p, window, ctx).elements) for p in parts], group
-        )
-        bad = "" if hit is None else (
-            f"parts {hit[0]} and {hit[1]} share {group.show(hit[2])}"
-        )
-        checks.append((f"parts-{label}-disjoint", not bad, bad))
-
-    win_set = set(window.elements)
-    for j, (pa, pb, t) in enumerate(zip(w.parts_a, w.parts_b, w.translators)):
-        # compare inside W and t.W: each probe point is checked both ways
-        bad = ""
-        for g in window.elements:
-            tg = group.mul(t, g)
-            if tg not in win_set:
-                continue
-            lhs = member_strict(pa, tg, ctx)
-            rhs = member_strict(pb, g, ctx)
-            if lhs != rhs:
-                bad = (
-                    f"part {j}: {group.show(tg)} is "
-                    f"{'in' if lhs else 'not in'} parts_a[{j}] but "
-                    f"{group.show(g)} is {'in' if rhs else 'not in'} parts_b[{j}]"
-                )
-                break
-        checks.append((f"part-{j}-translated", not bad, bad))
-    return ValidationReport(tuple(checks))
-
-
-@dataclass(frozen=True)
-class FiniteCover:
-    """A finite set F with (A intersect W) covered by the translates t*B, t in F."""
-
-    translators: tuple[Elem, ...]
-
-
-def bounded_check(a: SetExpr, b: SetExpr, search_radius: int, window: Window,
-                  ctx: SetContext | None = None) -> FiniteCover | None:
-    """Greedy search for finitely many translates of b covering a's window
-    slice.  None means the search was exhausted, not that no cover exists."""
-    if ctx is None:
-        ctx = context_for(window)
-    group = ctx.group
-    targets = materialize(a, window, ctx)
-    if not targets.complete:
-        raise ValueError(
-            f"{len(targets.undecided)} membership queries undecided; raise the budget"
-        )
-    remaining = set(targets.elements)
-    candidates = group.ball_elements(search_radius)
-    coverage = []
-    for t in candidates:
-        t_inv = group.inv(t)
-        covered = {
-            g for g in targets.elements if member_strict(b, group.mul(t_inv, g), ctx)
-        }
-        coverage.append((t, covered))
-    chosen: list[Elem] = []
-    while remaining:
-        best = None
-        best_gain = 0
-        for t, covered in coverage:
-            gain = len(covered & remaining)
-            if gain > best_gain:
-                best, best_gain = t, gain
-        if best is None:
-            return None
-        chosen.append(best)
-        for t, covered in coverage:
-            if t == best:
-                remaining -= covered
-                break
-    return FiniteCover(tuple(chosen))

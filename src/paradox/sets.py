@@ -233,9 +233,7 @@ class Materialized:
         return not self.undecided
 
 
-def materialize(expr: SetExpr, window: Window, ctx: SetContext | None = None) -> Materialized:
-    if ctx is None:
-        ctx = context_for(window)
+def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> Materialized:
     hits, unknown = [], []
     for g in window.elements:
         res = member(expr, g, ctx)

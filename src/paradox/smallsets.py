@@ -14,7 +14,6 @@ from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    context_for,
     materialize,
     member,
     member_strict,
@@ -104,15 +103,12 @@ def check_pair_intersections(
 
 
 def absorbing_check(
-    a: SetExpr, finite: tuple[Elem, ...], window: Window,
-    ctx: SetContext | None = None
+    a: SetExpr, finite: tuple[Elem, ...], window: Window, ctx: SetContext
 ) -> Elem | None:
     """First window g with finite*g inside a, computed via the intersection
     of the inverse translates; None when the window holds no such g."""
     if not finite:
         raise ValueError("the finite set must be nonempty")
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     expr: SetExpr | None = None
     for t in finite:
@@ -125,12 +121,9 @@ def absorbing_check(
 
 
 def absorbing_check_direct(
-    a: SetExpr, finite: tuple[Elem, ...], window: Window,
-    ctx: SetContext | None = None
+    a: SetExpr, finite: tuple[Elem, ...], window: Window, ctx: SetContext
 ) -> Elem | None:
     """Reference computation of absorbing_check by direct scanning."""
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     for g in window.elements:
         if all(member_strict(a, group.mul(t, g), ctx) for t in finite):
@@ -140,13 +133,11 @@ def absorbing_check_direct(
 
 def small_check(
     a: SetExpr, b: SetExpr, translators: list[Elem] | tuple[Elem, ...],
-    window: Window, ctx: SetContext | None = None
+    window: Window, ctx: SetContext
 ) -> PwT | None:
     """Window semidecider: an injective piecewise translation of a's window
     slice into the complement of b with the given displacements, or None
     (inconclusive for this translator set and window)."""
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     s_list = sorted(set(translators), key=group.sort_key)
     sources = materialize(a, window, ctx)

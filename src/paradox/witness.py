@@ -16,7 +16,6 @@ from .sets import (
     SetContext,
     SetExpr,
     Union,
-    context_for,
     materialize,
     member_strict,
     positive_words,
@@ -92,11 +91,9 @@ def _piece_points(piece: SetExpr, window: Window, ctx: SetContext) -> list[Elem]
 
 
 def witness_check(w: ParadoxWitness, window: Window,
-                  ctx: SetContext | None = None) -> ValidationReport:
+                  ctx: SetContext) -> ValidationReport:
     """Verify piece disjointness, containment in the ambient set, and both
     covering identities, window-relatively."""
-    if ctx is None:
-        ctx = context_for(window)
     group = ctx.group
     checks = []
 
@@ -179,13 +176,11 @@ def base_translation_maps(w: ParadoxWitness, group: Group) -> tuple[PwT, PwT]:
 
 
 def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,
-                     ctx: SetContext | None = None) -> list[PwT]:
+                     ctx: SetContext) -> list[PwT]:
     """n piecewise translations of the witness set into itself with pairwise
     disjoint images, built by composing the two base maps along a binary tree."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if ctx is None:
-        ctx = context_for(window)
     report = witness_check(w, window, ctx)
     if not report.passed:
         raise ValueError(f"witness fails validation: {report.failures()}")
@@ -212,5 +207,5 @@ def _tree_leaves(plus: PwT, minus: PwT, depth: int, ctx: SetContext) -> list[PwT
     out = []
     for head in (plus, minus):
         for tail in inner:
-            out.append(pwt_compose(head, tail, ctx=ctx))
+            out.append(pwt_compose(head, tail, ctx))
     return out

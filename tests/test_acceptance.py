@@ -38,6 +38,7 @@ from paradox.sets import (
     Slab,
     Translate,
     Union,
+    context_for,
 )
 from paradox.smallsets import (
     absorbing_check,
@@ -89,7 +90,7 @@ def test_criterion_01_free_semigroup_pipeline():
         assert isinstance(witness, ParadoxWitness)
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         assert len(window) == 127  # all positive words distinct to depth 6
-        assert witness_check(witness, window).passed
+        assert witness_check(witness, window, context_for(window)).passed
         assert time.perf_counter() - started < 1.0
 
 
@@ -213,7 +214,7 @@ def test_criterion_04_embedding():
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         reports = []
         for _ in range(2):  # stability across runs
-            embedding = build_embedding(witness, window)
+            embedding = build_embedding(witness, window, context_for(window))
             reports.append(check_injective_lipschitz(embedding, 6))
         for report in reports:
             assert report.injective
@@ -258,8 +259,9 @@ def _criterion_witnesses():
 def test_criterion_06_proper_infiniteness_identities():
     with criterion(6, "crossed-product witness identities"):
         for group, witness, window in _criterion_witnesses():
+            ctx = context_for(window)
             pw = pi_witness(witness, group)
-            assert verify_pi_witness(pw, window).passed
+            assert verify_pi_witness(pw, window, ctx).passed
             # every single-translator tampering is detected
             gen = group.generators()[0]
             for idx in range(len(witness.parts)):
@@ -273,7 +275,7 @@ def test_criterion_06_proper_infiniteness_identities():
                     ParadoxWitness(witness.set_expr, tampered_parts, witness.split),
                     group,
                 )
-                assert not verify_pi_witness(bad, window).passed
+                assert not verify_pi_witness(bad, window, ctx).passed
 
 
 def test_criterion_07_corner_compression():
@@ -283,7 +285,8 @@ def test_criterion_07_corner_compression():
         x = cp_zero(Z1)
         for t in Z1.ball_elements(3):
             x = cp_add(x, unitary(Z1, t))
-        report = corner_compress(GreedySet(50), x, ball(Z1, 60))
+        window = ball(Z1, 60)
+        report = corner_compress(GreedySet(50), x, window, context_for(window))
         assert report.off_diagonal  # six off-identity terms survive
         for t, support in report.off_diagonal:
             assert support <= 2

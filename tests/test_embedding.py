@@ -5,11 +5,10 @@ from paradox.embedding import (
     build_embedding,
     check_injective_lipschitz,
     eval_embedding,
-    transported_pwt,
 )
-from paradox.groups import IntVec, ball, group_from_string
+from paradox.groups import ball, group_from_string
 from paradox.pwt import PwT, pwt_apply
-from paradox.sets import AllSet, EmptySet, FiniteSet, SetContext
+from paradox.sets import EmptySet, context_for
 from paradox.witness import (
     ParadoxWitness,
     free_semigroup_witness,
@@ -18,7 +17,6 @@ from paradox.witness import (
 
 BS = group_from_string("bs12")
 F2 = group_from_string("free:2")
-Z1 = group_from_string("zn:1")
 
 S_GEN = BS.parse("(2,0)")
 T_GEN = BS.parse("(2,1)")
@@ -27,7 +25,8 @@ T_GEN = BS.parse("(2,1)")
 @pytest.fixture(scope="module")
 def embedding():
     w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-    return build_embedding(w, semigroup_window(BS, S_GEN, T_GEN, 6))
+    window = semigroup_window(BS, S_GEN, T_GEN, 6)
+    return build_embedding(w, window, context_for(window))
 
 
 class TestBuild:
@@ -44,7 +43,8 @@ class TestBuild:
     def test_empty_set_rejected(self):
         empty = ParadoxWitness(EmptySet(), (), 0)
         with pytest.raises(ValueError):
-            build_embedding(empty, ball(BS, 2))
+            window = ball(BS, 2)
+            build_embedding(empty, window, context_for(window))
 
     def test_images_and_base_point_disjoint(self, embedding):
         # build_embedding verifies this internally; re-check a sample here
@@ -68,8 +68,9 @@ class TestBuild:
         plus, _ = emb.base_translation_maps(w, BS)
         # with minus replaced by plus, all four branches are x -> (8,0) x
         monkeypatch.setattr(emb, "base_translation_maps", lambda w, group: (plus, plus))
+        window = semigroup_window(BS, S_GEN, T_GEN, 4)
         with pytest.raises(AssertionError) as info:
-            build_embedding(w, semigroup_window(BS, S_GEN, T_GEN, 4))
+            build_embedding(w, window, context_for(window))
         assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
 
 
@@ -104,7 +105,7 @@ class TestEval:
         finite_witness = witness_from_matching(
             doubling_matching(semi, [S_GEN, T_GEN], window)
         )
-        data = build_embedding(finite_witness, window)
+        data = build_embedding(finite_witness, window, context_for(window))
         with pytest.raises(EmbeddingWindowError, match="larger window"):
             for radius in (1, 2, 3):
                 for w in F2.ball_elements(radius):
@@ -163,61 +164,3 @@ class TestLipschitz:
         assert report.displacement_set == (
             check_injective_lipschitz(embedding, 2).displacement_set
         )
-
-
-class TestTransport:
-    def test_transport_along_embedding(self, embedding):
-        f_map = {
-            w: eval_embedding(embedding, w.letters) for w in F2.ball_elements(3)
-        }
-        left_a = PwT.single(AllSet(), F2.parse("a"))
-        window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        tau = transported_pwt(
-            f_map, left_a, window, ctx=SetContext(F2, 8),
-            target_ctx=embedding.ctx,
-        )
-        # transported displacements are embedding displacements
-        report = check_injective_lipschitz(embedding, 4)
-        assert set(tau.displacement) <= set(report.displacement_set)
-        ctx = embedding.ctx
-        for x in F2.ball_elements(2):
-            fx = f_map[x]
-            assert pwt_apply(tau, fx, ctx) == f_map[F2.mul(F2.parse("a"), x)]
-
-    def test_identity_transport(self):
-        pts = [IntVec((i,)) for i in range(-3, 4)]
-        f_map = {g: g for g in pts}
-        sigma = PwT.single(FiniteSet(tuple(pts[:-1])), IntVec((1,)))
-        tau = transported_pwt(f_map, sigma, ball(Z1, 3), ctx=SetContext(Z1, 8))
-        ctx = SetContext(Z1, 8)
-        for g in pts[:-1]:
-            assert pwt_apply(tau, g, ctx) == pwt_apply(sigma, g, ctx)
-
-    def test_disjoint_images_stay_disjoint(self, embedding):
-        f_map = {
-            w: eval_embedding(embedding, w.letters) for w in F2.ball_elements(3)
-        }
-        window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        src_ctx = SetContext(F2, 8)
-        # restrict each left multiplication so the source images (words
-        # starting with a, resp. b) are already disjoint
-        dom_a = FiniteSet(
-            tuple(w for w in F2.ball_elements(2) if not w.letters or w.letters[0] != -1)
-        )
-        dom_b = FiniteSet(
-            tuple(w for w in F2.ball_elements(2) if not w.letters or w.letters[0] != -2)
-        )
-        plus = PwT.single(dom_a, F2.parse("a"))
-        minus = PwT.single(dom_b, F2.parse("b"))
-        tau_p = transported_pwt(f_map, plus, window, ctx=src_ctx, target_ctx=embedding.ctx)
-        tau_m = transported_pwt(f_map, minus, window, ctx=src_ctx, target_ctx=embedding.ctx)
-        ctx = embedding.ctx
-        img_p = {pwt_apply(tau_p, g, ctx) for piece, _ in tau_p.pieces for g in piece.elems}
-        img_m = {pwt_apply(tau_m, g, ctx) for piece, _ in tau_m.pieces for g in piece.elems}
-        assert not img_p & img_m
-
-    def test_non_injective_map_rejected(self):
-        f_map = {IntVec((0,)): IntVec((0,)), IntVec((1,)): IntVec((0,))}
-        sigma = PwT.single(AllSet(), IntVec((1,)))
-        with pytest.raises(ValueError):
-            transported_pwt(f_map, sigma, ball(Z1, 2), ctx=SetContext(Z1, 8))

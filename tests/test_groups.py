@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -142,6 +143,18 @@ class TestParse:
 
     def test_normalising_parse(self):
         assert F2.parse("a a^-1") == F2.identity()
+
+    @pytest.mark.parametrize(
+        "text, length",
+        [("a " * 200_000, 200_000), ("a a^-1 " * 100_000, 0)],
+        ids=["200k-letters", "200k-cancelling"],
+    )
+    def test_long_words_parse_in_linear_time(self, text, length):
+        started = time.perf_counter()
+        w = F2.parse(text)
+        assert time.perf_counter() - started < 1.0
+        assert len(w.letters) == length
+        assert set(w.letters) <= {1}
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(ParseError):

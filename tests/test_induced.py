@@ -4,13 +4,11 @@ import pytest
 
 from paradox.groups import IntVec, group_from_string
 from paradox.induced import (
-    IncompleteTableError,
     SubgroupError,
     TokenWitness,
     check_induced_witness,
     coset_normalize,
     induce_witness,
-    induced_act,
     subgroup_from_string,
 )
 
@@ -63,41 +61,6 @@ class TestCosetNormalize:
             subgroup_from_string(F2, "coords:0")
         with pytest.raises(SubgroupError):
             subgroup_from_string(Z2, "akernel")
-
-
-class TestInducedAct:
-    TABLE = {
-        (F2.parse("a"), "x"): "ax",
-        (F2.parse("a"), "ax"): "aax",
-        (F2.parse("a a"), "x"): "aax",
-    }
-
-    def test_identity_fixes_points(self):
-        p = (F2.parse("b"), "x")
-        assert induced_act(CYCLIC_A, F2.identity(), p, self.TABLE) == p
-
-    def test_pure_coset_move(self):
-        p = (F2.identity(), "x")
-        s = F2.parse("b")
-        assert induced_act(CYCLIC_A, s, p, self.TABLE) == (F2.parse("b"), "x")
-
-    def test_generator_acts_in_fibre(self):
-        p = (F2.identity(), "x")
-        assert induced_act(CYCLIC_A, F2.parse("a"), p, self.TABLE) == (
-            F2.identity(),
-            "ax",
-        )
-
-    def test_action_law_where_defined(self):
-        p = (F2.identity(), "x")
-        one = induced_act(CYCLIC_A, F2.parse("a"), p, self.TABLE)
-        two = induced_act(CYCLIC_A, F2.parse("a"), one, self.TABLE)
-        direct = induced_act(CYCLIC_A, F2.parse("a a"), p, self.TABLE)
-        assert two == direct
-
-    def test_missing_table_entry(self):
-        with pytest.raises(IncompleteTableError):
-            induced_act(CYCLIC_A, F2.parse("a"), (F2.identity(), "y"), self.TABLE)
 
 
 class TestInduceWitness:

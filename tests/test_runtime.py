@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import json
 import os
@@ -11,7 +12,7 @@ from paradox.certificates import content_digest, window_digest, write_certificat
 from paradox.embedding import build_embedding, eval_embedding
 from paradox.engine import doubling_matching
 from paradox.groups import DyadicAffineGroup, explicit_window, group_from_string
-from paradox.sets import SemigroupSet
+from paradox.sets import SemigroupSet, context_for
 from paradox.witness import free_semigroup_witness, semigroup_window
 
 BS = group_from_string("bs12")
@@ -91,7 +92,8 @@ class TestConcurrency:
 
     def test_parallel_embedding_evaluation(self):
         witness = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        data = build_embedding(witness, semigroup_window(BS, S_GEN, T_GEN, 5))
+        window = semigroup_window(BS, S_GEN, T_GEN, 5)
+        data = build_embedding(witness, window, context_for(window))
         words = [w.letters for w in group_from_string("free:2").ball_elements(4)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(lambda w: eval_embedding(data, w), words))
@@ -119,3 +121,36 @@ def test_verifier_imports_no_solver():
     proc = _run(["-c", code], None)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def _names_read(tree):
+    """Every name a module reads, including those inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        # `ast.arg` and `ast.AnnAssign` carry `annotation`, functions `returns`
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _names_read(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports():
+    package = os.path.dirname(os.path.abspath(paradox.__file__))
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{filename}:{node.lineno} {bound}")
+    assert unused == []

@@ -24,8 +24,10 @@ from paradox.sets import (
     Slab,
     Translate,
     Union,
+    context_for,
     materialize,
     member,
+    member_strict,
     parse_setexpr,
     positive_words,
     show_setexpr,
@@ -123,13 +125,14 @@ class TestMember:
 
 class TestMaterialize:
     def test_all_on_lattice_ball(self):
-        got = materialize(AllSet(), ball(Z1, 2))
+        window = ball(Z1, 2)
+        got = materialize(AllSet(), window, context_for(window))
         assert [Z1.show(g) for g in got.elements] == ["(0)", "(1)", "(-1)", "(2)", "(-2)"]
 
     def test_slab_filter_matches_direct_comparison(self):
         slab = Slab(Fraction(0), Fraction(1), Fraction(0))
         window = ball(BS, 2)
-        got = materialize(slab, window)
+        got = materialize(slab, window, context_for(window))
         from paradox.groups import affine_fraction
 
         expected = tuple(
@@ -141,7 +144,7 @@ class TestMaterialize:
     def test_semigroup_window_has_seven_short_words(self):
         words = positive_words(BS, (S_GEN, T_GEN), 2)
         window = explicit_window(BS, words, 2)
-        got = materialize(SEMI, window)
+        got = materialize(SEMI, window, context_for(window))
         assert len(got.elements) == 7  # e, s, t, ss, st, ts, tt all distinct
         assert got.complete
 
@@ -154,9 +157,20 @@ class TestMaterialize:
     def test_monotone_under_window_growth(self):
         slab = Slab(Fraction(0), Fraction(2), Fraction(1))
         small, large = ball(BS, 2), ball(BS, 4)
-        small_mat = materialize(slab, small).elements
-        large_mat = materialize(slab, large).elements
+        small_mat = materialize(slab, small, context_for(small)).elements
+        large_mat = materialize(slab, large, context_for(large)).elements
         assert [g for g in large_mat if g in small.elements] == list(small_mat)
+
+    def test_wide_slab_lies_in_two_translates_of_the_unit_slab(self):
+        narrow = Slab(Fraction(0), Fraction(1), Fraction(0))
+        wide = Slab(Fraction(0), Fraction(2), Fraction(0))
+        ctx = SetContext(BS, 8)
+        window = ball(BS, 3)
+        u = BS.parse("(1,1)")
+        for g in materialize(wide, window, ctx).elements:
+            assert member_strict(narrow, g, ctx) or member_strict(
+                Translate(u, narrow), g, ctx
+            )
 
 
 class TestDictionaryLaws:

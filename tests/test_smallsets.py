@@ -14,6 +14,7 @@ from paradox.sets import (
     SetContext,
     Translate,
     Union,
+    context_for,
     member,
     member_strict,
 )
@@ -131,16 +132,19 @@ NATURALS = Diff(AllSet(), SemigroupSet((IntVec((-1,)),), False))
 
 class TestAbsorbing:
     def test_naturals_absorb_small_pattern(self):
-        got = absorbing_check(NATURALS, intvecs(0, 5), ball(Z1, 10))
+        window = ball(Z1, 10)
+        ctx = context_for(window)
+        got = absorbing_check(NATURALS, intvecs(0, 5), window, ctx)
         assert got == IntVec((0,))
-        assert absorbing_check_direct(NATURALS, intvecs(0, 5), ball(Z1, 10)) == got
+        assert absorbing_check_direct(NATURALS, intvecs(0, 5), window, ctx) == got
 
     def test_greedy_set_has_no_consecutive_triples(self):
         window = ball(Z1, 60)
         expr = GreedySet(50)
         pattern = intvecs(0, 1, 2)
-        assert absorbing_check(expr, pattern, window) is None
-        assert absorbing_check_direct(expr, pattern, window) is None
+        ctx = context_for(window)
+        assert absorbing_check(expr, pattern, window, ctx) is None
+        assert absorbing_check_direct(expr, pattern, window, ctx) is None
 
     def test_postcondition_replay(self):
         rng = random.Random(23)
@@ -161,8 +165,9 @@ class TestAbsorbing:
                     assert member_strict(expr, Z1.mul(t, got), ctx)
 
     def test_empty_pattern_rejected(self):
+        window = ball(Z1, 2)
         with pytest.raises(ValueError):
-            absorbing_check(AllSet(), (), ball(Z1, 2))
+            absorbing_check(AllSet(), (), window, context_for(window))
 
 
 class TestSmallCheck:
@@ -170,10 +175,11 @@ class TestSmallCheck:
         evens = FiniteSet(intvecs(*range(-10, 11, 2)))
         obstacle = BallSet(2)
         s_list = Z1.ball_elements(6)
-        pwt = small_check(evens, obstacle, s_list, ball(Z1, 10))
+        window = ball(Z1, 10)
+        pwt = small_check(evens, obstacle, s_list, window, context_for(window))
         assert pwt is not None
         ctx = SetContext(Z1, 14)
-        report = pwt_validate(pwt, ball(Z1, 10), ctx)
+        report = pwt_validate(pwt, window, ctx)
         assert report.passed
         for piece, _ in pwt.pieces:
             for g in piece.elems:
@@ -182,7 +188,9 @@ class TestSmallCheck:
 
     def test_whole_group_obstacle_is_hopeless(self):
         evens = FiniteSet(intvecs(0, 2, 4))
-        assert small_check(evens, AllSet(), Z1.ball_elements(3), ball(Z1, 5)) is None
+        window = ball(Z1, 5)
+        s_list = Z1.ball_elements(3)
+        assert small_check(evens, AllSet(), s_list, window, context_for(window)) is None
 
     def test_free_group_coset_pattern(self):
         # a-power chunk A; obstacle = ball(1)-translates of A; displacement
@@ -195,7 +203,9 @@ class TestSmallCheck:
         for t in F2.ball_elements(1):
             if t != F2.identity():
                 obstacle = Union(obstacle, Translate(t, chunk))
-        pwt = small_check(chunk, obstacle, F2.ball_elements(3), ball(F2, 6))
+        window = ball(F2, 6)
+        s_list = F2.ball_elements(3)
+        pwt = small_check(chunk, obstacle, s_list, window, context_for(window))
         assert pwt is not None
         ctx = SetContext(F2, 10)
         for piece, _ in pwt.pieces:
