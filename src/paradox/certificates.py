@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Any
 
 from .crossed import CPElem, PIWitness
 from .groups import Group, Window, ball, explicit_window
-from .sets import parse_setexpr, show_setexpr
+from .sets import SetContext, parse_setexpr, show_setexpr
 from .witness import ParadoxWitness
 
 if TYPE_CHECKING:  # annotations only: the verifier must not load the solver
@@ -62,20 +62,21 @@ def _finish(cert: dict) -> dict:
     return cert
 
 
-def _base(kind: str, group: Group, window: Window, slack: int) -> dict:
+def _base(kind: str, window: Window, ctx: SetContext) -> dict:
+    """The envelope; budgetSlack records the budget the facts were decided at."""
     return {
         "schema": SCHEMA,
         "kind": kind,
-        "group": group.key,
+        "group": ctx.group.key,
         "window": window_descriptor(window),
         "checkedOn": window_digest(window),
-        "budgetSlack": slack,
+        "budgetSlack": ctx.budget - window.radius,
     }
 
 
-def cert_from_match(cert: MatchCert, slack: int = 4) -> dict:
+def cert_from_match(cert: MatchCert) -> dict:
     group = cert.group
-    out = _base("match", group, cert.window, slack)
+    out = _base("match", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
     out["assignment"] = [
@@ -85,18 +86,18 @@ def cert_from_match(cert: MatchCert, slack: int = 4) -> dict:
     return _finish(out)
 
 
-def cert_from_deficiency(cert: DeficiencyCert, slack: int = 4) -> dict:
+def cert_from_deficiency(cert: DeficiencyCert) -> dict:
     group = cert.group
-    out = _base("deficiency", group, cert.window, slack)
+    out = _base("deficiency", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
     out["violator"] = [group.show(x) for x in cert.violator]
     return _finish(out)
 
 
-def cert_from_witness(w: ParadoxWitness, group: Group, window: Window,
-                      slack: int = 4) -> dict:
-    out = _base("witness", group, window, slack)
+def cert_from_witness(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
+    group = ctx.group
+    out = _base("witness", window, ctx)
     out["set"] = show_setexpr(w.set_expr, group)
     out["parts"] = [
         {"piece": show_setexpr(piece, group), "translator": group.show(t)}
@@ -114,9 +115,9 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
     return ParadoxWitness(parse_setexpr(data["set"], group), parts, int(data["split"]))
 
 
-def cert_from_flow(cert: FlowCert, slack: int = 4) -> dict:
+def cert_from_flow(cert: FlowCert) -> dict:
     group = cert.group
-    out = _base("flow", group, cert.window, slack)
+    out = _base("flow", cert.window, cert.ctx)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
     out["setA"] = show_setexpr(cert.set_a, group)
@@ -129,9 +130,9 @@ def cert_from_flow(cert: FlowCert, slack: int = 4) -> dict:
     return _finish(out)
 
 
-def cert_from_flow_deficiency(cert: FlowDeficiency, slack: int = 4) -> dict:
+def cert_from_flow_deficiency(cert: FlowDeficiency) -> dict:
     group = cert.group
-    out = _base("flow-deficiency", group, cert.window, slack)
+    out = _base("flow-deficiency", cert.window, cert.ctx)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
     out["setA"] = show_setexpr(cert.set_a, group)
@@ -159,9 +160,9 @@ def cp_from_json(data: list, group: Group) -> CPElem:
     return CPElem(group, tuple(terms))
 
 
-def cert_from_pi_witness(pw: PIWitness, window: Window, slack: int = 4) -> dict:
+def cert_from_pi_witness(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
     group = pw.group
-    out = _base("cp-witness", group, window, slack)
+    out = _base("cp-witness", window, ctx)
     out["set"] = show_setexpr(pw.set_expr, group)
     out["v"] = _cp_to_json(pw.v)
     out["w"] = _cp_to_json(pw.w)

@@ -35,7 +35,7 @@ from .induced import (
     induce_witness,
     subgroup_from_string,
 )
-from .sets import BudgetError, context_for, parse_setexpr
+from .sets import DEFAULT_SLACK, BudgetError, context_for, parse_setexpr
 from .smallsets import check_pair_intersections, greedy_small_set
 from .verifier import CertificateFormatError, read_envelope, verify_certificate
 from .witness import witness_check
@@ -56,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _slack(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-slack", type=int, default=4,
-                     help="extra length allowed in semigroup enumeration (default 4)")
+    sub.add_argument("--budget-slack", type=int, default=DEFAULT_SLACK,
+                     help="extra length allowed in semigroup enumeration "
+                     "(default %(default)s)")
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -139,8 +140,6 @@ def build_parser() -> _Parser:
     p = subs.add_parser("cp-witness", help="crossed-product witness identities")
     p.add_argument("--from-cert", required=True, dest="from_cert",
                    help="match or witness certificate")
-    p.add_argument("--window", type=int,
-                   help="ball window radius (default: the certificate's window)")
     _common(p)
 
     p = subs.add_parser("type-order", help="decide m[A] <= n[B] on a window")
@@ -170,21 +169,19 @@ def cmd_check(args) -> int:
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
-    result = doubling_matching(expr, translators, window, slack=args.budget_slack)
+    ctx = context_for(window, args.budget_slack)
+    result = doubling_matching(expr, translators, window, ctx)
     if isinstance(result, MatchCert):
-        payload = certs.cert_from_match(result, args.budget_slack)
-        _emit(args, payload)
+        _emit(args, certs.cert_from_match(result))
         if args.witness_out:
             w = witness_from_matching(result)
             certs.write_certificate(
-                certs.cert_from_witness(w, group, window, args.budget_slack),
-                args.witness_out,
+                certs.cert_from_witness(w, window, ctx), args.witness_out
             )
             _say(args, f"wrote {args.witness_out}")
         _say(args, f"match: doubled {len(result.assignment)} window points")
         return EXIT_OK
-    payload = certs.cert_from_deficiency(result, args.budget_slack)
-    _emit(args, payload)
+    _emit(args, certs.cert_from_deficiency(result))
     _say(args, f"deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 
@@ -228,6 +225,7 @@ def _witness_from_any_cert(path: str):
                 (group.parse(x), group.parse(s1), group.parse(s2))
                 for x, s1, s2 in data["assignment"]
             ),
+            ctx,
         )
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
@@ -271,19 +269,14 @@ def cmd_small_set(args) -> int:
 
 
 def cmd_cp_witness(args) -> int:
-    witness, cert_window, cert_ctx = _witness_from_any_cert(args.from_cert)
-    group = cert_ctx.group
-    slack = cert_ctx.budget - cert_window.radius  # as the certificate records
-    window = ball(group, args.window) if args.window is not None else cert_window
-    pw = pi_witness(witness, group)
-    report = verify_pi_witness(pw, window, context_for(window, slack))
+    witness, window, ctx = _witness_from_any_cert(args.from_cert)
+    pw = pi_witness(witness, ctx.group)
+    report = verify_pi_witness(pw, window, ctx)
     for name, ok, msg in report.checks:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
     # a certificate is written only for identities that all hold
     if args.out and report.passed:
-        certs.write_certificate(
-            certs.cert_from_pi_witness(pw, window, slack), args.out
-        )
+        certs.write_certificate(certs.cert_from_pi_witness(pw, window, ctx), args.out)
         _say(args, f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_SEMANTIC
 
@@ -296,13 +289,13 @@ def cmd_type_order(args) -> int:
     window = ball(group, args.window)
     result = type_order(
         args.copies, set_a, args.capacity, set_b, translators, window,
-        slack=args.budget_slack,
+        context_for(window, args.budget_slack),
     )
     if isinstance(result, FlowCert):
-        _emit(args, certs.cert_from_flow(result, args.budget_slack))
+        _emit(args, certs.cert_from_flow(result))
         _say(args, "flow: comparison holds on this window")
         return EXIT_OK
-    _emit(args, certs.cert_from_flow_deficiency(result, args.budget_slack))
+    _emit(args, certs.cert_from_flow_deficiency(result))
     _say(args, f"flow deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 

@@ -33,14 +33,8 @@ class Dyadic:
             (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
         )
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.exp)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
 
     def shift(self, k: int) -> "Dyadic":
         """Multiply by 2**k (k may be negative)."""
@@ -48,13 +42,6 @@ class Dyadic:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        e = max(self.exp, other.exp)
-        return (self.num << (e - self.exp)) < (other.num << (e - other.exp))
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self == other or self < other
 
     def __str__(self) -> str:
         if self.exp == 0:

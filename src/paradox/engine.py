@@ -5,7 +5,7 @@ obstruction.  Also the capacitated generalisation m[A] <= n[B] via max-flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .flow import FlowNetwork
 from .groups import Elem, Group, Window
@@ -13,8 +13,8 @@ from .matching import max_matching
 from .sets import (
     BUDGET_EXCEEDED,
     FiniteSet,
+    SetContext,
     SetExpr,
-    context_for,
     materialize,
     member,
     undecided_error,
@@ -32,6 +32,7 @@ class MatchCert:
     translators: tuple[Elem, ...]
     window: Window
     assignment: tuple[tuple[Elem, Elem, Elem], ...]  # (x, s1, s2)
+    ctx: SetContext = field(compare=False, repr=False)  # decided in this context
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,11 @@ class DeficiencyCert:
     translators: tuple[Elem, ...]
     window: Window
     violator: tuple[Elem, ...]
+    ctx: SetContext = field(compare=False, repr=False)
 
 
-def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
+def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
+               ctx: SetContext):
     """The transport graph from a's window slice into b, built once.
 
     Returns (sorted translators, points, rows, image count): rows[i] lists
@@ -54,7 +57,6 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window, slack: int):
     b, in translator order; image ids are numbered in first-seen order."""
     if not translators:
         raise ValueError("translator set must be nonempty")
-    ctx = context_for(window, slack)
     group = ctx.group
     s_list = tuple(sorted(set(translators), key=group.sort_key))
     mat = materialize(a, window, ctx)
@@ -79,7 +81,7 @@ def doubling_matching(
     a: SetExpr,
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
-    slack: int = 4,
+    ctx: SetContext,
 ) -> MatchCert | DeficiencyCert:
     """Decide two-into-one window doubling for the given translator set.
 
@@ -89,10 +91,10 @@ def doubling_matching(
     vertex 2i + c for copy c of point i and, on failure, the violator is read
     off the matching's final alternating-reachability layering.
     """
-    s_list, points, rows, n_images = _transport(a, a, translators, window, slack)
-    group = window.group
+    s_list, points, rows, n_images = _transport(a, a, translators, window, ctx)
+    group = ctx.group
     if n_images < 2 * len(points):
-        return DeficiencyCert(group, a, s_list, window, points)
+        return DeficiencyCert(group, a, s_list, window, points, ctx)
 
     adjacency = []
     for row in rows:
@@ -106,11 +108,11 @@ def doubling_matching(
             s1 = s_list[translator_of[pair_left[2 * i]]]
             s2 = s_list[translator_of[pair_left[2 * i + 1]]]
             assignment.append((x, s1, s2))
-        return MatchCert(group, a, s_list, window, tuple(assignment))
+        return MatchCert(group, a, s_list, window, tuple(assignment), ctx)
     violator = [
         x for i, x in enumerate(points) if 2 * i in reached or 2 * i + 1 in reached
     ]
-    return DeficiencyCert(group, a, s_list, window, tuple(violator))
+    return DeficiencyCert(group, a, s_list, window, tuple(violator), ctx)
 
 
 def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
@@ -166,6 +168,7 @@ class FlowCert:
     translators: tuple[Elem, ...]
     window: Window
     assignment: tuple[tuple[Elem, tuple[Elem, ...]], ...]  # (x, m translators)
+    ctx: SetContext = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,7 @@ class FlowDeficiency:
     translators: tuple[Elem, ...]
     window: Window
     violator: tuple[Elem, ...]
+    ctx: SetContext = field(compare=False, repr=False)
 
 
 def type_order(
@@ -189,14 +193,14 @@ def type_order(
     b: SetExpr,
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
-    slack: int = 4,
+    ctx: SetContext,
 ) -> FlowCert | FlowDeficiency:
     """Decide whether m copies of a's window slice inject into b with
     multiplicity at most n, displacements drawn from the translator set."""
     if copies < 1 or capacity < 1:
         raise ValueError("copies and capacity must be >= 1")
-    s_list, points, rows, n_images = _transport(a, b, translators, window, slack)
-    group = window.group
+    s_list, points, rows, n_images = _transport(a, b, translators, window, ctx)
+    group = ctx.group
 
     n_nodes = 2 + len(points) + n_images
     source, sink = 0, n_nodes - 1
@@ -222,9 +226,9 @@ def type_order(
                 used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
         return FlowCert(
-            group, copies, a, capacity, b, s_list, window, tuple(assignment)
+            group, copies, a, capacity, b, s_list, window, tuple(assignment), ctx
         )
     violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]
     return FlowDeficiency(
-        group, copies, a, capacity, b, s_list, window, tuple(violator)
+        group, copies, a, capacity, b, s_list, window, tuple(violator), ctx
     )

@@ -140,7 +140,12 @@ class SetContext:
     caches: dict = field(default_factory=dict)
 
 
-def context_for(window: Window, slack: int = 4) -> SetContext:
+# The one default budget slack: extra enumeration length beyond the window
+# radius, used by the CLI and by certificates that do not record their own.
+DEFAULT_SLACK = 4
+
+
+def context_for(window: Window, slack: int = DEFAULT_SLACK) -> SetContext:
     return SetContext(window.group, window.radius + slack)
 
 

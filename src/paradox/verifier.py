@@ -16,7 +16,7 @@ from .certificates import (
 )
 from .crossed import verify_pi_witness
 from .groups import Group, Window, group_from_string
-from .sets import BUDGET_EXCEEDED, SetContext, materialize, member, parse_setexpr
+from .sets import DEFAULT_SLACK, BudgetError, context_for, member_strict, parse_setexpr
 from .witness import witness_check
 
 
@@ -51,21 +51,24 @@ def read_envelope(cert) -> tuple[str, Group, Window, int]:
     try:
         group = group_from_string(cert["group"])
         window = window_from_descriptor(group, cert["window"])
-        slack = int(cert.get("budgetSlack", 4))
+        slack = int(cert.get("budgetSlack", DEFAULT_SLACK))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
     return kind, group, window, slack
 
 
 def verify_certificate(cert: dict) -> VerifyOutcome:
-    """Re-check every semantic fact of a certificate; the first violated fact
-    is named in the outcome message."""
+    """Re-check every semantic fact of a certificate; the first violated fact,
+    or the first membership undecided at the recorded budget, is named in the
+    outcome message."""
     kind, group, window, slack = read_envelope(cert)
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
-    ctx = SetContext(group, window.radius + slack)
+    ctx = context_for(window, slack)
     try:
         outcome = _CHECKERS[kind](cert, group, window, ctx)
+    except BudgetError as exc:
+        return VerifyOutcome.failed(str(exc))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         return VerifyOutcome.failed(f"payload does not parse or replay: {exc}")
     if not outcome.ok:
@@ -92,9 +95,7 @@ def _transport(cert: dict, group):
 
 def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
-    mat = materialize(set_a, window, ctx)
-    if not mat.complete:
-        return VerifyOutcome.failed("window memberships undecided at this budget")
+    points = [x for x in window.elements if member_strict(set_a, x, ctx)]
     translators = {group.parse(t) for t in cert["translators"]}
     if cert["kind"] == "match":
         rows = ((x, (s1, s2)) for x, s1, s2 in cert["assignment"])
@@ -106,7 +107,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     # The slice lists each point once, so equal sorted lists also rule out a
     # point assigned twice.
     assigned = sorted(group.sort_key(x) for x, _ in assignment)
-    if assigned != sorted(map(group.sort_key, mat.elements)):
+    if assigned != sorted(map(group.sort_key, points)):
         return VerifyOutcome.failed(
             "assignment domain differs from the set's window slice"
         )
@@ -122,7 +123,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
                     f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
             img = group.mul(s, x)
-            if member(set_b, img, ctx) is not True:
+            if not member_strict(set_b, img, ctx):
                 return VerifyOutcome.failed(
                     f"image {group.show(img)} of {group.show(x)} leaves the target set"
                 )
@@ -138,10 +139,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
 
 def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
-    mat = materialize(set_a, window, ctx)
-    if not mat.complete:
-        return VerifyOutcome.failed("window memberships undecided at this budget")
-    point_set = set(mat.elements)
+    point_set = {x for x in window.elements if member_strict(set_a, x, ctx)}
     violator = [group.parse(x) for x in cert["violator"]]
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")
@@ -157,12 +155,7 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     for x in violator:
         for s in translators:
             img = group.mul(s, x)
-            res = member(set_b, img, ctx)
-            if res is BUDGET_EXCEEDED:
-                return VerifyOutcome.failed(
-                    f"membership of {group.show(img)} undecided at this budget"
-                )
-            if res:
+            if member_strict(set_b, img, ctx):
                 targets.add(img)
     if not copies * len(violator) > capacity * len(targets):
         return VerifyOutcome.failed(

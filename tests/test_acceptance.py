@@ -105,7 +105,8 @@ def test_criterion_02_matching_deficiency_duality():
         started = time.perf_counter()
 
         def run_and_verify(group, s_list, radius, to_cert):
-            result = doubling_matching(AllSet(), s_list, ball(group, radius))
+            window = ball(group, radius)
+            result = doubling_matching(AllSet(), s_list, window, context_for(window))
             assert verify_certificate(to_cert(result)).ok
             return result
 
@@ -113,7 +114,10 @@ def test_criterion_02_matching_deficiency_duality():
         ball2 = Z1.ball_elements(2)
         for s_list in nonempty_subsets(ball2):
             for radius in range(1, 9):
-                result = doubling_matching(AllSet(), s_list, ball(Z1, radius))
+                window = ball(Z1, radius)
+                result = doubling_matching(
+                    AllSet(), s_list, window, context_for(window)
+                )
                 if isinstance(result, DeficiencyCert):
                     assert verify_certificate(cert_from_deficiency(result)).ok
                 else:
@@ -121,7 +125,6 @@ def test_criterion_02_matching_deficiency_duality():
                 if radius >= 2:
                     assert isinstance(result, DeficiencyCert)
                 else:
-                    window = ball(Z1, radius)
                     expected = doubling_exists_oracle(
                         Z1, list(window.elements), s_list, lambda img: True
                     )
@@ -164,7 +167,7 @@ def test_criterion_02_matching_deficiency_duality():
             s_list = rng.sample(gens2, rng.randint(1, 5))
             radius = rng.randint(1, 4)
             window = ball(Z2, radius)
-            result = doubling_matching(AllSet(), s_list, window)
+            result = doubling_matching(AllSet(), s_list, window, context_for(window))
             expected = doubling_exists_oracle(
                 Z2, list(window.elements), s_list, lambda img: True
             )
@@ -189,8 +192,9 @@ SLAB = Slab(Fraction(0), Fraction(1), Fraction(0))
 
 def slab_sweep(window_radius, max_s_radius=6):
     window = ball(BS, window_radius)
+    ctx = context_for(window)
     for s_radius in range(1, max_s_radius + 1):
-        result = doubling_matching(SLAB, BS.ball_elements(s_radius), window)
+        result = doubling_matching(SLAB, BS.ball_elements(s_radius), window, ctx)
         if isinstance(result, MatchCert):
             return s_radius, result
     return None, None
@@ -247,7 +251,9 @@ def _criterion_witnesses():
     )
     for radius in (2, 3):
         window = ball(F2, radius)
-        cert = doubling_matching(AllSet(), F2.ball_elements(1), window)
+        cert = doubling_matching(
+            AllSet(), F2.ball_elements(1), window, context_for(window)
+        )
         out.append((F2, witness_from_matching(cert), window))
     for window_radius in (2, 4):
         s_radius, cert = slab_sweep(window_radius)
@@ -367,29 +373,36 @@ def test_criterion_10_verifier_mutation_hardness():
         pool = []
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         semi = SemigroupSet((S_GEN, T_GEN), True)
-        match = doubling_matching(semi, [S_GEN, T_GEN], window)
+        ctx = context_for(window)
+        match = doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
         pool.append(cert_from_match(match))
+        z1_window = ball(Z1, 3)
+        z1_ctx = context_for(z1_window)
         pool.append(
             cert_from_deficiency(
-                doubling_matching(AllSet(), Z1.ball_elements(1), ball(Z1, 3))
+                doubling_matching(AllSet(), Z1.ball_elements(1), z1_window, z1_ctx)
             )
         )
         from paradox.certificates import cert_from_flow, cert_from_flow_deficiency, cert_from_witness
         from paradox.engine import type_order
 
-        pool.append(cert_from_witness(witness_from_matching(match), BS, window))
+        pool.append(cert_from_witness(witness_from_matching(match), window, ctx))
         pool.append(
             cert_from_flow(
-                type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], ball(Z1, 3))
+                type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
             )
         )
         pool.append(
             cert_from_flow_deficiency(
-                type_order(2, AllSet(), 1, AllSet(), Z1.ball_elements(1), ball(Z1, 3))
+                type_order(
+                    2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
+                )
             )
         )
         pool.append(
-            cert_from_pi_witness(pi_witness(witness_from_matching(match), BS), window)
+            cert_from_pi_witness(
+                pi_witness(witness_from_matching(match), BS), window, ctx
+            )
         )
         for cert in pool:
             assert verify_certificate(cert).ok

@@ -27,7 +27,7 @@ from paradox.engine import (
     witness_from_matching,
 )
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet
+from paradox.sets import AllSet, SemigroupSet, context_for
 from paradox.verifier import CertificateFormatError, verify_certificate
 from paradox.witness import free_semigroup_witness, semigroup_window
 from helpers import mutate_certificate, mutation_operators
@@ -47,40 +47,47 @@ def cert_pool():
     pool = {}
 
     window = semigroup_window(BS, S_GEN, T_GEN, 3)
-    match = doubling_matching(SEMI, [S_GEN, T_GEN], window)
+    ctx = context_for(window)
+    match = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
     assert isinstance(match, MatchCert)
     pool["match"] = cert_from_match(match)
 
-    free_match = doubling_matching(AllSet(), F2.ball_elements(1), ball(F2, 2))
+    f2_window = ball(F2, 2)
+    free_match = doubling_matching(
+        AllSet(), F2.ball_elements(1), f2_window, context_for(f2_window)
+    )
     pool["match-free"] = cert_from_match(free_match)
 
+    z1_window = ball(Z1, 3)
+    z1_ctx = context_for(z1_window)
     deficiency = doubling_matching(
-        AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], ball(Z1, 3)
+        AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window, z1_ctx
     )
     assert isinstance(deficiency, DeficiencyCert)
     pool["deficiency"] = cert_from_deficiency(deficiency)
 
     witness = witness_from_matching(match)
-    pool["witness"] = cert_from_witness(witness, BS, window)
+    pool["witness"] = cert_from_witness(witness, window, ctx)
 
     symbolic = free_semigroup_witness(BS, S_GEN, T_GEN, 5)
+    symbolic_window = semigroup_window(BS, S_GEN, T_GEN, 4)
     pool["witness-symbolic"] = cert_from_witness(
-        symbolic, BS, semigroup_window(BS, S_GEN, T_GEN, 4)
+        symbolic, symbolic_window, context_for(symbolic_window)
     )
 
-    flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], ball(Z1, 3))
+    flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
     assert isinstance(flow, FlowCert)
     pool["flow"] = cert_from_flow(flow)
 
     flow_def = type_order(
         2, AllSet(), 1, AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))],
-        ball(Z1, 3),
+        z1_window, z1_ctx,
     )
     assert isinstance(flow_def, FlowDeficiency)
     pool["flow-deficiency"] = cert_from_flow_deficiency(flow_def)
 
     pw = pi_witness(witness, BS)
-    pool["cp-witness"] = cert_from_pi_witness(pw, window)
+    pool["cp-witness"] = cert_from_pi_witness(pw, window, ctx)
     return pool
 
 
@@ -99,9 +106,24 @@ class TestRoundTrip:
 
     def test_serialisation_is_deterministic(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        a = cert_from_match(doubling_matching(SEMI, [S_GEN, T_GEN], window))
-        b = cert_from_match(doubling_matching(SEMI, [T_GEN, S_GEN], window))
+        ctx = context_for(window)
+        a = cert_from_match(doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx))
+        b = cert_from_match(doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx))
         assert canonical_json(a) == canonical_json(b)
+
+    def test_records_the_budget_it_was_decided_at(self):
+        window = semigroup_window(BS, S_GEN, T_GEN, 3)
+        match = doubling_matching(
+            SEMI, [S_GEN, T_GEN], window, context_for(window, 7)
+        )
+        cert = cert_from_match(match)
+        assert cert["budgetSlack"] == 7
+        assert verify_certificate(cert).ok
+        # the context rides on the result but is not part of its value
+        assert match == doubling_matching(
+            SEMI, [S_GEN, T_GEN], window, context_for(window)
+        )
+        assert "ctx" not in repr(match)
 
     def test_digest_covers_semantic_fields(self, cert_pool):
         cert = dict(cert_pool["match"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,25 @@ class TestVerify:
         cert["digest"] = content_digest(cert)
         write_certificate(cert, str(out))
         assert run(["verify", str(out), "--quiet"]) == 3
+
+    def test_long_translator_word_fails_fast(self, tmp_path, capsys):
+        from paradox.certificates import content_digest, write_certificate
+
+        out = tmp_path / "match.json"
+        assert run(
+            ["check", "--group", "free:2", "--set", "all", "--translators",
+             "ball:1", "--window", "2", "--out", str(out), "--quiet"]
+        ) == 0
+        cert = load_certificate(str(out))
+        cert["translators"][0] = "a " * 200_000
+        cert["digest"] = content_digest(cert)
+        write_certificate(cert, str(out))
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(out), "--quiet"]) == 3
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and err.count("\n") == 1
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -191,6 +211,14 @@ class TestPipelines:
         )
         assert code == 0
         assert run(["verify", str(out), "--quiet"]) == 0
+        # written on the input's window, at the input's budget slack
+        written, given = load_certificate(str(out)), load_certificate(match_cert)
+        for key in ("window", "checkedOn", "budgetSlack"):
+            assert written[key] == given[key]
+
+    def test_cp_witness_checks_on_the_certificate_window(self, match_cert, capsys):
+        assert run(["cp-witness", "--from-cert", match_cert, "--window", "3"]) == 1
+        assert "unrecognized arguments: --window" in capsys.readouterr().err
 
     def test_small_set(self, tmp_path):
         out = tmp_path / "small.json"
@@ -259,7 +287,7 @@ def _quadrant_witness_cert(path, slack):
     undecided at slack 4 (budget 7) and decided at slack 10."""
     from paradox.certificates import cert_from_witness, write_certificate
     from paradox.groups import ball, group_from_string
-    from paradox.sets import parse_setexpr, translate
+    from paradox.sets import context_for, parse_setexpr, translate
     from paradox.witness import ParadoxWitness
 
     z2 = group_from_string("zn:2")
@@ -271,7 +299,10 @@ def _quadrant_witness_cert(path, slack):
          (translate(t, quadrant, z2), z2.inv(t))),
         1,
     )
-    write_certificate(cert_from_witness(w, z2, ball(z2, 3), slack), str(path))
+    window = ball(z2, 3)
+    write_certificate(
+        cert_from_witness(w, window, context_for(window, slack)), str(path)
+    )
 
 
 class TestBudgetSlack:
@@ -283,6 +314,7 @@ class TestBudgetSlack:
             write_certificate,
         )
         from paradox.groups import group_from_string
+        from paradox.sets import context_for
 
         # the witness's finite pieces reach length 13 = radius 3 + slack 10
         match, wit = tmp_path / "match.json", tmp_path / "witness.json"
@@ -302,9 +334,10 @@ class TestBudgetSlack:
         # the same witness recorded at the default slack is undecided
         z2 = group_from_string("zn:2")
         data = load_certificate(str(wit))
+        window = window_from_descriptor(z2, data["window"])
         write_certificate(
-            cert_from_witness(witness_from_cert(data, z2), z2,
-                              window_from_descriptor(z2, data["window"]), 4),
+            cert_from_witness(witness_from_cert(data, z2), window,
+                              context_for(window)),
             str(wit),
         )
         assert run(args) == 1
@@ -331,10 +364,14 @@ class TestBudgetSlack:
         )
         from paradox.crossed import pi_witness
         from paradox.groups import ball, group_from_string
+        from paradox.sets import context_for
 
         z2 = group_from_string("zn:2")
         pw = pi_witness(witness_from_cert(load_certificate(str(wit)), z2), z2)
-        write_certificate(cert_from_pi_witness(pw, ball(z2, 3), 10), str(out))
+        window = ball(z2, 3)
+        write_certificate(
+            cert_from_pi_witness(pw, window, context_for(window, 10)), str(out)
+        )
         assert run(["verify", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err == (
             "verification failed: " + first_fail.replace(": FAIL ", ": ") + "\n"
@@ -358,6 +395,47 @@ class TestBudgetSlack:
             "&(-20,0)*semigroup((1,0),(0,1);e)) undecided at budget 13; "
             "increase the budget slack\n"
         )
+
+    def test_verify_reports_an_undecided_image(self, tmp_path, capsys):
+        from paradox.certificates import content_digest, write_certificate
+
+        # (10,0) is in the quadrant, but its word has length 10 > budget 7
+        match = tmp_path / "match.json"
+        assert run(
+            ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
+             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
+             "--out", str(match), "--quiet"]
+        ) == 0
+        cert = load_certificate(str(match))
+        cert["budgetSlack"] = 4
+        cert["digest"] = content_digest(cert)
+        write_certificate(cert, str(match))
+        capsys.readouterr()
+        assert run(["verify", str(match), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "undecided at budget 7" in err
+
+    def test_verify_reports_an_undecided_cp_witness(self, tmp_path, capsys):
+        from paradox.certificates import (
+            cert_from_pi_witness, window_from_descriptor, witness_from_cert,
+            write_certificate,
+        )
+        from paradox.crossed import pi_witness
+        from paradox.groups import group_from_string
+        from paradox.sets import context_for
+
+        wit, out = tmp_path / "witness.json", tmp_path / "cp.json"
+        _quadrant_witness_cert(wit, 4)
+        z2 = group_from_string("zn:2")
+        data = load_certificate(str(wit))
+        window = window_from_descriptor(z2, data["window"])
+        pw = pi_witness(witness_from_cert(data, z2), z2)
+        write_certificate(
+            cert_from_pi_witness(pw, window, context_for(window, 4)), str(out)
+        )
+        assert run(["verify", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "undecided at budget 7" in err
 
     @pytest.mark.parametrize("argv", [
         ["embed-f2", "--from-cert", "witness.json"],

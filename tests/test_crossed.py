@@ -163,9 +163,10 @@ class TestPIWitness:
 
     def test_matching_derived_witness_passes(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
+        ctx = context_for(window)
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
         pw = pi_witness(witness_from_matching(cert), BS)
-        assert verify_pi_witness(pw, window, context_for(window)).passed
+        assert verify_pi_witness(pw, window, ctx).passed
 
     def test_tampered_translator_detected(self):
         pw = pi_witness(self.witness(), BS)

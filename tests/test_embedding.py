@@ -102,10 +102,11 @@ class TestEval:
 
         semi = SemigroupSet((S_GEN, T_GEN), True)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
+        ctx = context_for(window)
         finite_witness = witness_from_matching(
-            doubling_matching(semi, [S_GEN, T_GEN], window)
+            doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
         )
-        data = build_embedding(finite_witness, window, context_for(window))
+        data = build_embedding(finite_witness, window, ctx)
         with pytest.raises(EmbeddingWindowError, match="larger window"):
             for radius in (1, 2, 3):
                 for w in F2.ball_elements(radius):

@@ -50,7 +50,8 @@ SEMI = SemigroupSet((S_GEN, T_GEN), True)
 class TestDoublingMatching:
     def test_lattice_is_deficient(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
-        cert = doubling_matching(AllSet(), s_list, ball(Z1, 3))
+        window = ball(Z1, 3)
+        cert = doubling_matching(AllSet(), s_list, window, context_for(window))
         assert isinstance(cert, DeficiencyCert)
         assert [Z1.show(x) for x in cert.violator] == [
             "(0)", "(1)", "(-1)", "(2)", "(-2)", "(3)", "(-3)",
@@ -60,7 +61,10 @@ class TestDoublingMatching:
         assert len(targets) == 9 < 2 * len(cert.violator)
 
     def test_free_group_doubles(self):
-        cert = doubling_matching(AllSet(), F2.ball_elements(1), ball(F2, 2))
+        window = ball(F2, 2)
+        cert = doubling_matching(
+            AllSet(), F2.ball_elements(1), window, context_for(window)
+        )
         assert isinstance(cert, MatchCert)
         assert len(cert.assignment) == 17
         images = [
@@ -70,26 +74,30 @@ class TestDoublingMatching:
 
     def test_free_semigroup_matching_uses_both_generators(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
         assert isinstance(cert, MatchCert)
         assert {s1 for _, s1, _ in cert.assignment} == {S_GEN}
         assert {s2 for _, _, s2 in cert.assignment} == {T_GEN}
 
     def test_empty_window_slice_matches_vacuously(self):
-        cert = doubling_matching(FiniteSet(()), [IntVec((1,))], ball(Z1, 2))
+        window = ball(Z1, 2)
+        cert = doubling_matching(
+            FiniteSet(()), [IntVec((1,))], window, context_for(window)
+        )
         assert isinstance(cert, MatchCert)
         assert cert.assignment == ()
 
     def test_budget_exhaustion_is_an_error(self):
         semi = SemigroupSet((IntVec((1,)),), False)
+        window = ball(Z1, 8)
         # the error names the first undecided point and the set: a window
         # point at budget 2, an image of the window at budget 8
         with pytest.raises(BudgetError, match=r"^membership of \(3\) in "
                            r"semigroup\(\(1\)\) undecided at budget 2;"):
-            doubling_matching(semi, [IntVec((1,))], ball(Z1, 8), slack=-6)
+            doubling_matching(semi, [IntVec((1,))], window, context_for(window, -6))
         with pytest.raises(BudgetError, match=r"^membership of \(9\) in "
                            r"semigroup\(\(1\)\) undecided at budget 8;"):
-            doubling_matching(semi, [IntVec((1,))], ball(Z1, 8), slack=0)
+            doubling_matching(semi, [IntVec((1,))], window, context_for(window, 0))
 
     def test_agreement_with_independent_oracle(self):
         rng = random.Random(42)
@@ -99,7 +107,7 @@ class TestDoublingMatching:
             s_list = rng.sample(ball2, rng.randint(1, 4))
             radius = rng.randint(1, 3)
             window = ball(Z1, radius)
-            cert = doubling_matching(AllSet(), s_list, window)
+            cert = doubling_matching(AllSet(), s_list, window, context_for(window))
             expected = doubling_exists_oracle(
                 Z1, list(window.elements), s_list, lambda img: True
             )
@@ -107,7 +115,8 @@ class TestDoublingMatching:
 
     def test_deficiency_monotone_under_window_growth(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
-        small = doubling_matching(AllSet(), s_list, ball(Z1, 3))
+        window = ball(Z1, 3)
+        small = doubling_matching(AllSet(), s_list, window, context_for(window))
         assert isinstance(small, DeficiencyCert)
         # the same violator refutes doubling on any larger window
         big_points = set(ball(Z1, 6).elements)
@@ -130,7 +139,7 @@ class TestMaxMatching:
 class TestWitnessFromMatching:
     def test_two_piece_structure(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
         w = witness_from_matching(cert)
         assert w.split == 1 and len(w.parts) == 2
         piece0, trans0 = w.parts[0]
@@ -140,7 +149,9 @@ class TestWitnessFromMatching:
 
     def test_single_point_window(self):
         window = explicit_window(Z1, (IntVec((0,)),), 0)
-        cert = doubling_matching(AllSet(), [IntVec((1,)), IntVec((2,))], window)
+        cert = doubling_matching(
+            AllSet(), [IntVec((1,)), IntVec((2,))], window, context_for(window)
+        )
         assert isinstance(cert, MatchCert)
         w = witness_from_matching(cert)
         assert len(w.parts) == 2
@@ -149,7 +160,9 @@ class TestWitnessFromMatching:
 
     def test_piece_count_bounded_by_translators(self):
         window = ball(F2, 2)
-        cert = doubling_matching(AllSet(), F2.ball_elements(1), window)
+        cert = doubling_matching(
+            AllSet(), F2.ball_elements(1), window, context_for(window)
+        )
         w = witness_from_matching(cert)
         assert len(w.parts) <= 2 * len(cert.translators)
         assert witness_check(w, window, context_for(window)).passed
@@ -159,14 +172,14 @@ class TestWitnessFromMatching:
         for _ in range(20):
             s_list = rng.sample(F2.ball_elements(2), rng.randint(2, 6))
             window = ball(F2, rng.randint(1, 2))
-            cert = doubling_matching(AllSet(), s_list, window)
+            cert = doubling_matching(AllSet(), s_list, window, context_for(window))
             if isinstance(cert, MatchCert):
                 w = witness_from_matching(cert)
                 assert witness_check(w, window, context_for(window)).passed
 
     def test_symbolic_lift_of_constant_matching(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
         lifted = symbolic_witness_from_matching(cert)
         assert lifted is not None
         assert witness_check(lifted, window, context_for(window)).passed
@@ -264,13 +277,19 @@ class TestIterateDisjoint:
 
 class TestTypeOrder:
     def test_one_copy_into_double_capacity(self):
-        cert = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], ball(Z1, 3))
+        window = ball(Z1, 3)
+        cert = type_order(
+            1, AllSet(), 2, AllSet(), [Z1.identity()], window, context_for(window)
+        )
         assert isinstance(cert, FlowCert)
         assert all(used == (Z1.identity(),) for _, used in cert.assignment)
 
     def test_two_copies_into_lattice_fail(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
-        cert = type_order(2, AllSet(), 1, AllSet(), s_list, ball(Z1, 3))
+        window = ball(Z1, 3)
+        cert = type_order(
+            2, AllSet(), 1, AllSet(), s_list, window, context_for(window)
+        )
         assert isinstance(cert, FlowDeficiency)
         targets = {Z1.mul(s, x) for s in s_list for x in cert.violator}
         assert 2 * len(cert.violator) > len(targets)
@@ -281,8 +300,9 @@ class TestTypeOrder:
         for _ in range(25):
             s_list = rng.sample(ball2, rng.randint(1, 4))
             window = ball(Z1, rng.randint(1, 3))
-            a = doubling_matching(AllSet(), s_list, window)
-            b = type_order(2, AllSet(), 1, AllSet(), s_list, window)
+            ctx = context_for(window)
+            a = doubling_matching(AllSet(), s_list, window, ctx)
+            b = type_order(2, AllSet(), 1, AllSet(), s_list, window, ctx)
             assert isinstance(a, MatchCert) == isinstance(b, FlowCert)
 
     def test_flow_between_different_sets(self):
@@ -291,9 +311,10 @@ class TestTypeOrder:
         evens = FiniteSet(tuple(IntVec((i,)) for i in range(-8, 9, 2)))
         window = ball(Z1, 4)
         s_list = [IntVec((i,)) for i in (-1, 0, 1, 4, 5)]
-        tight = type_order(1, AllSet(), 1, evens, s_list, window)
+        ctx = context_for(window)
+        tight = type_order(1, AllSet(), 1, evens, s_list, window, ctx)
         assert isinstance(tight, FlowDeficiency)
-        relaxed = type_order(1, AllSet(), 2, evens, s_list, window)
+        relaxed = type_order(1, AllSet(), 2, evens, s_list, window, ctx)
         assert isinstance(relaxed, FlowCert)
         arrivals = {}
         for x, used in relaxed.assignment:
@@ -323,7 +344,7 @@ class TestParadoxTransfer:
             },
             key=BS.sort_key,
         )
-        cert = doubling_matching(a, s_prime, window)
+        cert = doubling_matching(a, s_prime, window, context_for(window))
         assert isinstance(cert, MatchCert)
 
 
@@ -335,21 +356,29 @@ class TestGrowthDichotomy:
             for _ in range(6):
                 s_list = rng.sample(ball3, rng.randint(1, 5))
                 radius = 40 if dim == 1 else 9
-                cert = doubling_matching(AllSet(), s_list, ball(group, radius))
+                window = ball(group, radius)
+                cert = doubling_matching(AllSet(), s_list, window, context_for(window))
                 assert isinstance(cert, DeficiencyCert)
 
     def test_large_lattice_window(self):
         # |ball(70)| = 9941 points in the plane: counting still refutes doubling
-        cert = doubling_matching(AllSet(), Z2.ball_elements(2), ball(Z2, 70))
+        window = ball(Z2, 70)
+        cert = doubling_matching(
+            AllSet(), Z2.ball_elements(2), window, context_for(window)
+        )
         assert isinstance(cert, DeficiencyCert)
 
     def test_exponential_examples_always_match(self):
         for radius in (1, 2, 3):
+            window = ball(F2, radius)
             assert isinstance(
-                doubling_matching(AllSet(), F2.ball_elements(1), ball(F2, radius)),
+                doubling_matching(
+                    AllSet(), F2.ball_elements(1), window, context_for(window)
+                ),
                 MatchCert,
             )
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         assert isinstance(
-            doubling_matching(SEMI, [S_GEN, T_GEN], window), MatchCert
+            doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window)),
+            MatchCert,
         )

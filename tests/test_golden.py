@@ -24,7 +24,7 @@ from paradox.certificates import (
 from paradox.crossed import pi_witness
 from paradox.engine import doubling_matching, type_order, witness_from_matching
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, parse_setexpr
+from paradox.sets import AllSet, SemigroupSet, context_for, parse_setexpr
 from paradox.witness import semigroup_window
 
 Z1, BS = group_from_string("zn:1"), group_from_string("bs12")
@@ -32,24 +32,28 @@ F2 = group_from_string("free:2")
 s, t = BS.parse("(2,0)"), BS.parse("(2,1)")
 z1_ball1 = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
 window = semigroup_window(BS, s, t, 3)
-match = doubling_matching(SemigroupSet((s, t), True), [s, t], window)
+ctx = context_for(window)
+z1_window, f2_window = ball(Z1, 3), ball(F2, 2)
+z1_ctx = context_for(z1_window)
+match = doubling_matching(SemigroupSet((s, t), True), [s, t], window, ctx)
 witness = witness_from_matching(match)
 certs = {
     "match": cert_from_match(match),
     "deficiency": cert_from_deficiency(
-        doubling_matching(AllSet(), z1_ball1, ball(Z1, 3))),
-    "witness": cert_from_witness(witness, BS, window),
+        doubling_matching(AllSet(), z1_ball1, z1_window, z1_ctx)),
+    "witness": cert_from_witness(witness, window, ctx),
     "flow": cert_from_flow(
-        type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], ball(Z1, 3))),
+        type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)),
     "flow-deficiency": cert_from_flow_deficiency(
-        type_order(2, AllSet(), 1, AllSet(), z1_ball1, ball(Z1, 3))),
-    "cp-witness": cert_from_pi_witness(pi_witness(witness, BS), window),
+        type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window, z1_ctx)),
+    "cp-witness": cert_from_pi_witness(pi_witness(witness, BS), window, ctx),
     # 15 points with 33 images pass the counting bound, so this violator
     # comes from the matching's alternating-reachability cut
     "deficiency-hall": cert_from_deficiency(doubling_matching(
         parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
                       r"a b^-1 a^-1}", F2),
-        [F2.parse(w) for w in ("a", "a^-1", "b")], ball(F2, 2))),
+        [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
+        context_for(f2_window))),
 }
 for name, cert in certs.items():
     kind = {"deficiency-hall": "deficiency"}.get(name, name)

@@ -104,7 +104,7 @@ class TestConcurrency:
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
 
         def run(_):
-            cert = doubling_matching(semi, [S_GEN, T_GEN], window)
+            cert = doubling_matching(semi, [S_GEN, T_GEN], window, context_for(window))
             return tuple(cert.assignment)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
@@ -136,14 +136,18 @@ def _names_read(tree):
     return names
 
 
-def test_no_unused_imports():
+def _package_modules():
+    """(file name, syntax tree) of every module in src/paradox."""
     package = os.path.dirname(os.path.abspath(paradox.__file__))
-    unused = []
     for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(package, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename)
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                yield filename, ast.parse(fh.read(), filename)
+
+
+def test_no_unused_imports():
+    unused = []
+    for filename, tree in _package_modules():
         read = _names_read(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -154,3 +158,26 @@ def test_no_unused_imports():
                     if bound not in read:
                         unused.append(f"{filename}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_budget_comes_from_the_callers_context():
+    """Only `sets.context_for` turns a slack into a budget, and no function
+    picks a context on its caller's behalf."""
+    found = []
+    for filename, tree in _package_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for param in positional + args.kwonlyargs:
+                where = f"{filename}:{node.lineno} {node.name}({param.arg})"
+                if param.arg == "slack" and (filename, node.name) != (
+                        "sets.py", "context_for"):
+                    found.append(where)
+                if param.arg == "ctx" and param in defaulted:
+                    found.append(where + " has a default")
+    assert found == []
