@@ -75,7 +75,7 @@ def _base(kind: str, window: Window, ctx: SetContext) -> dict:
 
 
 def cert_from_match(cert: MatchCert) -> dict:
-    group = cert.group
+    group = cert.ctx.group
     out = _base("match", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
@@ -87,7 +87,7 @@ def cert_from_match(cert: MatchCert) -> dict:
 
 
 def cert_from_deficiency(cert: DeficiencyCert) -> dict:
-    group = cert.group
+    group = cert.ctx.group
     out = _base("deficiency", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
@@ -116,7 +116,7 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
 
 
 def cert_from_flow(cert: FlowCert) -> dict:
-    group = cert.group
+    group = cert.ctx.group
     out = _base("flow", cert.window, cert.ctx)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
@@ -131,7 +131,7 @@ def cert_from_flow(cert: FlowCert) -> dict:
 
 
 def cert_from_flow_deficiency(cert: FlowDeficiency) -> dict:
-    group = cert.group
+    group = cert.ctx.group
     out = _base("flow-deficiency", cert.window, cert.ctx)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity

@@ -217,7 +217,6 @@ def _witness_from_any_cert(path: str):
         if kind == "witness":
             return certs.witness_from_cert(data, group), window, ctx
         match = MatchCert(
-            group,
             parse_setexpr(data["set"], group),
             tuple(group.parse(t) for t in data["translators"]),
             window,

@@ -51,20 +51,20 @@ def build_embedding(w: ParadoxWitness, window: Window,
     if not report.passed:
         raise ValueError(f"witness fails validation: {report.failures()}")
     base = materialize(w.set_expr, window, ctx)
-    if not base.elements:
+    if not base:
         raise ValueError("the witness set has an empty window slice")
     plus, minus = base_translation_maps(w, group)
     branches = []
     for eps in (plus, minus):
         for delta in (plus, minus):
             branches.append(pwt_compose(plus, pwt_compose(eps, delta, ctx), ctx))
-    first = base.elements[0]
+    first = base[0]
     base_point = pwt_apply(minus, first, ctx)
 
     image_sets = []
     for mp in branches:
         images = set()
-        for g in base.elements:
+        for g in base:
             try:
                 images.add(pwt_apply(mp, g, ctx))
             except PwTError:

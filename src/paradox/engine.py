@@ -8,17 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .flow import FlowNetwork
-from .groups import Elem, Group, Window
+from .groups import Elem, Window
 from .matching import max_matching
-from .sets import (
-    BUDGET_EXCEEDED,
-    FiniteSet,
-    SetContext,
-    SetExpr,
-    materialize,
-    member,
-    undecided_error,
-)
+from .sets import FiniteSet, SetContext, SetExpr, materialize, member_strict
 from .witness import ParadoxWitness
 
 
@@ -27,7 +19,6 @@ class MatchCert:
     """For each window point x of the set, two translators whose images are
     globally pairwise distinct and stay inside the set."""
 
-    group: Group
     set_expr: SetExpr
     translators: tuple[Elem, ...]
     window: Window
@@ -40,7 +31,6 @@ class DeficiencyCert:
     """A finite violator D inside the window with |S.D intersect A| < 2|D|:
     no doubling matching can exist for this translator set."""
 
-    group: Group
     set_expr: SetExpr
     translators: tuple[Elem, ...]
     window: Window
@@ -59,22 +49,17 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
         raise ValueError("translator set must be nonempty")
     group = ctx.group
     s_list = tuple(sorted(set(translators), key=group.sort_key))
-    mat = materialize(a, window, ctx)
-    if not mat.complete:
-        raise undecided_error(a, mat.undecided[0], ctx)
+    points = materialize(a, window, ctx)
     image_id: dict[Elem, int] = {}
     rows = []
-    for x in mat.elements:
+    for x in points:
         row = []
         for k, s in enumerate(s_list):
             img = group.mul(s, x)
-            res = member(b, img, ctx)
-            if res is BUDGET_EXCEEDED:
-                raise undecided_error(b, img, ctx)
-            if res:
+            if member_strict(b, img, ctx):
                 row.append((image_id.setdefault(img, len(image_id)), k))
         rows.append(row)
-    return s_list, mat.elements, rows, len(image_id)
+    return s_list, points, rows, len(image_id)
 
 
 def doubling_matching(
@@ -92,9 +77,8 @@ def doubling_matching(
     off the matching's final alternating-reachability layering.
     """
     s_list, points, rows, n_images = _transport(a, a, translators, window, ctx)
-    group = ctx.group
     if n_images < 2 * len(points):
-        return DeficiencyCert(group, a, s_list, window, points, ctx)
+        return DeficiencyCert(a, s_list, window, points, ctx)
 
     adjacency = []
     for row in rows:
@@ -108,17 +92,17 @@ def doubling_matching(
             s1 = s_list[translator_of[pair_left[2 * i]]]
             s2 = s_list[translator_of[pair_left[2 * i + 1]]]
             assignment.append((x, s1, s2))
-        return MatchCert(group, a, s_list, window, tuple(assignment), ctx)
+        return MatchCert(a, s_list, window, tuple(assignment), ctx)
     violator = [
         x for i, x in enumerate(points) if 2 * i in reached or 2 * i + 1 in reached
     ]
-    return DeficiencyCert(group, a, s_list, window, tuple(violator), ctx)
+    return DeficiencyCert(a, s_list, window, tuple(violator), ctx)
 
 
 def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
     """Regroup a doubling matching by translator into a window-scoped witness:
     pieces are the translated blocks, translators their inverses."""
-    group = cert.group
+    group = cert.ctx.group
     parts = []
     split = 0
     for copy in (0, 1):
@@ -141,7 +125,7 @@ def symbolic_witness_from_matching(cert: MatchCert) -> ParadoxWitness | None:
     Returns None when the matching has no constant-translator structure."""
     from .sets import translate as _translate
 
-    group = cert.group
+    group = cert.ctx.group
     firsts = {s1 for _, s1, _ in cert.assignment}
     seconds = {s2 for _, _, s2 in cert.assignment}
     if len(firsts) != 1 or len(seconds) != 1:
@@ -160,7 +144,6 @@ class FlowCert:
     """Integral assignment sending m copies of every window point of set_a
     into set_b with at most n arrivals per target."""
 
-    group: Group
     copies: int  # m
     set_a: SetExpr
     capacity: int  # n
@@ -175,7 +158,6 @@ class FlowCert:
 class FlowDeficiency:
     """Finite D with m|D| > n|S.D intersect B|, refuting the comparison."""
 
-    group: Group
     copies: int
     set_a: SetExpr
     capacity: int
@@ -200,7 +182,6 @@ def type_order(
     if copies < 1 or capacity < 1:
         raise ValueError("copies and capacity must be >= 1")
     s_list, points, rows, n_images = _transport(a, b, translators, window, ctx)
-    group = ctx.group
 
     n_nodes = 2 + len(points) + n_images
     source, sink = 0, n_nodes - 1
@@ -225,10 +206,6 @@ def type_order(
             for eid, (_, k) in zip(mid_edges[i], rows[i]):
                 used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
-        return FlowCert(
-            group, copies, a, capacity, b, s_list, window, tuple(assignment), ctx
-        )
+        return FlowCert(copies, a, capacity, b, s_list, window, tuple(assignment), ctx)
     violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]
-    return FlowDeficiency(
-        group, copies, a, capacity, b, s_list, window, tuple(violator), ctx
-    )
+    return FlowDeficiency(copies, a, capacity, b, s_list, window, tuple(violator), ctx)

@@ -11,7 +11,6 @@ from .sets import (
     SetContext,
     SetExpr,
     materialize,
-    member,
     member_strict,
     translate,
 )
@@ -101,8 +100,7 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
 
     dom = materialize(p.domain, window, ctx)
     piece_points = [
-        {g for g in dom.elements if member(piece, g, ctx) is True}
-        for piece, _ in p.pieces
+        {g for g in dom if member_strict(piece, g, ctx)} for piece, _ in p.pieces
     ]
     hit = first_overlap(piece_points, group)
     checks.append(
@@ -114,7 +112,7 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
         )
     )
     covered = set().union(*piece_points)
-    uncovered = next((g for g in dom.elements if g not in covered), None)
+    uncovered = next((g for g in dom if g not in covered), None)
     checks.append(
         (
             "pieces-cover-domain",
@@ -127,7 +125,7 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
     collision = None
     hits = (
         (g, idx)
-        for g in dom.elements
+        for g in dom
         for idx, points in enumerate(piece_points)
         if g in points
     )
@@ -156,12 +154,4 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
             "" if stray is None else f"translator {group.show(stray)} undeclared",
         )
     )
-    if not dom.complete:
-        checks.append(
-            (
-                "membership-decided",
-                False,
-                f"{len(dom.undecided)} window points undecided at budget {ctx.budget}",
-            )
-        )
     return ValidationReport(tuple(checks))

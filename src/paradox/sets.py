@@ -2,7 +2,9 @@
 
 Membership is three-valued: True, False, or BUDGET_EXCEEDED for semigroup
 queries that the configured enumeration budget cannot settle.  Everything
-else is decided exactly.
+else is decided exactly.  The third value stays in this module: the rest of
+the package asks `member_strict` or `materialize`, which raise the one
+`undecided_error` naming point, set and budget.
 """
 
 from __future__ import annotations
@@ -226,27 +228,10 @@ def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
     )
 
 
-@dataclass(frozen=True)
-class Materialized:
-    """Window slice of a set, in window order, plus any undecided points."""
-
-    elements: tuple[Elem, ...]
-    undecided: tuple[Elem, ...]
-
-    @property
-    def complete(self) -> bool:
-        return not self.undecided
-
-
-def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> Materialized:
-    hits, unknown = [], []
-    for g in window.elements:
-        res = member(expr, g, ctx)
-        if res is True:
-            hits.append(g)
-        elif res is BUDGET_EXCEEDED:
-            unknown.append(g)
-    return Materialized(tuple(hits), tuple(unknown))
+def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, ...]:
+    """The window slice of expr, in window order; the first window point
+    whose membership the budget cannot settle raises `undecided_error`."""
+    return tuple(g for g in window.elements if member_strict(expr, g, ctx))
 
 
 # ---- semigroup membership ---------------------------------------------------

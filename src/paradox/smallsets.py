@@ -7,15 +7,14 @@ import threading
 from dataclasses import dataclass
 
 from .groups import Elem, Group, Window
-from .matching import max_matching
 from .pwt import PwT
 from .sets import (
+    AllSet,
+    Diff,
     FiniteSet,
     Intersect,
     SetContext,
     SetExpr,
-    materialize,
-    member,
     member_strict,
     translate,
 )
@@ -138,27 +137,18 @@ def small_check(
     """Window semidecider: an injective piecewise translation of a's window
     slice into the complement of b with the given displacements, or None
     (inconclusive for this translator set and window)."""
-    group = ctx.group
-    s_list = sorted(set(translators), key=group.sort_key)
-    sources = materialize(a, window, ctx)
-    if not sources.complete:
-        return None
-    adjacency = {}
-    for x in sources.elements:
-        row = []
-        for s in s_list:
-            img = group.mul(s, x)
-            if member(b, img, ctx) is False:
-                row.append(img)
-        adjacency[x] = row
-    pair_left, _, _ = max_matching(list(sources.elements), adjacency)
-    if len(pair_left) < len(sources.elements):
+    # imported here so that replaying a greedy set's membership loads no solver
+    from .engine import _transport
+    from .matching import max_matching
+
+    s_list, points, rows, _ = _transport(a, Diff(AllSet(), b), translators, window, ctx)
+    adjacency = [[img for img, _ in row] for row in rows]
+    pair_left, _, _ = max_matching(range(len(points)), adjacency)
+    if len(pair_left) < len(points):
         return None
     blocks: dict[Elem, list[Elem]] = {}
-    for x in sources.elements:
-        disp = group.mul(pair_left[x], group.inv(x))
-        blocks.setdefault(disp, []).append(x)
-    order = sorted(blocks, key=group.sort_key)
+    for i, (x, row) in enumerate(zip(points, rows)):
+        blocks.setdefault(s_list[dict(row)[pair_left[i]]], []).append(x)
+    order = sorted(blocks, key=ctx.group.sort_key)
     pieces = tuple((FiniteSet(tuple(blocks[d])), d) for d in order)
-    domain = FiniteSet(tuple(sources.elements))
-    return PwT(domain, pieces, tuple(order))
+    return PwT(FiniteSet(points), pieces, tuple(order))

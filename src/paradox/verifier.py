@@ -16,7 +16,14 @@ from .certificates import (
 )
 from .crossed import verify_pi_witness
 from .groups import Group, Window, group_from_string
-from .sets import DEFAULT_SLACK, BudgetError, context_for, member_strict, parse_setexpr
+from .sets import (
+    DEFAULT_SLACK,
+    BudgetError,
+    context_for,
+    materialize,
+    member_strict,
+    parse_setexpr,
+)
 from .witness import witness_check
 
 
@@ -95,7 +102,7 @@ def _transport(cert: dict, group):
 
 def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
-    points = [x for x in window.elements if member_strict(set_a, x, ctx)]
+    points = materialize(set_a, window, ctx)
     translators = {group.parse(t) for t in cert["translators"]}
     if cert["kind"] == "match":
         rows = ((x, (s1, s2)) for x, s1, s2 in cert["assignment"])
@@ -139,7 +146,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
 
 def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
-    point_set = {x for x in window.elements if member_strict(set_a, x, ctx)}
+    point_set = set(materialize(set_a, window, ctx))
     violator = [group.parse(x) for x in cert["violator"]]
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")

@@ -87,7 +87,7 @@ def _piece_points(piece: SetExpr, window: Window, ctx: SetContext) -> list[Elem]
         return list(piece.elems)
     if isinstance(piece, Translate) and isinstance(piece.inner, FiniteSet):
         return [ctx.group.mul(piece.t, e) for e in piece.inner.elems]
-    return list(materialize(piece, window, ctx).elements)
+    return list(materialize(piece, window, ctx))
 
 
 def witness_check(w: ParadoxWitness, window: Window,
@@ -120,14 +120,10 @@ def witness_check(w: ParadoxWitness, window: Window,
     checks.append(("pieces-inside-set", not bad, bad))
 
     base = materialize(w.set_expr, window, ctx)
-    if not base.complete:
-        checks.append(
-            ("membership-decided", False, f"{len(base.undecided)} undecided points")
-        )
     for fam, label in ((range(0, w.split), "first"), (range(w.split, len(w.parts)), "second")):
         fam = list(fam)
         bad = ""
-        for g in base.elements:
+        for g in base:
             covered = False
             for j in fam:
                 piece, t = w.parts[j]
@@ -191,7 +187,7 @@ def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,
     maps = _tree_leaves(plus, minus, depth, ctx)
     chosen = maps[:n]
     images = [
-        {pwt_apply(mp, g, ctx) for g in materialize(mp.domain, window, ctx).elements}
+        {pwt_apply(mp, g, ctx) for g in materialize(mp.domain, window, ctx)}
         for mp in chosen
     ]
     hit = first_overlap(images, group)

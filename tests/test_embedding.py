@@ -52,7 +52,7 @@ class TestBuild:
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         from paradox.sets import materialize
 
-        pts = materialize(embedding.sigma_plus.domain, window, ctx).elements
+        pts = materialize(embedding.sigma_plus.domain, window, ctx)
         image_sets = [
             {pwt_apply(m, g, ctx) for g in pts} for m in embedding.branch_maps()
         ]

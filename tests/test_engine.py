@@ -212,6 +212,20 @@ class TestWitnessCheck:
         assert "first-family-covers" in failures
         assert "(1,0)" in failures["first-family-covers"]
 
+    def test_undecided_window_point_stops_the_check(self):
+        semi = SemigroupSet((IntVec((1,)), IntVec((-1,))), False)
+        parts = (
+            (FiniteSet((IntVec((0,)), IntVec((1,)))), IntVec((0,))),
+            (FiniteSet((IntVec((2,)), IntVec((3,)))), IntVec((-2,))),
+        )
+        window = ball(Z1, 8)
+        ctx = context_for(window, -5)  # budget 3
+        with pytest.raises(BudgetError) as err:
+            witness_check(ParadoxWitness(semi, parts, 1), window, ctx)
+        assert str(err.value).startswith(
+            "membership of (4) in semigroup((1),(-1)) undecided at budget 3"
+        )
+
 
 class TestFreeSemigroupWitness:
     def test_dyadic_generators_are_free_to_depth_six(self):
@@ -262,7 +276,7 @@ class TestIterateDisjoint:
         assert len(maps) == 5
         images = []
         for mp in maps:
-            pts = materialize(mp.domain, window, ctx).elements
+            pts = materialize(mp.domain, window, ctx)
             images.append({pwt_apply(mp, g, ctx) for g in pts})
         for i, j in itertools.combinations(range(5), 2):
             assert not images[i] & images[j]

@@ -11,11 +11,13 @@ from paradox.pwt import (
 )
 from paradox.sets import (
     AllSet,
+    BudgetError,
     FiniteSet,
     SemigroupSet,
     SetContext,
     Union,
     materialize,
+    parse_setexpr,
     positive_words,
 )
 
@@ -75,7 +77,7 @@ class TestCompose:
         ident = PwT.single(SEMI, BS.identity())
         comp = pwt_compose(SIGMA_PLUS, ident, ctx)
         window = semigroup_window(3)
-        for g in materialize(SEMI, window, ctx).elements:
+        for g in materialize(SEMI, window, ctx):
             assert pwt_apply(comp, g, ctx) == pwt_apply(SIGMA_PLUS, g, ctx)
 
     def test_compose_translators_multiply(self):
@@ -89,7 +91,7 @@ class TestCompose:
         ctx = SetContext(BS, 10)
         window = semigroup_window(3)
         comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, ctx)
-        for g in materialize(SEMI, window, ctx).elements:
+        for g in materialize(SEMI, window, ctx):
             assert pwt_apply(comp, g, ctx) == pwt_apply(
                 SIGMA_MINUS, pwt_apply(SIGMA_PLUS, g, ctx), ctx
             )
@@ -132,6 +134,18 @@ class TestValidate:
         bad = PwT(AllSet(), ((AllSet(), IntVec((1,))),), (IntVec((2,)),))
         report = pwt_validate(bad, ball(Z1, 1), SetContext(Z1, 8))
         assert ("displacement-set" in dict(report.failures()))
+
+    def test_undecided_piece_point_stops_the_check(self):
+        # (4) is in the piece, but budget 3 cannot show it; at budget 12
+        # every check passes
+        piece = parse_setexpr("semigroup((1),(-1))", Z1)
+        p = PwT(AllSet(), ((piece, IntVec((0,))),), (IntVec((0,)),))
+        with pytest.raises(BudgetError) as err:
+            pwt_validate(p, ball(Z1, 8), SetContext(Z1, 3))
+        assert str(err.value).startswith(
+            "membership of (4) in semigroup((1),(-1)) undecided at budget 3"
+        )
+        assert pwt_validate(p, ball(Z1, 8), SetContext(Z1, 12)).passed
 
 
 class TestFirstOverlap:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import paradox
+import paradox.cli
 from paradox.certificates import content_digest, window_digest, write_certificate
 from paradox.embedding import build_embedding, eval_embedding
 from paradox.engine import doubling_matching
@@ -112,9 +113,15 @@ class TestConcurrency:
         assert len(results) == 1
 
 
-def test_verifier_imports_no_solver():
+def test_verifier_imports_no_solver(tmp_path):
+    # a greedy set's membership builds the set in `smallsets`
+    path = tmp_path / "greedy.json"
+    argv = ["check", "--group", "zn:1", "--set", "greedy(6)", "--translators",
+            "ball:1", "--window", "3", "--out", str(path), "--quiet"]
+    assert paradox.cli.main(argv) == 2
     code = (
-        "import sys, paradox.verifier; "
+        "import sys, paradox.certificates as c, paradox.verifier as v; "
+        f"assert v.verify_certificate(c.load_certificate({str(path)!r})).ok; "
         "print(*(m for m in ('paradox.engine', 'paradox.matching', 'paradox.flow') "
         "if m in sys.modules))"
     )
@@ -158,6 +165,25 @@ def test_no_unused_imports():
                     if bound not in read:
                         unused.append(f"{filename}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_three_valued_membership_stays_in_sets():
+    """Outside `sets.py` membership is asked through `member_strict` or
+    `materialize`, so an undecided point always raises `undecided_error`."""
+    found = []
+    for filename, tree in _package_modules():
+        if filename == "sets.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{filename}:{node.lineno} {name}" for name in names
+                      if name in ("member", "BUDGET_EXCEEDED")]
+    assert found == []
 
 
 def test_budget_comes_from_the_callers_context():

@@ -14,6 +14,7 @@ from paradox.sets import (
     BUDGET_EXCEEDED,
     AllSet,
     BallSet,
+    BudgetError,
     Diff,
     EmptySet,
     FiniteSet,
@@ -127,7 +128,7 @@ class TestMaterialize:
     def test_all_on_lattice_ball(self):
         window = ball(Z1, 2)
         got = materialize(AllSet(), window, context_for(window))
-        assert [Z1.show(g) for g in got.elements] == ["(0)", "(1)", "(-1)", "(2)", "(-2)"]
+        assert [Z1.show(g) for g in got] == ["(0)", "(1)", "(-1)", "(2)", "(-2)"]
 
     def test_slab_filter_matches_direct_comparison(self):
         slab = Slab(Fraction(0), Fraction(1), Fraction(0))
@@ -138,27 +139,28 @@ class TestMaterialize:
         expected = tuple(
             g for g in window.elements if 0 <= affine_fraction(g)[1] <= 1
         )
-        assert got.elements == expected
-        assert got.complete
+        assert got == expected
 
     def test_semigroup_window_has_seven_short_words(self):
         words = positive_words(BS, (S_GEN, T_GEN), 2)
         window = explicit_window(BS, words, 2)
         got = materialize(SEMI, window, context_for(window))
-        assert len(got.elements) == 7  # e, s, t, ss, st, ts, tt all distinct
-        assert got.complete
+        assert len(got) == 7  # e, s, t, ss, st, ts, tt all distinct
 
     def test_undecided_points_are_reported(self):
         semi = SemigroupSet((IntVec((1,)),), False)
-        got = materialize(semi, ball(Z1, 8), SetContext(Z1, budget=3))
-        assert got.undecided
-        assert not got.complete
+        with pytest.raises(BudgetError) as err:
+            materialize(semi, ball(Z1, 8), SetContext(Z1, budget=3))
+        assert str(err.value) == (
+            "membership of (4) in semigroup((1)) undecided at budget 3; "
+            "increase the budget slack"
+        )
 
     def test_monotone_under_window_growth(self):
         slab = Slab(Fraction(0), Fraction(2), Fraction(1))
         small, large = ball(BS, 2), ball(BS, 4)
-        small_mat = materialize(slab, small, context_for(small)).elements
-        large_mat = materialize(slab, large, context_for(large)).elements
+        small_mat = materialize(slab, small, context_for(small))
+        large_mat = materialize(slab, large, context_for(large))
         assert [g for g in large_mat if g in small.elements] == list(small_mat)
 
     def test_wide_slab_lies_in_two_translates_of_the_unit_slab(self):
@@ -167,7 +169,7 @@ class TestMaterialize:
         ctx = SetContext(BS, 8)
         window = ball(BS, 3)
         u = BS.parse("(1,1)")
-        for g in materialize(wide, window, ctx).elements:
+        for g in materialize(wide, window, ctx):
             assert member_strict(narrow, g, ctx) or member_strict(
                 Translate(u, narrow), g, ctx
             )
@@ -190,8 +192,8 @@ class TestDictionaryLaws:
                 nested = Translate(t, Translate(u, expr))
                 flat = Translate(BS.mul(t, u), expr)
                 assert (
-                    materialize(nested, window, ctx).elements
-                    == materialize(flat, window, ctx).elements
+                    materialize(nested, window, ctx)
+                    == materialize(flat, window, ctx)
                 )
 
     def test_translate_distributes_over_intersection(self):
@@ -206,8 +208,8 @@ class TestDictionaryLaws:
             lhs = Intersect(Translate(t, a), Translate(t, b))
             rhs = Translate(t, Intersect(a, b))
             assert (
-                materialize(lhs, window, ctx).elements
-                == materialize(rhs, window, ctx).elements
+                materialize(lhs, window, ctx)
+                == materialize(rhs, window, ctx)
             )
 
     def test_translate_constructor_collapses(self):

@@ -7,6 +7,7 @@ from paradox.pwt import pwt_apply, pwt_validate
 from paradox.sets import (
     AllSet,
     BallSet,
+    BudgetError,
     Diff,
     FiniteSet,
     GreedySet,
@@ -191,6 +192,19 @@ class TestSmallCheck:
         window = ball(Z1, 5)
         s_list = Z1.ball_elements(3)
         assert small_check(evens, AllSet(), s_list, window, context_for(window)) is None
+
+    def test_undecided_image_raises(self):
+        # (5) = s * (0) is in the obstacle, but budget 4 cannot show it
+        obstacle = SemigroupSet(intvecs(1, -1), False)
+        window = ball(Z1, 0)
+        with pytest.raises(BudgetError) as err:
+            small_check(AllSet(), obstacle, intvecs(5), window, SetContext(Z1, 4))
+        assert "membership of (5) in (all\\semigroup((1),(-1)))" in str(err.value)
+
+    def test_empty_translator_set_rejected(self):
+        window = ball(Z1, 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            small_check(AllSet(), BallSet(1), [], window, context_for(window))
 
     def test_free_group_coset_pattern(self):
         # a-power chunk A; obstacle = ball(1)-translates of A; displacement
