@@ -18,6 +18,7 @@ from .embedding import (
     EmbeddingWindowError,
     build_embedding,
     check_injective_lipschitz,
+    embedding_from_checked,
 )
 from .engine import (
     FlowCert,
@@ -207,7 +208,8 @@ def cmd_verify(args) -> int:
 
 def _witness_from_any_cert(path: str):
     """The witness a match or witness certificate gives, with the window and
-    the context it was checked in."""
+    the context it was checked in, and whether it has passed `witness_check`
+    there already."""
     data = certs.load_certificate(path)
     kind, group, window, slack = read_envelope(data)
     if kind not in ("match", "witness"):
@@ -215,7 +217,7 @@ def _witness_from_any_cert(path: str):
     ctx = context_for(window, slack)
     with _parsing("certificate payload"):
         if kind == "witness":
-            return certs.witness_from_cert(data, group), window, ctx
+            return certs.witness_from_cert(data, group), window, ctx, False
         match = MatchCert(
             parse_setexpr(data["set"], group),
             tuple(group.parse(t) for t in data["translators"]),
@@ -228,14 +230,15 @@ def _witness_from_any_cert(path: str):
         )
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
-        return lifted, window, ctx
-    return witness_from_matching(match), window, ctx
+        return lifted, window, ctx, True
+    return witness_from_matching(match), window, ctx, False
 
 
 def cmd_embed_f2(args) -> int:
-    witness, window, ctx = _witness_from_any_cert(args.from_cert)
+    witness, window, ctx, checked = _witness_from_any_cert(args.from_cert)
     group = ctx.group
-    embedding = build_embedding(witness, window, ctx)
+    build = embedding_from_checked if checked else build_embedding
+    embedding = build(witness, window, ctx)
     report = check_injective_lipschitz(embedding, args.depth)
     payload = {
         "injective": report.injective,
@@ -268,7 +271,7 @@ def cmd_small_set(args) -> int:
 
 
 def cmd_cp_witness(args) -> int:
-    witness, window, ctx = _witness_from_any_cert(args.from_cert)
+    witness, window, ctx, _ = _witness_from_any_cert(args.from_cert)
     pw = pi_witness(witness, ctx.group)
     report = verify_pi_witness(pw, window, ctx)
     for name, ok, msg in report.checks:

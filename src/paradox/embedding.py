@@ -44,12 +44,20 @@ class EmbeddingData:
 def build_embedding(w: ParadoxWitness, window: Window,
                     ctx: SetContext) -> EmbeddingData:
     """Derive four pairwise-disjoint-image maps and an unhit base point from a
-    validated two-map witness: depth-three composites inside the plus branch,
-    base point from the minus branch."""
-    group = ctx.group
+    two-map witness, which must pass `witness_check` on the window first:
+    depth-three composites inside the plus branch, base point from the minus
+    branch."""
     report = witness_check(w, window, ctx)
     if not report.passed:
         raise ValueError(f"witness fails validation: {report.failures()}")
+    return embedding_from_checked(w, window, ctx)
+
+
+def embedding_from_checked(w: ParadoxWitness, window: Window,
+                           ctx: SetContext) -> EmbeddingData:
+    """`build_embedding` for a witness that has passed `witness_check` on
+    this window and context."""
+    group = ctx.group
     base = materialize(w.set_expr, window, ctx)
     if not base:
         raise ValueError("the witness set has an empty window slice")

@@ -48,14 +48,15 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
     if not translators:
         raise ValueError("translator set must be nonempty")
     group = ctx.group
-    s_list = tuple(sorted(set(translators), key=group.sort_key))
-    points = materialize(a, window, ctx)
+    s_list = tuple(sorted(set(map(group.check, translators)), key=group.sort_key))
+    points = materialize(a, window, ctx)  # checked by member_strict
+    mul = group._mul
     image_id: dict[Elem, int] = {}
     rows = []
     for x in points:
         row = []
         for k, s in enumerate(s_list):
-            img = group.mul(s, x)
+            img = mul(s, x)
             if member_strict(b, img, ctx):
                 row.append((image_id.setdefault(img, len(image_id)), k))
         rows.append(row)

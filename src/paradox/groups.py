@@ -12,6 +12,8 @@ import string
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
 
 from .dyadic import Dyadic, parse_dyadic
@@ -31,42 +33,72 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
-    """Reduced word in a free group; letters are +/-(i+1) for generator i."""
+class FreeWord(tuple):
+    """Reduced word in a free group.
 
-    letters: tuple[int, ...]
+    `FreeWord(letters)` and `.letters` speak signed letters: +(i+1) for
+    generator i and -(i+1) for its inverse.  The tuple itself holds letter
+    codes, 2i for generator i and 2i + 1 for its inverse, so that the inverse
+    of code c is c ^ 1 and distinct words hash apart (CPython has
+    hash(-1) == hash(-2), so signed letters made a^-1 and b^-1 collide)."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: Sequence[int]):
+        return tuple.__new__(cls, [2 * x - 2 if x > 0 else -2 * x - 1 for x in letters])
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(-(c >> 1) - 1 if c & 1 else (c >> 1) + 1 for c in self)
+
+    def __getnewargs__(self):
+        return (self.letters,)
+
+    def __repr__(self) -> str:
+        return f"FreeWord(letters={self.letters!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class IntVec:
-    """Element of Z^d."""
+class IntVec(tuple):
+    """Element of Z^d; the tuple holds the coordinates."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return self
+
+    def __repr__(self) -> str:
+        return f"IntVec(coords={tuple(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class AffineElem:
-    """The map x -> a*x + b with a = 2**a_exp and b dyadic."""
+class AffineElem(tuple):
+    """The map x -> a*x + b with a = 2**a_exp and b dyadic; the tuple holds
+    (a_exp, b)."""
 
-    a_exp: int
-    b: Dyadic
+    __slots__ = ()
+
+    def __new__(cls, a_exp: int, b: Dyadic):
+        return tuple.__new__(cls, (a_exp, b))
+
+    a_exp = property(itemgetter(0))
+    b = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"AffineElem(a_exp={self[0]!r}, b={self[1]!r})"
 
 
 Elem = Union[FreeWord, IntVec, AffineElem]
 
+# Build elements from their tuple contents, without FreeWord's letter coding
+# or AffineElem's argument list; only for contents known to be valid.
+_word = partial(tuple.__new__, FreeWord)
+_affine = partial(tuple.__new__, AffineElem)
+
 _LETTERS = string.ascii_lowercase
 _LENGTH_CAP = 64  # word_length gives up beyond this many layers
-
-
-def _reduce_concat(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-    out = list(left)
-    for x in right:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 class Layers:
@@ -82,7 +114,7 @@ class Layers:
 
     def __init__(self, group: "Group", gens: Sequence[Elem], with_root: bool):
         self.group = group
-        self.gens = tuple(gens)
+        self.gens = tuple(map(group.check, gens))
         root = group.identity()
         self.layers: list[list[Elem]] = [[root]]
         self.index: dict[Elem, int] = {root: 0} if with_root else {}
@@ -91,7 +123,7 @@ class Layers:
     def extend(self, upto: int) -> None:
         """Compute the layers up to length `upto`, or to the first empty one."""
         with self.lock:
-            layers, index, mul = self.layers, self.index, self.group.mul
+            layers, index, mul = self.layers, self.index, self.group._mul
             while len(layers) <= upto and layers[-1]:
                 r = len(layers)
                 layer = []
@@ -105,7 +137,11 @@ class Layers:
 
 
 class Group:
-    """Common interface: exact multiplication, inversion, enumeration, parsing."""
+    """Common interface: exact multiplication, inversion, enumeration, parsing.
+
+    The public `mul` and `inv` check their operands; `_mul` and `_inv` are
+    their unchecked kernels, for operands that were already checked (parsed,
+    enumerated, or built by a kernel from checked operands)."""
 
     key: str
 
@@ -116,9 +152,15 @@ class Group:
         raise NotImplementedError
 
     def mul(self, g: Elem, h: Elem) -> Elem:
-        raise NotImplementedError
+        return self._mul(self.check(g), self.check(h))
 
     def inv(self, g: Elem) -> Elem:
+        return self._inv(self.check(g))
+
+    def _mul(self, g: Elem, h: Elem) -> Elem:
+        raise NotImplementedError
+
+    def _inv(self, g: Elem) -> Elem:
         raise NotImplementedError
 
     def generators(self) -> tuple[Elem, ...]:
@@ -126,7 +168,7 @@ class Group:
         raise NotImplementedError
 
     def check(self, g: Elem) -> Elem:
-        """Validate that g is an element of this group."""
+        """Validate that g is an element of this group; returns g."""
         raise NotImplementedError
 
     def sort_key(self, g: Elem):
@@ -179,73 +221,73 @@ class FreeGroup(Group):
             raise GroupError(f"free group rank must be in 1..26, got {rank}")
         self.rank = rank
         self.key = f"free:{rank}"
+        # the text of each letter code, and back
+        self._names = tuple(
+            name + inverse for name in _LETTERS[:rank] for inverse in ("", "^-1")
+        )
+        self._codes = {name: c for c, name in enumerate(self._names)}
+        self._code_set = frozenset(self._codes.values())
         super().__init__()
 
     def identity(self) -> FreeWord:
-        return FreeWord(())
+        return _word(())
 
     def check(self, g: Elem) -> FreeWord:
-        g = self._coerce(g)
-        for i, x in enumerate(g.letters):
-            if i and g.letters[i - 1] == -x:
-                raise GroupError(f"word {g.letters} is not reduced")
-        return g
-
-    def _coerce(self, g: Elem) -> FreeWord:
         if not isinstance(g, FreeWord):
             raise GroupError(f"{g!r} is not a free group element")
-        if g.letters and abs(max(g.letters, key=abs)) > self.rank:
+        if not self._code_set.issuperset(g):
             raise GroupError(f"letters of {g.letters} out of range for {self.key}")
+        # adjacent codes c, c ^ 1 are a letter next to its inverse
+        if 1 in map(xor, g, g[1:]):
+            raise GroupError(f"word {g.letters} is not reduced")
         return g
 
-    def mul(self, g: Elem, h: Elem) -> FreeWord:
-        self._coerce(g), self._coerce(h)
-        return FreeWord(_reduce_concat(g.letters, h.letters))
+    def _mul(self, g: FreeWord, h: FreeWord) -> FreeWord:
+        if not g:
+            return h
+        if not h or g[-1] ^ h[0] != 1:
+            return _word(g + h)
+        # cancel the longest suffix of g against the inverse prefix of h
+        n, k = len(g), 1
+        while k < n and k < len(h) and g[n - 1 - k] ^ h[k] == 1:
+            k += 1
+        return _word(g[: n - k] + h[k:])
 
-    def inv(self, g: Elem) -> FreeWord:
-        self._coerce(g)
-        return FreeWord(tuple(-x for x in reversed(g.letters)))
+    def _inv(self, g: FreeWord) -> FreeWord:
+        return _word([c ^ 1 for c in reversed(g)])
 
     def generators(self) -> tuple[FreeWord, ...]:
-        gens = []
-        for i in range(1, self.rank + 1):
-            gens.append(FreeWord((i,)))
-            gens.append(FreeWord((-i,)))
-        return tuple(gens)
+        return tuple(_word((c,)) for c in range(2 * self.rank))
 
     def sort_key(self, g: FreeWord):
-        idx = tuple(2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in g.letters)
-        return (len(g.letters), idx)
+        return (len(g), g)
 
     def word_length(self, g: Elem) -> int:
-        return len(self.check(g).letters)
+        return len(self.check(g))
 
     def show(self, g: FreeWord) -> str:
-        if not g.letters:
+        if not g:
             return "e"
-        parts = []
-        for x in g.letters:
-            name = _LETTERS[abs(x) - 1]
-            parts.append(name if x > 0 else name + "^-1")
-        return " ".join(parts)
+        return " ".join(map(self._names.__getitem__, g))
 
     def parse(self, text: str) -> FreeWord:
-        text = text.strip()
-        if text in ("", "e"):
-            return FreeWord(())
-        letters: list[int] = []
+        codes: list[int] = []
         for pos, token in enumerate(text.split()):
-            if token == "e":
-                continue
-            name, sign = token, 1
-            if token.endswith("^-1"):
-                name, sign = token[:-3], -1
-            elif "^" in token:
-                raise ParseError(f"unsupported power in {token!r}", pos)
-            if len(name) != 1 or name not in _LETTERS[: self.rank]:
+            code = self._codes.get(token)
+            if code is None:
+                if token == "e":
+                    continue
+                name = token
+                if token.endswith("^-1"):
+                    name = token[:-3]
+                elif "^" in token:
+                    raise ParseError(f"unsupported power in {token!r}", pos)
                 raise ParseError(f"unknown generator {name!r} for {self.key}", pos)
-            letters.append(sign * (_LETTERS.index(name) + 1))
-        return FreeWord(_reduce_concat((), letters))
+            if codes and codes[-1] == code ^ 1:
+                codes.pop()
+            else:
+                codes.append(code)
+        return _word(codes)
 
 
 class LatticeGroup(Group):
@@ -262,17 +304,15 @@ class LatticeGroup(Group):
         return IntVec((0,) * self.dim)
 
     def check(self, g: Elem) -> IntVec:
-        if not isinstance(g, IntVec) or len(g.coords) != self.dim:
+        if not isinstance(g, IntVec) or len(g) != self.dim:
             raise GroupError(f"{g!r} is not an element of {self.key}")
         return g
 
-    def mul(self, g: Elem, h: Elem) -> IntVec:
-        self.check(g), self.check(h)
-        return IntVec(tuple(a + b for a, b in zip(g.coords, h.coords)))
+    def _mul(self, g: IntVec, h: IntVec) -> IntVec:
+        return IntVec(map(add, g, h))
 
-    def inv(self, g: Elem) -> IntVec:
-        self.check(g)
-        return IntVec(tuple(-a for a in g.coords))
+    def _inv(self, g: IntVec) -> IntVec:
+        return IntVec(map(neg, g))
 
     def generators(self) -> tuple[IntVec, ...]:
         gens = []
@@ -280,20 +320,20 @@ class LatticeGroup(Group):
             for sign in (1, -1):
                 v = [0] * self.dim
                 v[i] = sign
-                gens.append(IntVec(tuple(v)))
+                gens.append(IntVec(v))
         return tuple(gens)
 
     def sort_key(self, g: IntVec):
         idx = []
-        for i, v in enumerate(g.coords):
+        for i, v in enumerate(g):
             idx.extend([2 * i if v > 0 else 2 * i + 1] * abs(v))
-        return (sum(abs(v) for v in g.coords), tuple(idx))
+        return (sum(map(abs, g)), tuple(idx))
 
     def word_length(self, g: Elem) -> int:
-        return sum(abs(v) for v in self.check(g).coords)
+        return sum(map(abs, self.check(g)))
 
     def show(self, g: IntVec) -> str:
-        return "(" + ",".join(str(v) for v in g.coords) + ")"
+        return "(" + ",".join(map(str, g)) + ")"
 
     def parse(self, text: str) -> IntVec:
         text = text.strip()
@@ -309,9 +349,12 @@ class LatticeGroup(Group):
         if len(parts) != self.dim:
             raise ParseError(f"expected {self.dim} coordinates in {text!r}")
         try:
-            return IntVec(tuple(int(p) for p in parts))
+            return IntVec(int(p) for p in parts)
         except ValueError as exc:
             raise ParseError(f"bad integer in {text!r}: {exc}") from None
+
+
+_AFFINE_ONE = AffineElem(0, Dyadic(0))
 
 
 class DyadicAffineGroup(Group):
@@ -323,26 +366,27 @@ class DyadicAffineGroup(Group):
         super().__init__()
 
     def identity(self) -> AffineElem:
-        return AffineElem(0, Dyadic(0))
+        return _AFFINE_ONE
 
     def check(self, g: Elem) -> AffineElem:
         if not isinstance(g, AffineElem):
             raise GroupError(f"{g!r} is not a dyadic affine element")
         return g
 
-    def mul(self, g: Elem, h: Elem) -> AffineElem:
-        self.check(g), self.check(h)
+    def _mul(self, g: AffineElem, h: AffineElem) -> AffineElem:
         # (a1,b1)(a2,b2) : x -> a1*(a2*x + b2) + b1
-        return AffineElem(g.a_exp + h.a_exp, h.b.shift(g.a_exp) + g.b)
+        ga, gb = g
+        ha, hb = h
+        return _affine((ga + ha, hb.shift(ga) + gb))
 
-    def inv(self, g: Elem) -> AffineElem:
-        self.check(g)
-        return AffineElem(-g.a_exp, (-g.b).shift(-g.a_exp))
+    def _inv(self, g: AffineElem) -> AffineElem:
+        a, b = g
+        return _affine((-a, (-b).shift(-a)))
 
     def generators(self) -> tuple[AffineElem, ...]:
         s = AffineElem(1, Dyadic(0))
         u = AffineElem(0, Dyadic(1))
-        return (s, self.inv(s), u, self.inv(u))
+        return (s, self._inv(s), u, self._inv(u))
 
     def in_ball(self, g: Elem, radius: int) -> bool:
         # no closed-form length: read g's layer from the enumerated ball

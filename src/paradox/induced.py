@@ -53,7 +53,7 @@ class CyclicFreeSubgroup(SubgroupSpec):
         if not isinstance(group, FreeGroup):
             raise SubgroupError("cyclic subgroups are configured for free groups")
         group.check(generator)
-        if not generator.letters:
+        if not generator:
             raise SubgroupError("cyclic subgroup needs a nontrivial generator")
         self.group = group
         self.generator = generator
@@ -65,13 +65,13 @@ class CyclicFreeSubgroup(SubgroupSpec):
     def _power_exponent(self, g: FreeWord) -> int | None:
         """k with g = generator**k, else None."""
         group = self.group
-        if not g.letters:
+        if not g:
             return 0
         h = group.mul(group.mul(group.inv(self.conj), g), self.conj)
-        core_len = len(self.core.letters)
-        if len(h.letters) % core_len != 0:
+        core_len = len(self.core)
+        if len(h) % core_len != 0:
             return None
-        k = len(h.letters) // core_len
+        k = len(h) // core_len
         for sign in (1, -1):
             power = group.identity()
             base = self.core if sign > 0 else group.inv(self.core)
@@ -88,9 +88,9 @@ class CyclicFreeSubgroup(SubgroupSpec):
         group = self.group
         g = group.check(g)
         w = self.generator
-        core_len = len(self.core.letters)
+        core_len = len(self.core)
         # candidates g*w^k can only be shorter for bounded |k|
-        bound = (2 * len(g.letters) + 2 * len(self.conj.letters)) // core_len + 2
+        bound = (2 * len(g) + 2 * len(self.conj)) // core_len + 2
         best = None
         w_inv = group.inv(w)
         for k in range(-bound, bound + 1):

@@ -122,10 +122,11 @@ class GreedySet(SetExpr):
 
 
 def translate(t: Elem, inner: SetExpr, group: Group) -> SetExpr:
-    """Translate constructor that collapses nested translates and drops e."""
+    """Translate constructor that collapses nested translates and drops e;
+    the translator is checked here, so membership need not check it."""
     if isinstance(inner, Translate):
         return translate(group.mul(t, inner.t), inner.inner, group)
-    if t == group.identity():
+    if group.check(t) == group.identity():
         return inner
     return Translate(t, inner)
 
@@ -176,8 +177,12 @@ def _not3(a):
 def member(expr: SetExpr, g: Elem, ctx: SetContext):
     """Exact membership of g in expr; BUDGET_EXCEEDED only for semigroup
     queries beyond the enumeration budget, never a wrong bool."""
+    return _member(expr, ctx.group.check(g), ctx)
+
+
+def _member(expr: SetExpr, g: Elem, ctx: SetContext):
+    """`member` for a g already checked in ctx.group."""
     group = ctx.group
-    group.check(g)
     if isinstance(expr, AllSet):
         return True
     if isinstance(expr, EmptySet):
@@ -187,19 +192,19 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
     if isinstance(expr, BallSet):
         return group.in_ball(g, expr.radius)
     if isinstance(expr, Translate):
-        return member(expr.inner, group.mul(group.inv(expr.t), g), ctx)
+        return _member(expr.inner, group._mul(group._inv(expr.t), g), ctx)
     if isinstance(expr, Union):
-        return _or3(member(expr.left, g, ctx), member(expr.right, g, ctx))
+        return _or3(_member(expr.left, g, ctx), _member(expr.right, g, ctx))
     if isinstance(expr, Intersect):
-        return _and3(member(expr.left, g, ctx), member(expr.right, g, ctx))
+        return _and3(_member(expr.left, g, ctx), _member(expr.right, g, ctx))
     if isinstance(expr, Diff):
-        return _and3(member(expr.left, g, ctx), _not3(member(expr.right, g, ctx)))
+        return _and3(_member(expr.left, g, ctx), _not3(_member(expr.right, g, ctx)))
     if isinstance(expr, SemigroupSet):
         return _member_semigroup(expr, g, ctx)
     if isinstance(expr, Slab):
         if not isinstance(group, DyadicAffineGroup):
             raise GroupError("slab sets are only defined for the dyadic affine group")
-        a, b = affine_fraction(group.check(g))
+        a, b = affine_fraction(g)
         return expr.lo <= a * expr.gamma + b <= expr.hi
     if isinstance(expr, GreedySet):
         from .smallsets import greedy_small_set
@@ -391,7 +396,7 @@ class _AffineSemigroupDecider:
                 yield None
                 return
             if g.a_exp - gen.a_exp >= self.min_exp:
-                yield self.group.mul(giv, g)
+                yield self.group._mul(giv, g)
 
 
 def _member_affine_semigroup(expr: SemigroupSet, g: AffineElem, ctx: SetContext):

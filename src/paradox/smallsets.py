@@ -66,18 +66,21 @@ def _choose(group: Group, chosen: list[Elem], invs: list[Elem],
             products: set[Elem], g: Elem) -> None:
     """Append g to `chosen` (and its inverse to `invs`), and add to `products`
     every triple product x_i x_j^(-1) x_l of the chosen elements that
-    involves g in at least one position."""
-    g_inv = group.inv(g)
+    involves g in at least one position.  Only g is checked: the rest were
+    checked when they were chosen."""
+    mul = group._mul
+    g = group.check(g)
+    g_inv = group._inv(g)
     chosen.append(g)
     invs.append(g_inv)
     for x, x_inv in zip(chosen, invs):
         for y_inv in invs:
-            products.add(group.mul(group.mul(x, y_inv), g))
-        xg = group.mul(x, g_inv)
-        gx = group.mul(g, x_inv)
+            products.add(mul(mul(x, y_inv), g))
+        xg = mul(x, g_inv)
+        gx = mul(g, x_inv)
         for z in chosen:
-            products.add(group.mul(xg, z))
-            products.add(group.mul(gx, z))
+            products.add(mul(xg, z))
+            products.add(mul(gx, z))
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
                 return VerifyOutcome.failed(
                     f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
-            img = group.mul(s, x)
+            img = group._mul(s, x)  # both parsed, hence checked
             if not member_strict(set_b, img, ctx):
                 return VerifyOutcome.failed(
                     f"image {group.show(img)} of {group.show(x)} leaves the target set"
@@ -161,7 +161,7 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     targets = set()
     for x in violator:
         for s in translators:
-            img = group.mul(s, x)
+            img = group._mul(s, x)  # both parsed, hence checked
             if member_strict(set_b, img, ctx):
                 targets.add(img)
     if not copies * len(violator) > capacity * len(targets):

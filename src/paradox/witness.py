@@ -119,15 +119,15 @@ def witness_check(w: ParadoxWitness, window: Window,
             break
     checks.append(("pieces-inside-set", not bad, bad))
 
-    base = materialize(w.set_expr, window, ctx)
+    base = materialize(w.set_expr, window, ctx)  # checked by member_strict
+    inverses = [group.inv(t) for _, t in w.parts]
     for fam, label in ((range(0, w.split), "first"), (range(w.split, len(w.parts)), "second")):
         fam = list(fam)
         bad = ""
         for g in base:
             covered = False
             for j in fam:
-                piece, t = w.parts[j]
-                if member_strict(piece, group.mul(group.inv(t), g), ctx):
+                if member_strict(w.parts[j][0], group._mul(inverses[j], g), ctx):
                     covered = True
                     break
             if not covered:

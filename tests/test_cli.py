@@ -7,6 +7,7 @@ import time
 import pytest
 
 import paradox
+from paradox import witness
 from paradox.certificates import load_certificate
 from paradox.cli import main
 
@@ -203,6 +204,20 @@ class TestPipelines:
         assert report["values"] == 1457
         assert report["T_size"] == 8
         assert report["violations"] == []
+
+    def test_embed_f2_checks_the_witness_once(self, match_cert, monkeypatch):
+        real = witness.witness_check
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("paradox.") and hasattr(module, "witness_check"):
+                monkeypatch.setattr(module, "witness_check", counting)
+        assert run(["embed-f2", "--from-cert", match_cert, "--depth", "2", "--quiet"]) == 0
+        assert len(calls) == 1
 
     def test_cp_witness(self, match_cert, tmp_path):
         out = tmp_path / "cp.json"

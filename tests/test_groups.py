@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -62,6 +63,56 @@ class TestMul:
             F2.mul(F2.identity(), Z1.identity())
         with pytest.raises(GroupError):
             Z2.mul(IntVec((1, 2)), IntVec((1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "letters, message",
+        [((0,), "out of range"), ((3,), "out of range"), ((-3,), "out of range"),
+         ((1, -1), "not reduced"), ((2, 1, -1), "not reduced")],
+        ids=["letter-0", "letter-3", "letter-minus-3", "a-a^-1", "b-a-a^-1"],
+    )
+    def test_invalid_free_words_rejected(self, letters, message):
+        bad = FreeWord(letters)
+        for call in (lambda: F2.check(bad), lambda: F2.mul(bad, F2.identity()),
+                     lambda: F2.mul(F2.identity(), bad), lambda: F2.inv(bad)):
+            with pytest.raises(GroupError, match=message):
+                call()
+
+
+class TestRepresentation:
+    """Elements are tuples: C-level hashing and equality, the old reprs."""
+
+    def test_reprs(self):
+        assert repr(FreeWord((1, -2))) == "FreeWord(letters=(1, -2))"
+        assert repr(IntVec((1, 2))) == "IntVec(coords=(1, 2))"
+        assert repr(IntVec((5,))) == "IntVec(coords=(5,))"
+        assert repr(AffineElem(1, Dyadic(3, 2))) == (
+            "AffineElem(a_exp=1, b=Dyadic(num=3, exp=2))"
+        )
+
+    def test_fields(self):
+        assert F2.parse("a b^-1").letters == (1, -2)
+        assert IntVec((3, -4)).coords == (3, -4)
+        g = BS.parse("(1/2,3/4)")
+        assert (g.a_exp, g.b) == (-1, Dyadic(3, 2))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for g in (F2.parse("a b^-1"), IntVec((3, -4)), BS.parse("(1/2,3/4)")):
+            assert pickle.loads(pickle.dumps(g)) == g
+            assert repr(pickle.loads(pickle.dumps(g))) == repr(g)
+
+    @pytest.mark.parametrize("spec, radius", [("free:2", 8), ("free:3", 5)])
+    def test_free_ball_hashes_are_distinct(self, spec, radius):
+        # signed letters collided: hash(-1) == hash(-2) made a^-1 and b^-1
+        # alike, and the free:2 radius-8 ball had 6,349 hashes for 13,121 words
+        elems = group_from_string(spec).ball_elements(radius)
+        assert len({hash(g) for g in elems}) == len(elems)
+
+    def test_lattice_ball_hash_buckets_stay_small(self):
+        # coordinates -1 and -2 still hash alike, so up to 2 x 2 per bucket
+        buckets = Counter(hash(g) for g in Z2.ball_elements(10))
+        assert max(buckets.values()) <= 4
 
 
 class TestInv:
@@ -206,6 +257,42 @@ class TestGroupAxioms:
         # scale stays a power of two and b stays dyadic in lowest terms
         assert isinstance(acc.a_exp, int)
         assert acc.b == Dyadic(acc.b.num, acc.b.exp)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.key)
+    def test_unchecked_kernels_agree_with_public_ones(self, group):
+        rng = random.Random(13)
+        elems = group.ball_elements(3)
+
+        def product(n):
+            g = group.identity()
+            for _ in range(n):
+                g = group.mul(g, rng.choice(elems))
+            return g
+
+        for _ in range(300):
+            p, k, r = product(3), product(rng.randint(0, 4)), product(3)
+            # g ends in k and h starts with k^-1: g h cancels across the junction
+            g, h = group.mul(p, k), group.mul(group.inv(k), r)
+            for x, y in ((g, h), (h, g), (g, g)):
+                assert group._mul(x, y) == group.mul(x, y)
+                group.check(group._mul(x, y))
+            assert group._inv(g) == group.inv(g)
+            group.check(group._inv(g))
+
+    def test_free_kernel_reduces_the_concatenation(self):
+        rng = random.Random(17)
+        letters = ["a", "a^-1", "b", "b^-1"]
+        for _ in range(500):
+            left = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+            # the right word often begins by undoing the end of the left one
+            undo = [t[:-3] if t.endswith("^-1") else t + "^-1" for t in reversed(left)]
+            right = undo[: rng.randint(0, len(undo))] + [
+                rng.choice(letters) for _ in range(rng.randint(0, 8))
+            ]
+            g, h = F2.parse(" ".join(left)), F2.parse(" ".join(right))
+            # the parser reduces the concatenated text on its own stack
+            expected = F2.parse(" ".join(left + right))
+            assert F2._mul(g, h) == F2.mul(g, h) == expected
 
     def test_generators_symmetric(self):
         for group in ALL_GROUPS:

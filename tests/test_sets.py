@@ -5,6 +5,8 @@ import pytest
 
 from paradox.groups import (
     DyadicAffineGroup,
+    FreeWord,
+    GroupError,
     IntVec,
     ball,
     explicit_window,
@@ -113,6 +115,25 @@ class TestMember:
         ctx = SetContext(Z1, budget=3)
         assert member(semi, IntVec((0,)), ctx) is True
         assert member(semi, IntVec((1,)), ctx) is False
+
+    # IntVec((0,)) equals the tuple of codes of `a`: only the check tells them apart
+    @pytest.mark.parametrize(
+        "foreign", [IntVec((0,)), BS.identity(), FreeWord((1, -1)), FreeWord((3,))],
+        ids=["zn1", "bs12", "unreduced", "letter-3"],
+    )
+    @pytest.mark.parametrize(
+        "expr",
+        [FiniteSet((F2.parse("a"),)), Translate(F2.parse("b"), AllSet()),
+         Union(EmptySet(), Translate(F2.parse("a"), FiniteSet((F2.identity(),))))],
+        ids=["top", "translate", "union"],
+    )
+    def test_foreign_points_raise(self, expr, foreign):
+        with pytest.raises(GroupError):
+            member_strict(expr, foreign, SetContext(F2))
+
+    def test_foreign_translator_raises(self):
+        with pytest.raises(GroupError):
+            translate(IntVec((1,)), AllSet(), F2)
 
     def test_boolean_combinations(self):
         ctx = SetContext(Z1, 6)
