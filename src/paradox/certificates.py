@@ -25,6 +25,29 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _entries(cert: dict) -> dict[str, str]:
+    """Each top-level entry of cert as a line group of `canonical_json(cert)`.
+    A value's own text only gains the indent of its level: the encoder
+    writes no raw newline inside a string."""
+    return {
+        key: f"  {json.dumps(key)}: "
+        + canonical_json(value).replace("\n", "\n  ")
+        for key, value in cert.items()
+    }
+
+
+def _assemble(entries: dict[str, str]) -> str:
+    """`canonical_json` of a dict from its `_entries`."""
+    if not entries:
+        return "{}"
+    return "{\n" + ",\n".join(entries[key] for key in sorted(entries)) + "\n}"
+
+
+def _digest(entries: dict[str, str]) -> str:
+    semantic = {k: v for k, v in entries.items() if k not in ("digest", "producer")}
+    return "sha256:" + hashlib.sha256(_assemble(semantic).encode("utf-8")).hexdigest()
+
+
 def window_digest(window: Window) -> str:
     group = window.group
     payload = f"r{window.radius}\n" + "\n".join(
@@ -50,16 +73,24 @@ def window_from_descriptor(group: Group, desc: dict) -> Window:
 
 
 def content_digest(cert: dict) -> str:
-    semantic = {k: v for k, v in cert.items() if k not in ("digest", "producer")}
-    return "sha256:" + hashlib.sha256(
-        canonical_json(semantic).encode("utf-8")
-    ).hexdigest()
+    return _digest(
+        _entries({k: v for k, v in cert.items() if k not in ("digest", "producer")})
+    )
 
 
-def _finish(cert: dict) -> dict:
-    cert["producer"] = PRODUCER
-    cert["digest"] = content_digest(cert)
-    return cert
+def seal(fields: dict) -> str:
+    """Add the producer and the content digest to a certificate's fields and
+    return its canonical text; each field is encoded once, for both."""
+    fields["producer"] = PRODUCER
+    entries = _entries(fields)
+    fields["digest"] = _digest(entries)
+    entries.update(_entries({"digest": fields["digest"]}))
+    return _assemble(entries)
+
+
+def _finish(fields: dict) -> dict:
+    seal(fields)
+    return fields
 
 
 def _base(kind: str, window: Window, ctx: SetContext) -> dict:
@@ -75,27 +106,39 @@ def _base(kind: str, window: Window, ctx: SetContext) -> dict:
 
 
 def cert_from_match(cert: MatchCert) -> dict:
+    return _finish(match_fields(cert))
+
+
+def match_fields(cert: MatchCert) -> dict:
     group = cert.ctx.group
     out = _base("match", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
-    out["translators"] = [group.show(s) for s in cert.translators]
+    names = {s: group.show(s) for s in cert.translators}
+    out["translators"] = [names[s] for s in cert.translators]
     out["assignment"] = [
-        [group.show(x), group.show(s1), group.show(s2)]
-        for x, s1, s2 in cert.assignment
+        [group.show(x), names[s1], names[s2]] for x, s1, s2 in cert.assignment
     ]
-    return _finish(out)
+    return out
 
 
 def cert_from_deficiency(cert: DeficiencyCert) -> dict:
+    return _finish(deficiency_fields(cert))
+
+
+def deficiency_fields(cert: DeficiencyCert) -> dict:
     group = cert.ctx.group
     out = _base("deficiency", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
     out["violator"] = [group.show(x) for x in cert.violator]
-    return _finish(out)
+    return out
 
 
 def cert_from_witness(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
+    return _finish(witness_fields(w, window, ctx))
+
+
+def witness_fields(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
     group = ctx.group
     out = _base("witness", window, ctx)
     out["set"] = show_setexpr(w.set_expr, group)
@@ -104,7 +147,7 @@ def cert_from_witness(w: ParadoxWitness, window: Window, ctx: SetContext) -> dic
         for piece, t in w.parts
     ]
     out["split"] = w.split
-    return _finish(out)
+    return out
 
 
 def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
@@ -116,21 +159,29 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
 
 
 def cert_from_flow(cert: FlowCert) -> dict:
+    return _finish(flow_fields(cert))
+
+
+def flow_fields(cert: FlowCert) -> dict:
     group = cert.ctx.group
     out = _base("flow", cert.window, cert.ctx)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
     out["setA"] = show_setexpr(cert.set_a, group)
     out["setB"] = show_setexpr(cert.set_b, group)
-    out["translators"] = [group.show(s) for s in cert.translators]
+    names = {s: group.show(s) for s in cert.translators}
+    out["translators"] = [names[s] for s in cert.translators]
     out["assignment"] = [
-        [group.show(x), [group.show(s) for s in used]]
-        for x, used in cert.assignment
+        [group.show(x), [names[s] for s in used]] for x, used in cert.assignment
     ]
-    return _finish(out)
+    return out
 
 
 def cert_from_flow_deficiency(cert: FlowDeficiency) -> dict:
+    return _finish(flow_deficiency_fields(cert))
+
+
+def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
     group = cert.ctx.group
     out = _base("flow-deficiency", cert.window, cert.ctx)
     out["copies"] = cert.copies
@@ -139,7 +190,7 @@ def cert_from_flow_deficiency(cert: FlowDeficiency) -> dict:
     out["setB"] = show_setexpr(cert.set_b, group)
     out["translators"] = [group.show(s) for s in cert.translators]
     out["violator"] = [group.show(x) for x in cert.violator]
-    return _finish(out)
+    return out
 
 
 def _cp_to_json(x: CPElem) -> list:
@@ -161,12 +212,16 @@ def cp_from_json(data: list, group: Group) -> CPElem:
 
 
 def cert_from_pi_witness(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
+    return _finish(pi_witness_fields(pw, window, ctx))
+
+
+def pi_witness_fields(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
     group = pw.group
     out = _base("cp-witness", window, ctx)
     out["set"] = show_setexpr(pw.set_expr, group)
     out["v"] = _cp_to_json(pw.v)
     out["w"] = _cp_to_json(pw.w)
-    return _finish(out)
+    return out
 
 
 def pi_witness_from_cert(data: dict, group: Group) -> PIWitness:
@@ -179,8 +234,13 @@ def pi_witness_from_cert(data: dict, group: Group) -> PIWitness:
 
 
 def write_certificate(cert: dict, path: str) -> None:
+    write_text(canonical_json(cert), path)
+
+
+def write_text(text: str, path: str) -> None:
+    """Write a certificate's canonical text as its file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(cert))
+        fh.write(text)
         fh.write("\n")
 
 

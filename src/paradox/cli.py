@@ -12,34 +12,9 @@ import contextlib
 import json
 import sys
 
-from . import certificates as certs
-from .crossed import pi_witness, verify_pi_witness
-from .embedding import (
-    EmbeddingWindowError,
-    build_embedding,
-    check_injective_lipschitz,
-    embedding_from_checked,
-)
-from .engine import (
-    FlowCert,
-    MatchCert,
-    doubling_matching,
-    symbolic_witness_from_matching,
-    type_order,
-    witness_from_matching,
-)
+# Each command imports the modules it runs, so that `verify` loads no solver.
 from .groups import GroupError, ParseError, ball, group_from_string
-from .induced import (
-    SubgroupError,
-    TokenWitness,
-    check_induced_witness,
-    induce_witness,
-    subgroup_from_string,
-)
 from .sets import DEFAULT_SLACK, BudgetError, context_for, parse_setexpr
-from .smallsets import check_pair_intersections, greedy_small_set
-from .verifier import CertificateFormatError, read_envelope, verify_certificate
-from .witness import witness_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,17 +47,21 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, fields: dict) -> None:
+    """Seal a certificate's fields, then write it to --out or print it."""
+    from . import certificates as certs
+
+    text = certs.seal(fields)
     if args.out:
-        certs.write_certificate(payload, args.out)
+        certs.write_text(text, args.out)
         _say(args, f"wrote {args.out}")
     elif not args.quiet:
-        print(certs.canonical_json(payload))
+        print(text)
 
 
 def _report(args, payload: dict) -> None:
     """Write a JSON report to --out (no trailing newline) and echo it."""
-    text = certs.canonical_json(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -166,6 +145,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_check(args) -> int:
+    from . import certificates as certs
+    from .engine import MatchCert, doubling_matching, witness_from_matching
+
     group = group_from_string(args.group)
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
@@ -173,21 +155,24 @@ def cmd_check(args) -> int:
     ctx = context_for(window, args.budget_slack)
     result = doubling_matching(expr, translators, window, ctx)
     if isinstance(result, MatchCert):
-        _emit(args, certs.cert_from_match(result))
+        _emit(args, certs.match_fields(result))
         if args.witness_out:
             w = witness_from_matching(result)
-            certs.write_certificate(
-                certs.cert_from_witness(w, window, ctx), args.witness_out
+            certs.write_text(
+                certs.seal(certs.witness_fields(w, window, ctx)), args.witness_out
             )
             _say(args, f"wrote {args.witness_out}")
         _say(args, f"match: doubled {len(result.assignment)} window points")
         return EXIT_OK
-    _emit(args, certs.cert_from_deficiency(result))
+    _emit(args, certs.deficiency_fields(result))
     _say(args, f"deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 
 
 def cmd_verify(args) -> int:
+    from . import certificates as certs
+    from .verifier import CertificateFormatError, verify_certificate
+
     try:
         cert = certs.load_certificate(args.path)
     except (OSError, json.JSONDecodeError) as exc:
@@ -210,6 +195,11 @@ def _witness_from_any_cert(path: str):
     """The witness a match or witness certificate gives, with the window and
     the context it was checked in, and whether it has passed `witness_check`
     there already."""
+    from . import certificates as certs
+    from .engine import MatchCert, symbolic_witness_from_matching, witness_from_matching
+    from .verifier import read_envelope
+    from .witness import witness_check
+
     data = certs.load_certificate(path)
     kind, group, window, slack = read_envelope(data)
     if kind not in ("match", "witness"):
@@ -235,11 +225,21 @@ def _witness_from_any_cert(path: str):
 
 
 def cmd_embed_f2(args) -> int:
+    from .embedding import (
+        EmbeddingWindowError,
+        build_embedding,
+        check_injective_lipschitz,
+        embedding_from_checked,
+    )
+
     witness, window, ctx, checked = _witness_from_any_cert(args.from_cert)
     group = ctx.group
     build = embedding_from_checked if checked else build_embedding
     embedding = build(witness, window, ctx)
-    report = check_injective_lipschitz(embedding, args.depth)
+    try:
+        report = check_injective_lipschitz(embedding, args.depth)
+    except EmbeddingWindowError as exc:
+        raise _CliError(str(exc)) from exc
     payload = {
         "injective": report.injective,
         "L": report.radius,
@@ -255,6 +255,8 @@ def cmd_embed_f2(args) -> int:
 
 
 def cmd_small_set(args) -> int:
+    from .smallsets import check_pair_intersections, greedy_small_set
+
     group = group_from_string(args.group)
     elems = greedy_small_set(group, args.count)
     pair = check_pair_intersections(group, elems, args.check_radius)
@@ -271,6 +273,9 @@ def cmd_small_set(args) -> int:
 
 
 def cmd_cp_witness(args) -> int:
+    from . import certificates as certs
+    from .crossed import pi_witness, verify_pi_witness
+
     witness, window, ctx, _ = _witness_from_any_cert(args.from_cert)
     pw = pi_witness(witness, ctx.group)
     report = verify_pi_witness(pw, window, ctx)
@@ -278,12 +283,15 @@ def cmd_cp_witness(args) -> int:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
     # a certificate is written only for identities that all hold
     if args.out and report.passed:
-        certs.write_certificate(certs.cert_from_pi_witness(pw, window, ctx), args.out)
+        certs.write_text(certs.seal(certs.pi_witness_fields(pw, window, ctx)), args.out)
         _say(args, f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_SEMANTIC
 
 
 def cmd_type_order(args) -> int:
+    from . import certificates as certs
+    from .engine import FlowCert, type_order
+
     group = group_from_string(args.group)
     set_a = parse_setexpr(args.set_a, group)
     set_b = parse_setexpr(args.set_b, group)
@@ -294,15 +302,22 @@ def cmd_type_order(args) -> int:
         context_for(window, args.budget_slack),
     )
     if isinstance(result, FlowCert):
-        _emit(args, certs.cert_from_flow(result))
+        _emit(args, certs.flow_fields(result))
         _say(args, "flow: comparison holds on this window")
         return EXIT_OK
-    _emit(args, certs.cert_from_flow_deficiency(result))
+    _emit(args, certs.flow_deficiency_fields(result))
     _say(args, f"flow deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 
 
 def cmd_induce(args) -> int:
+    from .induced import (
+        TokenWitness,
+        check_induced_witness,
+        induce_witness,
+        subgroup_from_string,
+    )
+
     group = group_from_string(args.group)
     sub = subgroup_from_string(group, args.subgroup)
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -363,9 +378,7 @@ def main(argv=None) -> int:
     except (
         ParseError,
         GroupError,
-        SubgroupError,
         BudgetError,
-        EmbeddingWindowError,
         _CliError,
         OSError,
         json.JSONDecodeError,

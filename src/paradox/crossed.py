@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .groups import Elem, Group, Window
 from .pwt import ValidationReport
@@ -15,7 +16,7 @@ from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    member_strict,
+    predicate,
     show_setexpr,
     translate,
 )
@@ -123,20 +124,22 @@ def cp_adjoint(x: CPElem) -> CPElem:
     return _build(group, raw)
 
 
-def coeff_value(coeff: Coefficient, g: Elem, ctx: SetContext) -> Fraction:
-    total = Fraction(0)
-    for q, expr in coeff:
-        if member_strict(expr, g, ctx):
-            total += q
-    return total
+def coeff_value(coeff: Coefficient, ctx: SetContext) -> Callable[[Elem], Fraction]:
+    """The coefficient as a function of points already checked in ctx.group,
+    with the membership test of each of its sets taken once."""
+    terms = [(q, predicate(expr, ctx)) for q, expr in coeff]
+    zero = Fraction(0)
+    return lambda g: sum((q for q, in_expr in terms if in_expr(g)), zero)
 
 
 def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
     """None when every coefficient evaluates to zero at every window point;
     otherwise the first offending (unitary element, point, value)."""
+    points = list(map(ctx.group.check, window.elements))
     for t, coeff in x.terms:
-        for g in window.elements:
-            val = coeff_value(coeff, g, ctx)
+        value = coeff_value(coeff, ctx)
+        for g in points:
+            val = value(g)
             if val != 0:
                 return (t, g, val)
     return None
@@ -226,12 +229,11 @@ def corner_compress(a: SetExpr, x: CPElem, window: Window,
     group = x.group
     p = indicator(group, a)
     compressed = cp_mul(cp_mul(p, x), p)
+    points = list(map(group.check, window.elements))
     sizes = []
     for t, coeff in compressed.terms:
         if t == group.identity():
             continue
-        support = sum(
-            1 for g in window.elements if coeff_value(coeff, g, ctx) != 0
-        )
-        sizes.append((t, support))
+        value = coeff_value(coeff, ctx)
+        sizes.append((t, sum(1 for g in points if value(g) != 0)))
     return CornerReport(compressed, tuple(sizes))

@@ -8,7 +8,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .groups import Elem, FreeGroup, FreeWord, Group, Window
-from .pwt import PwT, PwTError, first_overlap, pwt_apply, pwt_compose
+from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
@@ -36,6 +36,15 @@ class EmbeddingData:
     ctx: SetContext
     _memo: dict[tuple[int, ...], Elem] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
+    # letter -> its branch map as a function of checked points
+    _apply: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.group.check(self.base_point)
+        self._apply = {
+            c: pwt_map(m, self.ctx)
+            for c, m in zip(_BRANCH_LETTERS, self.branch_maps())
+        }
 
     def branch_maps(self) -> tuple[PwT, PwT, PwT, PwT]:
         return (self.sigma_plus, self.sigma_minus, self.tau_plus, self.tau_minus)
@@ -66,15 +75,15 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
     for eps in (plus, minus):
         for delta in (plus, minus):
             branches.append(pwt_compose(plus, pwt_compose(eps, delta, ctx), ctx))
-    first = base[0]
-    base_point = pwt_apply(minus, first, ctx)
+    base_point = pwt_map(minus, ctx)(base[0])
 
     image_sets = []
     for mp in branches:
         images = set()
+        apply = pwt_map(mp, ctx)
         for g in base:
             try:
-                images.add(pwt_apply(mp, g, ctx))
+                images.add(apply(g))
             except PwTError:
                 # window-scoped witnesses define the composites only partially
                 continue
@@ -95,7 +104,7 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
             raise ValueError(f"letter {x} is not one of the two generators")
         if i and letters[i - 1] == -x:
             raise ValueError(f"word {letters} is not reduced")
-    maps = dict(zip(_BRANCH_LETTERS, data.branch_maps()))
+    maps = data._apply
     with data._lock:
         # reuse the longest memoised suffix, then extend letter by letter
         start = len(letters)
@@ -106,7 +115,7 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
         value = data._memo[letters[start:]] if start < len(letters) else data.base_point
         for k in range(start - 1, -1, -1):
             try:
-                value = pwt_apply(maps[letters[k]], value, data.ctx)
+                value = maps[letters[k]](value)
             except PwTError as exc:
                 raise EmbeddingWindowError(
                     f"evaluation left the validated window after "

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .flow import FlowNetwork
 from .groups import Elem, Window
 from .matching import max_matching
-from .sets import FiniteSet, SetContext, SetExpr, materialize, member_strict
+from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
 
 
@@ -49,15 +49,15 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
         raise ValueError("translator set must be nonempty")
     group = ctx.group
     s_list = tuple(sorted(set(map(group.check, translators)), key=group.sort_key))
-    points = materialize(a, window, ctx)  # checked by member_strict
-    mul = group._mul
+    points = materialize(a, window, ctx)  # checked by materialize
+    mul, in_b = group._mul, predicate(b, ctx)
     image_id: dict[Elem, int] = {}
     rows = []
     for x in points:
         row = []
         for k, s in enumerate(s_list):
             img = mul(s, x)
-            if member_strict(b, img, ctx):
+            if in_b(img):
                 row.append((image_id.setdefault(img, len(image_id)), k))
         rows.append(row)
     return s_list, points, rows, len(image_id)

@@ -199,9 +199,12 @@ class Group:
                 return self._balls.index[g]
         raise GroupError(f"word length of {self.show(g)} exceeds cap {_LENGTH_CAP}")
 
-    def in_ball(self, g: Elem, radius: int) -> bool:
-        """Whether g has word length <= radius."""
-        return self.word_length(g) <= radius
+    def _ball_test(self, radius: int):
+        """A test of word length <= radius for checked elements; here it reads
+        the element's layer from the enumerated ball."""
+        self._balls.extend(radius)
+        index, outside = self._balls.index, radius + 1
+        return lambda g: index.get(g, outside) <= radius
 
     def enumerate_elements(self) -> Iterator[Elem]:
         """Canonical enumeration of the whole group, layer by layer."""
@@ -264,6 +267,9 @@ class FreeGroup(Group):
 
     def word_length(self, g: Elem) -> int:
         return len(self.check(g))
+
+    def _ball_test(self, radius: int):
+        return lambda g: len(g) <= radius
 
     def show(self, g: FreeWord) -> str:
         if not g:
@@ -332,6 +338,9 @@ class LatticeGroup(Group):
     def word_length(self, g: Elem) -> int:
         return sum(map(abs, self.check(g)))
 
+    def _ball_test(self, radius: int):
+        return lambda g: sum(map(abs, g)) <= radius
+
     def show(self, g: IntVec) -> str:
         return "(" + ",".join(map(str, g)) + ")"
 
@@ -388,11 +397,6 @@ class DyadicAffineGroup(Group):
         u = AffineElem(0, Dyadic(1))
         return (s, self._inv(s), u, self._inv(u))
 
-    def in_ball(self, g: Elem, radius: int) -> bool:
-        # no closed-form length: read g's layer from the enumerated ball
-        self._balls.extend(radius)
-        return self._balls.index.get(g, radius + 1) <= radius
-
     def sort_key(self, g: AffineElem):
         return (g.a_exp, g.b.as_fraction())
 
@@ -425,19 +429,18 @@ class DyadicAffineGroup(Group):
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on sep at paren/brace depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+    parts = text.split(sep)
+    if not any(ch in text for ch in "(){}"):
+        return parts
+    # a piece joins the previous one while the depth before it is not zero
+    runs, depth = [], 0
+    for part in parts:
+        if depth:
+            runs[-1].append(part)
         else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+            runs.append([part])
+        depth += part.count("(") + part.count("{") - part.count(")") - part.count("}")
+    return [sep.join(run) for run in runs]
 
 
 _GROUPS: dict[str, Group] = {}

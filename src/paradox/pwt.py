@@ -4,6 +4,7 @@ type and the pairwise-overlap check that the window checkers share."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .groups import Elem, Window
 from .sets import (
@@ -11,7 +12,7 @@ from .sets import (
     SetContext,
     SetExpr,
     materialize,
-    member_strict,
+    predicate,
     translate,
 )
 
@@ -38,15 +39,28 @@ class PwT:
 
 
 def pwt_apply(p: PwT, g: Elem, ctx: SetContext) -> Elem:
+    return pwt_map(p, ctx)(ctx.group.check(g))
+
+
+def pwt_map(p: PwT, ctx: SetContext) -> Callable[[Elem], Elem]:
+    """`pwt_apply` of p as a function of points already checked in
+    ctx.group, with the membership tests of p's sets taken once."""
     group = ctx.group
-    if not member_strict(p.domain, g, ctx):
-        raise PwTError(f"{group.show(g)} is outside the domain")
-    hits = [t for piece, t in p.pieces if member_strict(piece, g, ctx)]
-    if not hits:
-        raise PwTError(f"{group.show(g)} is in the domain but in no piece")
-    if len(hits) > 1:
-        raise PwTError(f"{group.show(g)} lies in {len(hits)} pieces")
-    return group.mul(hits[0], g)
+    in_domain = predicate(p.domain, ctx)
+    pieces = [(predicate(piece, ctx), group.check(t)) for piece, t in p.pieces]
+    mul = group._mul
+
+    def apply(g: Elem) -> Elem:
+        if not in_domain(g):
+            raise PwTError(f"{group.show(g)} is outside the domain")
+        hits = [t for in_piece, t in pieces if in_piece(g)]
+        if not hits:
+            raise PwTError(f"{group.show(g)} is in the domain but in no piece")
+        if len(hits) > 1:
+            raise PwTError(f"{group.show(g)} lies in {len(hits)} pieces")
+        return mul(hits[0], g)
+
+    return apply
 
 
 def pwt_compose(outer: PwT, inner: PwT, ctx: SetContext) -> PwT:
@@ -99,9 +113,7 @@ def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
     checks = []
 
     dom = materialize(p.domain, window, ctx)
-    piece_points = [
-        {g for g in dom if member_strict(piece, g, ctx)} for piece, _ in p.pieces
-    ]
+    piece_points = [set(filter(predicate(piece, ctx), dom)) for piece, _ in p.pieces]
     hit = first_overlap(piece_points, group)
     checks.append(
         (

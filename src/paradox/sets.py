@@ -3,15 +3,22 @@
 Membership is three-valued: True, False, or BUDGET_EXCEEDED for semigroup
 queries that the configured enumeration budget cannot settle.  Everything
 else is decided exactly.  The third value stays in this module: the rest of
-the package asks `member_strict` or `materialize`, which raise the one
-`undecided_error` naming point, set and budget.
+the package asks `predicate`, `member_strict` or `materialize`, which raise
+the one `undecided_error` naming point, set and budget.
+
+Each expression is compiled once per context into a closure over checked
+points, and every membership question runs that closure.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
+from typing import Callable
 
 from .groups import (
     AffineElem,
@@ -20,10 +27,10 @@ from .groups import (
     Group,
     GroupError,
     Layers,
+    LatticeGroup,
     ParseError,
     Window,
     _split_top,
-    affine_fraction,
 )
 
 
@@ -152,76 +159,21 @@ def context_for(window: Window, slack: int = DEFAULT_SLACK) -> SetContext:
     return SetContext(window.group, window.radius + slack)
 
 
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is BUDGET_EXCEEDED or b is BUDGET_EXCEEDED:
-        return BUDGET_EXCEEDED
-    return True
-
-
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is BUDGET_EXCEEDED or b is BUDGET_EXCEEDED:
-        return BUDGET_EXCEEDED
-    return False
-
-
-def _not3(a):
-    if a is BUDGET_EXCEEDED:
-        return BUDGET_EXCEEDED
-    return not a
-
-
 def member(expr: SetExpr, g: Elem, ctx: SetContext):
     """Exact membership of g in expr; BUDGET_EXCEEDED only for semigroup
     queries beyond the enumeration budget, never a wrong bool."""
-    return _member(expr, ctx.group.check(g), ctx)
-
-
-def _member(expr: SetExpr, g: Elem, ctx: SetContext):
-    """`member` for a g already checked in ctx.group."""
-    group = ctx.group
-    if isinstance(expr, AllSet):
-        return True
-    if isinstance(expr, EmptySet):
-        return False
-    if isinstance(expr, FiniteSet):
-        return g in expr.members
-    if isinstance(expr, BallSet):
-        return group.in_ball(g, expr.radius)
-    if isinstance(expr, Translate):
-        return _member(expr.inner, group._mul(group._inv(expr.t), g), ctx)
-    if isinstance(expr, Union):
-        return _or3(_member(expr.left, g, ctx), _member(expr.right, g, ctx))
-    if isinstance(expr, Intersect):
-        return _and3(_member(expr.left, g, ctx), _member(expr.right, g, ctx))
-    if isinstance(expr, Diff):
-        return _and3(_member(expr.left, g, ctx), _not3(_member(expr.right, g, ctx)))
-    if isinstance(expr, SemigroupSet):
-        return _member_semigroup(expr, g, ctx)
-    if isinstance(expr, Slab):
-        if not isinstance(group, DyadicAffineGroup):
-            raise GroupError("slab sets are only defined for the dyadic affine group")
-        a, b = affine_fraction(g)
-        return expr.lo <= a * expr.gamma + b <= expr.hi
-    if isinstance(expr, GreedySet):
-        from .smallsets import greedy_small_set
-
-        key = ("greedy", group.key, expr.count)
-        members = ctx.caches.get(key)
-        if members is None:
-            members = ctx.caches[key] = frozenset(greedy_small_set(group, expr.count))
-        return g in members
-    raise TypeError(f"unknown set expression {expr!r}")
+    return _compiled(expr, ctx)[1](ctx.group.check(g))
 
 
 def member_strict(expr: SetExpr, g: Elem, ctx: SetContext) -> bool:
-    res = member(expr, g, ctx)
-    if res is BUDGET_EXCEEDED:
-        raise undecided_error(expr, g, ctx)
-    return res
+    """`member`, with an undecided point raising `undecided_error`."""
+    return _compiled(expr, ctx)[2](ctx.group.check(g))
+
+
+def predicate(expr: SetExpr, ctx: SetContext) -> Callable[[Elem], bool]:
+    """`member_strict` of expr as a function of points already checked in
+    ctx.group, compiled once: a loop takes it before it starts."""
+    return _compiled(expr, ctx)[2]
 
 
 def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
@@ -236,7 +188,134 @@ def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
 def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, ...]:
     """The window slice of expr, in window order; the first window point
     whose membership the budget cannot settle raises `undecided_error`."""
-    return tuple(g for g in window.elements if member_strict(expr, g, ctx))
+    return tuple(filter(predicate(expr, ctx), map(ctx.group.check, window.elements)))
+
+
+# ---- compiled membership -----------------------------------------------------
+
+
+def _compiled(expr: SetExpr, ctx: SetContext):
+    """(expr, three-valued test, strict test) for expr in ctx, compiled on
+    first use.  The memo is keyed by identity, because a frozen dataclass
+    hashes by walking its whole tree; the entry holds expr, so its id is not
+    reused while the entry lives."""
+    entry = ctx.caches.get(id(expr))
+    if entry is None:
+        test, decided = _compile(expr, ctx)
+        strict = test if decided else _strict(test, expr, ctx)
+        entry = ctx.caches[id(expr)] = (expr, test, strict)
+    return entry
+
+
+def _strict(test, expr: SetExpr, ctx: SetContext):
+    def strict(g):
+        res = test(g)
+        if res is BUDGET_EXCEEDED:
+            raise undecided_error(expr, g, ctx)
+        return res
+
+    return strict
+
+
+def _compile(expr: SetExpr, ctx: SetContext):
+    """(test, decided): test maps a point checked in ctx.group to True, False
+    or BUDGET_EXCEEDED, and decided says that it never gives BUDGET_EXCEEDED
+    (expr has no semigroup leaf).  Everything a node needs that does not
+    depend on the point (inverted translators, semigroup enumerations, the
+    greedy set) is bound here, once."""
+    group = ctx.group
+    if isinstance(expr, AllSet):
+        return (lambda g: True), True
+    if isinstance(expr, EmptySet):
+        return (lambda g: False), True
+    if isinstance(expr, FiniteSet):
+        return expr.members.__contains__, True
+    if isinstance(expr, BallSet):
+        return group._ball_test(expr.radius), True
+    if isinstance(expr, Translate):
+        inner, decided = _compile(expr.inner, ctx)
+        t_inv, times = group._inv(expr.t), group._mul
+        return (lambda g: inner(times(t_inv, g))), decided
+    if isinstance(expr, (Union, Intersect, Diff)):
+        left, left_decided = _compile(expr.left, ctx)
+        right, right_decided = _compile(expr.right, ctx)
+        combine = _COMBINE[type(expr)]
+        return combine(left, left_decided, right, right_decided), (
+            left_decided and right_decided
+        )
+    if isinstance(expr, SemigroupSet):
+        return _semigroup_test(expr, ctx), False
+    if isinstance(expr, Slab):
+        if not isinstance(group, DyadicAffineGroup):
+            raise GroupError("slab sets are only defined for the dyadic affine group")
+        lo, hi, gamma = expr.lo, expr.hi, expr.gamma
+
+        def in_slab(g):
+            a_exp, b = g
+            a = Fraction(1 << a_exp) if a_exp >= 0 else Fraction(1, 1 << -a_exp)
+            return lo <= a * gamma + b.as_fraction() <= hi
+
+        return in_slab, True
+    if isinstance(expr, GreedySet):
+        from .smallsets import greedy_small_set
+
+        key = ("greedy", group.key, expr.count)
+        members = ctx.caches.get(key)
+        if members is None:
+            members = ctx.caches[key] = frozenset(greedy_small_set(group, expr.count))
+        return members.__contains__, True
+    raise TypeError(f"unknown set expression {expr!r}")
+
+
+# The three-valued connectives, short-circuiting: a side that is never
+# undecided combines through Python's own `or`/`and`/`not`.
+
+
+def _union(left, left_decided, right, right_decided):
+    if left_decided:
+        return lambda g: left(g) or right(g)
+
+    def test(g):
+        a = left(g)
+        if a is True:
+            return True
+        b = right(g)
+        return b if a is False or b is True else BUDGET_EXCEEDED
+
+    return test
+
+
+def _intersect(left, left_decided, right, right_decided):
+    if left_decided:
+        return lambda g: left(g) and right(g)
+
+    def test(g):
+        a = left(g)
+        if a is False:
+            return False
+        b = right(g)
+        return b if a is True or b is False else BUDGET_EXCEEDED
+
+    return test
+
+
+def _diff(left, left_decided, right, right_decided):
+    if left_decided and right_decided:
+        return lambda g: left(g) and not right(g)
+
+    def test(g):
+        a = left(g)
+        if a is False:
+            return False
+        b = right(g)
+        if b is True:
+            return False
+        return a if b is False else BUDGET_EXCEEDED
+
+    return test
+
+
+_COMBINE = {Union: _union, Intersect: _intersect, Diff: _diff}
 
 
 # ---- semigroup membership ---------------------------------------------------
@@ -261,59 +340,66 @@ def positive_words(group: Group, gens: tuple[Elem, ...], length: int) -> list[El
     return [g for layer in words.layers[: length + 1] for g in layer]
 
 
-def _member_semigroup(expr: SemigroupSet, g: Elem, ctx: SetContext):
+def _semigroup_test(expr: SemigroupSet, ctx: SetContext):
     group = ctx.group
-    if expr.include_identity and g == group.identity():
-        return True
     if isinstance(group, DyadicAffineGroup) and all(
         gen.a_exp >= 1 for gen in expr.gens
     ):
-        return _member_affine_semigroup(expr, g, ctx)
+        key = ("sgaffine", expr.gens)
+        decider = ctx.caches.get(key)
+        if decider is None:
+            decider = ctx.caches[key] = _AffineSemigroupDecider(group, expr.gens)
+        test = decider.decide
+    else:
+        test = _enumeration_test(expr, ctx)
+    if not expr.include_identity:
+        return test
+    identity = group.identity()
+    return lambda g: g == identity or test(g)
+
+
+def _enumeration_test(expr: SemigroupSet, ctx: SetContext):
+    """Membership read off the positive words enumerated up to the budget."""
     words = _semigroup_words(expr, ctx)
-    bound = _lattice_length_bound(expr, g, ctx)
-    if bound is not None:
+    budget = max(ctx.budget, 0)
+    h = _lattice_halfspace(expr, ctx.group)
+    if h is None:
+
+        def test(g):
+            words.extend(budget)
+            if g in words.index:
+                return True
+            if not words.layers[-1]:
+                return False
+            return BUDGET_EXCEEDED
+
+        return test
+
+    def bounded(g):
         # every positive word for g is at most this long
+        bound = sum(map(mul, h, g))
         if bound < 1:
             return False
-        words.extend(min(bound, max(ctx.budget, 0)))
+        words.extend(min(bound, budget))
         if g in words.index:
             return True
         if not words.layers[-1] or len(words.layers) > bound:
             return False
         return BUDGET_EXCEEDED
-    words.extend(max(ctx.budget, 0))
-    if g in words.index:
-        return True
-    if not words.layers[-1]:
-        return False
-    return BUDGET_EXCEEDED
+
+    return bounded
 
 
-def _lattice_length_bound(expr: SemigroupSet, g: Elem, ctx: SetContext) -> int | None:
-    """When some {-1,0,1}-functional is >= 1 on every generator, its value at
-    g bounds the length of any positive word equal to g."""
-    from .groups import LatticeGroup
-
-    group = ctx.group
+def _lattice_halfspace(expr: SemigroupSet, group: Group) -> tuple[int, ...] | None:
+    """A {-1,0,1}-functional that is >= 1 on every generator, if the group is
+    a lattice and one exists: its value at g bounds the length of any
+    positive word equal to g."""
     if not isinstance(group, LatticeGroup):
         return None
-    key = ("sghalfspace", group.key, expr.gens)
-    if key not in ctx.caches:
-        import itertools as _it
-
-        found = None
-        for h in _it.product((-1, 0, 1), repeat=group.dim):
-            if any(h) and all(
-                sum(hi * gi for hi, gi in zip(h, gen.coords)) >= 1
-                for gen in expr.gens
-            ):
-                found = h
-                break
-        ctx.caches[key] = found
-    h = ctx.caches[key]
-    if h is None:
-        return None
-    return sum(hi * gi for hi, gi in zip(h, g.coords))
+    for h in itertools.product((-1, 0, 1), repeat=group.dim):
+        if any(h) and all(sum(map(mul, h, gen)) >= 1 for gen in expr.gens):
+            return h
+    return None
 
 
 class _AffineSemigroupDecider:
@@ -399,16 +485,10 @@ class _AffineSemigroupDecider:
                 yield self.group._mul(giv, g)
 
 
-def _member_affine_semigroup(expr: SemigroupSet, g: AffineElem, ctx: SetContext):
-    key = ("sgaffine", expr.gens)
-    decider = ctx.caches.get(key)
-    if decider is None:
-        decider = _AffineSemigroupDecider(ctx.group, expr.gens)
-        ctx.caches[key] = decider
-    return decider.decide(g)
-
-
 # ---- text grammar -----------------------------------------------------------
+
+# the characters at which a leading translate prefix can end or nest
+_PREFIX_STOPS = re.compile(r"[(){}*|&\\]")
 
 
 def parse_setexpr(text: str, group: Group) -> SetExpr:
@@ -462,9 +542,12 @@ class _SetParser:
 
     def _translate_prefix(self) -> str | None:
         """Text of a leading element followed by '*', if present."""
+        text, start = self.text, self.pos
+        if text.find("*", start) < 0:
+            return None
         depth = 0
-        for i in range(self.pos, len(self.text)):
-            ch = self.text[i]
+        for found in _PREFIX_STOPS.finditer(text, start):
+            ch = found.group()
             if ch in "({":
                 depth += 1
             elif ch in ")}":
@@ -472,43 +555,39 @@ class _SetParser:
                     return None
                 depth -= 1
             elif depth == 0:
-                if ch == "*":
-                    return self.text[self.pos : i]
-                if ch in "|&\\":
-                    return None
+                return text[start : found.start()] if ch == "*" else None
         return None
 
     def parse_atom(self) -> SetExpr:
         self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of set expression", self.pos)
+        text, pos = self.text, self.pos
+        if pos >= len(text):
+            raise ParseError("unexpected end of set expression", pos)
         prefix = self._translate_prefix()
         if prefix is not None:
             t = self.group.parse(prefix)
             self.pos += len(prefix) + 1
             return translate(t, self.parse_atom(), self.group)
-        rest = self.text[self.pos :]
         for keyword in ("all", "empty"):
-            if rest == keyword or (
-                rest.startswith(keyword)
-                and not rest[len(keyword) :][:1].isalnum()
-                and rest[len(keyword) :][:1] not in "({"
+            after = text[pos + len(keyword) : pos + len(keyword) + 1]
+            if text.startswith(keyword, pos) and (
+                not after or not after.isalnum() and after not in "({"
             ):
                 self.pos += len(keyword)
                 return AllSet() if keyword == "all" else EmptySet()
-        if rest.startswith("finite{"):
+        if text.startswith("finite{", pos):
             body = self._consume_bracketed(len("finite"), "{", "}")
             elems = tuple(
                 self.group.parse(part) for part in _split_top(body, ",") if part.strip()
             )
             return FiniteSet(elems)
-        if rest.startswith("ball("):
+        if text.startswith("ball(", pos):
             body = self._consume_bracketed(len("ball"), "(", ")")
             return BallSet(int(body))
-        if rest.startswith("greedy("):
+        if text.startswith("greedy(", pos):
             body = self._consume_bracketed(len("greedy"), "(", ")")
             return GreedySet(int(body))
-        if rest.startswith("semigroup("):
+        if text.startswith("semigroup(", pos):
             body = self._consume_bracketed(len("semigroup"), "(", ")")
             halves = _split_top(body, ";")
             include = False
@@ -520,32 +599,36 @@ class _SetParser:
                 raise ParseError(f"too many ';' in semigroup(...): {body!r}")
             gens = tuple(self.group.parse(p) for p in _split_top(halves[0], ","))
             return SemigroupSet(gens, include)
-        if rest.startswith("slab("):
+        if text.startswith("slab(", pos):
             body = self._consume_bracketed(len("slab"), "(", ")")
             parts = _split_top(body, ",")
             if len(parts) != 3:
                 raise ParseError(f"slab needs three rationals, got {body!r}")
             lo, hi, gamma = (Fraction(p.strip()) for p in parts)
             return Slab(lo, hi, gamma)
-        if rest.startswith("("):
+        if text.startswith("(", pos):
             body = self._consume_bracketed(0, "(", ")")
             return parse_setexpr(body, self.group)
-        raise ParseError(f"cannot parse set expression near {rest[:20]!r}", self.pos)
+        raise ParseError(
+            f"cannot parse set expression near {text[pos : pos + 20]!r}", pos
+        )
 
     def _consume_bracketed(self, header: int, open_ch: str, close_ch: str) -> str:
+        text = self.text
         start = self.pos + header
-        if self.text[start] != open_ch:
+        if text[start] != open_ch:
             raise ParseError(f"expected {open_ch!r}", start)
-        depth = 0
-        for i in range(start, len(self.text)):
-            if self.text[i] == open_ch:
-                depth += 1
-            elif self.text[i] == close_ch:
-                depth -= 1
-                if depth == 0:
-                    self.pos = i + 1
-                    return self.text[start + 1 : i]
-        raise ParseError(f"unbalanced {open_ch!r} in set expression", start)
+        # the depth returns to zero only just after a closing bracket
+        depth, scanned = 1, start + 1
+        while True:
+            close = text.find(close_ch, scanned)
+            if close < 0:
+                raise ParseError(f"unbalanced {open_ch!r} in set expression", start)
+            depth += text.count(open_ch, scanned, close) - 1
+            scanned = close + 1
+            if depth == 0:
+                self.pos = scanned
+                return text[start + 1 : close]
 
 
 def show_setexpr(expr: SetExpr, group: Group) -> str:

@@ -15,7 +15,7 @@ from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    member_strict,
+    predicate,
     translate,
 )
 
@@ -116,19 +116,17 @@ def absorbing_check(
     for t in finite:
         piece = translate(group.inv(t), a, group)
         expr = piece if expr is None else Intersect(expr, piece)
-    for g in window.elements:
-        if member_strict(expr, g, ctx):
-            return g
-    return None
+    return next(filter(predicate(expr, ctx), map(group.check, window.elements)), None)
 
 
 def absorbing_check_direct(
     a: SetExpr, finite: tuple[Elem, ...], window: Window, ctx: SetContext
 ) -> Elem | None:
     """Reference computation of absorbing_check by direct scanning."""
-    group = ctx.group
-    for g in window.elements:
-        if all(member_strict(a, group.mul(t, g), ctx) for t in finite):
+    group, in_a = ctx.group, predicate(a, ctx)
+    finite = [group.check(t) for t in finite]
+    for g in map(group.check, window.elements):
+        if all(in_a(group._mul(t, g)) for t in finite):
             return g
     return None
 

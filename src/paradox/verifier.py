@@ -21,8 +21,8 @@ from .sets import (
     BudgetError,
     context_for,
     materialize,
-    member_strict,
     parse_setexpr,
+    predicate,
 )
 from .witness import witness_check
 
@@ -103,7 +103,10 @@ def _transport(cert: dict, group):
 def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
     points = materialize(set_a, window, ctx)
-    translators = {group.parse(t) for t in cert["translators"]}
+    # Each declared text is parsed once; a row's text is looked up here first
+    # and parsed only when it is spelled differently.
+    declared = {t: group.parse(t) for t in cert["translators"]}
+    translators = set(declared.values())
     if cert["kind"] == "match":
         rows = ((x, (s1, s2)) for x, s1, s2 in cert["assignment"])
     else:
@@ -119,18 +122,22 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
             "assignment domain differs from the set's window slice"
         )
     arrivals: dict = {}
+    in_b = predicate(set_b, ctx)
     for x, used in assignment:
         if len(used) != copies:
             return VerifyOutcome.failed(
                 f"{group.show(x)} sends {len(used)} copies, expected {copies}"
             )
-        for s in map(group.parse, used):
+        for text in used:
+            s = declared.get(text) if isinstance(text, str) else None
+            if s is None:
+                s = group.parse(text)
             if s not in translators:
                 return VerifyOutcome.failed(
                     f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
             img = group._mul(s, x)  # both parsed, hence checked
-            if not member_strict(set_b, img, ctx):
+            if not in_b(img):
                 return VerifyOutcome.failed(
                     f"image {group.show(img)} of {group.show(x)} leaves the target set"
                 )
@@ -158,11 +165,12 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
                 f"violator point {group.show(x)} is outside the window slice"
             )
     translators = [group.parse(t) for t in cert["translators"]]
+    in_b = predicate(set_b, ctx)
     targets = set()
     for x in violator:
         for s in translators:
             img = group._mul(s, x)  # both parsed, hence checked
-            if member_strict(set_b, img, ctx):
+            if in_b(img):
                 targets.add(img)
     if not copies * len(violator) > capacity * len(targets):
         return VerifyOutcome.failed(

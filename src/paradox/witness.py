@@ -9,16 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Elem, Group, Window, explicit_window
-from .pwt import PwT, ValidationReport, first_overlap, pwt_apply, pwt_compose
+from .pwt import PwT, ValidationReport, first_overlap, pwt_compose, pwt_map
 from .sets import (
     Diff,
+    FiniteSet,
     SemigroupSet,
     SetContext,
     SetExpr,
+    Translate,
     Union,
     materialize,
-    member_strict,
     positive_words,
+    predicate,
     translate,
 )
 
@@ -79,12 +81,10 @@ def semigroup_window(group: Group, s: Elem, t: Elem, depth: int) -> Window:
 
 
 def _piece_points(piece: SetExpr, window: Window, ctx: SetContext) -> list[Elem]:
-    """Probe points of a piece: full content when syntactically finite,
-    otherwise its window slice."""
-    from .sets import FiniteSet, Translate
-
+    """Probe points of a piece, checked: full content when syntactically
+    finite, otherwise its window slice."""
     if isinstance(piece, FiniteSet):
-        return list(piece.elems)
+        return list(map(ctx.group.check, piece.elems))
     if isinstance(piece, Translate) and isinstance(piece.inner, FiniteSet):
         return [ctx.group.mul(piece.t, e) for e in piece.inner.elems]
     return list(materialize(piece, window, ctx))
@@ -109,39 +109,37 @@ def witness_check(w: ParadoxWitness, window: Window,
     )
     checks.append(("pieces-disjoint", not bad, bad))
 
+    in_set = predicate(w.set_expr, ctx)
     bad = ""
     for i, pts in enumerate(points):
         for g in pts:
-            if member_strict(w.set_expr, g, ctx) is False:
+            if not in_set(g):
                 bad = f"piece {i} contains {group.show(g)} outside the set"
                 break
         if bad:
             break
     checks.append(("pieces-inside-set", not bad, bad))
 
-    base = materialize(w.set_expr, window, ctx)  # checked by member_strict
-    inverses = [group.inv(t) for _, t in w.parts]
+    base = materialize(w.set_expr, window, ctx)  # checked by materialize
+    # (inverse translator, membership test) of each piece
+    covers = [(group.inv(t), predicate(piece, ctx)) for piece, t in w.parts]
+    mul = group._mul
     for fam, label in ((range(0, w.split), "first"), (range(w.split, len(w.parts)), "second")):
-        fam = list(fam)
+        family = [covers[j] for j in fam]
         bad = ""
         for g in base:
-            covered = False
-            for j in fam:
-                if member_strict(w.parts[j][0], group._mul(inverses[j], g), ctx):
-                    covered = True
-                    break
-            if not covered:
+            if not any(in_piece(mul(t_inv, g)) for t_inv, in_piece in family):
                 bad = f"{group.show(g)} not covered by the {label} family"
                 break
         checks.append((f"{label}-family-covers", not bad, bad))
         bad = ""
         for j in fam:
-            piece, t = w.parts[j]
+            t = group.check(w.parts[j][1])
             for g in points[j]:
-                if member_strict(w.set_expr, group.mul(t, g), ctx) is False:
+                if not in_set(mul(t, g)):
                     bad = (
                         f"translated piece {j} leaves the set at "
-                        f"{group.show(group.mul(t, g))}"
+                        f"{group.show(mul(t, g))}"
                     )
                     break
             if bad:
@@ -187,7 +185,7 @@ def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,
     maps = _tree_leaves(plus, minus, depth, ctx)
     chosen = maps[:n]
     images = [
-        {pwt_apply(mp, g, ctx) for g in materialize(mp.domain, window, ctx)}
+        set(map(pwt_map(mp, ctx), materialize(mp.domain, window, ctx)))
         for mp in chosen
     ]
     hit = first_overlap(images, group)

@@ -108,6 +108,33 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [("a a^-1 {}", ""), ("a a", "translator a a for e is not declared\n")],
+        ids=["declared", "undeclared"],
+    )
+    def test_row_translators_spelled_differently(self, tmp_path, capsys, text,
+                                                 verdict):
+        # a text that is not a declared one is parsed, then checked
+        from paradox.certificates import content_digest, write_certificate
+
+        out = tmp_path / "match.json"
+        assert run(
+            ["check", "--group", "free:2", "--set", "all", "--translators",
+             "ball:1", "--window", "2", "--out", str(out), "--quiet"]
+        ) == 0
+        cert = load_certificate(str(out))
+        row = cert["assignment"][0]
+        assert row[0] == "e"
+        row[1] = text.format(row[1])
+        cert["digest"] = content_digest(cert)
+        write_certificate(cert, str(out))
+        capsys.readouterr()
+        assert run(["verify", str(out), "--quiet"]) == (3 if verdict else 0)
+        assert capsys.readouterr().err == (
+            "verification failed: " + verdict if verdict else ""
+        )
+
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

@@ -130,6 +130,22 @@ def test_verifier_imports_no_solver(tmp_path):
     assert proc.stdout.strip() == ""
 
 
+def test_verify_command_loads_no_solver(tmp_path):
+    path = tmp_path / "match.json"
+    argv = ["check", "--group", "free:2", "--set", "all", "--translators",
+            "ball:1", "--window", "2", "--out", str(path), "--quiet"]
+    assert paradox.cli.main(argv) == 0
+    code = (
+        "import sys; from paradox.cli import main; "
+        f"assert main(['verify', {str(path)!r}, '--quiet']) == 0; "
+        "print(*(m for m in ('paradox.engine', 'paradox.matching', 'paradox.flow') "
+        "if m in sys.modules))"
+    )
+    proc = _run(["-c", code], None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def _names_read(tree):
     """Every name a module reads, including those inside string annotations."""
     names = set()
@@ -168,8 +184,9 @@ def test_no_unused_imports():
 
 
 def test_three_valued_membership_stays_in_sets():
-    """Outside `sets.py` membership is asked through `member_strict` or
-    `materialize`, so an undecided point always raises `undecided_error`."""
+    """Outside `sets.py` membership is asked through `predicate`,
+    `member_strict` or `materialize`, so an undecided point always raises
+    `undecided_error`."""
     found = []
     for filename, tree in _package_modules():
         if filename == "sets.py":

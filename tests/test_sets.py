@@ -1,3 +1,6 @@
+import gzip
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -33,6 +36,7 @@ from paradox.sets import (
     member_strict,
     parse_setexpr,
     positive_words,
+    predicate,
     show_setexpr,
     translate,
 )
@@ -40,6 +44,7 @@ from helpers import brute_positive_words
 
 BS = group_from_string("bs12")
 Z1 = group_from_string("zn:1")
+Z2 = group_from_string("zn:2")
 F2 = group_from_string("free:2")
 
 S_GEN = BS.parse("(2,0)")
@@ -308,3 +313,153 @@ class TestGrammar:
         assert built == [6]
         member(GreedySet(6), Z1.identity(), SetContext(Z1, 8))
         assert built == [6, 6]
+
+
+# ---- compiled membership ----------------------------------------------------
+
+
+def _reference(expr, points, group):
+    """The points of `points` in expr, by Python set algebra: a translate
+    t*A holds p when A holds t^(-1) p, asked of A on the moved points."""
+    points = set(points)
+    if isinstance(expr, AllSet):
+        return points
+    if isinstance(expr, EmptySet):
+        return set()
+    if isinstance(expr, FiniteSet):
+        return points & set(expr.elems)
+    if isinstance(expr, BallSet):
+        return {p for p in points if group.word_length(p) <= expr.radius}
+    if isinstance(expr, Translate):
+        moved = {p: group.mul(group.inv(expr.t), p) for p in points}
+        inside = _reference(expr.inner, moved.values(), group)
+        return {p for p, q in moved.items() if q in inside}
+    left = _reference(expr.left, points, group)
+    right = _reference(expr.right, points, group)
+    if isinstance(expr, Union):
+        return left | right
+    if isinstance(expr, Intersect):
+        return left & right
+    return left - right
+
+
+def _random_tree(rng, group, depth):
+    near = group.ball_elements(2)
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        leaf = rng.randrange(4)
+        if leaf == 0:
+            return AllSet()
+        if leaf == 1:
+            return EmptySet()
+        if leaf == 2:
+            return FiniteSet(tuple(rng.sample(group.ball_elements(3), rng.randrange(8))))
+        return BallSet(rng.randrange(4))
+    if roll < 0.5:
+        return translate(rng.choice(near), _random_tree(rng, group, depth - 1), group)
+    op = rng.choice((Union, Intersect, Diff))
+    return op(_random_tree(rng, group, depth - 1), _random_tree(rng, group, depth - 1))
+
+
+# (2,0) scales up and (1/2,1) down: budgeted enumeration, undecided at (1,-1)
+MIXED = SemigroupSet((BS.parse("(2,0)"), BS.parse("(1/2,1)")), False)
+UNDECIDED = BS.parse("(1,-1)")
+
+
+def _or3(a, b):
+    if True in (a, b):
+        return True
+    return BUDGET_EXCEEDED if BUDGET_EXCEEDED in (a, b) else False
+
+
+def _and3(a, b):
+    if False in (a, b):
+        return False
+    return BUDGET_EXCEEDED if BUDGET_EXCEEDED in (a, b) else True
+
+
+def _not3(a):
+    return a if a is BUDGET_EXCEEDED else not a
+
+
+class TestCompiledMembership:
+    @pytest.mark.parametrize("group", [F2, Z2, BS], ids=["free2", "zn2", "bs12"])
+    def test_random_trees_agree_with_set_algebra(self, group):
+        rng = random.Random(11)
+        window = ball(group, 3)
+        ctx = context_for(window)
+        for _ in range(150):
+            expr = _random_tree(rng, group, 4)
+            expected = _reference(expr, window.elements, group)
+            assert set(materialize(expr, window, ctx)) == expected, expr
+            for g in window.elements:
+                assert member(expr, g, ctx) is (g in expected), (expr, g)
+
+    def test_three_valued_tables(self):
+        ctx = SetContext(BS, 3)
+        assert member(MIXED, UNDECIDED, ctx) is BUDGET_EXCEEDED
+        leaves = {True: AllSet(), False: EmptySet(), BUDGET_EXCEEDED: MIXED}
+        tables = {
+            Union: _or3,
+            Intersect: _and3,
+            Diff: lambda a, b: _and3(a, _not3(b)),
+        }
+        for op, table in tables.items():
+            for a, left in leaves.items():
+                for b, right in leaves.items():
+                    want = table(a, b)
+                    assert member(op(left, right), UNDECIDED, ctx) is want, (op, a, b)
+                    # the same under a translate, asked at the moved point
+                    moved = translate(S_GEN, op(left, right), BS)
+                    assert member(moved, BS.mul(S_GEN, UNDECIDED), ctx) is want
+
+    def test_undecided_error_names_the_outer_expression(self):
+        ctx = SetContext(BS, 3)
+        outer = Union(EmptySet(), Intersect(AllSet(), MIXED))
+        message = (
+            f"membership of (1,-1) in {show_setexpr(outer, BS)} undecided at "
+            "budget 3; increase the budget slack"
+        )
+        with pytest.raises(BudgetError) as err:
+            member_strict(outer, UNDECIDED, ctx)
+        assert str(err.value) == message
+        with pytest.raises(BudgetError) as err:
+            predicate(outer, ctx)(UNDECIDED)
+        assert str(err.value) == message
+        window = explicit_window(BS, (S_GEN, UNDECIDED), 1)
+        with pytest.raises(BudgetError) as err:
+            materialize(outer, window, ctx)
+        assert str(err.value) == message
+
+    def test_witness_check_hashes_no_set_expression(self, monkeypatch):
+        """Compiled tests are found by the identity of their expression, so
+        replaying a witness never hashes or compares a set expression, whose
+        dataclass methods walk the whole tree and every finite tuple."""
+        from paradox.certificates import window_from_descriptor, witness_from_cert
+        from paradox.witness import witness_check
+
+        calls = []
+        for cls in (AllSet, EmptySet, FiniteSet, BallSet, Translate, Union,
+                    Intersect, Diff, SemigroupSet, Slab, GreedySet):
+            for name in ("__hash__", "__eq__"):
+                real = getattr(cls, name)
+
+                def counting(*args, _real=real):
+                    calls.append(type(args[0]).__name__)
+                    return _real(*args)
+
+                monkeypatch.setattr(cls, name, counting)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "data", "f2w7wit.json.gz")
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            data = json.load(fh)
+        witness = witness_from_cert(data, F2)
+        counts = []
+        for radius in (5, 7):
+            window = ball(F2, radius)
+            report = witness_check(witness, window, context_for(window))
+            assert report.passed, report
+            counts.append(len(calls))
+            calls.clear()
+        # a ball of radius 7 has nine times the points of one of radius 5
+        assert counts[0] == counts[1]
