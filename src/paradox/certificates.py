@@ -65,11 +65,20 @@ def window_descriptor(window: Window) -> dict:
     }
 
 
+def json_int(value: Any, name: str) -> int:
+    """An integer field of a certificate, which must be a JSON integer: a
+    string, a float or a bool is a ValueError, not read as a number."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def window_from_descriptor(group: Group, desc: dict) -> Window:
+    radius = json_int(desc["radius"], "window radius")
     if "elements" in desc:
         elems = tuple(group.parse(t) for t in desc["elements"])
-        return explicit_window(group, elems, int(desc["radius"]))
-    return ball(group, int(desc["radius"]))
+        return explicit_window(group, elems, radius)
+    return ball(group, radius)
 
 
 def content_digest(cert: dict) -> str:
@@ -155,7 +164,8 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
         (parse_setexpr(item["piece"], group), group.parse(item["translator"]))
         for item in data["parts"]
     )
-    return ParadoxWitness(parse_setexpr(data["set"], group), parts, int(data["split"]))
+    split = json_int(data["split"], "split")
+    return ParadoxWitness(parse_setexpr(data["set"], group), parts, split)
 
 
 def cert_from_flow(cert: FlowCert) -> dict:

@@ -3,7 +3,6 @@ absorbing-set probes, and the window-level smallness semidecider."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .groups import Elem, Group, Window
@@ -19,68 +18,70 @@ from .sets import (
     translate,
 )
 
-_GREEDY_CACHE: dict[tuple[str, int], tuple[Elem, ...]] = {}
-_GREEDY_LOCK = threading.Lock()
-
-
 def greedy_small_set(group: Group, count: int) -> tuple[Elem, ...]:
     """First `count` elements of the canonical enumeration that avoid every
-    triple product x_k * x_l^(-1) * x_m of previously chosen elements."""
+    triple product x y^(-1) z of previously chosen elements x, y, z.
+
+    A candidate g is such a product iff x^(-1) g lies in the pair set
+    P = {y^(-1) z : y, z chosen} for some chosen x, so only P is stored: at
+    most n^2 products for n chosen elements, and at most k lookups for a
+    candidate tested against k chosen ones."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    with _GREEDY_LOCK:
-        for (key, n), seq in _GREEDY_CACHE.items():
-            if key == group.key and n >= count:
-                return seq[:count]
-        chosen: list[Elem] = []
-        invs: list[Elem] = []
-        forbidden: set[Elem] = set()
-        for g in group.enumerate_elements():
-            if g in forbidden:
-                continue
-            _choose(group, chosen, invs, forbidden, g)
-            if len(chosen) == count:
-                break
-        result = tuple(chosen)
-        _GREEDY_CACHE[(group.key, count)] = result
-        return result
+    chosen: list[Elem] = []
+    invs: list[Elem] = []
+    pairs: set[Elem] = set()
+    for g in group.enumerate_elements():
+        if _excluded(group, invs, pairs, g):
+            continue
+        _choose(group, chosen, invs, pairs, g)
+        if len(chosen) == count:
+            break
+    return tuple(chosen)
 
 
 def verify_greedy_exclusion(group: Group, elems: tuple[Elem, ...]) -> bool:
     """Re-check of the defining exclusion x_k not in {x_i x_j^(-1) x_l :
-    i, j, l < k} at every index k.
+    i, j, l < k} at every index k, through the same pair set as the
+    producer: at most n^2 stored products and k lookups at index k.
 
-    It shares `_choose` with the producer; the tests check both against a
+    Every element is checked with `group.check` first.  It shares `_excluded`
+    and `_choose` with the producer; the tests check both against a
     brute-force evaluation of the definition."""
+    elems = tuple(map(group.check, elems))
     prefix: list[Elem] = []
     invs: list[Elem] = []
-    products: set[Elem] = set()
+    pairs: set[Elem] = set()
     for g in elems:
-        if g in products:
+        if _excluded(group, invs, pairs, g):
             return False
-        _choose(group, prefix, invs, products, g)
+        _choose(group, prefix, invs, pairs, g)
     return True
 
 
-def _choose(group: Group, chosen: list[Elem], invs: list[Elem],
-            products: set[Elem], g: Elem) -> None:
-    """Append g to `chosen` (and its inverse to `invs`), and add to `products`
-    every triple product x_i x_j^(-1) x_l of the chosen elements that
-    involves g in at least one position.  Only g is checked: the rest were
-    checked when they were chosen."""
+def _excluded(group: Group, invs: list[Elem], pairs: set[Elem], g: Elem) -> bool:
+    """Whether g = x y^(-1) z for chosen x, y, z: whether x^(-1) g is in the
+    pair set for some chosen x (`invs` holds the inverses x^(-1)).  At most
+    one product and one lookup per chosen element."""
     mul = group._mul
-    g = group.check(g)
+    for x_inv in invs:
+        if mul(x_inv, g) in pairs:
+            return True
+    return False
+
+
+def _choose(group: Group, chosen: list[Elem], invs: list[Elem],
+            pairs: set[Elem], g: Elem) -> None:
+    """Append g to `chosen` (and its inverse to `invs`), and add to `pairs`
+    the products x^(-1) g and g^(-1) x for every chosen x, g included: 2k
+    products when g is the k-th element, so at most n^2 stored for n."""
+    mul = group._mul
     g_inv = group._inv(g)
     chosen.append(g)
     invs.append(g_inv)
     for x, x_inv in zip(chosen, invs):
-        for y_inv in invs:
-            products.add(mul(mul(x, y_inv), g))
-        xg = mul(x, g_inv)
-        gx = mul(g, x_inv)
-        for z in chosen:
-            products.add(mul(xg, z))
-            products.add(mul(gx, z))
+        pairs.add(mul(x_inv, g))
+        pairs.add(mul(g_inv, x))
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,13 @@ def check_pair_intersections(
     group: Group, elems: tuple[Elem, ...], radius: int
 ) -> PairIntersectionReport:
     """max over nonidentity s in the ball of |sA intersect A|, exactly."""
-    elem_set = set(elems)
+    elems = tuple(map(group.check, elems))
+    elem_set, mul, identity = set(elems), group._mul, group.identity()
     best, where = -1, None
     for s in group.ball_elements(radius):
-        if s == group.identity():
+        if s == identity:
             continue
-        size = sum(1 for x in elems if group.mul(s, x) in elem_set)
+        size = sum(1 for x in elems if mul(s, x) in elem_set)
         if size > best:
             best, where = size, s
     return PairIntersectionReport(best, where)

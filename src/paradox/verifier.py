@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .certificates import (
     SCHEMA,
     content_digest,
+    json_int,
     pi_witness_from_cert,
     window_digest,
     window_from_descriptor,
@@ -58,7 +59,7 @@ def read_envelope(cert) -> tuple[str, Group, Window, int]:
     try:
         group = group_from_string(cert["group"])
         window = window_from_descriptor(group, cert["window"])
-        slack = int(cert.get("budgetSlack", DEFAULT_SLACK))
+        slack = json_int(cert.get("budgetSlack", DEFAULT_SLACK), "budgetSlack")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
     return kind, group, window, slack
@@ -93,9 +94,9 @@ def _transport(cert: dict, group):
         expr = parse_setexpr(cert["set"], group)
         return 2, expr, 1, expr
     return (
-        int(cert["copies"]),
+        json_int(cert["copies"], "copies"),
         parse_setexpr(cert["setA"], group),
-        int(cert["capacity"]),
+        json_int(cert["capacity"], "capacity"),
         parse_setexpr(cert["setB"], group),
     )
 

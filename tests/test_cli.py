@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -151,6 +152,54 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "error: certificate is not a JSON object\n"
 
+    @pytest.fixture(scope="class")
+    def integer_field_certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("int-fields")
+        assert run(
+            ["check", "--group", "zn:1", "--set", "all", "--translators",
+             "ball:1", "--window", "3", "--out", str(root / "deficiency.json"),
+             "--quiet"]
+        ) == 2
+        assert run(
+            ["type-order", "--group", "zn:1", "--m", "2", "--set-a", "all",
+             "--n", "1", "--set-b", "all", "--translators", "ball:1",
+             "--window", "3", "--out", str(root / "flow.json"), "--quiet"]
+        ) == 2
+        assert run(EX28_ARGS + ["--out", str(root / "match.json"), "--witness-out",
+                                str(root / "witness.json"), "--quiet"]) == 0
+        return root
+
+    @pytest.mark.parametrize("spell", [str, float, bool], ids=["string", "float", "bool"])
+    @pytest.mark.parametrize("field, base, code, prefix", [
+        ("radius", "deficiency.json", 1, "error: malformed certificate envelope: "),
+        ("budgetSlack", "deficiency.json", 1,
+         "error: malformed certificate envelope: "),
+        ("copies", "flow.json", 3,
+         "verification failed: payload does not parse or replay: "),
+        ("capacity", "flow.json", 3,
+         "verification failed: payload does not parse or replay: "),
+        ("split", "witness.json", 3,
+         "verification failed: payload does not parse or replay: "),
+    ], ids=["radius", "budgetSlack", "copies", "capacity", "split"])
+    def test_integer_field_must_be_a_json_integer(
+        self, integer_field_certs, tmp_path, capsys, field, base, code, prefix, spell
+    ):
+        # the recorded value respelled: `int()` would read it back unchanged,
+        # or as 1 from `true`
+        from paradox.certificates import content_digest, write_certificate
+
+        cert = load_certificate(str(integer_field_certs / base))
+        holder = cert["window"] if field == "radius" else cert
+        value = holder[field] = spell(holder[field])
+        cert["digest"] = content_digest(cert)
+        path = tmp_path / "edited.json"
+        write_certificate(cert, str(path))
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert f"must be an integer, got {type(value).__name__}" in err
+
 
 class TestMalformedInput:
     """An input file of the wrong shape ends in exit 1 and one `error:` line."""
@@ -272,6 +321,17 @@ class TestPipelines:
         report = json.loads(out.read_text())
         assert report["elements"] == ["(0)", "(1)", "(-2)", "(5)"]
         assert report["maxPairIntersection"] <= 2
+
+    @pytest.mark.parametrize("group, count, sha", [
+        ("zn:1", "90", "40897680d658c6e87cffb87daaf1513624e8631aaba6f556f0545ce64d16b0ba"),
+        ("free:2", "60", "c6d360af5853a4bba1df6ca7ef54952f53e54ee0a8f12be32fee88868bc269d0"),
+    ], ids=["zn:1-90", "free:2-60"])
+    def test_small_set_bytes_are_pinned(self, tmp_path, group, count, sha):
+        # the benchmark's small-set operations and their pinned output
+        out = tmp_path / "small.json"
+        assert run(["small-set", "--group", group, "--count", count,
+                    "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     def test_type_order(self, tmp_path):
         out = tmp_path / "flow.json"

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from paradox.groups import IntVec, ball, group_from_string
+from paradox.groups import (
+    FreeGroup,
+    FreeWord,
+    GroupError,
+    IntVec,
+    ball,
+    group_from_string,
+)
 from paradox.pwt import pwt_apply, pwt_validate
 from paradox.sets import (
     AllSet,
@@ -64,6 +71,29 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_small_set(Z1, 0)
 
+    def test_free_group_greedy_stores_pairs_not_triples(self):
+        # the pair set costs 2k products at the k-th chosen element and at
+        # most k per candidate, about 15k here with the enumeration; storing
+        # every triple product costs about 4k^2 at the k-th, 295k in all
+        group = FreeGroup(2)
+        real, calls = group._mul, [0]
+
+        def counting(g, h):
+            calls[0] += 1
+            return real(g, h)
+
+        group._mul = counting
+        greedy_small_set(group, 60)
+        assert calls[0] < 60 ** 3 / 4
+
+    @pytest.mark.parametrize("position", [0, 5], ids=["first", "last"])
+    def test_exclusion_checker_rejects_a_non_element(self, position):
+        # (0, 1) is the letter a next to its inverse: not a reduced word
+        elems = list(greedy_small_set(F2, 5))
+        elems.insert(position, FreeWord((0, 1)))
+        with pytest.raises(GroupError):
+            verify_greedy_exclusion(F2, tuple(elems))
+
 
 def brute_triples(group, prefix):
     """{x_i x_j^(-1) x_l : i, j, l < len(prefix)}, straight from the definition."""
@@ -82,7 +112,7 @@ class TestGreedyAgainstDefinition:
     """The producer and `verify_greedy_exclusion` share their incremental
     update, so both are checked here against the definition itself."""
 
-    @pytest.mark.parametrize("group", [Z1, F2], ids=["zn:1", "free:2"])
+    @pytest.mark.parametrize("group", [Z1, F2, BS], ids=["zn:1", "free:2", "bs12"])
     def test_greedy_is_first_admissible_sequence(self, group):
         n = 12
         expected = []
@@ -97,7 +127,7 @@ class TestGreedyAgainstDefinition:
             assert brute_exclusion_holds(group, prefix)
             assert verify_greedy_exclusion(group, prefix)
 
-    @pytest.mark.parametrize("group", [Z1, F2], ids=["zn:1", "free:2"])
+    @pytest.mark.parametrize("group", [Z1, F2, BS], ids=["zn:1", "free:2", "bs12"])
     def test_planted_violation_found_by_both(self, group):
         elems = greedy_small_set(group, 7)
         x, y, z = elems[4], elems[1], elems[2]
