@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .crossed import CPElem, PIWitness
 from .groups import Group, Window, ball, explicit_window
 from .sets import SetContext, parse_setexpr, show_setexpr
-from .witness import ParadoxWitness
 
-if TYPE_CHECKING:  # annotations only: the verifier must not load the solver
+if TYPE_CHECKING:
+    # annotations only: the verifier loads no solver, and the witness and
+    # crossed-product modules only for certificates of those kinds
+    from .crossed import CPElem, PIWitness
     from .engine import DeficiencyCert, FlowCert, FlowDeficiency, MatchCert
+    from .witness import ParadoxWitness
 
 SCHEMA = "paradox-cert/v1"
 PRODUCER = "paradox 0.1.0"
@@ -160,6 +161,8 @@ def witness_fields(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
 
 
 def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
+    from .witness import ParadoxWitness
+
     parts = tuple(
         (parse_setexpr(item["piece"], group), group.parse(item["translator"]))
         for item in data["parts"]
@@ -212,6 +215,10 @@ def _cp_to_json(x: CPElem) -> list:
 
 
 def cp_from_json(data: list, group: Group) -> CPElem:
+    from fractions import Fraction
+
+    from .crossed import CPElem
+
     terms = []
     for t_text, coeff in data:
         parsed = tuple(
@@ -235,6 +242,8 @@ def pi_witness_fields(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
 
 
 def pi_witness_from_cert(data: dict, group: Group) -> PIWitness:
+    from .crossed import PIWitness
+
     return PIWitness(
         group,
         parse_setexpr(data["set"], group),

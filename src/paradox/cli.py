@@ -311,6 +311,7 @@ def cmd_type_order(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    from .certificates import json_int
     from .induced import (
         TokenWitness,
         check_induced_witness,
@@ -330,7 +331,7 @@ def cmd_induce(args) -> int:
             data["set"],
             tuple(data["pieces"]),
             tuple(group.parse(t) for t in data["gamma0Elems"]),
-            int(data["split"]),
+            json_int(data["split"], "split"),
         )
     if not all(isinstance(token, str) for token in (tw.whole, *tw.pieces)):
         raise _CliError("token witness pieces and set must be token strings")

@@ -5,11 +5,10 @@ to build and re-check proper-infiniteness witnesses and corner compressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .groups import Elem, Group, Window
+from .groups import Elem, Group, Record, Window
 from .pwt import ValidationReport
 from .sets import (
     AllSet,
@@ -26,21 +25,23 @@ from .witness import ParadoxWitness
 Coefficient = tuple[tuple[Fraction, SetExpr], ...]
 
 
-def _canon_coeff(terms: list[tuple[Fraction, SetExpr]], group: Group) -> Coefficient:
+def _canon_coeff(terms: list[tuple[Fraction, SetExpr]], group: Group,
+                 shown: dict) -> Coefficient:
+    """The terms merged by set and sorted by the text of the set; `shown` is
+    the memo of `show_setexpr`, kept for one `_build`."""
     merged: dict[SetExpr, Fraction] = {}
     for q, expr in terms:
         merged[expr] = merged.get(expr, Fraction(0)) + q
     kept = [(q, e) for e, q in merged.items() if q != 0]
-    kept.sort(key=lambda item: show_setexpr(item[1], group))
+    kept.sort(key=lambda item: show_setexpr(item[1], group, shown))
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class CPElem:
-    """Finite sum of coefficient * unitary terms over a fixed group."""
+class CPElem(Record, fields="group terms"):
+    """Finite sum of coefficient * unitary terms over a fixed group: the
+    terms are (element, coefficient), keyed and sorted by element."""
 
-    group: Group
-    terms: tuple[tuple[Elem, Coefficient], ...]  # keyed and sorted by element
+    __slots__ = ()
 
     def support(self) -> tuple[Elem, ...]:
         return tuple(t for t, _ in self.terms)
@@ -53,9 +54,9 @@ class CPElem:
 
 
 def _build(group: Group, raw: dict[Elem, list[tuple[Fraction, SetExpr]]]) -> CPElem:
-    terms = []
+    terms, shown = [], {}
     for t in sorted(raw, key=group.sort_key):
-        coeff = _canon_coeff(raw[t], group)
+        coeff = _canon_coeff(raw[t], group, shown)
         if coeff:
             terms.append((t, coeff))
     return CPElem(group, tuple(terms))
@@ -148,15 +149,11 @@ def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
 # ---- proper-infiniteness witnesses -----------------------------------------
 
 
-@dataclass(frozen=True)
-class PIWitness:
+class PIWitness(Record, fields="group set_expr v w"):
     """p = 1_A together with v, w whose five product identities certify that
     p is properly infinite in the symbolic crossed product."""
 
-    group: Group
-    set_expr: SetExpr
-    v: CPElem
-    w: CPElem
+    __slots__ = ()
 
     @property
     def p(self) -> CPElem:
@@ -215,11 +212,11 @@ def verify_pi_witness(pw: PIWitness, window: Window,
 # ---- corner compression -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerReport:
-    compressed: CPElem
-    # per off-identity unitary: window support size of its coefficient
-    off_diagonal: tuple[tuple[Elem, int], ...]
+class CornerReport(Record, fields="compressed off_diagonal"):
+    """1_a x 1_a, and (unitary, window support size of its coefficient) for
+    each off-identity unitary."""
+
+    __slots__ = ()
 
 
 def corner_compress(a: SetExpr, x: CPElem, window: Window,

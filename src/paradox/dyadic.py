@@ -2,51 +2,56 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 
-@dataclass(frozen=True, slots=True)
-class Dyadic:
-    """Value num / 2**exp, kept in lowest terms (num odd unless zero, exp >= 0)."""
+class Dyadic(tuple):
+    """Value num / 2**exp, kept in lowest terms (num odd unless zero, exp >= 0);
+    the tuple holds (num, exp)."""
 
-    num: int
-    exp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        num, exp = self.num, self.exp
+    def __new__(cls, num: int, exp: int = 0):
         if num == 0:
             exp = 0
+        elif exp < 0:
+            num, exp = num << -exp, 0
         else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
-            if exp < 0:
-                num <<= -exp
-                exp = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+            # strip the factors of two that num and 2**exp share
+            k = min(exp, (num & -num).bit_length() - 1)
+            num, exp = num >> k, exp - k
+        return tuple.__new__(cls, (num, exp))
+
+    num = property(itemgetter(0))
+    exp = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Dyadic(num={self[0]!r}, exp={self[1]!r})"
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
+        (a, ea), (b, eb) = self, other
+        e = max(ea, eb)
+        return Dyadic((a << (e - ea)) + (b << (e - eb)), e)
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
+        return Dyadic(-self[0], self[1])
 
     def shift(self, k: int) -> "Dyadic":
         """Multiply by 2**k (k may be negative)."""
-        return Dyadic(self.num, self.exp - k)
+        return Dyadic(self[0], self[1] - k)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
+    def as_fraction(self):
+        from fractions import Fraction
+
+        return Fraction(self[0], 1 << self[1])
 
     def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
+        if self[1] == 0:
+            return str(self[0])
+        return f"{self[0]}/{1 << self[1]}"
 
 
 def parse_dyadic(text: str) -> Dyadic:

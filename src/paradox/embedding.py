@@ -4,10 +4,7 @@ free-group ball."""
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
-from .groups import Elem, FreeGroup, FreeWord, Group, Window
+from .groups import Elem, FreeGroup, FreeWord, Group, Record, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
@@ -22,28 +19,23 @@ class EmbeddingWindowError(RuntimeError):
     validated on; rebuild the witness on a larger window."""
 
 
-@dataclass
 class EmbeddingData:
     """The four branch maps and base point driving the word-by-word recursion
     f(c x') = map_c(f(x')), f(e) = base point."""
 
-    group: Group
-    sigma_plus: PwT
-    sigma_minus: PwT
-    tau_plus: PwT
-    tau_minus: PwT
-    base_point: Elem
-    ctx: SetContext
-    _memo: dict[tuple[int, ...], Elem] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    # letter -> its branch map as a function of checked points
-    _apply: dict = field(init=False, repr=False)
+    __slots__ = ("group", "sigma_plus", "sigma_minus", "tau_plus", "tau_minus",
+                 "base_point", "ctx", "_memo", "_apply")
 
-    def __post_init__(self) -> None:
-        self.group.check(self.base_point)
+    def __init__(self, group: Group, sigma_plus: PwT, sigma_minus: PwT,
+                 tau_plus: PwT, tau_minus: PwT, base_point: Elem,
+                 ctx: SetContext) -> None:
+        self.group, self.base_point, self.ctx = group, group.check(base_point), ctx
+        self.sigma_plus, self.sigma_minus = sigma_plus, sigma_minus
+        self.tau_plus, self.tau_minus = tau_plus, tau_minus
+        self._memo: dict[tuple[int, ...], Elem] = {}
+        # letter -> its branch map as a function of checked points
         self._apply = {
-            c: pwt_map(m, self.ctx)
-            for c, m in zip(_BRANCH_LETTERS, self.branch_maps())
+            c: pwt_map(m, ctx) for c, m in zip(_BRANCH_LETTERS, self.branch_maps())
         }
 
     def branch_maps(self) -> tuple[PwT, PwT, PwT, PwT]:
@@ -105,38 +97,34 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
         if i and letters[i - 1] == -x:
             raise ValueError(f"word {letters} is not reduced")
     maps = data._apply
-    with data._lock:
-        # reuse the longest memoised suffix, then extend letter by letter
-        start = len(letters)
-        for k in range(len(letters)):
-            if letters[k:] in data._memo:
-                start = k
-                break
-        value = data._memo[letters[start:]] if start < len(letters) else data.base_point
-        for k in range(start - 1, -1, -1):
-            try:
-                value = maps[letters[k]](value)
-            except PwTError as exc:
-                raise EmbeddingWindowError(
-                    f"evaluation left the validated window after "
-                    f"{len(letters) - 1 - k} of {len(letters)} letters; rebuild "
-                    f"the witness on a larger window (word {letters})"
-                ) from exc
-            data._memo[letters[k:]] = value
-        return value
+    # reuse the longest memoised suffix, then extend letter by letter
+    start = len(letters)
+    for k in range(len(letters)):
+        if letters[k:] in data._memo:
+            start = k
+            break
+    value = data._memo[letters[start:]] if start < len(letters) else data.base_point
+    for k in range(start - 1, -1, -1):
+        try:
+            value = maps[letters[k]](value)
+        except PwTError as exc:
+            raise EmbeddingWindowError(
+                f"evaluation left the validated window after "
+                f"{len(letters) - 1 - k} of {len(letters)} letters; rebuild "
+                f"the witness on a larger window (word {letters})"
+            ) from exc
+        data._memo[letters[k:]] = value
+    return value
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Exhaustive check on the free-group ball of the stated radius."""
+class LipschitzReport(Record, fields="radius injective value_count displacement_set "
+                      "collisions violations"):
+    """Exhaustive check on the free-group ball of the stated radius: the
+    observed displacements and their inverses, the pairs of words with equal
+    values, and the violations, the (c w, w) pairs displaced outside what
+    the branch map for c declares."""
 
-    radius: int
-    injective: bool
-    value_count: int
-    displacement_set: tuple[Elem, ...]  # observed displacements and inverses
-    collisions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    # (c w, w) pairs displaced outside what the branch map for c declares
-    violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ()
 
 
 def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzReport:

@@ -5,37 +5,33 @@ obstruction.  Also the capacitated generalisation m[A] <= n[B] via max-flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .flow import FlowNetwork
-from .groups import Elem, Window
+from .groups import Elem, Record, Window
 from .matching import max_matching
 from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
 
 
-@dataclass(frozen=True)
-class MatchCert:
+class _Decided(Record):
+    """Base of the deciders' results.  The fields make a result's value (its
+    ==, hash and repr); `ctx`, the context it was decided in and the last
+    constructor argument, is kept beside them."""
+
+    def __new__(cls, *fields_and_ctx):
+        result = super().__new__(cls, *fields_and_ctx[:-1])
+        result.ctx = fields_and_ctx[-1]
+        return result
+
+
+class MatchCert(_Decided, fields="set_expr translators window assignment"):
     """For each window point x of the set, two translators whose images are
-    globally pairwise distinct and stay inside the set."""
-
-    set_expr: SetExpr
-    translators: tuple[Elem, ...]
-    window: Window
-    assignment: tuple[tuple[Elem, Elem, Elem], ...]  # (x, s1, s2)
-    ctx: SetContext = field(compare=False, repr=False)  # decided in this context
+    globally pairwise distinct and stay inside the set: the assignment
+    holds (x, s1, s2)."""
 
 
-@dataclass(frozen=True)
-class DeficiencyCert:
+class DeficiencyCert(_Decided, fields="set_expr translators window violator"):
     """A finite violator D inside the window with |S.D intersect A| < 2|D|:
     no doubling matching can exist for this translator set."""
-
-    set_expr: SetExpr
-    translators: tuple[Elem, ...]
-    window: Window
-    violator: tuple[Elem, ...]
-    ctx: SetContext = field(compare=False, repr=False)
 
 
 def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
@@ -140,33 +136,16 @@ def symbolic_witness_from_matching(cert: MatchCert) -> ParadoxWitness | None:
     return ParadoxWitness(cert.set_expr, parts, 1)
 
 
-@dataclass(frozen=True)
-class FlowCert:
-    """Integral assignment sending m copies of every window point of set_a
-    into set_b with at most n arrivals per target."""
-
-    copies: int  # m
-    set_a: SetExpr
-    capacity: int  # n
-    set_b: SetExpr
-    translators: tuple[Elem, ...]
-    window: Window
-    assignment: tuple[tuple[Elem, tuple[Elem, ...]], ...]  # (x, m translators)
-    ctx: SetContext = field(compare=False, repr=False)
+class FlowCert(_Decided, fields="copies set_a capacity set_b translators window "
+               "assignment"):
+    """Integral assignment sending m = copies copies of every window point
+    of set_a into set_b with at most n = capacity arrivals per target: the
+    assignment holds (x, its m translators)."""
 
 
-@dataclass(frozen=True)
-class FlowDeficiency:
+class FlowDeficiency(_Decided, fields="copies set_a capacity set_b translators "
+                     "window violator"):
     """Finite D with m|D| > n|S.D intersect B|, refuting the comparison."""
-
-    copies: int
-    set_a: SetExpr
-    capacity: int
-    set_b: SetExpr
-    translators: tuple[Elem, ...]
-    window: Window
-    violator: tuple[Elem, ...]
-    ctx: SetContext = field(compare=False, repr=False)
 
 
 def type_order(

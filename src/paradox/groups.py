@@ -8,10 +8,6 @@ generator indices) order so that downstream results are byte-reproducible.
 
 from __future__ import annotations
 
-import string
-import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
@@ -31,6 +27,37 @@ class ParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class Record(tuple):
+    """Base of the package's immutable value types: a tuple of the fields
+    that the class statement names (`class R(Record, fields="a b")`), each
+    read by name, with the repr `R(a=..., b=...)`.  Equality, hashing and
+    pickling are the tuple's.  A subclass may put fixed `_head` items before
+    the fields."""
+
+    __slots__ = ()
+    _head: tuple = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, fields: str = "") -> None:
+        cls._fields = tuple(fields.split())
+        for i, name in enumerate(cls._fields, len(cls._head)):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}"
+            )
+        return tuple.__new__(cls, cls._head + values)
+
+    def __getnewargs__(self):
+        return self[len(self._head):]
+
+    def __repr__(self) -> str:
+        items = zip(self._fields, self[len(self._head):])
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in items)})"
 
 
 class FreeWord(tuple):
@@ -97,7 +124,7 @@ Elem = Union[FreeWord, IntVec, AffineElem]
 _word = partial(tuple.__new__, FreeWord)
 _affine = partial(tuple.__new__, AffineElem)
 
-_LETTERS = string.ascii_lowercase
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _LENGTH_CAP = 64  # word_length gives up beyond this many layers
 
 
@@ -118,22 +145,20 @@ class Layers:
         root = group.identity()
         self.layers: list[list[Elem]] = [[root]]
         self.index: dict[Elem, int] = {root: 0} if with_root else {}
-        self.lock = threading.Lock()
 
     def extend(self, upto: int) -> None:
         """Compute the layers up to length `upto`, or to the first empty one."""
-        with self.lock:
-            layers, index, mul = self.layers, self.index, self.group._mul
-            while len(layers) <= upto and layers[-1]:
-                r = len(layers)
-                layer = []
-                for parent in layers[-1]:
-                    for gen in self.gens:
-                        child = mul(parent, gen)
-                        if child not in index:
-                            index[child] = r
-                            layer.append(child)
-                layers.append(layer)
+        layers, index, mul = self.layers, self.index, self.group._mul
+        while len(layers) <= upto and layers[-1]:
+            r = len(layers)
+            layer = []
+            for parent in layers[-1]:
+                for gen in self.gens:
+                    child = mul(parent, gen)
+                    if child not in index:
+                        index[child] = r
+                        layer.append(child)
+            layers.append(layer)
 
 
 class Group:
@@ -444,46 +469,53 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 _GROUPS: dict[str, Group] = {}
-_GROUPS_LOCK = threading.Lock()
 
 
 def group_from_string(spec: str) -> Group:
     """Resolve 'free:k', 'zn:d' or 'bs12' to a (shared) group instance."""
     spec = spec.strip()
-    with _GROUPS_LOCK:
-        if spec in _GROUPS:
-            return _GROUPS[spec]
-        if spec == "bs12":
-            grp: Group = DyadicAffineGroup()
-        elif spec.startswith("free:"):
-            grp = FreeGroup(int(spec.split(":", 1)[1]))
-        elif spec.startswith("zn:"):
-            grp = LatticeGroup(int(spec.split(":", 1)[1]))
-        else:
-            raise ParseError(f"unknown group spec {spec!r}")
-        _GROUPS[spec] = grp
-        return grp
+    if spec in _GROUPS:
+        return _GROUPS[spec]
+    if spec == "bs12":
+        grp: Group = DyadicAffineGroup()
+    elif spec.startswith("free:"):
+        grp = FreeGroup(int(spec.split(":", 1)[1]))
+    elif spec.startswith("zn:"):
+        grp = LatticeGroup(int(spec.split(":", 1)[1]))
+    else:
+        raise ParseError(f"unknown group spec {spec!r}")
+    _GROUPS[spec] = grp
+    return grp
 
 
 # ---- windows -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Window:
     """Finite, ordered, duplicate-free slice of a group on which all
-    certificates are checked."""
+    certificates are checked; `kind` is "ball" (the elements are the ball of
+    `radius`) or "explicit"."""
 
-    group: Group
-    radius: int
-    elements: tuple[Elem, ...]
-    kind: str = "ball"  # "ball" (elements = ball of `radius`) or "explicit"
+    __slots__ = ("group", "radius", "elements", "kind")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: Group, radius: int, elements: tuple[Elem, ...],
+                 kind: str = "ball") -> None:
         seen = set()
-        for g in self.elements:
+        for g in elements:
             if g in seen:
-                raise GroupError(f"duplicate window element {self.group.show(g)}")
+                raise GroupError(f"duplicate window element {group.show(g)}")
             seen.add(g)
+        self.group, self.radius = group, radius
+        self.elements, self.kind = elements, kind
+
+    def _value(self) -> tuple:
+        return (self.group, self.radius, self.elements, self.kind)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Window and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -497,7 +529,9 @@ def explicit_window(group: Group, elements: Sequence[Elem], radius: int) -> Wind
     return Window(group, radius, tuple(elements), kind="explicit")
 
 
-def affine_fraction(g: AffineElem) -> tuple[Fraction, Fraction]:
+def affine_fraction(g: AffineElem) -> tuple:
     """The (a, b) of the map x -> a*x + b, as exact fractions."""
+    from fractions import Fraction
+
     a = Fraction(1 << g.a_exp) if g.a_exp >= 0 else Fraction(1, 1 << -g.a_exp)
     return a, g.b.as_fraction()

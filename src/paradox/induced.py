@@ -4,8 +4,6 @@ group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import (
     DyadicAffineGroup,
     Elem,
@@ -15,6 +13,7 @@ from .groups import (
     GroupError,
     IntVec,
     LatticeGroup,
+    Record,
 )
 from .pwt import ValidationReport
 
@@ -183,28 +182,19 @@ def coset_normalize(sub: SubgroupSpec, g: Elem) -> tuple[Elem, Elem]:
     return rep, r
 
 
-@dataclass(frozen=True)
-class TokenWitness:
+class TokenWitness(Record, fields="whole pieces movers split"):
     """Doubling data for an abstract subgroup space, asserted rather than
     computed: pieces of `whole` with subgroup translators, split as usual."""
 
-    whole: str
-    pieces: tuple[str, ...]
-    movers: tuple[Elem, ...]
-    split: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InducedWitness:
+class InducedWitness(Record, fields="anchor anchor_rep whole pieces translators "
+                     "split"):
     """Transport of a token witness to the fibre over `anchor`: ambient
     translators satisfy mover-conjugation and act fibre-preservingly."""
 
-    anchor: Elem
-    anchor_rep: Elem
-    whole: tuple[Elem, str]
-    pieces: tuple[tuple[Elem, str], ...]
-    translators: tuple[Elem, ...]
-    split: int
+    __slots__ = ()
 
 
 def induce_witness(sub: SubgroupSpec, tw: TokenWitness, anchor: Elem) -> InducedWitness:

@@ -3,10 +3,9 @@ type and the pairwise-overlap check that the window checkers share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .groups import Elem, Window
+from .groups import Elem, Record, Window
 from .sets import (
     Intersect,
     SetContext,
@@ -21,17 +20,15 @@ class PwTError(ValueError):
     """Domain or piece-structure violation when applying a piecewise translation."""
 
 
-@dataclass(frozen=True)
-class PwT:
+class PwT(Record, fields="domain pieces displacement"):
     """A piecewise translation: on each piece, left-multiply by its translator.
 
-    The map is x -> t_i * x for the unique piece i containing x; all
-    displacements stay inside the finite `displacement` set.
+    The map is x -> t_i * x for the unique piece i containing x, for the
+    pieces (A_i, t_i); all displacements stay inside the finite
+    `displacement` set.
     """
 
-    domain: SetExpr
-    pieces: tuple[tuple[SetExpr, Elem], ...]
-    displacement: tuple[Elem, ...]
+    __slots__ = ()
 
     @staticmethod
     def single(domain: SetExpr, t: Elem) -> "PwT":
@@ -76,11 +73,11 @@ def pwt_compose(outer: PwT, inner: PwT, ctx: SetContext) -> PwT:
     return PwT(inner.domain, tuple(pieces), tuple(displacement))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a window check; failures carry a witness element per check."""
+class ValidationReport(Record, fields="checks"):
+    """Outcome of a window check: (name, ok, message) per check; failures
+    carry a witness element in their message."""
 
-    checks: tuple[tuple[str, bool, str], ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

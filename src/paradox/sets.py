@@ -6,17 +6,16 @@ else is decided exactly.  The third value stays in this module: the rest of
 the package asks `predicate`, `member_strict` or `materialize`, which raise
 the one `undecided_error` naming point, set and budget.
 
-Each expression is compiled once per context into a closure over checked
-points, and every membership question runs that closure.
+An expression is a tree of tuple nodes, each kind spelled out once in the
+node table `_NODES`.  Each expression is compiled once per context into a
+closure over checked points, and every membership question runs that closure.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import threading
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Callable
 
@@ -29,6 +28,7 @@ from .groups import (
     Layers,
     LatticeGroup,
     ParseError,
+    Record,
     Window,
     _split_top,
 )
@@ -49,83 +49,65 @@ class BudgetError(RuntimeError):
     BUDGET_EXCEEDED; retry with a larger budget slack."""
 
 
-class SetExpr:
-    """Base class for symbolic set expressions."""
+class SetExpr(Record):
+    """Base class for symbolic set expressions: a node is the tuple of its
+    kind's tag and its fields, so two kinds never compare equal."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, tag: int, fields: str = "") -> None:
+        cls._head = (tag,)
+        super().__init_subclass__(fields)
+
+
+class AllSet(SetExpr, tag=0):
+    __slots__ = ()
+
+
+class EmptySet(SetExpr, tag=1):
+    __slots__ = ()
+
+
+class FiniteSet(SetExpr, tag=2, fields="elems"):
+    __slots__ = ()
+
+
+class BallSet(SetExpr, tag=3, fields="radius"):
+    __slots__ = ()
+
+
+class Translate(SetExpr, tag=4, fields="t inner"):
+    __slots__ = ()
+
+
+class Union(SetExpr, tag=5, fields="left right"):
+    __slots__ = ()
+
+
+class Intersect(SetExpr, tag=6, fields="left right"):
+    __slots__ = ()
+
+
+class Diff(SetExpr, tag=7, fields="left right"):
+    __slots__ = ()
+
+
+class SemigroupSet(SetExpr, tag=8, fields="gens include_identity"):
+    """All nonempty positive words in `gens`, plus the identity if asked."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class AllSet(SetExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class EmptySet(SetExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class FiniteSet(SetExpr):
-    elems: tuple[Elem, ...]
-    # hashed copy of elems for membership; elems keeps the written order
-    members: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.elems))
-
-
-@dataclass(frozen=True, slots=True)
-class BallSet(SetExpr):
-    radius: int
-
-
-@dataclass(frozen=True, slots=True)
-class Translate(SetExpr):
-    t: Elem
-    inner: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class Union(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class Intersect(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class Diff(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SemigroupSet(SetExpr):
-    """All nonempty positive words in `gens`, plus the identity if asked."""
-
-    gens: tuple[Elem, ...]
-    include_identity: bool
-
-
-@dataclass(frozen=True, slots=True)
-class Slab(SetExpr):
+class Slab(SetExpr, tag=9, fields="lo hi gamma"):
     """Maps x -> a*x + b with lo <= a*gamma + b <= hi (dyadic affine only)."""
 
-    lo: Fraction
-    hi: Fraction
-    gamma: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class GreedySet(SetExpr):
+class GreedySet(SetExpr, tag=10, fields="count"):
     """The first `count` elements of the triple-product-free greedy sequence."""
 
-    count: int
+    __slots__ = ()
 
 
 def translate(t: Elem, inner: SetExpr, group: Group) -> SetExpr:
@@ -141,13 +123,13 @@ def translate(t: Elem, inner: SetExpr, group: Group) -> SetExpr:
 # ---- evaluation context ----------------------------------------------------
 
 
-@dataclass
 class SetContext:
     """Carries the group, the semigroup enumeration budget, and shared caches."""
 
-    group: Group
-    budget: int = 8
-    caches: dict = field(default_factory=dict)
+    __slots__ = ("group", "budget", "caches")
+
+    def __init__(self, group: Group, budget: int = 8) -> None:
+        self.group, self.budget, self.caches = group, budget, {}
 
 
 # The one default budget slack: extra enumeration length beyond the window
@@ -196,9 +178,9 @@ def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, .
 
 def _compiled(expr: SetExpr, ctx: SetContext):
     """(expr, three-valued test, strict test) for expr in ctx, compiled on
-    first use.  The memo is keyed by identity, because a frozen dataclass
-    hashes by walking its whole tree; the entry holds expr, so its id is not
-    reused while the entry lives."""
+    first use.  The memo is keyed by identity, because a node hashes by
+    walking its whole tree; the entry holds expr, so its id is not reused
+    while the entry lives."""
     entry = ctx.caches.get(id(expr))
     if entry is None:
         test, decided = _compile(expr, ctx)
@@ -218,62 +200,54 @@ def _strict(test, expr: SetExpr, ctx: SetContext):
 
 
 def _compile(expr: SetExpr, ctx: SetContext):
-    """(test, decided): test maps a point checked in ctx.group to True, False
-    or BUDGET_EXCEEDED, and decided says that it never gives BUDGET_EXCEEDED
-    (expr has no semigroup leaf).  Everything a node needs that does not
-    depend on the point (inverted translators, semigroup enumerations, the
-    greedy set) is bound here, once."""
-    group = ctx.group
-    if isinstance(expr, AllSet):
-        return (lambda g: True), True
-    if isinstance(expr, EmptySet):
-        return (lambda g: False), True
-    if isinstance(expr, FiniteSet):
-        return expr.members.__contains__, True
-    if isinstance(expr, BallSet):
-        return group._ball_test(expr.radius), True
-    if isinstance(expr, Translate):
-        inner, decided = _compile(expr.inner, ctx)
-        t_inv, times = group._inv(expr.t), group._mul
-        return (lambda g: inner(times(t_inv, g))), decided
-    if isinstance(expr, (Union, Intersect, Diff)):
-        left, left_decided = _compile(expr.left, ctx)
-        right, right_decided = _compile(expr.right, ctx)
-        combine = _COMBINE[type(expr)]
-        return combine(left, left_decided, right, right_decided), (
-            left_decided and right_decided
-        )
-    if isinstance(expr, SemigroupSet):
-        return _semigroup_test(expr, ctx), False
-    if isinstance(expr, Slab):
-        if not isinstance(group, DyadicAffineGroup):
-            raise GroupError("slab sets are only defined for the dyadic affine group")
-        lo, hi, gamma = expr.lo, expr.hi, expr.gamma
+    """(test, decided) by the kind's compiler: test maps a checked point to
+    True, False or BUDGET_EXCEEDED, and decided says that it never gives
+    BUDGET_EXCEEDED (no semigroup leaf).  Everything a node needs that does
+    not depend on the point (inverted translators, semigroup enumerations,
+    the greedy set) is bound here, once."""
+    return _NODES[type(expr)].compile(expr, ctx)
 
-        def in_slab(g):
-            a_exp, b = g
-            a = Fraction(1 << a_exp) if a_exp >= 0 else Fraction(1, 1 << -a_exp)
-            return lo <= a * gamma + b.as_fraction() <= hi
 
-        return in_slab, True
-    if isinstance(expr, GreedySet):
-        from .smallsets import greedy_small_set
+def _compile_translate(expr: Translate, ctx: SetContext):
+    inner, decided = _compile(expr.inner, ctx)
+    t_inv, times = ctx.group._inv(expr.t), ctx.group._mul
+    return (lambda g: inner(times(t_inv, g))), decided
 
-        key = ("greedy", group.key, expr.count)
-        members = ctx.caches.get(key)
-        if members is None:
-            members = ctx.caches[key] = frozenset(greedy_small_set(group, expr.count))
-        return members.__contains__, True
-    raise TypeError(f"unknown set expression {expr!r}")
+
+def _compile_slab(expr: Slab, ctx: SetContext):
+    if not isinstance(ctx.group, DyadicAffineGroup):
+        raise GroupError("slab sets are only defined for the dyadic affine group")
+    from fractions import Fraction
+
+    lo, hi, gamma = expr.lo, expr.hi, expr.gamma
+
+    def in_slab(g):
+        a_exp, (num, exp) = g
+        a = Fraction(1 << a_exp) if a_exp >= 0 else Fraction(1, 1 << -a_exp)
+        return lo <= a * gamma + Fraction(num, 1 << exp) <= hi
+
+    return in_slab, True
+
+
+def _compile_greedy(expr: GreedySet, ctx: SetContext):
+    from .smallsets import greedy_small_set
+
+    key = ("greedy", ctx.group.key, expr.count)
+    members = ctx.caches.get(key)
+    if members is None:
+        members = ctx.caches[key] = frozenset(greedy_small_set(ctx.group, expr.count))
+    return members.__contains__, True
 
 
 # The three-valued connectives, short-circuiting: a side that is never
 # undecided combines through Python's own `or`/`and`/`not`.
 
 
-def _union(left, left_decided, right, right_decided):
+def _union(expr: Union, ctx: SetContext):
+    left, left_decided = _compile(expr.left, ctx)
+    right, right_decided = _compile(expr.right, ctx)
     if left_decided:
-        return lambda g: left(g) or right(g)
+        return (lambda g: left(g) or right(g)), right_decided
 
     def test(g):
         a = left(g)
@@ -282,12 +256,14 @@ def _union(left, left_decided, right, right_decided):
         b = right(g)
         return b if a is False or b is True else BUDGET_EXCEEDED
 
-    return test
+    return test, False
 
 
-def _intersect(left, left_decided, right, right_decided):
+def _intersect(expr: Intersect, ctx: SetContext):
+    left, left_decided = _compile(expr.left, ctx)
+    right, right_decided = _compile(expr.right, ctx)
     if left_decided:
-        return lambda g: left(g) and right(g)
+        return (lambda g: left(g) and right(g)), right_decided
 
     def test(g):
         a = left(g)
@@ -296,12 +272,14 @@ def _intersect(left, left_decided, right, right_decided):
         b = right(g)
         return b if a is True or b is False else BUDGET_EXCEEDED
 
-    return test
+    return test, False
 
 
-def _diff(left, left_decided, right, right_decided):
+def _diff(expr: Diff, ctx: SetContext):
+    left, left_decided = _compile(expr.left, ctx)
+    right, right_decided = _compile(expr.right, ctx)
     if left_decided and right_decided:
-        return lambda g: left(g) and not right(g)
+        return (lambda g: left(g) and not right(g)), True
 
     def test(g):
         a = left(g)
@@ -312,10 +290,7 @@ def _diff(left, left_decided, right, right_decided):
             return False
         return a if b is False else BUDGET_EXCEEDED
 
-    return test
-
-
-_COMBINE = {Union: _union, Intersect: _intersect, Diff: _diff}
+    return test, False
 
 
 # ---- semigroup membership ---------------------------------------------------
@@ -416,10 +391,9 @@ class _AffineSemigroupDecider:
         self.min_exp = min(gen.a_exp for gen in gens)
         self.max_b_exp = max(gen.b.exp for gen in gens)
         self.memo: dict[AffineElem, bool] = {}
-        self.bounds: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-        self.lock = threading.Lock()
+        self.bounds: list[tuple] = [(0, 0)]  # rational (lo, hi) b per exponent
 
-    def _bound(self, n: int) -> tuple[Fraction, Fraction]:
+    def _bound(self, n: int) -> tuple:
         while len(self.bounds) <= n:
             m = len(self.bounds)
             lo = hi = None
@@ -427,14 +401,14 @@ class _AffineSemigroupDecider:
                 if gen.a_exp > m:
                     continue
                 blo, bhi = self.bounds[m - gen.a_exp]
-                scale = Fraction(1 << gen.a_exp)
+                scale = 1 << gen.a_exp
                 b = gen.b.as_fraction()
                 cand_lo, cand_hi = b + scale * blo, b + scale * bhi
                 lo = cand_lo if lo is None or cand_lo < lo else lo
                 hi = cand_hi if hi is None or cand_hi > hi else hi
             if lo is None:
                 # no word has total exponent exactly m; make the bound empty
-                lo, hi = Fraction(1), Fraction(0)
+                lo, hi = 1, 0
             self.bounds.append((lo, hi))
         return self.bounds[n]
 
@@ -443,31 +417,30 @@ class _AffineSemigroupDecider:
         visit more than _NODE_CAP new elements.  Depth-first over the
         generators in order, on an explicit stack, so the answer depends on
         the node cap alone and never on the interpreter's stack depth."""
-        with self.lock:
-            memo = self.memo
-            if g in memo:
-                return memo[g]
-            nodes = 1
-            stack = [(g, self._peel(g))]
-            while stack:
-                h, children = stack[-1]
-                for child in children:
-                    if child is None or memo.get(child) is True:
-                        # a positive word for this element, hence for every
-                        # element on the stack: each is a generator times the next
-                        for elem, _ in stack:
-                            memo[elem] = True
-                        return True
-                    if child not in memo:
-                        nodes += 1
-                        if nodes > self._NODE_CAP:
-                            return BUDGET_EXCEEDED
-                        stack.append((child, self._peel(child)))
-                        break
-                else:
-                    memo[h] = False
-                    stack.pop()
-            return False
+        memo = self.memo
+        if g in memo:
+            return memo[g]
+        nodes = 1
+        stack = [(g, self._peel(g))]
+        while stack:
+            h, children = stack[-1]
+            for child in children:
+                if child is None or memo.get(child) is True:
+                    # a positive word for this element, hence for every
+                    # element on the stack: each is a generator times the next
+                    for elem, _ in stack:
+                        memo[elem] = True
+                    return True
+                if child not in memo:
+                    nodes += 1
+                    if nodes > self._NODE_CAP:
+                        return BUDGET_EXCEEDED
+                    stack.append((child, self._peel(child)))
+                    break
+            else:
+                memo[h] = False
+                stack.pop()
+        return False
 
     def _peel(self, g: AffineElem):
         """In generator order: None when g is that generator, otherwise
@@ -487,61 +460,56 @@ class _AffineSemigroupDecider:
 
 # ---- text grammar -----------------------------------------------------------
 
+# At most this many parentheses inside one another, and this many chained
+# `|`, `&` and `\` operations (a translate adds none): at the cap the parser,
+# `_compile`, `show_setexpr` and the compiled tests need about 420 frames.
+MAX_DEPTH = 100
+_TOO_DEEP = f"set expression nests more than {MAX_DEPTH} levels deep"
+
 # the characters at which a leading translate prefix can end or nest
 _PREFIX_STOPS = re.compile(r"[(){}*|&\\]")
 
 
 def parse_setexpr(text: str, group: Group) -> SetExpr:
     parser = _SetParser(text, group)
-    expr = parser.parse_union()
+    expr, _ = parser.parse_infix(0)
     parser.skip_ws()
-    if parser.pos != len(parser.text):
+    if parser.pos != len(text):
         raise ParseError(f"trailing input in set expression {text!r}", parser.pos)
     return expr
 
 
 class _SetParser:
+    """Recursive descent over the text.  Each method returns the expression
+    it read and its operation depth; `nesting` counts the open parentheses."""
+
     def __init__(self, text: str, group: Group):
-        self.text = text
-        self.group = group
-        self.pos = 0
+        self.text, self.group, self.pos, self.nesting = text, group, 0, 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def parse_union(self) -> SetExpr:
-        expr = self.parse_diff()
+    def parse_infix(self, level: int) -> tuple[SetExpr, int]:
+        """A chain of the operation `_INFIX[level]` over tighter operands."""
+        kind = _INFIX[level]
+        operator = _NODES[kind].keyword
+        operand = (partial(self.parse_infix, level + 1) if level + 1 < len(_INFIX)
+                   else self.parse_atom)
+        expr, depth = operand()
         while True:
             self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "|":
-                self.pos += 1
-                expr = Union(expr, self.parse_diff())
-            else:
-                return expr
-
-    def parse_diff(self) -> SetExpr:
-        expr = self.parse_intersect()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "\\":
-                self.pos += 1
-                expr = Diff(expr, self.parse_intersect())
-            else:
-                return expr
-
-    def parse_intersect(self) -> SetExpr:
-        expr = self.parse_atom()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "&":
-                self.pos += 1
-                expr = Intersect(expr, self.parse_atom())
-            else:
-                return expr
+            if not self.text.startswith(operator, self.pos):
+                return expr, depth
+            self.pos += len(operator)
+            right, right_depth = operand()
+            expr, depth = kind(expr, right), max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, self.pos)
 
     def _translate_prefix(self) -> str | None:
         """Text of a leading element followed by '*', if present."""
+        self.skip_ws()
         text, start = self.text, self.pos
         if text.find("*", start) < 0:
             return None
@@ -558,66 +526,52 @@ class _SetParser:
                 return text[start : found.start()] if ch == "*" else None
         return None
 
-    def parse_atom(self) -> SetExpr:
-        self.skip_ws()
+    def parse_atom(self) -> tuple[SetExpr, int]:
+        """Translate prefixes, then a parenthesised expression or an atom."""
+        translators = []
+        while (prefix := self._translate_prefix()) is not None:
+            translators.append(self.group.parse(prefix))
+            self.pos += len(prefix) + 1
+        if self.text.startswith("(", self.pos):
+            if self.nesting == MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, self.pos)
+            self.nesting += 1
+            self.pos += 1
+            expr, depth = self.parse_infix(0)
+            self.skip_ws()
+            if not self.text.startswith(")", self.pos):
+                raise ParseError("expected ')' in set expression", self.pos)
+            self.pos += 1
+            self.nesting -= 1
+        else:
+            expr, depth = self._parse_keyword(), 0
+        for t in reversed(translators):
+            expr = translate(t, expr, self.group)
+        return expr, depth
+
+    def _parse_keyword(self) -> SetExpr:
         text, pos = self.text, self.pos
         if pos >= len(text):
             raise ParseError("unexpected end of set expression", pos)
-        prefix = self._translate_prefix()
-        if prefix is not None:
-            t = self.group.parse(prefix)
-            self.pos += len(prefix) + 1
-            return translate(t, self.parse_atom(), self.group)
-        for keyword in ("all", "empty"):
+        for node in _NODES.values():
+            keyword = node.keyword
+            if node.read is None or not text.startswith(keyword, pos):
+                continue
+            if keyword[-1] in "({":
+                return node.read(self._consume_bracketed(len(keyword) - 1), self.group)
             after = text[pos + len(keyword) : pos + len(keyword) + 1]
-            if text.startswith(keyword, pos) and (
-                not after or not after.isalnum() and after not in "({"
-            ):
+            if not after or not after.isalnum() and after not in "({":
                 self.pos += len(keyword)
-                return AllSet() if keyword == "all" else EmptySet()
-        if text.startswith("finite{", pos):
-            body = self._consume_bracketed(len("finite"), "{", "}")
-            elems = tuple(
-                self.group.parse(part) for part in _split_top(body, ",") if part.strip()
-            )
-            return FiniteSet(elems)
-        if text.startswith("ball(", pos):
-            body = self._consume_bracketed(len("ball"), "(", ")")
-            return BallSet(int(body))
-        if text.startswith("greedy(", pos):
-            body = self._consume_bracketed(len("greedy"), "(", ")")
-            return GreedySet(int(body))
-        if text.startswith("semigroup(", pos):
-            body = self._consume_bracketed(len("semigroup"), "(", ")")
-            halves = _split_top(body, ";")
-            include = False
-            if len(halves) == 2:
-                if halves[1].strip() != "e":
-                    raise ParseError(f"expected ';e' in semigroup(...), got {body!r}")
-                include = True
-            elif len(halves) != 1:
-                raise ParseError(f"too many ';' in semigroup(...): {body!r}")
-            gens = tuple(self.group.parse(p) for p in _split_top(halves[0], ","))
-            return SemigroupSet(gens, include)
-        if text.startswith("slab(", pos):
-            body = self._consume_bracketed(len("slab"), "(", ")")
-            parts = _split_top(body, ",")
-            if len(parts) != 3:
-                raise ParseError(f"slab needs three rationals, got {body!r}")
-            lo, hi, gamma = (Fraction(p.strip()) for p in parts)
-            return Slab(lo, hi, gamma)
-        if text.startswith("(", pos):
-            body = self._consume_bracketed(0, "(", ")")
-            return parse_setexpr(body, self.group)
+                return node.read("", self.group)
         raise ParseError(
             f"cannot parse set expression near {text[pos : pos + 20]!r}", pos
         )
 
-    def _consume_bracketed(self, header: int, open_ch: str, close_ch: str) -> str:
+    def _consume_bracketed(self, header: int) -> str:
         text = self.text
         start = self.pos + header
-        if text[start] != open_ch:
-            raise ParseError(f"expected {open_ch!r}", start)
+        open_ch = text[start]
+        close_ch = ")" if open_ch == "(" else "}"
         # the depth returns to zero only just after a closing bracket
         depth, scanned = 1, start + 1
         while True:
@@ -631,37 +585,82 @@ class _SetParser:
                 return text[start + 1 : close]
 
 
-def show_setexpr(expr: SetExpr, group: Group) -> str:
-    if isinstance(expr, AllSet):
-        return "all"
-    if isinstance(expr, EmptySet):
-        return "empty"
-    if isinstance(expr, FiniteSet):
-        return "finite{" + ",".join(group.show(e) for e in expr.elems) + "}"
-    if isinstance(expr, BallSet):
-        return f"ball({expr.radius})"
-    if isinstance(expr, GreedySet):
-        return f"greedy({expr.count})"
-    if isinstance(expr, Translate):
-        return f"{group.show(expr.t)}*{_atom_text(expr.inner, group)}"
-    if isinstance(expr, Union):
-        return f"({show_setexpr(expr.left, group)}|{show_setexpr(expr.right, group)})"
-    if isinstance(expr, Intersect):
-        return f"({show_setexpr(expr.left, group)}&{show_setexpr(expr.right, group)})"
-    if isinstance(expr, Diff):
-        return f"({show_setexpr(expr.left, group)}\\{show_setexpr(expr.right, group)})"
-    if isinstance(expr, SemigroupSet):
-        gens = ",".join(group.show(g) for g in expr.gens)
-        return f"semigroup({gens};e)" if expr.include_identity else f"semigroup({gens})"
-    if isinstance(expr, Slab):
-        return f"slab({expr.lo},{expr.hi},{expr.gamma})"
-    raise TypeError(f"unknown set expression {expr!r}")
+def _read_semigroup(body: str, group: Group) -> SemigroupSet:
+    gens, *identity = _split_top(body, ";")
+    if [part.strip() for part in identity] not in ([], ["e"]):
+        raise ParseError(f"expected 'gens' or 'gens;e' in semigroup(...), got {body!r}")
+    return SemigroupSet(tuple(map(group.parse, _split_top(gens, ","))), bool(identity))
 
 
-def _atom_text(expr: SetExpr, group: Group) -> str:
-    text = show_setexpr(expr, group)
-    if isinstance(expr, (Union, Intersect, Diff)):
-        return text  # already parenthesised
-    if isinstance(expr, Translate):
-        return f"({text})"
+def _read_slab(body: str, group: Group) -> Slab:
+    from fractions import Fraction
+
+    parts = _split_top(body, ",")
+    if len(parts) != 3:
+        raise ParseError(f"slab needs three rationals, got {body!r}")
+    return Slab(*(Fraction(p.strip()) for p in parts))
+
+
+def show_setexpr(expr: SetExpr, group: Group, memo: dict | None = None) -> str:
+    """The text of expr; `memo` maps the expressions shown so far to their
+    texts, so that a caller showing many that share parts renders each once."""
+    memo = {} if memo is None else memo
+    text = memo.get(expr)
+    if text is None:
+        text = memo[expr] = _NODES[type(expr)].show(expr, group, memo)
     return text
+
+
+def _show_translate(expr: Translate, group: Group, memo: dict) -> str:
+    inner = show_setexpr(expr.inner, group, memo)
+    return f"{group.show(expr.t)}*" + (
+        f"({inner})" if isinstance(expr.inner, Translate) else inner)
+
+
+def _show_infix(expr: SetExpr, group: Group, memo: dict) -> str:
+    left = show_setexpr(expr.left, group, memo)
+    right = show_setexpr(expr.right, group, memo)
+    return f"({left}{_NODES[type(expr)].keyword}{right})"
+
+
+class _Node(Record, fields="keyword read compile show"):
+    __slots__ = ()
+
+
+# The node table, each kind of set expression spelled out once: the keyword
+# an atom starts with (or the operator), read(text inside the atom's
+# brackets, group) -> node (None: the parser builds the node itself),
+# compile(node, ctx) -> (test, decided), and show(node, group, memo) -> text.
+_NODES = {
+    AllSet: _Node("all", lambda body, group: AllSet(),
+                  lambda expr, ctx: ((lambda g: True), True),
+                  lambda expr, group, memo: "all"),
+    EmptySet: _Node("empty", lambda body, group: EmptySet(),
+                    lambda expr, ctx: ((lambda g: False), True),
+                    lambda expr, group, memo: "empty"),
+    FiniteSet: _Node(
+        "finite{",
+        lambda body, group: FiniteSet(
+            tuple(group.parse(part) for part in _split_top(body, ",") if part.strip())),
+        lambda expr, ctx: (frozenset(expr.elems).__contains__, True),
+        lambda expr, group, memo: "finite{" + ",".join(map(group.show, expr.elems))
+        + "}"),
+    BallSet: _Node("ball(", lambda body, group: BallSet(int(body)),
+                   lambda expr, ctx: (ctx.group._ball_test(expr.radius), True),
+                   lambda expr, group, memo: f"ball({expr.radius})"),
+    Translate: _Node("*", None, _compile_translate, _show_translate),
+    Union: _Node("|", None, _union, _show_infix),
+    Intersect: _Node("&", None, _intersect, _show_infix),
+    Diff: _Node("\\", None, _diff, _show_infix),
+    SemigroupSet: _Node(
+        "semigroup(", _read_semigroup,
+        lambda expr, ctx: (_semigroup_test(expr, ctx), False),
+        lambda expr, group, memo: "semigroup(" + ",".join(map(group.show, expr.gens))
+        + (";e)" if expr.include_identity else ")")),
+    Slab: _Node("slab(", _read_slab, _compile_slab,
+                lambda expr, group, memo: f"slab({expr.lo},{expr.hi},{expr.gamma})"),
+    GreedySet: _Node("greedy(", lambda body, group: GreedySet(int(body)), _compile_greedy,
+                     lambda expr, group, memo: f"greedy({expr.count})"),
+}
+# the operations, loosest-binding first
+_INFIX = (Union, Diff, Intersect)

@@ -3,9 +3,7 @@ absorbing-set probes, and the window-level smallness semidecider."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import Elem, Group, Window
+from .groups import Elem, Group, Record, Window
 from .pwt import PwT
 from .sets import (
     AllSet,
@@ -84,10 +82,8 @@ def _choose(group: Group, chosen: list[Elem], invs: list[Elem],
         pairs.add(mul(g_inv, x))
 
 
-@dataclass(frozen=True)
-class PairIntersectionReport:
-    maximum: int
-    attained_at: Elem | None
+class PairIntersectionReport(Record, fields="maximum attained_at"):
+    __slots__ = ()
 
 
 def check_pair_intersections(

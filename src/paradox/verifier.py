@@ -1,10 +1,10 @@
 """Independent certificate verifier: pure replay of the recorded facts using
 only the data model and group arithmetic.  No matching or flow solver is
-imported here, so a verifier pass is evidence independent of the producer."""
+imported here, so a verifier pass is evidence independent of the producer.
+The witness and crossed-product checkers are imported by the checkers of
+those kinds alone, so a transport certificate's replay loads neither."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .certificates import (
     SCHEMA,
@@ -15,8 +15,7 @@ from .certificates import (
     window_from_descriptor,
     witness_from_cert,
 )
-from .crossed import verify_pi_witness
-from .groups import Group, Window, group_from_string
+from .groups import Group, Record, Window, group_from_string
 from .sets import (
     DEFAULT_SLACK,
     BudgetError,
@@ -25,17 +24,14 @@ from .sets import (
     parse_setexpr,
     predicate,
 )
-from .witness import witness_check
 
 
 class CertificateFormatError(ValueError):
     """The file is not a readable certificate of a known schema."""
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
-    ok: bool
-    message: str
+class VerifyOutcome(Record, fields="ok message"):
+    __slots__ = ()
 
     @staticmethod
     def passed() -> "VerifyOutcome":
@@ -182,10 +178,14 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
 
 
 def _verify_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
+    from .witness import witness_check
+
     return _outcome(witness_check(witness_from_cert(cert, group), window, ctx))
 
 
 def _verify_cp_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
+    from .crossed import verify_pi_witness
+
     return _outcome(
         verify_pi_witness(pi_witness_from_cert(cert, group), window, ctx)
     )

@@ -6,9 +6,7 @@ Everything here is checker-side; no matching or flow solver is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import Elem, Group, Window, explicit_window
+from .groups import Elem, Group, Record, Window, explicit_window
 from .pwt import PwT, ValidationReport, first_overlap, pwt_compose, pwt_map
 from .sets import (
     Diff,
@@ -25,24 +23,19 @@ from .sets import (
 )
 
 
-@dataclass(frozen=True)
-class ParadoxWitness:
-    """Pieces A_j inside `set_expr` and translators t_j with both families
-    (indices < split and >= split) of translated pieces covering the set."""
+class ParadoxWitness(Record, fields="set_expr parts split"):
+    """Pieces A_j inside `set_expr` and translators t_j, the parts (A_j, t_j),
+    with both families (indices < split and >= split) of translated pieces
+    covering the set."""
 
-    set_expr: SetExpr
-    parts: tuple[tuple[SetExpr, Elem], ...]
-    split: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Collision:
-    """Two distinct positive words with the same value; the generators are
-    not free up to the requested length."""
+class Collision(Record, fields="word_a word_b value"):
+    """Two distinct positive words (tuples of generator indices) with the same
+    value; the generators are not free up to the requested length."""
 
-    word_a: tuple[int, ...]
-    word_b: tuple[int, ...]
-    value: Elem
+    __slots__ = ()
 
 
 def free_semigroup_witness(

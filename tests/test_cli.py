@@ -201,6 +201,44 @@ class TestVerify:
         assert f"must be an integer, got {type(value).__name__}" in err
 
 
+# The two hostile set texts: 3000 nested parentheses, and a chain of 5000
+# unions.  Each used to end in a RecursionError traceback.
+DEEP_SETS = {
+    "parentheses": "(" * 3000 + "all" + ")" * 3000,
+    "unions": "|".join(["all"] * 5000),
+}
+
+
+class TestNestingCap:
+    """A set expression nested past `sets.MAX_DEPTH` ends in one line."""
+
+    @pytest.mark.parametrize("text", DEEP_SETS.values(), ids=DEEP_SETS)
+    def test_check_exits_1(self, capsys, text):
+        assert run(["check", "--group", "zn:1", "--set", text, "--translators",
+                    "ball:1", "--window", "2", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: set expression nests more than ")
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("text", DEEP_SETS.values(), ids=DEEP_SETS)
+    def test_verify_exits_3(self, tmp_path, capsys, text):
+        from paradox.certificates import content_digest, write_certificate
+
+        path = tmp_path / "match.json"
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "2", "--out", str(path), "--quiet"]) == 0
+        cert = load_certificate(str(path))
+        cert["set"] = text
+        cert["digest"] = content_digest(cert)
+        write_certificate(cert, str(path))
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: payload does not parse or "
+                              "replay: set expression nests more than ")
+        assert err.count("\n") == 1, err
+
+
 class TestMalformedInput:
     """An input file of the wrong shape ends in exit 1 and one `error:` line."""
 
@@ -375,6 +413,22 @@ class TestPipelines:
         report = json.loads(out.read_text())
         assert report["output"]["sj"] == ["b a b^-1", "b a a b^-1"]
         assert all(check["ok"] for check in report["checks"])
+
+
+    @pytest.mark.parametrize("split", ["1", 1.0, True], ids=["string", "float", "bool"])
+    def test_induce_split_must_be_a_json_integer(self, tmp_path, capsys, split):
+        tokens = tmp_path / "tokens.json"
+        tokens.write_text(json.dumps({
+            "set": "E", "pieces": ["E1", "E2"], "gamma0Elems": ["a", "a a"],
+            "split": split,
+        }))
+        out = tmp_path / "induced.json"
+        capsys.readouterr()
+        assert run(["induce", "--group", "free:2", "--subgroup", "cyclic:a",
+                    "--input", str(tokens), "--t", "b", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: split must be an integer, got {type(split).__name__}\n"
+        assert not out.exists()
 
 
 # The positive quadrant of Z^2, decided through its half-space length bound:

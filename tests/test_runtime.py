@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -10,15 +9,8 @@ import pytest
 import paradox
 import paradox.cli
 from paradox.certificates import content_digest, window_digest, write_certificate
-from paradox.embedding import build_embedding, eval_embedding
-from paradox.engine import doubling_matching
-from paradox.groups import DyadicAffineGroup, explicit_window, group_from_string
-from paradox.sets import SemigroupSet, context_for
-from paradox.witness import free_semigroup_witness, semigroup_window
+from paradox.groups import explicit_window, group_from_string
 
-BS = group_from_string("bs12")
-S_GEN = BS.parse("(2,0)")
-T_GEN = BS.parse("(2,1)")
 Z1 = group_from_string("zn:1")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
 
@@ -83,36 +75,6 @@ class TestBallsIgnoreStrayFiles:
             assert proc.returncode == 3, proc.stderr
 
 
-class TestConcurrency:
-    def test_parallel_ball_extension(self):
-        group = DyadicAffineGroup()  # fresh instance, empty layer cache
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            sizes = list(pool.map(lambda r: len(group.ball_elements(r)), [5] * 16))
-        assert len(set(sizes)) == 1
-        assert sizes[0] == len(BS.ball_elements(5))
-
-    def test_parallel_embedding_evaluation(self):
-        witness = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        window = semigroup_window(BS, S_GEN, T_GEN, 5)
-        data = build_embedding(witness, window, context_for(window))
-        words = [w.letters for w in group_from_string("free:2").ball_elements(4)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(lambda w: eval_embedding(data, w), words))
-        assert len(set(values)) == len(words)
-
-    def test_parallel_matching_queries(self):
-        semi = SemigroupSet((S_GEN, T_GEN), True)
-        window = semigroup_window(BS, S_GEN, T_GEN, 3)
-
-        def run(_):
-            cert = doubling_matching(semi, [S_GEN, T_GEN], window, context_for(window))
-            return tuple(cert.assignment)
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-            results = set(pool.map(run, range(12)))
-        assert len(results) == 1
-
-
 def test_verifier_imports_no_solver(tmp_path):
     # a greedy set's membership builds the set in `smallsets`
     path = tmp_path / "greedy.json"
@@ -144,6 +106,60 @@ def test_verify_command_loads_no_solver(tmp_path):
     proc = _run(["-c", code], None)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def _newly_loaded(code, watched):
+    """The modules of `watched` that running `code` in a fresh interpreter
+    loads, beyond what the interpreter loads at start-up."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        f"print(*sorted(set(sys.modules) - before & {set(watched)!r}))\n"
+    )
+    proc = _run(["-c", script], None)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    watched = ("dataclasses", "inspect", "fractions", "decimal", "string")
+    assert _newly_loaded("import paradox.cli", watched) == []
+
+
+@pytest.mark.parametrize("kind, argv, code", [
+    ("match", ["check", "--group", "free:2", "--set", "all"], 0),
+    ("deficiency", ["check", "--group", "zn:1", "--set", "all"], 2),
+    ("flow", ["type-order", "--group", "zn:1", "--m", "1", "--set-a", "all",
+              "--n", "1", "--set-b", "all"], 0),
+], ids=["match", "deficiency", "flow"])
+def test_verify_loads_only_what_its_kind_replays(tmp_path, kind, argv, code):
+    """A transport certificate's replay needs no solver and neither the
+    witness nor the crossed-product checkers."""
+    path = tmp_path / f"{kind}.json"
+    argv += ["--translators", "ball:1", "--window", "3", "--out", str(path), "--quiet"]
+    assert paradox.cli.main(argv) == code
+    assert json.loads(path.read_text())["kind"] == kind
+    watched = ["fractions"] + [f"paradox.{m}" for m in (
+        "crossed", "witness", "pwt", "engine", "matching", "flow")]
+    verify = (f"from paradox.cli import main; "
+              f"assert main(['verify', {str(path)!r}, '--quiet']) == 0")
+    assert _newly_loaded(verify, watched) == []
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for filename, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{filename}:{node.lineno}" for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def _names_read(tree):

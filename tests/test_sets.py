@@ -287,6 +287,33 @@ class TestGrammar:
             with pytest.raises(ParseError):
                 parse_setexpr(bad, BS)
 
+    def test_nesting_cap(self):
+        from paradox.groups import ParseError
+        from paradox.sets import MAX_DEPTH
+
+        ops = ["|", "&", "\\"]
+        chain = "\\".join(["all"] * (MAX_DEPTH + 1))
+        nested = "(" * MAX_DEPTH + "a*ball(1)" + ")" * MAX_DEPTH
+        right = "".join(f"all{ops[i % 3]}(" for i in range(MAX_DEPTH - 1))
+        right += "all|all" + ")" * (MAX_DEPTH - 1)
+        for text in (chain, nested, right):
+            expr = parse_setexpr(text, F2)
+            # what is shown parses back within the cap
+            assert parse_setexpr(show_setexpr(expr, F2), F2) == expr
+            assert member(expr, F2.parse("a b"), SetContext(F2)) in (True, False)
+        for text in (chain + "\\all", "(" + nested + ")", "all|(" + right + ")"):
+            with pytest.raises(ParseError, match=f"nests more than {MAX_DEPTH} "):
+                parse_setexpr(text, F2)
+
+    def test_kinds_never_compare_equal(self):
+        a, b = BallSet(1), BallSet(2)
+        assert Union(a, b) != Intersect(a, b) != Diff(a, b)
+        assert AllSet() != EmptySet()
+        assert GreedySet(3) != BallSet(3)
+        assert repr(Union(a, b)) == (
+            "Union(left=BallSet(radius=1), right=BallSet(radius=2))"
+        )
+
     def test_greedy_membership_matches_sequence(self):
         from paradox.smallsets import greedy_small_set
 
@@ -434,7 +461,7 @@ class TestCompiledMembership:
     def test_witness_check_hashes_no_set_expression(self, monkeypatch):
         """Compiled tests are found by the identity of their expression, so
         replaying a witness never hashes or compares a set expression, whose
-        dataclass methods walk the whole tree and every finite tuple."""
+        tuple hash and equality walk the whole tree and every finite tuple."""
         from paradox.certificates import window_from_descriptor, witness_from_cert
         from paradox.witness import witness_check
 
