@@ -151,20 +151,23 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         c: set(m.displacement)
         for c, m in zip(_BRANCH_LETTERS, data.branch_maps())
     }
+    # the values were built from checked points by the branch maps
+    mul, inv = group._mul, group._inv
     observed = set()
     violations = []
     for w in words:
         if len(w) >= radius:
             continue
+        w_inv = inv(values[w])
         for c in _BRANCH_LETTERS:
             if w and w[0] == -c:
                 continue
             cw = (c,) + w
-            d = group.mul(values[cw], group.inv(values[w]))
+            d = mul(values[cw], w_inv)
             observed.add(d)
             if d not in declared[c]:
                 violations.append((cw, w))
-    t_set = observed | {group.inv(d) for d in observed}
+    t_set = observed | set(map(inv, observed))
     ordered = tuple(sorted(t_set, key=group.sort_key))
     return LipschitzReport(
         radius,

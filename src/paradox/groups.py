@@ -12,7 +12,7 @@ from functools import partial
 from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
 
-from .dyadic import Dyadic, parse_dyadic
+from .dyadic import _lowest_terms, parse_dyadic, show_dyadic
 
 
 class GroupError(ValueError):
@@ -99,28 +99,30 @@ class IntVec(tuple):
 
 
 class AffineElem(tuple):
-    """The map x -> a*x + b with a = 2**a_exp and b dyadic; the tuple holds
-    (a_exp, b)."""
+    """The map x -> 2**a_exp * x + num / 2**exp; the tuple holds
+    (a_exp, num, exp) with the offset in lowest terms: exp >= 0, and num is
+    odd unless exp == 0 (so zero is (a_exp, 0, 0))."""
 
     __slots__ = ()
 
-    def __new__(cls, a_exp: int, b: Dyadic):
-        return tuple.__new__(cls, (a_exp, b))
+    def __new__(cls, a_exp: int, num: int = 0, exp: int = 0):
+        return tuple.__new__(cls, (a_exp, *_lowest_terms(num, exp)))
 
     a_exp = property(itemgetter(0))
-    b = property(itemgetter(1))
+    num = property(itemgetter(1))
+    exp = property(itemgetter(2))
 
     def __getnewargs__(self):
         return tuple(self)
 
     def __repr__(self) -> str:
-        return f"AffineElem(a_exp={self[0]!r}, b={self[1]!r})"
+        return f"AffineElem(a_exp={self[0]!r}, num={self[1]!r}, exp={self[2]!r})"
 
 
 Elem = Union[FreeWord, IntVec, AffineElem]
 
 # Build elements from their tuple contents, without FreeWord's letter coding
-# or AffineElem's argument list; only for contents known to be valid.
+# or AffineElem's reduction to lowest terms; only for contents known to be valid.
 _word = partial(tuple.__new__, FreeWord)
 _affine = partial(tuple.__new__, AffineElem)
 
@@ -388,7 +390,12 @@ class LatticeGroup(Group):
             raise ParseError(f"bad integer in {text!r}: {exc}") from None
 
 
-_AFFINE_ONE = AffineElem(0, Dyadic(0))
+_AFFINE_ONE = AffineElem(0)
+
+# Bound on |k| of a parsed scale 2**k, on j and the bit length of p in an
+# offset p/2**j: a product of three such elements prints in under 4300 digits,
+# CPython's limit on converting an integer to text.
+AFFINE_SIZE_CAP = 4096
 
 
 class DyadicAffineGroup(Group):
@@ -408,26 +415,47 @@ class DyadicAffineGroup(Group):
         return g
 
     def _mul(self, g: AffineElem, h: AffineElem) -> AffineElem:
-        # (a1,b1)(a2,b2) : x -> a1*(a2*x + b2) + b1
-        ga, gb = g
-        ha, hb = h
-        return _affine((ga + ha, hb.shift(ga) + gb))
+        # (a1,b1)(a2,b2) : x -> a1*(a2*x + b2) + b1, with b2*a1 = hn / 2**e
+        ga, gn, ge = g
+        ha, hn, he = h
+        if not hn:
+            return _affine((ga + ha, gn, ge))
+        e = he - ga
+        if e < ge:
+            # gn is odd (or ge is 0) and hn * 2**(ge - e) even: lowest terms
+            return _affine((ga + ha, gn + (hn << (ge - e)), ge))
+        num = hn + (gn << (e - ge))
+        if num & 1 or not e:
+            return _affine((ga + ha, num, e))
+        # strip the factors of two that num and 2**e share
+        k = min(e, (num & -num).bit_length() - 1) if num else e
+        return _affine((ga + ha, num >> k, e - k))
 
     def _inv(self, g: AffineElem) -> AffineElem:
-        a, b = g
-        return _affine((-a, (-b).shift(-a)))
+        # x -> (x - b) / a
+        a, n, e = g
+        e += a
+        if e <= 0:
+            return _affine((-a, -n << -e, 0))
+        if n & 1:
+            return _affine((-a, -n, e))
+        k = min(e, (n & -n).bit_length() - 1) if n else e
+        return _affine((-a, -n >> k, e - k))
 
     def generators(self) -> tuple[AffineElem, ...]:
-        s = AffineElem(1, Dyadic(0))
-        u = AffineElem(0, Dyadic(1))
+        s, u = _affine((1, 0, 0)), _affine((0, 1, 0))
         return (s, self._inv(s), u, self._inv(u))
 
     def sort_key(self, g: AffineElem):
-        return (g.a_exp, g.b.as_fraction())
+        # b = q + r / 2**exp with 0 <= r < 2**exp; the binary digits of r,
+        # padded to exp places, order the fractional parts exactly
+        a_exp, num, exp = g
+        return (a_exp, num >> exp, format(num & ((1 << exp) - 1), f"0{exp}b"))
 
     def show(self, g: AffineElem) -> str:
-        a = str(1 << g.a_exp) if g.a_exp >= 0 else f"1/{1 << -g.a_exp}"
-        return f"({a},{g.b})"
+        a_exp, num, exp = g
+        a = str(1 << a_exp) if a_exp >= 0 else f"1/{1 << -a_exp}"
+        return f"({a},{show_dyadic(num, exp)})"
 
     def parse(self, text: str) -> AffineElem:
         text = text.strip()
@@ -439,17 +467,22 @@ class DyadicAffineGroup(Group):
         if len(parts) != 2:
             raise ParseError(f"expected two components in {text!r}")
         try:
-            a = parse_dyadic(parts[0])
-            b = parse_dyadic(parts[1])
+            a_num, a_den_exp = parse_dyadic(parts[0])
+            num, exp = parse_dyadic(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad dyadic in {text!r}: {exc}") from None
-        if a.num == 1 and a.exp >= 0:
-            a_exp = -a.exp
-        elif a.exp == 0 and a.num > 0 and (a.num & (a.num - 1)) == 0:
-            a_exp = a.num.bit_length() - 1
+        if a_num == 1:
+            a_exp = -a_den_exp
+        elif a_den_exp == 0 and a_num > 0 and (a_num & (a_num - 1)) == 0:
+            a_exp = a_num.bit_length() - 1
         else:
             raise ParseError(f"scale component must be a power of two: {parts[0]!r}")
-        return AffineElem(a_exp, b)
+        cap = AFFINE_SIZE_CAP
+        if abs(a_exp) > cap or exp > cap or num.bit_length() > cap:
+            raise ParseError(f"element {text!r} is out of range: a scale 2^k and "
+                             f"an offset p/2^j need |k|, j and the bit length of "
+                             f"p at most {cap}")
+        return _affine((a_exp, num, exp))
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -527,11 +560,3 @@ def ball(group: Group, radius: int) -> Window:
 
 def explicit_window(group: Group, elements: Sequence[Elem], radius: int) -> Window:
     return Window(group, radius, tuple(elements), kind="explicit")
-
-
-def affine_fraction(g: AffineElem) -> tuple:
-    """The (a, b) of the map x -> a*x + b, as exact fractions."""
-    from fractions import Fraction
-
-    a = Fraction(1 << g.a_exp) if g.a_exp >= 0 else Fraction(1, 1 << -g.a_exp)
-    return a, g.b.as_fraction()

@@ -5,6 +5,7 @@ group."""
 from __future__ import annotations
 
 from .groups import (
+    AffineElem,
     DyadicAffineGroup,
     Elem,
     FreeGroup,
@@ -147,9 +148,7 @@ class TranslationKernel(SubgroupSpec):
 
     def coset_split(self, g: Elem) -> tuple[Elem, Elem]:
         g = self.group.check(g)
-        from .dyadic import Dyadic
-
-        rep = type(g)(g.a_exp, Dyadic(0))
+        rep = AffineElem(g.a_exp)
         r = self.group.mul(self.group.inv(rep), g)
         return rep, r
 

@@ -14,6 +14,7 @@ closure over checked points, and every membership question runs that closure.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import partial
 from operator import mul
@@ -217,14 +218,17 @@ def _compile_translate(expr: Translate, ctx: SetContext):
 def _compile_slab(expr: Slab, ctx: SetContext):
     if not isinstance(ctx.group, DyadicAffineGroup):
         raise GroupError("slab sets are only defined for the dyadic affine group")
-    from fractions import Fraction
-
-    lo, hi, gamma = expr.lo, expr.hi, expr.gamma
+    # lo <= 2**a * gamma + num / 2**exp <= hi, all times q * 2**s for the
+    # common denominator q of lo, hi and gamma and s = max(exp, -a) >= 0
+    bounds = (expr.lo, expr.hi, expr.gamma)
+    q = math.lcm(*(x.denominator for x in bounds))
+    lo_q, hi_q, gamma_q = (int(x * q) for x in bounds)
 
     def in_slab(g):
-        a_exp, (num, exp) = g
-        a = Fraction(1 << a_exp) if a_exp >= 0 else Fraction(1, 1 << -a_exp)
-        return lo <= a * gamma + Fraction(num, 1 << exp) <= hi
+        a_exp, num, exp = g
+        s = exp if exp > -a_exp else -a_exp
+        value = (gamma_q << (a_exp + s)) + ((num * q) << (s - exp))
+        return lo_q << s <= value <= hi_q << s
 
     return in_slab, True
 
@@ -389,28 +393,25 @@ class _AffineSemigroupDecider:
         self.gens = gens
         self.inv_gens = [group.inv(gen) for gen in gens]
         self.min_exp = min(gen.a_exp for gen in gens)
-        self.max_b_exp = max(gen.b.exp for gen in gens)
+        # every offset of a positive word has denominator at most 2**max_b_exp,
+        # so offsets are compared as integers scaled by it
+        self.max_b_exp = max(gen.exp for gen in gens)
+        self.scaled = [(a, num << (self.max_b_exp - exp)) for a, num, exp in gens]
         self.memo: dict[AffineElem, bool] = {}
-        self.bounds: list[tuple] = [(0, 0)]  # rational (lo, hi) b per exponent
+        self.bounds: list[tuple[int, int]] = [(0, 0)]  # scaled (lo, hi) b per exponent
 
-    def _bound(self, n: int) -> tuple:
-        while len(self.bounds) <= n:
-            m = len(self.bounds)
-            lo = hi = None
-            for gen in self.gens:
-                if gen.a_exp > m:
-                    continue
-                blo, bhi = self.bounds[m - gen.a_exp]
-                scale = 1 << gen.a_exp
-                b = gen.b.as_fraction()
-                cand_lo, cand_hi = b + scale * blo, b + scale * bhi
-                lo = cand_lo if lo is None or cand_lo < lo else lo
-                hi = cand_hi if hi is None or cand_hi > hi else hi
-            if lo is None:
-                # no word has total exponent exactly m; make the bound empty
-                lo, hi = 1, 0
-            self.bounds.append((lo, hi))
-        return self.bounds[n]
+    def _bound(self, n: int) -> tuple[int, int]:
+        bounds = self.bounds
+        while len(bounds) <= n:
+            m = len(bounds)
+            los, his = [], []
+            for a_exp, b in self.scaled:
+                if a_exp <= m:
+                    los.append(b + (bounds[m - a_exp][0] << a_exp))
+                    his.append(b + (bounds[m - a_exp][1] << a_exp))
+            # no word has total exponent exactly m: make the bound empty
+            bounds.append((min(los), max(his)) if los else (1, 0))
+        return bounds[n]
 
     def decide(self, g: AffineElem):
         """True or False exactly, or BUDGET_EXCEEDED once the search would
@@ -445,16 +446,17 @@ class _AffineSemigroupDecider:
     def _peel(self, g: AffineElem):
         """In generator order: None when g is that generator, otherwise
         gen^(-1) * g when what remains can still be a positive word."""
-        if g.a_exp < self.min_exp or g.b.exp > self.max_b_exp:
+        a_exp, num, exp = g
+        if a_exp < self.min_exp or exp > self.max_b_exp:
             return
-        lo, hi = self._bound(g.a_exp)
-        if not lo <= g.b.as_fraction() <= hi:
+        lo, hi = self._bound(a_exp)
+        if not lo <= num << (self.max_b_exp - exp) <= hi:
             return
         for gen, giv in zip(self.gens, self.inv_gens):
             if g == gen:
                 yield None
                 return
-            if g.a_exp - gen.a_exp >= self.min_exp:
+            if a_exp - gen[0] >= self.min_exp:
                 yield self.group._mul(giv, g)
 
 

@@ -239,6 +239,43 @@ class TestNestingCap:
         assert err.count("\n") == 1, err
 
 
+# Two short bs12 translators whose numbers are huge: the first took 13 s to
+# print, the second made printing exceed CPython's integer-to-text limit.
+HUGE_AFFINE = ["(1/2^1000000000,1)", "(1,1/2^20000)"]
+
+
+class TestAffineSizeCap:
+    """A bs12 element past `groups.AFFINE_SIZE_CAP` ends in one line, fast."""
+
+    @pytest.mark.parametrize("text", HUGE_AFFINE)
+    def test_check_exits_1(self, capsys, text):
+        started = time.perf_counter()
+        assert run(["check", "--group", "bs12", "--set", "all", "--translators",
+                    f"{text},(2,0)", "--window", "2", "--quiet"]) == 1
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: element '{text}' is out of range")
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("text", HUGE_AFFINE)
+    def test_verify_exits_3(self, tmp_path, capsys, text):
+        from paradox.certificates import content_digest, write_certificate
+
+        path = tmp_path / "match.json"
+        assert run(EX28_ARGS[:-1] + ["2", "--out", str(path), "--quiet"]) == 0
+        cert = load_certificate(str(path))
+        cert["translators"][0] = text
+        cert["digest"] = content_digest(cert)
+        write_certificate(cert, str(path))
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and err.count("\n") == 1, err
+        assert f"element '{text}' is out of range" in err
+
+
 class TestMalformedInput:
     """An input file of the wrong shape ends in exit 1 and one `error:` line."""
 

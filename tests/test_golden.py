@@ -1,7 +1,8 @@
-"""Golden certificate bytes: one small certificate of each kind, and a
-deficiency found by the matching rather than the counting bound, pinned by
-sha256 and regenerated in fresh processes under two hash seeds.  A refactor
-that changes a single written byte fails here."""
+"""Golden certificate bytes: one small certificate of each kind, a
+deficiency found by the matching rather than the counting bound, a bs12 slab
+match and a bs12 `embed-f2` report, pinned by sha256 and regenerated in fresh
+processes under two hash seeds.  A refactor that changes a single written
+byte fails here."""
 
 import hashlib
 import os
@@ -21,6 +22,7 @@ from paradox.certificates import (
     cert_from_deficiency, cert_from_flow, cert_from_flow_deficiency,
     cert_from_match, cert_from_pi_witness, cert_from_witness, write_certificate,
 )
+from paradox.cli import main
 from paradox.crossed import pi_witness
 from paradox.engine import doubling_matching, type_order, witness_from_matching
 from paradox.groups import IntVec, ball, group_from_string
@@ -54,11 +56,19 @@ certs = {
                       r"a b^-1 a^-1}", F2),
         [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
         context_for(f2_window))),
+    # offsets with denominators and signs, in window order
+    "slab-match": cert_from_match(doubling_matching(
+        parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3),
+        context_for(ball(BS, 3)))),
 }
 for name, cert in certs.items():
-    kind = {"deficiency-hall": "deficiency"}.get(name, name)
+    kind = {"deficiency-hall": "deficiency", "slab-match": "match"}.get(name, name)
     assert cert["kind"] == kind, (name, cert["kind"])
     write_certificate(cert, os.path.join(sys.argv[1], name + ".json"))
+# the displacement set of the report is ordered by the group's sort_key
+match_path = os.path.join(sys.argv[1], "match.json")
+assert main(["embed-f2", "--from-cert", match_path, "--depth", "4", "--out",
+             os.path.join(sys.argv[1], "embed-f2.json"), "--quiet"]) == 0
 """
 
 GOLDEN = {
@@ -69,6 +79,8 @@ GOLDEN = {
     "flow-deficiency": "9e3567ad3425458e96ac8d53a6e46e299da0d5f01e069adde75f0f468d6ac4e7",
     "cp-witness": "5fedc247c5151c00c6ec0cad239fcc5de41bbab7bdcf8205c4e31d57fc9386d4",
     "deficiency-hall": "802dd6508af4801e3fc5c96e7e644a95aad99e301abf19dc395e25159df24016",
+    "slab-match": "105b452a318b3ae4fe56cd8f8d13a12f8846c0a3ddcc1afa03738b8bedc5b196",
+    "embed-f2": "be1cc34b489a2f86fc1a6602173e41913f5ada5d306c6f42d35d8f7ac1409bc8",
 }
 
 

@@ -2,10 +2,11 @@ import itertools
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from paradox.dyadic import Dyadic, parse_dyadic
+from paradox.dyadic import parse_dyadic, show_dyadic
 from paradox.groups import (
     AffineElem,
     FreeWord,
@@ -27,20 +28,27 @@ ALL_GROUPS = [F2, Z1, Z2, BS]
 
 
 class TestDyadic:
+    """Offsets num / 2**exp of affine elements, kept in lowest terms."""
+
     def test_normalisation(self):
-        assert Dyadic(4, 2) == Dyadic(1, 0)
-        assert Dyadic(6, 1) == Dyadic(3, 0)
-        assert Dyadic(0, 7) == Dyadic(0, 0)
-        assert Dyadic(3, -2) == Dyadic(12, 0)
+        assert tuple(AffineElem(0, 4, 2)) == (0, 1, 0)
+        assert tuple(AffineElem(0, 6, 1)) == (0, 3, 0)
+        assert tuple(AffineElem(0, 0, 7)) == (0, 0, 0)
+        assert tuple(AffineElem(0, 3, -2)) == (0, 12, 0)
 
     def test_arithmetic(self):
-        assert Dyadic(1, 1) + Dyadic(1, 1) == Dyadic(1, 0)
-        assert Dyadic(5, 0).shift(-2) == Dyadic(5, 2)
+        half = AffineElem(0, 1, 1)
+        assert BS.mul(half, half) == AffineElem(0, 1, 0)
+        # x -> x/4 after x -> x + 5 is x -> x/4 + 5/4
+        assert BS.mul(AffineElem(-2), AffineElem(0, 5)) == AffineElem(-2, 5, 2)
 
     def test_parse(self):
-        assert parse_dyadic("3/8") == Dyadic(3, 3)
-        assert parse_dyadic("3/2^3") == Dyadic(3, 3)
-        assert parse_dyadic("-7") == Dyadic(-7, 0)
+        assert parse_dyadic("3/8") == (3, 3)
+        assert parse_dyadic("3/2^3") == (3, 3)
+        assert parse_dyadic("6/8") == (3, 2)
+        assert parse_dyadic("-7") == (-7, 0)
+        assert parse_dyadic("0/2^9") == (0, 0)
+        assert (show_dyadic(3, 3), show_dyadic(-7, 0)) == ("3/8", "-7")
         with pytest.raises(ValueError):
             parse_dyadic("1/3")
 
@@ -78,22 +86,53 @@ class TestMul:
                 call()
 
 
+class TestAffineReference:
+    """bs12 kernels against exact rational maps x -> a*x + b."""
+
+    @staticmethod
+    def ref(g):
+        return Fraction(2) ** g.a_exp, Fraction(g.num, 2 ** g.exp)
+
+    @staticmethod
+    def assert_normal(g):
+        assert type(g) is AffineElem and len(g) == 3
+        a_exp, num, exp = g
+        assert exp >= 0 and (num & 1 or exp == 0)
+
+    def test_random_pairs_of_the_radius5_ball(self):
+        rng = random.Random(20)
+        elems = BS.ball_elements(5)
+        products = []
+        for _ in range(20_000):
+            g, h = rng.choice(elems), rng.choice(elems)
+            (ga, gb), (ha, hb) = self.ref(g), self.ref(h)
+            gh = BS._mul(g, h)
+            self.assert_normal(gh)
+            assert self.ref(gh) == (ga * ha, ga * hb + gb)
+            g_inv = BS._inv(g)
+            self.assert_normal(g_inv)
+            assert self.ref(g_inv) == (1 / ga, -gb / ga)
+            assert BS.parse(BS.show(gh)) == gh
+            products.append(gh)
+        # sort_key orders by the scale exponent, then by the offset
+        by_ref = sorted(products, key=lambda g: (g.a_exp, self.ref(g)[1]))
+        assert sorted(products, key=BS.sort_key) == by_ref
+
+
 class TestRepresentation:
-    """Elements are tuples: C-level hashing and equality, the old reprs."""
+    """Elements are tuples: C-level hashing and equality, named-field reprs."""
 
     def test_reprs(self):
         assert repr(FreeWord((1, -2))) == "FreeWord(letters=(1, -2))"
         assert repr(IntVec((1, 2))) == "IntVec(coords=(1, 2))"
         assert repr(IntVec((5,))) == "IntVec(coords=(5,))"
-        assert repr(AffineElem(1, Dyadic(3, 2))) == (
-            "AffineElem(a_exp=1, b=Dyadic(num=3, exp=2))"
-        )
+        assert repr(AffineElem(1, 3, 2)) == "AffineElem(a_exp=1, num=3, exp=2)"
 
     def test_fields(self):
         assert F2.parse("a b^-1").letters == (1, -2)
         assert IntVec((3, -4)).coords == (3, -4)
         g = BS.parse("(1/2,3/4)")
-        assert (g.a_exp, g.b) == (-1, Dyadic(3, 2))
+        assert (g.a_exp, g.num, g.exp) == (-1, 3, 2)
 
     def test_pickle_round_trip(self):
         import pickle
@@ -186,9 +225,9 @@ class TestParse:
         assert F2.parse(F2.show(w)) == w
 
     def test_affine_forms(self):
-        assert BS.parse("(2,1)") == AffineElem(1, Dyadic(1))
-        assert BS.parse("(1/2, -1/2)") == AffineElem(-1, Dyadic(-1, 1))
-        assert BS.parse("(4, 3/2^3)") == AffineElem(2, Dyadic(3, 3))
+        assert BS.parse("(2,1)") == AffineElem(1, 1)
+        assert BS.parse("(1/2, -1/2)") == AffineElem(-1, -1, 1)
+        assert BS.parse("(4, 3/2^3)") == AffineElem(2, 3, 3)
 
     def test_normalising_parse(self):
         assert F2.parse("a a^-1") == F2.identity()
@@ -256,7 +295,7 @@ class TestGroupAxioms:
             acc = BS.mul(acc, rng.choice(elems))
         # scale stays a power of two and b stays dyadic in lowest terms
         assert isinstance(acc.a_exp, int)
-        assert acc.b == Dyadic(acc.b.num, acc.b.exp)
+        assert tuple(acc) == tuple(AffineElem(*acc))
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.key)
     def test_unchecked_kernels_agree_with_public_ones(self, group):

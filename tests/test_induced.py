@@ -40,7 +40,7 @@ class TestCosetNormalize:
     def test_affine_kernel_split(self):
         rep, r = coset_normalize(AKERNEL, BS.parse("(4,3)"))
         assert BS.show(rep) == "(4,0)"
-        assert rep.b.num == 0 and AKERNEL.contains(r)
+        assert rep.num == 0 and AKERNEL.contains(r)
         assert BS.mul(rep, r) == BS.parse("(4,3)")
 
     def test_idempotent_on_representatives(self):

@@ -132,7 +132,10 @@ def test_cli_import_loads_no_heavy_standard_modules():
     ("deficiency", ["check", "--group", "zn:1", "--set", "all"], 2),
     ("flow", ["type-order", "--group", "zn:1", "--m", "1", "--set-a", "all",
               "--n", "1", "--set-b", "all"], 0),
-], ids=["match", "deficiency", "flow"])
+    # bs12 offsets are ordered and semigroups decided on integers
+    ("deficiency", ["check", "--group", "bs12", "--set",
+                    "semigroup((2,0),(2,1);e)"], 2),
+], ids=["match", "deficiency", "flow", "bs12-semigroup"])
 def test_verify_loads_only_what_its_kind_replays(tmp_path, kind, argv, code):
     """A transport certificate's replay needs no solver and neither the
     witness nor the crossed-product checkers."""

@@ -97,6 +97,22 @@ class TestMember:
         for k in (1500, 3000):
             assert member(SEMI, BS.parse(f"({2 ** k},0)"), bs_ctx()) is True
 
+    @pytest.mark.parametrize("gens", ["(2,0),(2,1)", "(2,1/2),(4,-3/4)"])
+    def test_affine_decider_agrees_with_enumeration(self, gens):
+        # every generator scales by at least 2, so a positive word for g has
+        # at most g.a_exp letters, and the words of length <= 6 decide every
+        # point with a_exp <= 6: the radius-6 ball, and the words and their
+        # neighbours in the Cayley graph
+        semi = parse_setexpr(f"semigroup({gens})", BS)
+        words = set(positive_words(BS, semi.gens, 6)) - {BS.identity()}
+        near = {BS._mul(w, x) for w in words for x in BS.generators()}
+        points = {g for g in set(BS.ball_elements(6)) | words | near if g.a_exp <= 6}
+        ctx = bs_ctx()
+        got = {g for g in points if member(semi, g, ctx) is True}
+        assert all(member(semi, g, ctx) is False for g in points - got)
+        assert got == words & points
+        assert 30 < len(got) < len(points)
+
     def test_budget_exceeded_is_distinguished(self):
         # words in a single lattice direction: membership of far points with a
         # small budget must come back undecided, never wrongly False
@@ -160,10 +176,8 @@ class TestMaterialize:
         slab = Slab(Fraction(0), Fraction(1), Fraction(0))
         window = ball(BS, 2)
         got = materialize(slab, window, context_for(window))
-        from paradox.groups import affine_fraction
-
         expected = tuple(
-            g for g in window.elements if 0 <= affine_fraction(g)[1] <= 1
+            g for g in window.elements if 0 <= Fraction(g.num, 2 ** g.exp) <= 1
         )
         assert got == expected
 
