@@ -50,10 +50,7 @@ def _digest(entries: dict[str, str]) -> str:
 
 
 def window_digest(window: Window) -> str:
-    group = window.group
-    payload = f"r{window.radius}\n" + "\n".join(
-        group.show(g) for g in window.elements
-    )
+    payload = f"r{window.radius}\n" + "\n".join(window.texts())
     return "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -62,7 +59,7 @@ def window_descriptor(window: Window) -> dict:
         return {"radius": window.radius}
     return {
         "radius": window.radius,
-        "elements": [window.group.show(g) for g in window.elements],
+        "elements": list(window.texts()),
     }
 
 
@@ -71,6 +68,14 @@ def json_int(value: Any, name: str) -> int:
     string, a float or a bool is a ValueError, not read as a number."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def json_list(value: Any, name: str) -> list:
+    """A list field of a certificate, which must be a JSON array: a string
+    or an object is a ValueError, not iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be an array, got {type(value).__name__}")
     return value
 
 

@@ -136,10 +136,9 @@ def coeff_value(coeff: Coefficient, ctx: SetContext) -> Callable[[Elem], Fractio
 def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
     """None when every coefficient evaluates to zero at every window point;
     otherwise the first offending (unitary element, point, value)."""
-    points = list(map(ctx.group.check, window.elements))
     for t, coeff in x.terms:
         value = coeff_value(coeff, ctx)
-        for g in points:
+        for g in window.elements:
             val = value(g)
             if val != 0:
                 return (t, g, val)
@@ -226,11 +225,10 @@ def corner_compress(a: SetExpr, x: CPElem, window: Window,
     group = x.group
     p = indicator(group, a)
     compressed = cp_mul(cp_mul(p, x), p)
-    points = list(map(group.check, window.elements))
     sizes = []
     for t, coeff in compressed.terms:
         if t == group.identity():
             continue
         value = coeff_value(coeff, ctx)
-        sizes.append((t, sum(1 for g in points if value(g) != 0)))
+        sizes.append((t, sum(1 for g in window.elements if value(g) != 0)))
     return CornerReport(compressed, tuple(sizes))

@@ -45,7 +45,7 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
         raise ValueError("translator set must be nonempty")
     group = ctx.group
     s_list = tuple(sorted(set(map(group.check, translators)), key=group.sort_key))
-    points = materialize(a, window, ctx)  # checked by materialize
+    points = materialize(a, window, ctx)  # window points are checked
     mul, in_b = group._mul, predicate(b, ctx)
     image_id: dict[Elem, int] = {}
     rows = []

@@ -527,19 +527,23 @@ def group_from_string(spec: str) -> Group:
 class Window:
     """Finite, ordered, duplicate-free slice of a group on which all
     certificates are checked; `kind` is "ball" (the elements are the ball of
-    `radius`) or "explicit"."""
+    `radius`) or "explicit".  Build one with `ball` or `explicit_window`,
+    which hand over checked, distinct elements: code that reads
+    `elements` neither checks them again nor looks for repeats."""
 
-    __slots__ = ("group", "radius", "elements", "kind")
+    __slots__ = ("group", "radius", "elements", "kind", "_texts")
 
     def __init__(self, group: Group, radius: int, elements: tuple[Elem, ...],
                  kind: str = "ball") -> None:
-        seen = set()
-        for g in elements:
-            if g in seen:
-                raise GroupError(f"duplicate window element {group.show(g)}")
-            seen.add(g)
         self.group, self.radius = group, radius
         self.elements, self.kind = elements, kind
+        self._texts: tuple[str, ...] | None = None
+
+    def texts(self) -> tuple[str, ...]:
+        """`group.show` of each element, in window order, computed once."""
+        if self._texts is None:
+            self._texts = tuple(map(self.group.show, self.elements))
+        return self._texts
 
     def _value(self) -> tuple:
         return (self.group, self.radius, self.elements, self.kind)
@@ -555,8 +559,17 @@ class Window:
 
 
 def ball(group: Group, radius: int) -> Window:
+    # `Layers` enumerates each value once, from checked generators
     return Window(group, radius, tuple(group.ball_elements(radius)), kind="ball")
 
 
 def explicit_window(group: Group, elements: Sequence[Elem], radius: int) -> Window:
-    return Window(group, radius, tuple(elements), kind="explicit")
+    """A window of the given elements, each checked in group; GroupError on a
+    non-element or a repeated element."""
+    elements = tuple(map(group.check, elements))
+    seen = set()
+    for g in elements:
+        if g in seen:
+            raise GroupError(f"duplicate window element {group.show(g)}")
+        seen.add(g)
+    return Window(group, radius, elements, kind="explicit")

@@ -171,7 +171,7 @@ def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
 def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, ...]:
     """The window slice of expr, in window order; the first window point
     whose membership the budget cannot settle raises `undecided_error`."""
-    return tuple(filter(predicate(expr, ctx), map(ctx.group.check, window.elements)))
+    return tuple(filter(predicate(expr, ctx), window.elements))
 
 
 # ---- compiled membership -----------------------------------------------------
@@ -421,6 +421,9 @@ class _AffineSemigroupDecider:
         memo = self.memo
         if g in memo:
             return memo[g]
+        if not self._may_peel(g):
+            memo[g] = False
+            return False
         nodes = 1
         stack = [(g, self._peel(g))]
         while stack:
@@ -436,22 +439,27 @@ class _AffineSemigroupDecider:
                     nodes += 1
                     if nodes > self._NODE_CAP:
                         return BUDGET_EXCEEDED
-                    stack.append((child, self._peel(child)))
+                    peeled = self._peel(child) if self._may_peel(child) else ()
+                    stack.append((child, peeled))
                     break
             else:
                 memo[h] = False
                 stack.pop()
         return False
 
-    def _peel(self, g: AffineElem):
-        """In generator order: None when g is that generator, otherwise
-        gen^(-1) * g when what remains can still be a positive word."""
+    def _may_peel(self, g: AffineElem) -> bool:
+        """Whether g can still be a positive word: its scale exponent and its
+        offset are within the reach of words of that exponent."""
         a_exp, num, exp = g
         if a_exp < self.min_exp or exp > self.max_b_exp:
-            return
+            return False
         lo, hi = self._bound(a_exp)
-        if not lo <= num << (self.max_b_exp - exp) <= hi:
-            return
+        return lo <= num << (self.max_b_exp - exp) <= hi
+
+    def _peel(self, g: AffineElem):
+        """For g that `_may_peel`, in generator order: None when g is that
+        generator, otherwise gen^(-1) * g when its scale exponent allows."""
+        a_exp = g[0]
         for gen, giv in zip(self.gens, self.inv_gens):
             if g == gen:
                 yield None

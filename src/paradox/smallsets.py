@@ -114,7 +114,7 @@ def absorbing_check(
     for t in finite:
         piece = translate(group.inv(t), a, group)
         expr = piece if expr is None else Intersect(expr, piece)
-    return next(filter(predicate(expr, ctx), map(group.check, window.elements)), None)
+    return next(filter(predicate(expr, ctx), window.elements), None)
 
 
 def absorbing_check_direct(

@@ -10,6 +10,7 @@ from .certificates import (
     SCHEMA,
     content_digest,
     json_int,
+    json_list,
     pi_witness_from_cert,
     window_digest,
     window_from_descriptor,
@@ -97,24 +98,57 @@ def _transport(cert: dict, group):
     )
 
 
+def _point_reader(window):
+    """A point from its text: the window's own element when the text is how
+    the window shows it, otherwise `group.parse`, so that a non-canonical
+    spelling still reads."""
+    table = dict(zip(window.texts(), window.elements))
+    parse = window.group.parse
+
+    def point(text):
+        x = table.get(text)
+        # `is None`: the identity of a free group is the empty word, falsy
+        return parse(text) if x is None else x
+
+    return point
+
+
+def _rows(cert: dict):
+    """(point text, translator texts) of each assignment row.  A match row
+    must be an array of three strings and a flow row a string and an array
+    of strings; any other shape is a ValueError."""
+    rows = json_list(cert["assignment"], "assignment")
+    if cert["kind"] == "match":
+        for i, row in enumerate(rows):
+            if (type(row) is not list or len(row) != 3
+                    or not type(row[0]) is type(row[1]) is type(row[2]) is str):
+                raise ValueError(f"match row {i} must be an array of three strings")
+        return ((x, (s1, s2)) for x, s1, s2 in rows)
+    for i, row in enumerate(rows):
+        if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
+                or type(row[1]) is not list
+                or not all(type(text) is str for text in row[1])):
+            raise ValueError(f"flow row {i} must be a string and an array of strings")
+    return rows
+
+
 def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
     points = materialize(set_a, window, ctx)
     # Each declared text is parsed once; a row's text is looked up here first
     # and parsed only when it is spelled differently.
-    declared = {t: group.parse(t) for t in cert["translators"]}
+    declared = {
+        t: group.parse(t) for t in json_list(cert["translators"], "translators")
+    }
     translators = set(declared.values())
-    if cert["kind"] == "match":
-        rows = ((x, (s1, s2)) for x, s1, s2 in cert["assignment"])
-    else:
-        rows = cert["assignment"]
-    # Translators stay text until their row is replayed, which keeps the
-    # peak memory of a large window at one parsed element per row.
-    assignment = [(group.parse(x), used) for x, used in rows]
-    # The slice lists each point once, so equal sorted lists also rule out a
-    # point assigned twice.
-    assigned = sorted(group.sort_key(x) for x, _ in assignment)
-    if assigned != sorted(map(group.sort_key, points)):
+    # Translators stay text until their row is replayed, and a point is the
+    # window's own element, so the rows parse no element of a canonical
+    # certificate and hold no copy of one.
+    point = _point_reader(window)
+    assignment = [(point(x), used) for x, used in _rows(cert)]
+    # The slice lists each point once, so equal sizes and equal sets also
+    # rule out a point assigned twice.
+    if len(assignment) != len(points) or {x for x, _ in assignment} != set(points):
         return VerifyOutcome.failed(
             "assignment domain differs from the set's window slice"
         )
@@ -126,14 +160,14 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
                 f"{group.show(x)} sends {len(used)} copies, expected {copies}"
             )
         for text in used:
-            s = declared.get(text) if isinstance(text, str) else None
+            s = declared.get(text)
             if s is None:
                 s = group.parse(text)
             if s not in translators:
                 return VerifyOutcome.failed(
                     f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
-            img = group._mul(s, x)  # both parsed, hence checked
+            img = group._mul(s, x)  # both parsed or window points, hence checked
             if not in_b(img):
                 return VerifyOutcome.failed(
                     f"image {group.show(img)} of {group.show(x)} leaves the target set"
@@ -151,7 +185,8 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
 def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
     point_set = set(materialize(set_a, window, ctx))
-    violator = [group.parse(x) for x in cert["violator"]]
+    point = _point_reader(window)
+    violator = [point(x) for x in json_list(cert["violator"], "violator")]
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")
     if len(set(violator)) != len(violator):
@@ -161,12 +196,14 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
             return VerifyOutcome.failed(
                 f"violator point {group.show(x)} is outside the window slice"
             )
-    translators = [group.parse(t) for t in cert["translators"]]
+    translators = [
+        group.parse(t) for t in json_list(cert["translators"], "translators")
+    ]
     in_b = predicate(set_b, ctx)
     targets = set()
     for x in violator:
         for s in translators:
-            img = group._mul(s, x)  # both parsed, hence checked
+            img = group._mul(s, x)  # both parsed or window points, hence checked
             if in_b(img):
                 targets.add(img)
     if not copies * len(violator) > capacity * len(targets):

@@ -113,7 +113,7 @@ def witness_check(w: ParadoxWitness, window: Window,
             break
     checks.append(("pieces-inside-set", not bad, bad))
 
-    base = materialize(w.set_expr, window, ctx)  # checked by materialize
+    base = materialize(w.set_expr, window, ctx)  # window points are checked
     # (inverse translator, membership test) of each piece
     covers = [(group.inv(t), predicate(piece, ctx)) for piece, t in w.parts]
     mul = group._mul

@@ -201,6 +201,139 @@ class TestVerify:
         assert f"must be an integer, got {type(value).__name__}" in err
 
 
+def _edited(base, edit, path):
+    """A copy of the certificate at base, changed by edit, with its content
+    digest recomputed so that only the replay can reject it."""
+    from paradox.certificates import content_digest, write_certificate
+
+    cert = load_certificate(str(base))
+    edit(cert)
+    cert["digest"] = content_digest(cert)
+    write_certificate(cert, str(path))
+    return path
+
+
+class TestReplayPoints:
+    """`verify` takes a point text as the window's own point when the window
+    shows it that way, parses any other spelling, and compares the
+    assignment's domain with the window slice as a set."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replay")
+        translators = {"free2": "ball:1", "zn1": "(0),(10)"}
+        for name, group in (("free2", "free:2"), ("zn1", "zn:1")):
+            assert run(
+                ["check", "--group", group, "--set", "all", "--translators",
+                 translators[name], "--window", "3",
+                 "--out", str(root / f"{name}.json"), "--quiet"]
+            ) == 0
+        return root
+
+    @pytest.mark.parametrize("name, canonical, spelling", [
+        ("free2", "b", "b a a^-1"), ("zn1", "(3)", "3"),
+    ], ids=["free2", "zn1"])
+    def test_non_canonical_point_verifies(self, certs, tmp_path, capsys, name,
+                                          canonical, spelling):
+        def respell(cert):
+            (row,) = [row for row in cert["assignment"] if row[0] == canonical]
+            row[0] = spelling
+
+        path = _edited(certs / f"{name}.json", respell, tmp_path / "spelled.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_identity_is_the_window_point(self):
+        # the free-group identity is the empty word, which is falsy
+        from paradox.groups import ball, group_from_string
+        from paradox.verifier import _point_reader
+
+        for spec in ("free:2", "zn:1", "bs12"):
+            group = group_from_string(spec)
+            window = ball(group, 2)
+            point = _point_reader(window)
+            assert point(group.show(group.identity())) is window.elements[0]
+            assert point("e") == group.identity()
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[1].__setitem__(0, rows[0][0]),
+        lambda rows: rows.append(list(rows[0])),
+        lambda rows: rows[0].__setitem__(0, "a a a a"),
+    ], ids=["twice-and-dropped", "twice", "outside-window"])
+    def test_domain_differs(self, certs, tmp_path, capsys, edit):
+        path = _edited(certs / "free2.json", lambda c: edit(c["assignment"]),
+                       tmp_path / "domain.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: assignment domain differs from the set's "
+            "window slice\n"
+        )
+
+
+class TestPayloadShape:
+    """The lists of a transport certificate are read as the JSON arrays and
+    strings they must be; a string is not iterated as a list of letters."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shapes")
+        assert run(
+            ["check", "--group", "free:2", "--set", "all", "--translators",
+             "ball:1", "--window", "4", "--out", str(root / "match.json"),
+             "--quiet"]
+        ) == 0
+        assert run(
+            ["type-order", "--group", "free:2", "--m", "2", "--set-a", "all",
+             "--n", "1", "--set-b", "all", "--translators", "ball:1",
+             "--window", "3", "--out", str(root / "flow.json"), "--quiet"]
+        ) == 0
+        assert run(
+            ["check", "--group", "zn:1", "--set", "all", "--translators",
+             "ball:1", "--window", "3", "--out", str(root / "deficiency.json"),
+             "--quiet"]
+        ) == 2
+        return root
+
+    @staticmethod
+    def _join_first_row(cert):
+        assert cert["assignment"][0] == ["e", "e", "a"]
+        cert["assignment"][0] = "eea"
+
+    @staticmethod
+    def _join_first_translators(cert):
+        assert cert["assignment"][0] == ["e", ["e", "a"]]
+        cert["assignment"][0][1] = "ea"
+
+    @pytest.mark.parametrize("base, edit, message", [
+        ("match.json", _join_first_row,
+         "match row 0 must be an array of three strings"),
+        ("flow.json", _join_first_translators,
+         "flow row 0 must be a string and an array of strings"),
+        ("match.json", lambda c: c["assignment"][2].pop(),
+         "match row 2 must be an array of three strings"),
+        ("flow.json", lambda c: c["assignment"][1][1].__setitem__(0, 5),
+         "flow row 1 must be a string and an array of strings"),
+        ("match.json", lambda c: c.update(translators="e"),
+         "translators must be an array, got str"),
+        ("flow.json", lambda c: c.update(assignment={}),
+         "assignment must be an array, got dict"),
+        ("deficiency.json", lambda c: c.update(violator="".join(c["violator"])),
+         "violator must be an array, got str"),
+    ], ids=["match-row-string", "flow-translators-string", "match-row-short",
+            "flow-translator-int", "translators-string", "assignment-object",
+            "violator-string"])
+    def test_other_shapes_fail(self, certs, tmp_path, capsys, base, edit, message):
+        path = _edited(certs / base, edit, tmp_path / "shape.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: "
+            f"{message}\n"
+        )
+
+
 # The two hostile set texts: 3000 nested parentheses, and a chain of 5000
 # unions.  Each used to end in a RecursionError traceback.
 DEEP_SETS = {

@@ -352,3 +352,13 @@ class TestWindow:
 
         with pytest.raises(GroupError):
             explicit_window(Z1, (IntVec((0,)), IntVec((0,))), 1)
+
+    @pytest.mark.parametrize("group, foreign", [
+        (Z1, IntVec((0, 1))), (F2, FreeWord((1, -1))), (F2, IntVec((0,))),
+    ], ids=["zn1-length", "free2-unreduced", "free2-lattice"])
+    def test_non_element_rejected(self, group, foreign):
+        # windows are checked here once; code that reads them checks no more
+        from paradox.groups import explicit_window
+
+        with pytest.raises(GroupError):
+            explicit_window(group, (group.identity(), foreign), 1)

@@ -243,3 +243,29 @@ def test_budget_comes_from_the_callers_context():
                 if param.arg == "ctx" and param in defaulted:
                     found.append(where + " has a default")
     assert found == []
+
+
+def test_verify_reads_points_from_the_window(tmp_path, monkeypatch):
+    """Replaying a canonical match takes each row's point from the window it
+    built: no `parse` or `check` per point, so the per-row work cannot come
+    back unnoticed."""
+    path = tmp_path / "match.json"
+    argv = ["check", "--group", "free:2", "--set", "all", "--translators",
+            "ball:1", "--window", "3", "--out", str(path), "--quiet"]
+    assert paradox.cli.main(argv) == 0
+    cert = json.loads(path.read_text())
+    assert len(cert["assignment"]) == 53
+    group_class = type(group_from_string("free:2"))
+    calls = {"parse": 0, "check": 0}
+    for name in calls:
+        original = getattr(group_class, name)
+
+        def counted(self, arg, name=name, original=original):
+            calls[name] += 1
+            return original(self, arg)
+
+        monkeypatch.setattr(group_class, name, counted)
+    assert paradox.cli.main(["verify", str(path), "--quiet"]) == 0
+    # once per declared translator; the generators are checked at most once
+    assert calls["parse"] == len(cert["translators"])
+    assert calls["check"] <= 4
