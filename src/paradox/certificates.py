@@ -9,7 +9,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .groups import Group, Window, ball, explicit_window
-from .sets import SetContext, parse_setexpr, show_setexpr
+from .sets import SetContext, parse_setexpr, read_rational, show_setexpr
 
 if TYPE_CHECKING:
     # annotations only: the verifier loads no solver, and the witness and
@@ -82,7 +82,8 @@ def json_list(value: Any, name: str) -> list:
 def window_from_descriptor(group: Group, desc: dict) -> Window:
     radius = json_int(desc["radius"], "window radius")
     if "elements" in desc:
-        elems = tuple(group.parse(t) for t in desc["elements"])
+        texts = json_list(desc["elements"], "window elements")
+        elems = tuple(map(group.parse, texts))
         return explicit_window(group, elems, radius)
     return ball(group, radius)
 
@@ -220,14 +221,13 @@ def _cp_to_json(x: CPElem) -> list:
 
 
 def cp_from_json(data: list, group: Group) -> CPElem:
-    from fractions import Fraction
-
     from .crossed import CPElem
 
     terms = []
     for t_text, coeff in data:
         parsed = tuple(
-            (Fraction(q_text), parse_setexpr(e_text, group)) for q_text, e_text in coeff
+            (read_rational(q_text), parse_setexpr(e_text, group))
+            for q_text, e_text in coeff
         )
         terms.append((group.parse(t_text), parsed))
     return CPElem(group, tuple(terms))

@@ -1,16 +1,15 @@
-"""Piecewise translations and their exact window validation, plus the report
-type and the pairwise-overlap check that the window checkers share."""
+"""Piecewise translations, plus the report type and the pairwise-overlap
+check that the window checkers share."""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .groups import Elem, Record, Window
+from .groups import Elem, Record
 from .sets import (
     Intersect,
     SetContext,
     SetExpr,
-    materialize,
     predicate,
     translate,
 )
@@ -101,66 +100,3 @@ def first_overlap(point_sets, group) -> tuple[int, int, Elem] | None:
             if common:
                 return i, j, min(common, key=group.sort_key)
     return None
-
-
-def pwt_validate(p: PwT, window: Window, ctx: SetContext) -> ValidationReport:
-    """Check piece disjointness, coverage of the domain slice, injectivity and
-    displacement confinement, all restricted to the window."""
-    group = ctx.group
-    checks = []
-
-    dom = materialize(p.domain, window, ctx)
-    piece_points = [set(filter(predicate(piece, ctx), dom)) for piece, _ in p.pieces]
-    hit = first_overlap(piece_points, group)
-    checks.append(
-        (
-            "pieces-disjoint",
-            hit is None,
-            "" if hit is None else f"pieces {hit[0]} and {hit[1]} share "
-            f"{group.show(hit[2])}",
-        )
-    )
-    covered = set().union(*piece_points)
-    uncovered = next((g for g in dom if g not in covered), None)
-    checks.append(
-        (
-            "pieces-cover-domain",
-            uncovered is None,
-            "" if uncovered is None else f"{group.show(uncovered)} is uncovered",
-        )
-    )
-
-    images: dict[Elem, tuple[Elem, int]] = {}
-    collision = None
-    hits = (
-        (g, idx)
-        for g in dom
-        for idx, points in enumerate(piece_points)
-        if g in points
-    )
-    for g, idx in hits:
-        img = group.mul(p.pieces[idx][1], g)
-        first = images.setdefault(img, (g, idx))
-        if first != (g, idx):
-            collision = (g, first[0], img)
-            break
-    checks.append(
-        (
-            "injective",
-            collision is None,
-            ""
-            if collision is None
-            else f"{group.show(collision[0])} and {group.show(collision[1])} "
-            f"both map to {group.show(collision[2])}",
-        )
-    )
-
-    stray = next((t for _, t in p.pieces if t not in p.displacement), None)
-    checks.append(
-        (
-            "displacement-set",
-            stray is None,
-            "" if stray is None else f"translator {group.show(stray)} undeclared",
-        )
-    )
-    return ValidationReport(tuple(checks))

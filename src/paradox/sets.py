@@ -603,12 +603,23 @@ def _read_semigroup(body: str, group: Group) -> SemigroupSet:
 
 
 def _read_slab(body: str, group: Group) -> Slab:
-    from fractions import Fraction
-
     parts = _split_top(body, ",")
     if len(parts) != 3:
         raise ParseError(f"slab needs three rationals, got {body!r}")
-    return Slab(*(Fraction(p.strip()) for p in parts))
+    return Slab(*(read_rational(p.strip()) for p in parts))
+
+
+def read_rational(text: str):
+    """`Fraction(text)` of a string.  A zero denominator, or a value that is
+    not a string (a JSON `Infinity` is a float), is a ParseError naming it."""
+    from fractions import Fraction
+
+    if type(text) is not str:
+        raise ParseError(f"a rational must be a string, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational {text!r}") from None
 
 
 def show_setexpr(expr: SetExpr, group: Group, memo: dict | None = None) -> str:

@@ -1,14 +1,10 @@
 """Greedy construction of sets with tiny self-intersections under translation,
-absorbing-set probes, and the window-level smallness semidecider."""
+their exact re-checks, and absorbing-set probes."""
 
 from __future__ import annotations
 
 from .groups import Elem, Group, Record, Window
-from .pwt import PwT
 from .sets import (
-    AllSet,
-    Diff,
-    FiniteSet,
     Intersect,
     SetContext,
     SetExpr,
@@ -127,27 +123,3 @@ def absorbing_check_direct(
         if all(in_a(group._mul(t, g)) for t in finite):
             return g
     return None
-
-
-def small_check(
-    a: SetExpr, b: SetExpr, translators: list[Elem] | tuple[Elem, ...],
-    window: Window, ctx: SetContext
-) -> PwT | None:
-    """Window semidecider: an injective piecewise translation of a's window
-    slice into the complement of b with the given displacements, or None
-    (inconclusive for this translator set and window)."""
-    # imported here so that replaying a greedy set's membership loads no solver
-    from .engine import _transport
-    from .matching import max_matching
-
-    s_list, points, rows, _ = _transport(a, Diff(AllSet(), b), translators, window, ctx)
-    adjacency = [[img for img, _ in row] for row in rows]
-    pair_left, _, _ = max_matching(range(len(points)), adjacency)
-    if len(pair_left) < len(points):
-        return None
-    blocks: dict[Elem, list[Elem]] = {}
-    for i, (x, row) in enumerate(zip(points, rows)):
-        blocks.setdefault(s_list[dict(row)[pair_left[i]]], []).append(x)
-    order = sorted(blocks, key=ctx.group.sort_key)
-    pieces = tuple((FiniteSet(tuple(blocks[d])), d) for d in order)
-    return PwT(FiniteSet(points), pieces, tuple(order))

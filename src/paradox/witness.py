@@ -7,7 +7,7 @@ Everything here is checker-side; no matching or flow solver is involved.
 from __future__ import annotations
 
 from .groups import Elem, Group, Record, Window, explicit_window
-from .pwt import PwT, ValidationReport, first_overlap, pwt_compose, pwt_map
+from .pwt import PwT, ValidationReport, first_overlap
 from .sets import (
     Diff,
     FiniteSet,
@@ -160,39 +160,3 @@ def base_translation_maps(w: ParadoxWitness, group: Group) -> tuple[PwT, PwT]:
     first = family(list(range(0, w.split)))
     second = family(list(range(w.split, len(w.parts))))
     return first, second
-
-
-def iterate_disjoint(w: ParadoxWitness, n: int, window: Window,
-                     ctx: SetContext) -> list[PwT]:
-    """n piecewise translations of the witness set into itself with pairwise
-    disjoint images, built by composing the two base maps along a binary tree."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    report = witness_check(w, window, ctx)
-    if not report.passed:
-        raise ValueError(f"witness fails validation: {report.failures()}")
-    group = ctx.group
-    plus, minus = base_translation_maps(w, group)
-    depth = max(1, (n - 1).bit_length())
-    # leaves in sign order (+...+, ..., -...-), composing heads on the left
-    maps = _tree_leaves(plus, minus, depth, ctx)
-    chosen = maps[:n]
-    images = [
-        set(map(pwt_map(mp, ctx), materialize(mp.domain, window, ctx)))
-        for mp in chosen
-    ]
-    hit = first_overlap(images, group)
-    if hit is not None:
-        raise AssertionError(f"images {hit[0]} and {hit[1]} overlap on the window")
-    return chosen
-
-
-def _tree_leaves(plus: PwT, minus: PwT, depth: int, ctx: SetContext) -> list[PwT]:
-    if depth == 1:
-        return [plus, minus]
-    inner = _tree_leaves(plus, minus, depth - 1, ctx)
-    out = []
-    for head in (plus, minus):
-        for tail in inner:
-            out.append(pwt_compose(head, tail, ctx))
-    return out

@@ -200,6 +200,43 @@ class TestVerify:
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert f"must be an integer, got {type(value).__name__}" in err
 
+    def test_window_elements_must_be_a_json_array(self, tmp_path, capsys):
+        # "eab" iterated letter by letter reads as the window e, a, b again
+        from paradox.certificates import cert_from_deficiency, write_certificate
+        from paradox.engine import doubling_matching
+        from paradox.groups import explicit_window, group_from_string
+        from paradox.sets import AllSet, context_for
+
+        f2 = group_from_string("free:2")
+        window = explicit_window(f2, [f2.parse(t) for t in ("e", "a", "b")], 1)
+        result = doubling_matching(AllSet(), [f2.parse("a")], window,
+                                   context_for(window))
+        base = tmp_path / "deficiency.json"
+        write_certificate(cert_from_deficiency(result), str(base))
+        assert run(["verify", str(base), "--quiet"]) == 0
+        path = _edited(base, lambda c: c["window"].update(elements="eab"),
+                       tmp_path / "edited.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed certificate envelope: window elements must be an "
+            "array, got str\n"
+        )
+
+    def test_targets_outside_the_window_count(self, tmp_path, capsys):
+        # the violator {(2)} reaches (2) and (4); (4) lies outside the window,
+        # and without it the inequality 2 > 1 would hold
+        base = tmp_path / "deficiency.json"
+        assert run(["check", "--group", "zn:1", "--set", "all", "--translators",
+                    "(0),(2)", "--window", "2", "--out", str(base), "--quiet"]) == 2
+        path = _edited(base, lambda c: c.update(violator=["(2)"]),
+                       tmp_path / "edited.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: m|D| = 2 does not exceed n|targets| = 2\n"
+        )
+
 
 def _edited(base, edit, path):
     """A copy of the certificate at base, changed by edit, with its content
@@ -407,6 +444,55 @@ class TestAffineSizeCap:
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ") and err.count("\n") == 1, err
         assert f"element '{text}' is out of range" in err
+
+
+class TestRationalText:
+    """A rational with a zero denominator, in a slab or a cp-witness
+    coefficient, ends in one line naming its text, not a ZeroDivisionError."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rationals")
+        assert run(["check", "--group", "bs12", "--set", "slab(0,1,1/2)",
+                    "--translators", "(2,0),(2,1)", "--window", "2",
+                    "--out", str(root / "deficiency.json"), "--quiet"]) == 2
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "2", "--out", str(root / "match.json"),
+                    "--quiet"]) == 0
+        assert run(["cp-witness", "--from-cert", str(root / "match.json"),
+                    "--out", str(root / "cp-witness.json"), "--quiet"]) == 0
+        return root
+
+    def test_check_exits_1(self, capsys):
+        assert run(["check", "--group", "bs12", "--set", "slab(1/0,1,0)",
+                    "--translators", "(2,0)", "--window", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: zero denominator in rational '1/0'\n"
+        )
+
+    @staticmethod
+    def _first_coefficient(value):
+        def edit(cert):
+            assert cert["v"][0][1][0][0] == "1"
+            cert["v"][0][1][0][0] = value
+        return edit
+
+    @pytest.mark.parametrize("base, edit, message", [
+        ("deficiency.json", lambda c: c.update(set="slab(0,1/0,1/2)"),
+         "zero denominator in rational '1/0'"),
+        ("cp-witness.json", _first_coefficient("1/0"),
+         "zero denominator in rational '1/0'"),
+        # json reads `Infinity` as a float, which has no ratio
+        ("cp-witness.json", _first_coefficient(float("inf")),
+         "a rational must be a string, got inf"),
+    ], ids=["slab", "cp-coefficient", "cp-coefficient-infinity"])
+    def test_verify_exits_3(self, certs, tmp_path, capsys, base, edit, message):
+        path = _edited(certs / base, edit, tmp_path / "edited.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"verification failed: payload does not parse or replay: {message}\n"
+        )
 
 
 class TestMalformedInput:

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,7 +14,6 @@ from paradox.engine import (
 )
 from paradox.groups import IntVec, ball, explicit_window, group_from_string
 from paradox.matching import max_matching
-from paradox.pwt import pwt_apply
 from paradox.sets import (
     AllSet,
     BudgetError,
@@ -25,13 +23,11 @@ from paradox.sets import (
     Translate,
     Union,
     context_for,
-    materialize,
 )
 from paradox.witness import (
     Collision,
     ParadoxWitness,
     free_semigroup_witness,
-    iterate_disjoint,
     semigroup_window,
     witness_check,
 )
@@ -98,6 +94,11 @@ class TestDoublingMatching:
         with pytest.raises(BudgetError, match=r"^membership of \(9\) in "
                            r"semigroup\(\(1\)\) undecided at budget 8;"):
             doubling_matching(semi, [IntVec((1,))], window, context_for(window, 0))
+
+    def test_empty_translator_set_rejected(self):
+        window = ball(Z1, 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            doubling_matching(AllSet(), [], window, context_for(window))
 
     def test_agreement_with_independent_oracle(self):
         rng = random.Random(42)
@@ -248,45 +249,6 @@ class TestFreeSemigroupWitness:
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             free_semigroup_witness(BS, S_GEN, T_GEN, 0)
-
-
-class TestIterateDisjoint:
-    def test_two_maps_are_the_base_maps(self):
-        w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        maps = iterate_disjoint(w, 2, window, context_for(window))
-        assert [m.displacement for m in maps] == [(S_GEN,), (T_GEN,)]
-
-    def test_four_maps_have_mod_four_translators(self):
-        w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        maps = iterate_disjoint(w, 4, window, context_for(window))
-        assert [m.displacement for m in maps] == [
-            (BS.parse("(4,0)"),),
-            (BS.parse("(4,2)"),),
-            (BS.parse("(4,1)"),),
-            (BS.parse("(4,3)"),),
-        ]
-
-    def test_five_maps_pairwise_disjoint(self):
-        w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        ctx = context_for(window)
-        maps = iterate_disjoint(w, 5, window, ctx)
-        assert len(maps) == 5
-        images = []
-        for mp in maps:
-            pts = materialize(mp.domain, window, ctx)
-            images.append({pwt_apply(mp, g, ctx) for g in pts})
-        for i, j in itertools.combinations(range(5), 2):
-            assert not images[i] & images[j]
-
-    def test_invalid_witness_rejected(self):
-        w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
-        bad = ParadoxWitness(w.set_expr, (w.parts[0], w.parts[0]), 1)
-        window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        with pytest.raises(ValueError):
-            iterate_disjoint(bad, 2, window, context_for(window))
 
 
 class TestTypeOrder:

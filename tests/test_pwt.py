@@ -1,23 +1,20 @@
 import pytest
 
-from paradox.groups import IntVec, ball, explicit_window, group_from_string
+from paradox.groups import IntVec, explicit_window, group_from_string
 from paradox.pwt import (
     PwT,
     PwTError,
     first_overlap,
     pwt_apply,
     pwt_compose,
-    pwt_validate,
 )
 from paradox.sets import (
     AllSet,
-    BudgetError,
     FiniteSet,
     SemigroupSet,
     SetContext,
     Union,
     materialize,
-    parse_setexpr,
     positive_words,
 )
 
@@ -95,57 +92,6 @@ class TestCompose:
             assert pwt_apply(comp, g, ctx) == pwt_apply(
                 SIGMA_MINUS, pwt_apply(SIGMA_PLUS, g, ctx), ctx
             )
-
-
-class TestValidate:
-    def test_semigroup_map_passes(self):
-        report = pwt_validate(SIGMA_PLUS, semigroup_window(3), SetContext(BS, 9))
-        assert report.passed
-
-    def test_overlapping_pieces_fail_disjointness(self):
-        evens = FiniteSet(int_elems(-2, 0, 2))
-        everything = FiniteSet(int_elems(-2, -1, 0, 1, 2))
-        bad = PwT(
-            everything,
-            ((evens, IntVec((0,))), (everything, IntVec((0,)))),
-            (IntVec((0,)),),
-        )
-        report = pwt_validate(bad, ball(Z1, 2), SetContext(Z1, 8))
-        failing = dict((name, msg) for name, msg in report.failures())
-        assert "pieces-disjoint" in failing
-        assert "(0)" in failing["pieces-disjoint"] or "(" in failing["pieces-disjoint"]
-        assert "injective" in failing  # both zero translators collide on overlap
-
-    def test_overlap_names_pieces_and_least_shared_point(self):
-        evens = FiniteSet(int_elems(2, 0, -2))
-        everything = FiniteSet(int_elems(-2, -1, 0, 1, 2))
-        bad = PwT(
-            everything,
-            ((everything, IntVec((1,))), (evens, IntVec((0,)))),
-            (IntVec((0,)), IntVec((1,))),
-        )
-        report = pwt_validate(bad, ball(Z1, 2), SetContext(Z1, 8))
-        assert dict(report.failures()) == {
-            "pieces-disjoint": "pieces 0 and 1 share (0)",
-            "injective": "(-1) and (0) both map to (0)",
-        }
-
-    def test_undeclared_translator_fails(self):
-        bad = PwT(AllSet(), ((AllSet(), IntVec((1,))),), (IntVec((2,)),))
-        report = pwt_validate(bad, ball(Z1, 1), SetContext(Z1, 8))
-        assert ("displacement-set" in dict(report.failures()))
-
-    def test_undecided_piece_point_stops_the_check(self):
-        # (4) is in the piece, but budget 3 cannot show it; at budget 12
-        # every check passes
-        piece = parse_setexpr("semigroup((1),(-1))", Z1)
-        p = PwT(AllSet(), ((piece, IntVec((0,))),), (IntVec((0,)),))
-        with pytest.raises(BudgetError) as err:
-            pwt_validate(p, ball(Z1, 8), SetContext(Z1, 3))
-        assert str(err.value).startswith(
-            "membership of (4) in semigroup((1),(-1)) undecided at budget 3"
-        )
-        assert pwt_validate(p, ball(Z1, 8), SetContext(Z1, 12)).passed
 
 
 class TestFirstOverlap:

@@ -135,7 +135,9 @@ def test_cli_import_loads_no_heavy_standard_modules():
     # bs12 offsets are ordered and semigroups decided on integers
     ("deficiency", ["check", "--group", "bs12", "--set",
                     "semigroup((2,0),(2,1);e)"], 2),
-], ids=["match", "deficiency", "flow", "bs12-semigroup"])
+    # a greedy set's membership builds the set in `smallsets`, and no more
+    ("deficiency", ["check", "--group", "zn:1", "--set", "greedy(6)"], 2),
+], ids=["match", "deficiency", "flow", "bs12-semigroup", "greedy"])
 def test_verify_loads_only_what_its_kind_replays(tmp_path, kind, argv, code):
     """A transport certificate's replay needs no solver and neither the
     witness nor the crossed-product checkers."""
@@ -200,6 +202,52 @@ def test_no_unused_imports():
                     if bound not in read:
                         unused.append(f"{filename}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _names_used(trees):
+    """Every name the syntax trees read, as a variable, an attribute or an
+    imported name."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+# Checked versions of what the package asks unchecked, kept for library users.
+CHECKED_ENTRY_POINTS = {
+    ("sets.py", "member"), ("sets.py", "member_strict"), ("pwt.py", "pwt_apply"),
+}
+
+
+def test_every_public_function_has_a_caller():
+    """A public top-level function is named elsewhere in the package, by an
+    acceptance criterion or by the golden generator, or is a checked entry
+    point; so code that only its own tests call cannot build up unnoticed."""
+    from test_golden import GENERATE
+
+    with open(os.path.join(os.path.dirname(__file__), "test_acceptance.py"),
+              encoding="utf-8") as fh:
+        outside = _names_used([ast.parse(fh.read()), ast.parse(GENERATE)])
+    modules = dict(_package_modules())
+    uncalled = []
+    for filename, tree in modules.items():
+        named = outside | _names_used(
+            other for name, other in modules.items() if name != filename
+        )
+        for node in tree.body:
+            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                    or (filename, node.name) in CHECKED_ENTRY_POINTS):
+                continue
+            if node.name not in named | _names_used(
+                    other for other in tree.body if other is not node):
+                uncalled.append(f"{filename}:{node.lineno} {node.name}")
+    assert uncalled == []
 
 
 def test_three_valued_membership_stays_in_sets():

@@ -10,20 +10,16 @@ from paradox.groups import (
     ball,
     group_from_string,
 )
-from paradox.pwt import pwt_apply, pwt_validate
 from paradox.sets import (
     AllSet,
     BallSet,
-    BudgetError,
     Diff,
     FiniteSet,
     GreedySet,
     SemigroupSet,
     SetContext,
-    Translate,
     Union,
     context_for,
-    member,
     member_strict,
 )
 from paradox.smallsets import (
@@ -31,7 +27,6 @@ from paradox.smallsets import (
     absorbing_check_direct,
     check_pair_intersections,
     greedy_small_set,
-    small_check,
     verify_greedy_exclusion,
 )
 
@@ -199,59 +194,3 @@ class TestAbsorbing:
         window = ball(Z1, 2)
         with pytest.raises(ValueError):
             absorbing_check(AllSet(), (), window, context_for(window))
-
-
-class TestSmallCheck:
-    def test_evens_move_off_a_ball(self):
-        evens = FiniteSet(intvecs(*range(-10, 11, 2)))
-        obstacle = BallSet(2)
-        s_list = Z1.ball_elements(6)
-        window = ball(Z1, 10)
-        pwt = small_check(evens, obstacle, s_list, window, context_for(window))
-        assert pwt is not None
-        ctx = SetContext(Z1, 14)
-        report = pwt_validate(pwt, window, ctx)
-        assert report.passed
-        for piece, _ in pwt.pieces:
-            for g in piece.elems:
-                img = pwt_apply(pwt, g, ctx)
-                assert member(obstacle, img, ctx) is False
-
-    def test_whole_group_obstacle_is_hopeless(self):
-        evens = FiniteSet(intvecs(0, 2, 4))
-        window = ball(Z1, 5)
-        s_list = Z1.ball_elements(3)
-        assert small_check(evens, AllSet(), s_list, window, context_for(window)) is None
-
-    def test_undecided_image_raises(self):
-        # (5) = s * (0) is in the obstacle, but budget 4 cannot show it
-        obstacle = SemigroupSet(intvecs(1, -1), False)
-        window = ball(Z1, 0)
-        with pytest.raises(BudgetError) as err:
-            small_check(AllSet(), obstacle, intvecs(5), window, SetContext(Z1, 4))
-        assert "membership of (5) in (all\\semigroup((1),(-1)))" in str(err.value)
-
-    def test_empty_translator_set_rejected(self):
-        window = ball(Z1, 2)
-        with pytest.raises(ValueError, match="nonempty"):
-            small_check(AllSet(), BallSet(1), [], window, context_for(window))
-
-    def test_free_group_coset_pattern(self):
-        # a-power chunk A; obstacle = ball(1)-translates of A; displacement
-        # budget ball(3) suffices to slide A off the obstacle
-        a_powers = tuple(
-            F2.parse(" ".join(["a"] * k)) if k else F2.identity() for k in range(6)
-        )
-        chunk = FiniteSet(a_powers)
-        obstacle = chunk
-        for t in F2.ball_elements(1):
-            if t != F2.identity():
-                obstacle = Union(obstacle, Translate(t, chunk))
-        window = ball(F2, 6)
-        s_list = F2.ball_elements(3)
-        pwt = small_check(chunk, obstacle, s_list, window, context_for(window))
-        assert pwt is not None
-        ctx = SetContext(F2, 10)
-        for piece, _ in pwt.pieces:
-            for g in piece.elems:
-                assert member(obstacle, pwt_apply(pwt, g, ctx), ctx) is False
