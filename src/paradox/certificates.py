@@ -104,11 +104,6 @@ def seal(fields: dict) -> str:
     return _assemble(entries)
 
 
-def _finish(fields: dict) -> dict:
-    seal(fields)
-    return fields
-
-
 def _base(kind: str, window: Window, ctx: SetContext) -> dict:
     """The envelope; budgetSlack records the budget the facts were decided at."""
     return {
@@ -119,10 +114,6 @@ def _base(kind: str, window: Window, ctx: SetContext) -> dict:
         "checkedOn": window_digest(window),
         "budgetSlack": ctx.budget - window.radius,
     }
-
-
-def cert_from_match(cert: MatchCert) -> dict:
-    return _finish(match_fields(cert))
 
 
 def match_fields(cert: MatchCert) -> dict:
@@ -137,10 +128,6 @@ def match_fields(cert: MatchCert) -> dict:
     return out
 
 
-def cert_from_deficiency(cert: DeficiencyCert) -> dict:
-    return _finish(deficiency_fields(cert))
-
-
 def deficiency_fields(cert: DeficiencyCert) -> dict:
     group = cert.ctx.group
     out = _base("deficiency", cert.window, cert.ctx)
@@ -148,10 +135,6 @@ def deficiency_fields(cert: DeficiencyCert) -> dict:
     out["translators"] = [group.show(s) for s in cert.translators]
     out["violator"] = [group.show(x) for x in cert.violator]
     return out
-
-
-def cert_from_witness(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
-    return _finish(witness_fields(w, window, ctx))
 
 
 def witness_fields(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
@@ -177,10 +160,6 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
     return ParadoxWitness(parse_setexpr(data["set"], group), parts, split)
 
 
-def cert_from_flow(cert: FlowCert) -> dict:
-    return _finish(flow_fields(cert))
-
-
 def flow_fields(cert: FlowCert) -> dict:
     group = cert.ctx.group
     out = _base("flow", cert.window, cert.ctx)
@@ -196,10 +175,6 @@ def flow_fields(cert: FlowCert) -> dict:
     return out
 
 
-def cert_from_flow_deficiency(cert: FlowDeficiency) -> dict:
-    return _finish(flow_deficiency_fields(cert))
-
-
 def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
     group = cert.ctx.group
     out = _base("flow-deficiency", cert.window, cert.ctx)
@@ -210,6 +185,41 @@ def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
     out["translators"] = [group.show(s) for s in cert.translators]
     out["violator"] = [group.show(x) for x in cert.violator]
     return out
+
+
+def point_reader(window: Window):
+    """A point from its text: the window's own element when the text is how
+    the window shows it, otherwise `group.parse`, so that a non-canonical
+    spelling still reads."""
+    table = dict(zip(window.texts(), window.elements))
+    parse = window.group.parse
+
+    def point(text):
+        x = table.get(text)
+        # `is None`: the identity of a free group is the empty word, falsy
+        return parse(text) if x is None else x
+
+    return point
+
+
+def assignment_rows(cert: dict):
+    """(point text, translator texts) of each row of a match or flow
+    certificate's assignment.  A match row must be an array of three strings
+    and a flow row a string and an array of strings; any other shape is a
+    ValueError."""
+    rows = json_list(cert["assignment"], "assignment")
+    if cert["kind"] == "match":
+        for i, row in enumerate(rows):
+            if (type(row) is not list or len(row) != 3
+                    or not type(row[0]) is type(row[1]) is type(row[2]) is str):
+                raise ValueError(f"match row {i} must be an array of three strings")
+        return ((x, (s1, s2)) for x, s1, s2 in rows)
+    for i, row in enumerate(rows):
+        if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
+                or type(row[1]) is not list
+                or not all(type(text) is str for text in row[1])):
+            raise ValueError(f"flow row {i} must be a string and an array of strings")
+    return rows
 
 
 def _cp_to_json(x: CPElem) -> list:
@@ -233,10 +243,6 @@ def cp_from_json(data: list, group: Group) -> CPElem:
     return CPElem(group, tuple(terms))
 
 
-def cert_from_pi_witness(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
-    return _finish(pi_witness_fields(pw, window, ctx))
-
-
 def pi_witness_fields(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
     group = pw.group
     out = _base("cp-witness", window, ctx)
@@ -255,10 +261,6 @@ def pi_witness_from_cert(data: dict, group: Group) -> PIWitness:
         cp_from_json(data["v"], group),
         cp_from_json(data["w"], group),
     )
-
-
-def write_certificate(cert: dict, path: str) -> None:
-    write_text(canonical_json(cert), path)
 
 
 def write_text(text: str, path: str) -> None:

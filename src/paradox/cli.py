@@ -208,13 +208,16 @@ def _witness_from_any_cert(path: str):
     with _parsing("certificate payload"):
         if kind == "witness":
             return certs.witness_from_cert(data, group), window, ctx, False
+        # the rows are read as `verify` reads them
+        translators = certs.json_list(data["translators"], "translators")
+        point = certs.point_reader(window)
         match = MatchCert(
             parse_setexpr(data["set"], group),
-            tuple(group.parse(t) for t in data["translators"]),
+            tuple(map(group.parse, translators)),
             window,
             tuple(
-                (group.parse(x), group.parse(s1), group.parse(s2))
-                for x, s1, s2 in data["assignment"]
+                (point(x), group.parse(s1), group.parse(s2))
+                for x, (s1, s2) in certs.assignment_rows(data)
             ),
             ctx,
         )

@@ -610,12 +610,15 @@ def _read_slab(body: str, group: Group) -> Slab:
 
 
 def read_rational(text: str):
-    """`Fraction(text)` of a string.  A zero denominator, or a value that is
-    not a string (a JSON `Infinity` is a float), is a ParseError naming it."""
+    """`Fraction(text)` of a string `p/q` or `p`.  Other text, a zero
+    denominator, or a value that is not a string (a JSON `Infinity` is a
+    float), is a ParseError naming it."""
     from fractions import Fraction
 
     if type(text) is not str:
         raise ParseError(f"a rational must be a string, got {text!r}")
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ParseError(f"rational {text!r} is not p/q or p")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from .certificates import (
     SCHEMA,
+    assignment_rows,
     content_digest,
     json_int,
     json_list,
     pi_witness_from_cert,
+    point_reader,
     window_digest,
     window_from_descriptor,
     witness_from_cert,
@@ -98,40 +100,6 @@ def _transport(cert: dict, group):
     )
 
 
-def _point_reader(window):
-    """A point from its text: the window's own element when the text is how
-    the window shows it, otherwise `group.parse`, so that a non-canonical
-    spelling still reads."""
-    table = dict(zip(window.texts(), window.elements))
-    parse = window.group.parse
-
-    def point(text):
-        x = table.get(text)
-        # `is None`: the identity of a free group is the empty word, falsy
-        return parse(text) if x is None else x
-
-    return point
-
-
-def _rows(cert: dict):
-    """(point text, translator texts) of each assignment row.  A match row
-    must be an array of three strings and a flow row a string and an array
-    of strings; any other shape is a ValueError."""
-    rows = json_list(cert["assignment"], "assignment")
-    if cert["kind"] == "match":
-        for i, row in enumerate(rows):
-            if (type(row) is not list or len(row) != 3
-                    or not type(row[0]) is type(row[1]) is type(row[2]) is str):
-                raise ValueError(f"match row {i} must be an array of three strings")
-        return ((x, (s1, s2)) for x, s1, s2 in rows)
-    for i, row in enumerate(rows):
-        if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
-                or type(row[1]) is not list
-                or not all(type(text) is str for text in row[1])):
-            raise ValueError(f"flow row {i} must be a string and an array of strings")
-    return rows
-
-
 def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
     points = materialize(set_a, window, ctx)
@@ -144,8 +112,8 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     # Translators stay text until their row is replayed, and a point is the
     # window's own element, so the rows parse no element of a canonical
     # certificate and hold no copy of one.
-    point = _point_reader(window)
-    assignment = [(point(x), used) for x, used in _rows(cert)]
+    point = point_reader(window)
+    assignment = [(point(x), used) for x, used in assignment_rows(cert)]
     # The slice lists each point once, so equal sizes and equal sets also
     # rule out a point assigned twice.
     if len(assignment) != len(points) or {x for x, _ in assignment} != set(points):
@@ -185,7 +153,7 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
 def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     copies, set_a, capacity, set_b = _transport(cert, group)
     point_set = set(materialize(set_a, window, ctx))
-    point = _point_reader(window)
+    point = point_reader(window)
     violator = [point(x) for x in json_list(cert["violator"], "violator")]
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")

@@ -73,9 +73,16 @@ def doubling_exists_oracle(group, points, s_list, member_fn) -> bool:
 # a verifier that accepts a mutated certificate has a soundness hole.
 
 import copy
+import json
 
-from paradox.certificates import content_digest
+from paradox.certificates import content_digest, seal
 from paradox.groups import group_from_string
+
+
+def sealed(fields):
+    """The certificate of a writer's fields as `verify` reads it: the JSON of
+    the text `seal` gives, which is the text a command writes."""
+    return json.loads(seal(fields))
 
 
 def _redigest(cert):

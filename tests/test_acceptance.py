@@ -12,9 +12,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from paradox.certificates import (
-    cert_from_deficiency,
-    cert_from_match,
-    cert_from_pi_witness,
+    deficiency_fields,
+    match_fields,
+    pi_witness_fields,
 )
 from paradox.crossed import pi_witness, unitary, verify_pi_witness
 from paradox.embedding import build_embedding, check_injective_lipschitz
@@ -54,7 +54,7 @@ from paradox.witness import (
     semigroup_window,
     witness_check,
 )
-from helpers import doubling_exists_oracle, mutate_certificate
+from helpers import doubling_exists_oracle, mutate_certificate, sealed
 
 Z1 = group_from_string("zn:1")
 Z2 = group_from_string("zn:2")
@@ -104,10 +104,10 @@ def test_criterion_02_matching_deficiency_duality():
     with criterion(2, "doubling duality on lattices and the free group"):
         started = time.perf_counter()
 
-        def run_and_verify(group, s_list, radius, to_cert):
+        def run_and_verify(group, s_list, radius, to_fields):
             window = ball(group, radius)
             result = doubling_matching(AllSet(), s_list, window, context_for(window))
-            assert verify_certificate(to_cert(result)).ok
+            assert verify_certificate(sealed(to_fields(result))).ok
             return result
 
         # Z: exhaustive over the 31 nonempty subsets of ball(2), radii 1..8
@@ -119,9 +119,9 @@ def test_criterion_02_matching_deficiency_duality():
                     AllSet(), s_list, window, context_for(window)
                 )
                 if isinstance(result, DeficiencyCert):
-                    assert verify_certificate(cert_from_deficiency(result)).ok
+                    assert verify_certificate(sealed(deficiency_fields(result))).ok
                 else:
-                    assert verify_certificate(cert_from_match(result)).ok
+                    assert verify_certificate(sealed(match_fields(result))).ok
                 if radius >= 2:
                     assert isinstance(result, DeficiencyCert)
                 else:
@@ -159,7 +159,7 @@ def test_criterion_02_matching_deficiency_duality():
         for _ in range(80):
             s_list = rng.sample(gens2, rng.randint(1, 6))
             radius = rng.choice((5, 6, 7, 8))
-            result = run_and_verify(Z2, s_list, radius, cert_from_deficiency)
+            result = run_and_verify(Z2, s_list, radius, deficiency_fields)
             assert isinstance(result, DeficiencyCert)
 
         # Z^2, radii 1..4: duality against the independent oracle
@@ -172,16 +172,14 @@ def test_criterion_02_matching_deficiency_duality():
                 Z2, list(window.elements), s_list, lambda img: True
             )
             assert isinstance(result, MatchCert) is expected
-            cert = (
-                cert_from_match(result)
-                if isinstance(result, MatchCert)
-                else cert_from_deficiency(result)
+            to_fields = (
+                match_fields if isinstance(result, MatchCert) else deficiency_fields
             )
-            assert verify_certificate(cert).ok
+            assert verify_certificate(sealed(to_fields(result))).ok
 
         # free group: ball(1) translators double every window up to radius 5
         for radius in range(1, 6):
-            result = run_and_verify(F2, F2.ball_elements(1), radius, cert_from_match)
+            result = run_and_verify(F2, F2.ball_elements(1), radius, match_fields)
             assert isinstance(result, MatchCert)
 
         assert time.perf_counter() - started < 10.0
@@ -206,7 +204,7 @@ def test_criterion_03_slab_paradoxicality():
         for window_radius in range(0, 6):
             s_radius, result = slab_sweep(window_radius)
             assert s_radius is not None, f"no translator ball up to 6 works at window {window_radius}"
-            assert verify_certificate(cert_from_match(result)).ok
+            assert verify_certificate(sealed(match_fields(result))).ok
             found[window_radius] = s_radius
         print(f"  slab translator radii per window: {found}")
         assert max(found.values()) <= 6
@@ -375,35 +373,35 @@ def test_criterion_10_verifier_mutation_hardness():
         semi = SemigroupSet((S_GEN, T_GEN), True)
         ctx = context_for(window)
         match = doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
-        pool.append(cert_from_match(match))
+        pool.append(sealed(match_fields(match)))
         z1_window = ball(Z1, 3)
         z1_ctx = context_for(z1_window)
-        pool.append(
-            cert_from_deficiency(
+        pool.append(sealed(
+            deficiency_fields(
                 doubling_matching(AllSet(), Z1.ball_elements(1), z1_window, z1_ctx)
             )
-        )
-        from paradox.certificates import cert_from_flow, cert_from_flow_deficiency, cert_from_witness
+        ))
+        from paradox.certificates import flow_deficiency_fields, flow_fields, witness_fields
         from paradox.engine import type_order
 
-        pool.append(cert_from_witness(witness_from_matching(match), window, ctx))
-        pool.append(
-            cert_from_flow(
+        pool.append(sealed(witness_fields(witness_from_matching(match), window, ctx)))
+        pool.append(sealed(
+            flow_fields(
                 type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
             )
-        )
-        pool.append(
-            cert_from_flow_deficiency(
+        ))
+        pool.append(sealed(
+            flow_deficiency_fields(
                 type_order(
                     2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
                 )
             )
-        )
-        pool.append(
-            cert_from_pi_witness(
+        ))
+        pool.append(sealed(
+            pi_witness_fields(
                 pi_witness(witness_from_matching(match), BS), window, ctx
             )
-        )
+        ))
         for cert in pool:
             assert verify_certificate(cert).ok
 

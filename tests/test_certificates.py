@@ -5,16 +5,17 @@ import pytest
 
 from paradox.certificates import (
     canonical_json,
-    cert_from_deficiency,
-    cert_from_flow,
-    cert_from_flow_deficiency,
-    cert_from_match,
-    cert_from_pi_witness,
-    cert_from_witness,
     content_digest,
+    deficiency_fields,
+    flow_deficiency_fields,
+    flow_fields,
     load_certificate,
+    match_fields,
+    pi_witness_fields,
+    seal,
     window_from_descriptor,
-    write_certificate,
+    witness_fields,
+    write_text,
 )
 from paradox.crossed import pi_witness
 from paradox.engine import (
@@ -30,7 +31,7 @@ from paradox.groups import IntVec, ball, group_from_string
 from paradox.sets import AllSet, SemigroupSet, context_for
 from paradox.verifier import CertificateFormatError, verify_certificate
 from paradox.witness import free_semigroup_witness, semigroup_window
-from helpers import mutate_certificate, mutation_operators
+from helpers import mutate_certificate, mutation_operators, sealed
 
 Z1 = group_from_string("zn:1")
 F2 = group_from_string("free:2")
@@ -50,13 +51,13 @@ def cert_pool():
     ctx = context_for(window)
     match = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
     assert isinstance(match, MatchCert)
-    pool["match"] = cert_from_match(match)
+    pool["match"] = sealed(match_fields(match))
 
     f2_window = ball(F2, 2)
     free_match = doubling_matching(
         AllSet(), F2.ball_elements(1), f2_window, context_for(f2_window)
     )
-    pool["match-free"] = cert_from_match(free_match)
+    pool["match-free"] = sealed(match_fields(free_match))
 
     z1_window = ball(Z1, 3)
     z1_ctx = context_for(z1_window)
@@ -64,30 +65,30 @@ def cert_pool():
         AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window, z1_ctx
     )
     assert isinstance(deficiency, DeficiencyCert)
-    pool["deficiency"] = cert_from_deficiency(deficiency)
+    pool["deficiency"] = sealed(deficiency_fields(deficiency))
 
     witness = witness_from_matching(match)
-    pool["witness"] = cert_from_witness(witness, window, ctx)
+    pool["witness"] = sealed(witness_fields(witness, window, ctx))
 
     symbolic = free_semigroup_witness(BS, S_GEN, T_GEN, 5)
     symbolic_window = semigroup_window(BS, S_GEN, T_GEN, 4)
-    pool["witness-symbolic"] = cert_from_witness(
+    pool["witness-symbolic"] = sealed(witness_fields(
         symbolic, symbolic_window, context_for(symbolic_window)
-    )
+    ))
 
     flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
     assert isinstance(flow, FlowCert)
-    pool["flow"] = cert_from_flow(flow)
+    pool["flow"] = sealed(flow_fields(flow))
 
     flow_def = type_order(
         2, AllSet(), 1, AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))],
         z1_window, z1_ctx,
     )
     assert isinstance(flow_def, FlowDeficiency)
-    pool["flow-deficiency"] = cert_from_flow_deficiency(flow_def)
+    pool["flow-deficiency"] = sealed(flow_deficiency_fields(flow_def))
 
     pw = pi_witness(witness, BS)
-    pool["cp-witness"] = cert_from_pi_witness(pw, window, ctx)
+    pool["cp-witness"] = sealed(pi_witness_fields(pw, window, ctx))
     return pool
 
 
@@ -99,7 +100,10 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, cert_pool, tmp_path):
         path = tmp_path / "cert.json"
-        write_certificate(cert_pool["match"], str(path))
+        # sealing a sealed certificate again gives its canonical text
+        text = seal(copy.deepcopy(cert_pool["match"]))
+        assert text == canonical_json(cert_pool["match"])
+        write_text(text, str(path))
         again = load_certificate(str(path))
         assert again == cert_pool["match"]
         assert verify_certificate(again).ok
@@ -107,16 +111,16 @@ class TestRoundTrip:
     def test_serialisation_is_deterministic(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         ctx = context_for(window)
-        a = cert_from_match(doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx))
-        b = cert_from_match(doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx))
-        assert canonical_json(a) == canonical_json(b)
+        a = seal(match_fields(doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)))
+        b = seal(match_fields(doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx)))
+        assert a == b
 
     def test_records_the_budget_it_was_decided_at(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         match = doubling_matching(
             SEMI, [S_GEN, T_GEN], window, context_for(window, 7)
         )
-        cert = cert_from_match(match)
+        cert = sealed(match_fields(match))
         assert cert["budgetSlack"] == 7
         assert verify_certificate(cert).ok
         # the context rides on the result but is not part of its value

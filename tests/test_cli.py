@@ -84,14 +84,13 @@ class TestVerify:
         run(EX28_ARGS + ["--out", str(out), "--quiet"])
         cert = load_certificate(str(out))
         cert["assignment"][0][1] = cert["assignment"][0][2]
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(out))
+        write_text(seal(cert), str(out))
         assert run(["verify", str(out), "--quiet"]) == 3
 
     def test_long_translator_word_fails_fast(self, tmp_path, capsys):
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         out = tmp_path / "match.json"
         assert run(
@@ -100,8 +99,7 @@ class TestVerify:
         ) == 0
         cert = load_certificate(str(out))
         cert["translators"][0] = "a " * 200_000
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(out))
+        write_text(seal(cert), str(out))
         capsys.readouterr()
         started = time.perf_counter()
         assert run(["verify", str(out), "--quiet"]) == 3
@@ -117,7 +115,7 @@ class TestVerify:
     def test_row_translators_spelled_differently(self, tmp_path, capsys, text,
                                                  verdict):
         # a text that is not a declared one is parsed, then checked
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         out = tmp_path / "match.json"
         assert run(
@@ -128,8 +126,7 @@ class TestVerify:
         row = cert["assignment"][0]
         assert row[0] == "e"
         row[1] = text.format(row[1])
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(out))
+        write_text(seal(cert), str(out))
         capsys.readouterr()
         assert run(["verify", str(out), "--quiet"]) == (3 if verdict else 0)
         assert capsys.readouterr().err == (
@@ -186,14 +183,13 @@ class TestVerify:
     ):
         # the recorded value respelled: `int()` would read it back unchanged,
         # or as 1 from `true`
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         cert = load_certificate(str(integer_field_certs / base))
         holder = cert["window"] if field == "radius" else cert
         value = holder[field] = spell(holder[field])
-        cert["digest"] = content_digest(cert)
         path = tmp_path / "edited.json"
-        write_certificate(cert, str(path))
+        write_text(seal(cert), str(path))
         capsys.readouterr()
         assert run(["verify", str(path), "--quiet"]) == code
         err = capsys.readouterr().err
@@ -202,7 +198,7 @@ class TestVerify:
 
     def test_window_elements_must_be_a_json_array(self, tmp_path, capsys):
         # "eab" iterated letter by letter reads as the window e, a, b again
-        from paradox.certificates import cert_from_deficiency, write_certificate
+        from paradox.certificates import deficiency_fields, seal, write_text
         from paradox.engine import doubling_matching
         from paradox.groups import explicit_window, group_from_string
         from paradox.sets import AllSet, context_for
@@ -212,7 +208,7 @@ class TestVerify:
         result = doubling_matching(AllSet(), [f2.parse("a")], window,
                                    context_for(window))
         base = tmp_path / "deficiency.json"
-        write_certificate(cert_from_deficiency(result), str(base))
+        write_text(seal(deficiency_fields(result)), str(base))
         assert run(["verify", str(base), "--quiet"]) == 0
         path = _edited(base, lambda c: c["window"].update(elements="eab"),
                        tmp_path / "edited.json")
@@ -241,13 +237,63 @@ class TestVerify:
 def _edited(base, edit, path):
     """A copy of the certificate at base, changed by edit, with its content
     digest recomputed so that only the replay can reject it."""
-    from paradox.certificates import content_digest, write_certificate
+    from paradox.certificates import seal, write_text
 
     cert = load_certificate(str(base))
     edit(cert)
-    cert["digest"] = content_digest(cert)
-    write_certificate(cert, str(path))
+    write_text(seal(cert), str(path))
     return path
+
+
+class TestTargetSet:
+    """Replay checks each image, and each piece, against the recorded set.
+    Removing a a a, which lies outside the window, from the set leaves its
+    window slice as it was, so only that check can reject the edit."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("target")
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "2", "--out", str(root / "match.json"),
+                    "--witness-out", str(root / "witness.json"), "--quiet"]) == 0
+        return root
+
+    def test_image_leaves_the_target_set(self, certs, tmp_path, capsys):
+        path = _edited(certs / "match.json",
+                       lambda c: c.update(set=r"all\finite{a a a}"),
+                       tmp_path / "edited.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: image a a a of a a leaves the target set\n"
+        )
+
+    @pytest.mark.parametrize("piece", [
+        "finite{a a,a a a,a a b,a a b^-1,a b a}",
+        # the same points, as a translate of a finite set
+        "a*finite{a,a a,a b,a b^-1,b a}",
+    ], ids=["finite", "translated-finite"])
+    def test_witness_piece_leaves_the_set(self, certs, tmp_path, capsys, piece):
+        def respell(cert):
+            assert cert["parts"][1]["piece"] == (
+                "finite{a a,a a a,a a b,a a b^-1,a b a}"
+            )
+            cert["parts"][1]["piece"] = piece
+
+        def respell_and_shrink(cert):
+            respell(cert)
+            cert["set"] = r"all\finite{a a a}"
+
+        path = _edited(certs / "witness.json", respell, tmp_path / "spelled.json")
+        assert run(["verify", str(path), "--quiet"]) == 0
+        path = _edited(certs / "witness.json", respell_and_shrink,
+                       tmp_path / "edited.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: pieces-inside-set: piece 1 contains a a a "
+            "outside the set\n"
+        )
 
 
 class TestReplayPoints:
@@ -284,12 +330,12 @@ class TestReplayPoints:
     def test_identity_is_the_window_point(self):
         # the free-group identity is the empty word, which is falsy
         from paradox.groups import ball, group_from_string
-        from paradox.verifier import _point_reader
+        from paradox.certificates import point_reader
 
         for spec in ("free:2", "zn:1", "bs12"):
             group = group_from_string(spec)
             window = ball(group, 2)
-            point = _point_reader(window)
+            point = point_reader(window)
             assert point(group.show(group.identity())) is window.elements[0]
             assert point("e") == group.identity()
 
@@ -343,6 +389,25 @@ class TestPayloadShape:
         assert cert["assignment"][0] == ["e", ["e", "a"]]
         cert["assignment"][0][1] = "ea"
 
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["verify"], 3, "verification failed: payload does not parse or replay: "),
+        (["embed-f2", "--depth", "2", "--from-cert"], 1, "error: "),
+        (["cp-witness", "--from-cert"], 1, "error: "),
+    ], ids=["verify", "embed-f2", "cp-witness"])
+    def test_match_rows_read_alike(self, certs, tmp_path, capsys, argv, code,
+                                   prefix):
+        # an object iterated as a row would give its keys, a, b and e
+        path = _edited(
+            certs / "match.json",
+            lambda c: c["assignment"].__setitem__(3, {"a": 0, "b": 0, "e": 0}),
+            tmp_path / "object-row.json",
+        )
+        capsys.readouterr()
+        assert run(argv + [str(path)]) == code
+        assert capsys.readouterr() == (
+            "", prefix + "match row 3 must be an array of three strings\n"
+        )
+
     @pytest.mark.parametrize("base, edit, message", [
         ("match.json", _join_first_row,
          "match row 0 must be an array of three strings"),
@@ -392,15 +457,14 @@ class TestNestingCap:
 
     @pytest.mark.parametrize("text", DEEP_SETS.values(), ids=DEEP_SETS)
     def test_verify_exits_3(self, tmp_path, capsys, text):
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         path = tmp_path / "match.json"
         assert run(["check", "--group", "free:2", "--set", "all", "--translators",
                     "ball:1", "--window", "2", "--out", str(path), "--quiet"]) == 0
         cert = load_certificate(str(path))
         cert["set"] = text
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(path))
+        write_text(seal(cert), str(path))
         capsys.readouterr()
         assert run(["verify", str(path), "--quiet"]) == 3
         err = capsys.readouterr().err
@@ -429,14 +493,13 @@ class TestAffineSizeCap:
 
     @pytest.mark.parametrize("text", HUGE_AFFINE)
     def test_verify_exits_3(self, tmp_path, capsys, text):
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         path = tmp_path / "match.json"
         assert run(EX28_ARGS[:-1] + ["2", "--out", str(path), "--quiet"]) == 0
         cert = load_certificate(str(path))
         cert["translators"][0] = text
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(path))
+        write_text(seal(cert), str(path))
         capsys.readouterr()
         started = time.perf_counter()
         assert run(["verify", str(path), "--quiet"]) == 3
@@ -447,8 +510,9 @@ class TestAffineSizeCap:
 
 
 class TestRationalText:
-    """A rational with a zero denominator, in a slab or a cp-witness
-    coefficient, ends in one line naming its text, not a ZeroDivisionError."""
+    """A rational that is not `p/q` or `p`, or has a zero denominator, in a
+    slab or a cp-witness coefficient, ends in one line naming its text, not a
+    ZeroDivisionError, a float read as a ratio or an unbounded power of ten."""
 
     @pytest.fixture(scope="class")
     def certs(self, tmp_path_factory):
@@ -470,6 +534,18 @@ class TestRationalText:
             "error: zero denominator in rational '1/0'\n"
         )
 
+    # `Fraction` reads the first two as 10^1000000 and 10^10000000
+    @pytest.mark.parametrize("text", ["1e1000000", "1e10000000", "1.5"],
+                             ids=["exponent", "huge-exponent", "decimal"])
+    def test_check_reads_only_p_over_q(self, capsys, text):
+        started = time.perf_counter()
+        assert run(["check", "--group", "bs12", "--set", f"slab(0,{text},0)",
+                    "--translators", "(2,0)", "--window", "1"]) == 1
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            f"error: rational '{text}' is not p/q or p\n"
+        )
+
     @staticmethod
     def _first_coefficient(value):
         def edit(cert):
@@ -480,12 +556,17 @@ class TestRationalText:
     @pytest.mark.parametrize("base, edit, message", [
         ("deficiency.json", lambda c: c.update(set="slab(0,1/0,1/2)"),
          "zero denominator in rational '1/0'"),
+        ("deficiency.json", lambda c: c.update(set="slab(0,1.5,1/2)"),
+         "rational '1.5' is not p/q or p"),
         ("cp-witness.json", _first_coefficient("1/0"),
          "zero denominator in rational '1/0'"),
+        ("cp-witness.json", _first_coefficient("1e1000000"),
+         "rational '1e1000000' is not p/q or p"),
         # json reads `Infinity` as a float, which has no ratio
         ("cp-witness.json", _first_coefficient(float("inf")),
          "a rational must be a string, got inf"),
-    ], ids=["slab", "cp-coefficient", "cp-coefficient-infinity"])
+    ], ids=["slab", "slab-decimal", "cp-coefficient", "cp-coefficient-exponent",
+            "cp-coefficient-infinity"])
     def test_verify_exits_3(self, certs, tmp_path, capsys, base, edit, message):
         path = _edited(certs / base, edit, tmp_path / "edited.json")
         capsys.readouterr()
@@ -697,7 +778,7 @@ def _quadrant_witness_cert(path, slack):
     and (0,-10), written on ball(3) at the given slack.  Its memberships and
     identity coefficients are read at points of length up to 13, so they are
     undecided at slack 4 (budget 7) and decided at slack 10."""
-    from paradox.certificates import cert_from_witness, write_certificate
+    from paradox.certificates import seal, witness_fields, write_text
     from paradox.groups import ball, group_from_string
     from paradox.sets import context_for, parse_setexpr, translate
     from paradox.witness import ParadoxWitness
@@ -712,9 +793,7 @@ def _quadrant_witness_cert(path, slack):
         1,
     )
     window = ball(z2, 3)
-    write_certificate(
-        cert_from_witness(w, window, context_for(window, slack)), str(path)
-    )
+    write_text(seal(witness_fields(w, window, context_for(window, slack))), str(path))
 
 
 class TestBudgetSlack:
@@ -722,8 +801,8 @@ class TestBudgetSlack:
 
     def test_embed_f2_validates_at_the_recorded_slack(self, tmp_path, capsys):
         from paradox.certificates import (
-            cert_from_witness, window_from_descriptor, witness_from_cert,
-            write_certificate,
+            seal, window_from_descriptor, witness_fields, witness_from_cert,
+            write_text,
         )
         from paradox.groups import group_from_string
         from paradox.sets import context_for
@@ -747,9 +826,9 @@ class TestBudgetSlack:
         z2 = group_from_string("zn:2")
         data = load_certificate(str(wit))
         window = window_from_descriptor(z2, data["window"])
-        write_certificate(
-            cert_from_witness(witness_from_cert(data, z2), window,
-                              context_for(window)),
+        write_text(
+            seal(witness_fields(witness_from_cert(data, z2), window,
+                                context_for(window))),
             str(wit),
         )
         assert run(args) == 1
@@ -772,7 +851,7 @@ class TestBudgetSlack:
         assert not out.exists()
 
         from paradox.certificates import (
-            cert_from_pi_witness, witness_from_cert, write_certificate,
+            pi_witness_fields, seal, witness_from_cert, write_text,
         )
         from paradox.crossed import pi_witness
         from paradox.groups import ball, group_from_string
@@ -781,8 +860,8 @@ class TestBudgetSlack:
         z2 = group_from_string("zn:2")
         pw = pi_witness(witness_from_cert(load_certificate(str(wit)), z2), z2)
         window = ball(z2, 3)
-        write_certificate(
-            cert_from_pi_witness(pw, window, context_for(window, 10)), str(out)
+        write_text(
+            seal(pi_witness_fields(pw, window, context_for(window, 10))), str(out)
         )
         assert run(["verify", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err == (
@@ -809,7 +888,7 @@ class TestBudgetSlack:
         )
 
     def test_verify_reports_an_undecided_image(self, tmp_path, capsys):
-        from paradox.certificates import content_digest, write_certificate
+        from paradox.certificates import seal, write_text
 
         # (10,0) is in the quadrant, but its word has length 10 > budget 7
         match = tmp_path / "match.json"
@@ -820,8 +899,7 @@ class TestBudgetSlack:
         ) == 0
         cert = load_certificate(str(match))
         cert["budgetSlack"] = 4
-        cert["digest"] = content_digest(cert)
-        write_certificate(cert, str(match))
+        write_text(seal(cert), str(match))
         capsys.readouterr()
         assert run(["verify", str(match), "--quiet"]) == 3
         err = capsys.readouterr().err
@@ -829,8 +907,8 @@ class TestBudgetSlack:
 
     def test_verify_reports_an_undecided_cp_witness(self, tmp_path, capsys):
         from paradox.certificates import (
-            cert_from_pi_witness, window_from_descriptor, witness_from_cert,
-            write_certificate,
+            pi_witness_fields, seal, window_from_descriptor, witness_from_cert,
+            write_text,
         )
         from paradox.crossed import pi_witness
         from paradox.groups import group_from_string
@@ -842,8 +920,8 @@ class TestBudgetSlack:
         data = load_certificate(str(wit))
         window = window_from_descriptor(z2, data["window"])
         pw = pi_witness(witness_from_cert(data, z2), z2)
-        write_certificate(
-            cert_from_pi_witness(pw, window, context_for(window, 4)), str(out)
+        write_text(
+            seal(pi_witness_fields(pw, window, context_for(window, 4))), str(out)
         )
         assert run(["verify", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Golden certificate bytes: one small certificate of each kind, a
 deficiency found by the matching rather than the counting bound, a bs12 slab
 match and a bs12 `embed-f2` report, pinned by sha256 and regenerated in fresh
-processes under two hash seeds.  A refactor that changes a single written
-byte fails here."""
+processes under two hash seeds.  The slab match and the lattice deficiency are
+also written by `check --out`, and pinned to the same hashes.  A refactor that
+changes a single written byte fails here."""
 
 import hashlib
 import os
@@ -19,8 +20,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
 GENERATE = r"""
 import os, sys
 from paradox.certificates import (
-    cert_from_deficiency, cert_from_flow, cert_from_flow_deficiency,
-    cert_from_match, cert_from_pi_witness, cert_from_witness, write_certificate,
+    deficiency_fields, flow_deficiency_fields, flow_fields, match_fields,
+    pi_witness_fields, seal, witness_fields, write_text,
 )
 from paradox.cli import main
 from paradox.crossed import pi_witness
@@ -39,36 +40,48 @@ z1_window, f2_window = ball(Z1, 3), ball(F2, 2)
 z1_ctx = context_for(z1_window)
 match = doubling_matching(SemigroupSet((s, t), True), [s, t], window, ctx)
 witness = witness_from_matching(match)
-certs = {
-    "match": cert_from_match(match),
-    "deficiency": cert_from_deficiency(
+fields = {
+    "match": match_fields(match),
+    "deficiency": deficiency_fields(
         doubling_matching(AllSet(), z1_ball1, z1_window, z1_ctx)),
-    "witness": cert_from_witness(witness, window, ctx),
-    "flow": cert_from_flow(
+    "witness": witness_fields(witness, window, ctx),
+    "flow": flow_fields(
         type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)),
-    "flow-deficiency": cert_from_flow_deficiency(
+    "flow-deficiency": flow_deficiency_fields(
         type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window, z1_ctx)),
-    "cp-witness": cert_from_pi_witness(pi_witness(witness, BS), window, ctx),
+    "cp-witness": pi_witness_fields(pi_witness(witness, BS), window, ctx),
     # 15 points with 33 images pass the counting bound, so this violator
     # comes from the matching's alternating-reachability cut
-    "deficiency-hall": cert_from_deficiency(doubling_matching(
+    "deficiency-hall": deficiency_fields(doubling_matching(
         parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
                       r"a b^-1 a^-1}", F2),
         [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
         context_for(f2_window))),
     # offsets with denominators and signs, in window order
-    "slab-match": cert_from_match(doubling_matching(
+    "slab-match": match_fields(doubling_matching(
         parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3),
         context_for(ball(BS, 3)))),
 }
-for name, cert in certs.items():
+
+
+def path(name):
+    return os.path.join(sys.argv[1], name + ".json")
+
+
+for name, cert in fields.items():
     kind = {"deficiency-hall": "deficiency", "slab-match": "match"}.get(name, name)
     assert cert["kind"] == kind, (name, cert["kind"])
-    write_certificate(cert, os.path.join(sys.argv[1], name + ".json"))
+    write_text(seal(cert), path(name))
 # the displacement set of the report is ordered by the group's sort_key
-match_path = os.path.join(sys.argv[1], "match.json")
-assert main(["embed-f2", "--from-cert", match_path, "--depth", "4", "--out",
-             os.path.join(sys.argv[1], "embed-f2.json"), "--quiet"]) == 0
+assert main(["embed-f2", "--from-cert", path("match"), "--depth", "4", "--out",
+             path("embed-f2"), "--quiet"]) == 0
+# what `check --out` writes for two of the certificates above
+assert main(["check", "--group", "bs12", "--set", "slab(0,1,0)", "--translators",
+             "ball:3", "--window", "3", "--out", path("check-slab-match"),
+             "--quiet"]) == 0
+assert main(["check", "--group", "zn:1", "--set", "all", "--translators",
+             "(-1),(0),(1)", "--window", "3", "--out", path("check-deficiency"),
+             "--quiet"]) == 2
 """
 
 GOLDEN = {
@@ -82,6 +95,8 @@ GOLDEN = {
     "slab-match": "105b452a318b3ae4fe56cd8f8d13a12f8846c0a3ddcc1afa03738b8bedc5b196",
     "embed-f2": "be1cc34b489a2f86fc1a6602173e41913f5ada5d306c6f42d35d8f7ac1409bc8",
 }
+GOLDEN["check-slab-match"] = GOLDEN["slab-match"]
+GOLDEN["check-deficiency"] = GOLDEN["deficiency"]
 
 
 def _generate(out_dir, hash_seed):

@@ -8,7 +8,7 @@ import pytest
 
 import paradox
 import paradox.cli
-from paradox.certificates import content_digest, window_digest, write_certificate
+from paradox.certificates import seal, window_digest, write_text
 from paradox.groups import explicit_window, group_from_string
 
 Z1 = group_from_string("zn:1")
@@ -67,9 +67,8 @@ class TestBallsIgnoreStrayFiles:
         )
         cert = json.loads(written["plain"][1])
         cert["checkedOn"] = window_digest(forged_ball)
-        cert["digest"] = content_digest(cert)
         path = tmp_path / "forged-window.json"
-        write_certificate(cert, str(path))
+        write_text(seal(cert), str(path))
         for cache in (None, forged_dir):
             proc = _run(["-m", "paradox.cli", "verify", str(path), "--quiet"], cache)
             assert proc.returncode == 3, proc.stderr
@@ -267,6 +266,21 @@ def test_three_valued_membership_stays_in_sets():
                 continue
             found += [f"{filename}:{node.lineno} {name}" for name in names
                       if name in ("member", "BUDGET_EXCEEDED")]
+    assert found == []
+
+
+def test_assignment_rows_are_read_in_certificates():
+    """Only `certificates.py` subscripts a certificate's "assignment", so
+    `verify`, `embed-f2` and `cp-witness` read a row through one reader,
+    `assignment_rows`."""
+    found = []
+    for filename, tree in _package_modules():
+        if filename == "certificates.py":
+            continue
+        found += [f"{filename}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.slice, ast.Constant)
+                  and node.slice.value == "assignment"]
     assert found == []
 
 
