@@ -116,14 +116,20 @@ def _base(kind: str, window: Window, ctx: SetContext) -> dict:
     }
 
 
+def _point_texts(window: Window) -> dict:
+    """The text of each window point, from the window's own text table."""
+    return dict(zip(window.elements, window.texts()))
+
+
 def match_fields(cert: MatchCert) -> dict:
     group = cert.ctx.group
     out = _base("match", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     names = {s: group.show(s) for s in cert.translators}
     out["translators"] = [names[s] for s in cert.translators]
+    shown = _point_texts(cert.window)
     out["assignment"] = [
-        [group.show(x), names[s1], names[s2]] for x, s1, s2 in cert.assignment
+        [shown[x], names[s1], names[s2]] for x, s1, s2 in cert.assignment
     ]
     return out
 
@@ -133,7 +139,8 @@ def deficiency_fields(cert: DeficiencyCert) -> dict:
     out = _base("deficiency", cert.window, cert.ctx)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
-    out["violator"] = [group.show(x) for x in cert.violator]
+    shown = _point_texts(cert.window)
+    out["violator"] = [shown[x] for x in cert.violator]
     return out
 
 
@@ -169,8 +176,9 @@ def flow_fields(cert: FlowCert) -> dict:
     out["setB"] = show_setexpr(cert.set_b, group)
     names = {s: group.show(s) for s in cert.translators}
     out["translators"] = [names[s] for s in cert.translators]
+    shown = _point_texts(cert.window)
     out["assignment"] = [
-        [group.show(x), [names[s] for s in used]] for x, used in cert.assignment
+        [shown[x], [names[s] for s in used]] for x, used in cert.assignment
     ]
     return out
 
@@ -183,7 +191,8 @@ def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
     out["setA"] = show_setexpr(cert.set_a, group)
     out["setB"] = show_setexpr(cert.set_b, group)
     out["translators"] = [group.show(s) for s in cert.translators]
-    out["violator"] = [group.show(x) for x in cert.violator]
+    shown = _point_texts(cert.window)
+    out["violator"] = [shown[x] for x in cert.violator]
     return out
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 # Each command imports the modules it runs, so that `verify` loads no solver.
-from .groups import GroupError, ParseError, ball, group_from_string
+from .groups import ball, group_from_string
 from .sets import DEFAULT_SLACK, BudgetError, context_for, parse_setexpr
 
 EXIT_OK = 0
@@ -379,16 +379,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (
-        ParseError,
-        GroupError,
-        BudgetError,
-        _CliError,
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (BudgetError, _CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,6 +9,7 @@ generator indices) order so that downstream results are byte-reproducible.
 from __future__ import annotations
 
 from functools import partial
+from math import comb
 from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
 
@@ -129,6 +130,10 @@ _affine = partial(tuple.__new__, AffineElem)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _LENGTH_CAP = 64  # word_length gives up beyond this many layers
 
+# Most points a ball may hold before it is enumerated: free:2 radius 10
+# (118,097 points) fits, and a bs12 ball is counted past it within a second.
+BALL_SIZE_CAP = 120_000
+
 
 class Layers:
     """Breadth-first layers of the products g1 g2 ... gk of generators from
@@ -210,11 +215,30 @@ class Group:
 
     # ---- word metric ----------------------------------------------------
 
+    def _ball_size(self, radius: int) -> int:
+        """The number of points of the ball of `radius`, or a number over
+        BALL_SIZE_CAP when it holds more; here counted layer by layer."""
+        size = 0
+        for r in range(radius + 1):
+            if size > BALL_SIZE_CAP:
+                break
+            self._balls.extend(r)
+            size += len(self._balls.layers[r])
+        return size
+
+    def _grow_balls(self, radius: int) -> None:
+        """Enumerate the ball of `radius`; GroupError first if it holds more
+        than BALL_SIZE_CAP points."""
+        if self._ball_size(radius) > BALL_SIZE_CAP:
+            raise GroupError(f"the ball of radius {radius} in {self.key} has more "
+                             f"points than the cap of {BALL_SIZE_CAP}")
+        self._balls.extend(radius)
+
     def ball_elements(self, radius: int) -> list[Elem]:
         """All elements of word length <= radius, in canonical order."""
         if radius < 0:
             raise GroupError("radius must be >= 0")
-        self._balls.extend(radius)
+        self._grow_balls(radius)
         return [g for layer in self._balls.layers[: radius + 1] for g in layer]
 
     def word_length(self, g: Elem) -> int:
@@ -229,7 +253,7 @@ class Group:
     def _ball_test(self, radius: int):
         """A test of word length <= radius for checked elements; here it reads
         the element's layer from the enumerated ball."""
-        self._balls.extend(radius)
+        self._grow_balls(radius)
         index, outside = self._balls.index, radius + 1
         return lambda g: index.get(g, outside) <= radius
 
@@ -297,6 +321,18 @@ class FreeGroup(Group):
 
     def _ball_test(self, radius: int):
         return lambda g: len(g) <= radius
+
+    def _ball_size(self, radius: int) -> int:
+        # 1 + sum over i = 1..radius of 2k (2k - 1)^(i - 1), for rank k
+        if self.rank == 1:
+            return 2 * radius + 1
+        size, sphere = 1, 2 * self.rank
+        for _ in range(radius):
+            size += sphere
+            if size > BALL_SIZE_CAP:
+                break
+            sphere *= 2 * self.rank - 1
+        return size
 
     def show(self, g: FreeWord) -> str:
         if not g:
@@ -367,6 +403,16 @@ class LatticeGroup(Group):
 
     def _ball_test(self, radius: int):
         return lambda g: sum(map(abs, g)) <= radius
+
+    def _ball_size(self, radius: int) -> int:
+        # the sum over i of 2^i C(d, i) C(radius, i): i nonzero coordinates,
+        # their signs, and their absolute values summing to at most radius
+        size = 0
+        for i in range(min(self.dim, radius) + 1):
+            size += 2**i * comb(self.dim, i) * comb(radius, i)
+            if size > BALL_SIZE_CAP:
+                break
+        return size
 
     def show(self, g: IntVec) -> str:
         return "(" + ",".join(map(str, g)) + ")"

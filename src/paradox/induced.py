@@ -23,155 +23,83 @@ class SubgroupError(GroupError):
     """The requested subgroup is not supported for this ambient group."""
 
 
-class SubgroupSpec:
-    """Subgroup with decidable membership and a canonical left-coset
-    transversal: every g factors uniquely as rep * r with r in the subgroup."""
+class Subgroup(Record, fields="group label split"):
+    """A subgroup given by its canonical left-coset transversal: `split`
+    takes a checked g to (rep, r) with g = rep * r, r in the subgroup and rep
+    the same for the whole coset g H.  The coset H itself has the identity
+    for its rep, so the transversal also decides membership."""
 
-    group: Group
-    label: str
-
-    def contains(self, g: Elem) -> bool:
-        raise NotImplementedError
+    __slots__ = ()
 
     def coset_split(self, g: Elem) -> tuple[Elem, Elem]:
-        raise NotImplementedError
-
-
-def _cyclic_reduce(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (conjugator c, core v) with word = c v c^(-1), v cyclically reduced."""
-    lo, hi = 0, len(word)
-    while hi - lo >= 2 and word[lo] == -word[hi - 1]:
-        lo += 1
-        hi -= 1
-    return word[:lo], word[lo:hi]
-
-
-class CyclicFreeSubgroup(SubgroupSpec):
-    """The cyclic subgroup generated by a nontrivial free-group word."""
-
-    def __init__(self, group: FreeGroup, generator: FreeWord):
-        if not isinstance(group, FreeGroup):
-            raise SubgroupError("cyclic subgroups are configured for free groups")
-        group.check(generator)
-        if not generator:
-            raise SubgroupError("cyclic subgroup needs a nontrivial generator")
-        self.group = group
-        self.generator = generator
-        conj, core = _cyclic_reduce(generator.letters)
-        self.conj = FreeWord(conj)
-        self.core = FreeWord(core)
-        self.label = f"cyclic:{group.show(generator)}"
-
-    def _power_exponent(self, g: FreeWord) -> int | None:
-        """k with g = generator**k, else None."""
-        group = self.group
-        if not g:
-            return 0
-        h = group.mul(group.mul(group.inv(self.conj), g), self.conj)
-        core_len = len(self.core)
-        if len(h) % core_len != 0:
-            return None
-        k = len(h) // core_len
-        for sign in (1, -1):
-            power = group.identity()
-            base = self.core if sign > 0 else group.inv(self.core)
-            for _ in range(k):
-                power = group.mul(power, base)
-            if power == h:
-                return sign * k
-        return None
+        return self.split(self.group.check(g))
 
     def contains(self, g: Elem) -> bool:
-        return self._power_exponent(self.group.check(g)) is not None
-
-    def coset_split(self, g: Elem) -> tuple[Elem, Elem]:
-        group = self.group
-        g = group.check(g)
-        w = self.generator
-        core_len = len(self.core)
-        # candidates g*w^k can only be shorter for bounded |k|
-        bound = (2 * len(g) + 2 * len(self.conj)) // core_len + 2
-        best = None
-        w_inv = group.inv(w)
-        for k in range(-bound, bound + 1):
-            wk = group.identity()
-            base = w if k >= 0 else w_inv
-            for _ in range(abs(k)):
-                wk = group.mul(wk, base)
-            cand = group.mul(g, wk)
-            key = group.sort_key(cand)
-            if best is None or key < best[0]:
-                best = (key, cand, k)
-        _, rep, k = best
-        r = group.mul(group.inv(rep), g)
-        return rep, r
+        return self.coset_split(g)[0] == self.group.identity()
 
 
-class CoordinateSubgroup(SubgroupSpec):
-    """The sublattice supported on a fixed coordinate set."""
+def _cyclic_split(group: FreeGroup, w: FreeWord):
+    """The transversal of <w>: the sort_key-least g * w^k, with ties to the
+    least k."""
+    mul, sort_key = group._mul, group.sort_key
+    w_inv = group._inv(w)
+    # w = c v c^-1 with v cyclically reduced; g * w^k can only be shorter
+    # than g for |k| up to the bound below
+    conj = 0
+    while len(w) - 2 * conj >= 2 and w[conj] ^ w[-1 - conj] == 1:
+        conj += 1
+    core_len = len(w) - 2 * conj
 
-    def __init__(self, group: LatticeGroup, coords: frozenset[int]):
-        if not isinstance(group, LatticeGroup):
-            raise SubgroupError("coordinate subgroups are configured for lattices")
-        if not all(0 <= c < group.dim for c in coords):
-            raise SubgroupError(f"coordinates out of range for {group.key}")
-        self.group = group
-        self.coords = coords
-        self.label = "coords:" + ",".join(str(c) for c in sorted(coords))
+    def split(g):
+        bound = (2 * len(g) + 2 * conj) // core_len + 2
+        cand = g
+        for _ in range(bound):
+            cand = mul(cand, w_inv)
+        cands = []
+        for _ in range(2 * bound + 1):
+            cands.append(cand)
+            cand = mul(cand, w)
+        rep = min(cands, key=sort_key)
+        return rep, mul(group._inv(rep), g)
 
-    def contains(self, g: Elem) -> bool:
-        g = self.group.check(g)
-        return all(v == 0 for i, v in enumerate(g.coords) if i not in self.coords)
-
-    def coset_split(self, g: Elem) -> tuple[Elem, Elem]:
-        g = self.group.check(g)
-        rep = IntVec(
-            tuple(0 if i in self.coords else v for i, v in enumerate(g.coords))
-        )
-        r = IntVec(
-            tuple(v if i in self.coords else 0 for i, v in enumerate(g.coords))
-        )
-        return rep, r
-
-
-class TranslationKernel(SubgroupSpec):
-    """Pure translations (scale one) inside the dyadic affine group."""
-
-    def __init__(self, group: DyadicAffineGroup):
-        if not isinstance(group, DyadicAffineGroup):
-            raise SubgroupError("the translation kernel lives in the affine group")
-        self.group = group
-        self.label = "akernel"
-
-    def contains(self, g: Elem) -> bool:
-        return self.group.check(g).a_exp == 0
-
-    def coset_split(self, g: Elem) -> tuple[Elem, Elem]:
-        g = self.group.check(g)
-        rep = AffineElem(g.a_exp)
-        r = self.group.mul(self.group.inv(rep), g)
-        return rep, r
+    return split
 
 
-def subgroup_from_string(group: Group, spec: str) -> SubgroupSpec:
+def subgroup_from_string(group: Group, spec: str) -> Subgroup:
     spec = spec.strip()
     if spec.startswith("cyclic:"):
         if not isinstance(group, FreeGroup):
             raise SubgroupError("cyclic: subgroups are supported in free groups")
-        return CyclicFreeSubgroup(group, group.parse(spec[len("cyclic:") :]))
+        w = group.parse(spec[len("cyclic:") :])
+        if not w:
+            raise SubgroupError("cyclic subgroup needs a nontrivial generator")
+        return Subgroup(group, f"cyclic:{group.show(w)}", _cyclic_split(group, w))
     if spec.startswith("coords:"):
         if not isinstance(group, LatticeGroup):
             raise SubgroupError("coords: subgroups are supported in lattices")
         coords = frozenset(int(c) for c in spec[len("coords:") :].split(","))
-        return CoordinateSubgroup(group, coords)
+        if not all(0 <= c < group.dim for c in coords):
+            raise SubgroupError(f"coordinates out of range for {group.key}")
+
+        def split(g):
+            rep = IntVec(0 if i in coords else v for i, v in enumerate(g))
+            return rep, IntVec(v if i in coords else 0 for i, v in enumerate(g))
+
+        label = "coords:" + ",".join(map(str, sorted(coords)))
+        return Subgroup(group, label, split)
     if spec == "akernel":
         if not isinstance(group, DyadicAffineGroup):
             raise SubgroupError("akernel is the affine translation subgroup")
-        return TranslationKernel(group)
+
+        def split(g):
+            rep = AffineElem(g.a_exp)
+            return rep, group._mul(group._inv(rep), g)
+
+        return Subgroup(group, "akernel", split)
     raise SubgroupError(f"unsupported subgroup spec {spec!r}")
 
 
-def coset_normalize(sub: SubgroupSpec, g: Elem) -> tuple[Elem, Elem]:
+def coset_normalize(sub: Subgroup, g: Elem) -> tuple[Elem, Elem]:
     """Factor g = rep * r with r in the subgroup and rep canonical."""
     rep, r = sub.coset_split(g)
     if not sub.contains(r):
@@ -196,7 +124,7 @@ class InducedWitness(Record, fields="anchor anchor_rep whole pieces translators 
     __slots__ = ()
 
 
-def induce_witness(sub: SubgroupSpec, tw: TokenWitness, anchor: Elem) -> InducedWitness:
+def induce_witness(sub: Subgroup, tw: TokenWitness, anchor: Elem) -> InducedWitness:
     """Solve s_j * anchor = anchor * t_j for each subgroup translator t_j and
     emit the fibre witness."""
     group = sub.group
@@ -224,13 +152,14 @@ def induce_witness(sub: SubgroupSpec, tw: TokenWitness, anchor: Elem) -> Induced
 
 
 def check_induced_witness(
-    sub: SubgroupSpec, tw: TokenWitness, out: InducedWitness
+    sub: Subgroup, tw: TokenWitness, out: InducedWitness
 ) -> ValidationReport:
     """Replay the bookkeeping: the conjugation identities hold exactly, the
     translators act inside the anchor's coset fibre, and the fibre data lines
     up with the asserted token facts."""
     group = sub.group
     checks = []
+    _, r_anchor = coset_normalize(sub, out.anchor)
     ok = len(out.translators) == len(tw.movers)
     checks.append(("arity", ok, "" if ok else "translator count mismatch"))
     for j, (s_j, t_j) in enumerate(zip(out.translators, tw.movers)):
@@ -244,7 +173,7 @@ def check_induced_witness(
                 "" if ok else f"s_{j}.anchor = {group.show(lhs)} != {group.show(rhs)}",
             )
         )
-        rep2, r = coset_normalize(sub, group.mul(s_j, out.anchor))
+        rep2, r = coset_normalize(sub, lhs)
         ok = rep2 == out.anchor_rep
         checks.append(
             (
@@ -253,7 +182,6 @@ def check_induced_witness(
                 "" if ok else f"fibre moved to {group.show(rep2)}",
             )
         )
-        _, r_anchor = coset_normalize(sub, out.anchor)
         ok = r == group.mul(r_anchor, t_j)
         checks.append(
             (

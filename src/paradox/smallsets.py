@@ -12,6 +12,10 @@ from .sets import (
     translate,
 )
 
+# The greedy sequence costs about count^3: 200 elements of zn:1 take seconds.
+GREEDY_COUNT_CAP = 200
+
+
 def greedy_small_set(group: Group, count: int) -> tuple[Elem, ...]:
     """First `count` elements of the canonical enumeration that avoid every
     triple product x y^(-1) z of previously chosen elements x, y, z.
@@ -22,6 +26,8 @@ def greedy_small_set(group: Group, count: int) -> tuple[Elem, ...]:
     candidate tested against k chosen ones."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > GREEDY_COUNT_CAP:
+        raise ValueError(f"count {count} is over the cap of {GREEDY_COUNT_CAP}")
     chosen: list[Elem] = []
     invs: list[Elem] = []
     pairs: set[Elem] = set()

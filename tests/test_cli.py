@@ -509,6 +509,84 @@ class TestAffineSizeCap:
         assert f"element '{text}' is out of range" in err
 
 
+class TestBallSizeCap:
+    """A ball past `groups.BALL_SIZE_CAP` is refused before it is enumerated:
+    one line, fast, whichever command asks for it.  Each of these used to be
+    killed at a timeout."""
+
+    @pytest.fixture(scope="class")
+    def f2w4(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("balls") / "f2w4.json"
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "4", "--out", str(path), "--quiet"]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv, ball", [
+        (["check", "--group", "zn:9", "--set", "all", "--translators", "ball:1",
+          "--window", "9"], "radius 9 in zn:9"),
+        (["embed-f2", "--from-cert", "F2W4", "--depth", "40"], "radius 40 in free:2"),
+        (["check", "--group", "bs12", "--set", "ball(30)", "--translators",
+          "(2,0)", "--window", "1"], "radius 30 in bs12"),
+        (["check", "--group", "zn:1", "--set", "all", "--translators",
+          "ball:100000000", "--window", "1"], "radius 100000000 in zn:1"),
+        (["small-set", "--group", "free:2", "--count", "3", "--check-radius",
+          "40"], "radius 40 in free:2"),
+    ], ids=["window", "embed-depth", "ball-set", "translators", "check-radius"])
+    def test_command_exits_1(self, f2w4, capsys, argv, ball):
+        argv = [str(f2w4) if arg == "F2W4" else arg for arg in argv]
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(argv + ["--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            f"error: the ball of {ball} has more points than the cap of 120000\n"
+        )
+
+    def test_verify_reports_an_envelope_error(self, f2w4, tmp_path, capsys):
+        path = _edited(f2w4, lambda cert: cert.update(window={"radius": 40}),
+                       tmp_path / "f2w40.json")
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "error: malformed certificate envelope: the ball of radius 40 in "
+            "free:2 has more points than the cap of 120000\n"
+        )
+
+
+class TestGreedyCap:
+    """`greedy(N)` and `small-set --count` take at most 200 elements, so that
+    neither a flag nor a certificate field asks for unbounded greedy work."""
+
+    MESSAGE = "count 201 is over the cap of 200\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--group", "zn:1", "--set", "greedy(201)", "--translators",
+         "ball:1", "--window", "3"],
+        ["small-set", "--group", "zn:1", "--count", "201"],
+    ], ids=["check", "small-set"])
+    def test_command_exits_1(self, capsys, argv):
+        started = time.perf_counter()
+        assert run(argv + ["--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == "error: " + self.MESSAGE
+
+    def test_verify_exits_3(self, tmp_path, capsys):
+        base = tmp_path / "deficiency.json"
+        assert run(["check", "--group", "zn:1", "--set", "greedy(6)", "--translators",
+                    "ball:1", "--window", "3", "--out", str(base), "--quiet"]) == 2
+        path = _edited(base, lambda cert: cert.update(set="greedy(201)"),
+                       tmp_path / "greedy201.json")
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: " + self.MESSAGE
+        )
+
+
 class TestRationalText:
     """A rational that is not `p/q` or `p`, or has a zero denominator, in a
     slab or a cp-witness coefficient, ends in one line naming its text, not a

@@ -8,6 +8,7 @@ import pytest
 
 from paradox.dyadic import parse_dyadic, show_dyadic
 from paradox.groups import (
+    BALL_SIZE_CAP,
     AffineElem,
     FreeWord,
     GroupError,
@@ -194,6 +195,19 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(GroupError):
             F2.ball_elements(-1)
+
+    @pytest.mark.parametrize("spec", ["free:1", "free:2", "free:3", "zn:1", "zn:2",
+                                      "zn:3", "bs12"])
+    def test_size_is_counted_before_enumerating(self, spec):
+        group = group_from_string(spec)
+        for radius in range(5):
+            assert group._ball_size(radius) == len(group.ball_elements(radius))
+
+    def test_size_cap(self):
+        assert F2._ball_size(10) == 118097 <= BALL_SIZE_CAP
+        for group, radius in ((F2, 11), (group_from_string("zn:9"), 9), (BS, 30)):
+            with pytest.raises(GroupError, match="more points than the cap"):
+                group.ball_elements(radius)
 
 
 class TestLayers:

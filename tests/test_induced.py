@@ -114,3 +114,30 @@ class TestInduceWitness:
             for s_j, t_j in zip(out.translators, tw.movers):
                 assert group.mul(s_j, anchor) == group.mul(anchor, t_j)
             assert check_induced_witness(sub, tw, out).passed
+
+
+class TestContainsByDefinition:
+    """`contains`, read off the transversal, against each subgroup's
+    definition on a radius-4 ball."""
+
+    @pytest.mark.parametrize("text", ["a", "b a b^-1"])
+    def test_cyclic_members_are_the_powers(self, text):
+        sub = subgroup_from_string(F2, f"cyclic:{text}")
+        w = F2.parse(text)
+        powers = {F2.identity()}
+        for base in (w, F2.inv(w)):
+            power = F2.identity()
+            # a power w^k has length at least |k|
+            for _ in range(4):
+                power = F2.mul(power, base)
+                powers.add(power)
+        ball4 = F2.ball_elements(4)
+        assert {g for g in ball4 if sub.contains(g)} == powers & set(ball4)
+
+    def test_coordinate_members(self):
+        for g in Z2.ball_elements(4):
+            assert FIRST_COORD.contains(g) == (g.coords[1] == 0)
+
+    def test_affine_kernel_members(self):
+        for g in BS.ball_elements(4):
+            assert AKERNEL.contains(g) == (g.a_exp == 0)

@@ -331,3 +331,30 @@ def test_verify_reads_points_from_the_window(tmp_path, monkeypatch):
     # once per declared translator; the generators are checked at most once
     assert calls["parse"] == len(cert["translators"])
     assert calls["check"] <= 4
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--group", "free:2", "--set", "all"], 0),
+    (["check", "--group", "zn:1", "--set", "all"], 2),
+    (["type-order", "--group", "zn:1", "--m", "1", "--set-a", "all", "--n", "1",
+      "--set-b", "all"], 0),
+    (["type-order", "--group", "zn:1", "--m", "3", "--set-a", "all", "--n", "1",
+      "--set-b", "all"], 2),
+], ids=["match", "deficiency", "flow", "flow-deficiency"])
+def test_writers_show_each_point_once(tmp_path, monkeypatch, argv, code):
+    """A certificate's rows take their points' texts from the window's text
+    table, so producing one shows each window point and each translator at
+    most once."""
+    group = group_from_string(argv[2])
+    calls = {"show": 0}
+    original = type(group).show
+
+    def counted(self, g):
+        calls["show"] += 1
+        return original(self, g)
+
+    monkeypatch.setattr(type(group), "show", counted)
+    argv = argv + ["--translators", "ball:1", "--window", "3",
+                   "--out", str(tmp_path / "cert.json"), "--quiet"]
+    assert paradox.cli.main(argv) == code
+    assert calls["show"] <= len(group.ball_elements(3)) + len(group.ball_elements(1))
