@@ -6,6 +6,7 @@ to build and re-check proper-infiniteness witnesses and corner compressions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .groups import Elem, Group, Record, Window
@@ -135,13 +136,17 @@ def coeff_value(coeff: Coefficient, ctx: SetContext) -> Callable[[Elem], Fractio
 
 def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
     """None when every coefficient evaluates to zero at every window point;
-    otherwise the first offending (unitary element, point, value)."""
+    otherwise the first offending (unitary element, point, value).  Each
+    coefficient is summed as integer numerators over the lcm of its
+    denominators; only the reported value is a Fraction."""
     for t, coeff in x.terms:
-        value = coeff_value(coeff, ctx)
+        scale = lcm(*(q.denominator for q, _ in coeff))
+        terms = [(q.numerator * (scale // q.denominator), predicate(expr, ctx))
+                 for q, expr in coeff]
         for g in window.elements:
-            val = value(g)
-            if val != 0:
-                return (t, g, val)
+            num = sum(n for n, in_expr in terms if in_expr(g))
+            if num:
+                return (t, g, Fraction(num, scale))
     return None
 
 

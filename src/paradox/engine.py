@@ -38,9 +38,12 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
                ctx: SetContext):
     """The transport graph from a's window slice into b, built once.
 
-    Returns (sorted translators, points, rows, image count): rows[i] lists
-    (image id, translator index) for each translator s with s * points[i] in
-    b, in translator order; image ids are numbered in first-seen order."""
+    Returns (sorted translators, points, images, moves, image count):
+    images[i] lists the image ids of the translators s with s * points[i] in
+    b, in translator order, and moves[i] the indices of those translators,
+    position for position.  Image ids are numbered in first-seen order; equal
+    index tuples are one shared tuple, so the graph holds no object per
+    edge beyond the image id's int."""
     if not translators:
         raise ValueError("translator set must be nonempty")
     group = ctx.group
@@ -48,15 +51,19 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
     points = materialize(a, window, ctx)  # window points are checked
     mul, in_b = group._mul, predicate(b, ctx)
     image_id: dict[Elem, int] = {}
-    rows = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    images, moves = [], []
     for x in points:
-        row = []
+        ids, ks = [], []
         for k, s in enumerate(s_list):
             img = mul(s, x)
             if in_b(img):
-                row.append((image_id.setdefault(img, len(image_id)), k))
-        rows.append(row)
-    return s_list, points, rows, len(image_id)
+                ids.append(image_id.setdefault(img, len(image_id)))
+                ks.append(k)
+        images.append(ids)
+        ks = tuple(ks)
+        moves.append(shared.setdefault(ks, ks))
+    return s_list, points, images, moves, len(image_id)
 
 
 def doubling_matching(
@@ -73,21 +80,20 @@ def doubling_matching(
     vertex 2i + c for copy c of point i and, on failure, the violator is read
     off the matching's final alternating-reachability layering.
     """
-    s_list, points, rows, n_images = _transport(a, a, translators, window, ctx)
+    s_list, points, images, moves, n_images = _transport(
+        a, a, translators, window, ctx)
     if n_images < 2 * len(points):
         return DeficiencyCert(a, s_list, window, points, ctx)
 
     adjacency = []
-    for row in rows:
-        images = [img for img, _ in row]
-        adjacency += [images, images]
-    pair_left, _, reached = max_matching(range(len(adjacency)), adjacency)
-    if len(pair_left) == len(adjacency):
+    for ids in images:
+        adjacency += (ids, ids)  # both copies of a point share its id list
+    pair_left, _, reached = max_matching(range(len(adjacency)), adjacency, n_images)
+    if -1 not in pair_left:
         assignment = []
-        for i, (x, row) in enumerate(zip(points, rows)):
-            translator_of = dict(row)
-            s1 = s_list[translator_of[pair_left[2 * i]]]
-            s2 = s_list[translator_of[pair_left[2 * i + 1]]]
+        for i, (x, ids, ks) in enumerate(zip(points, images, moves)):
+            s1 = s_list[ks[ids.index(pair_left[2 * i])]]
+            s2 = s_list[ks[ids.index(pair_left[2 * i + 1])]]
             assignment.append((x, s1, s2))
         return MatchCert(a, s_list, window, tuple(assignment), ctx)
     violator = [
@@ -161,7 +167,8 @@ def type_order(
     multiplicity at most n, displacements drawn from the translator set."""
     if copies < 1 or capacity < 1:
         raise ValueError("copies and capacity must be >= 1")
-    s_list, points, rows, n_images = _transport(a, b, translators, window, ctx)
+    s_list, points, images, moves, n_images = _transport(
+        a, b, translators, window, ctx)
 
     n_nodes = 2 + len(points) + n_images
     source, sink = 0, n_nodes - 1
@@ -172,8 +179,8 @@ def type_order(
     # and the residual-reachable rights contain the whole neighbourhood
     big = copies * len(points) + 1
     mid_edges = [
-        [net.add_edge(1 + i, 1 + len(points) + img, big) for img, _ in row]
-        for i, row in enumerate(rows)
+        [net.add_edge(1 + i, 1 + len(points) + img, big) for img in ids]
+        for i, ids in enumerate(images)
     ]
     for img in range(n_images):
         net.add_edge(1 + len(points) + img, sink, capacity)
@@ -183,7 +190,7 @@ def type_order(
         assignment = []
         for i, x in enumerate(points):
             used: list[Elem] = []
-            for eid, (_, k) in zip(mid_edges[i], rows[i]):
+            for eid, k in zip(mid_edges[i], moves[i]):
                 used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
         return FlowCert(copies, a, capacity, b, s_list, window, tuple(assignment), ctx)

@@ -242,10 +242,12 @@ class Group:
         return [g for layer in self._balls.layers[: radius + 1] for g in layer]
 
     def word_length(self, g: Elem) -> int:
-        """Exact word length with respect to the canonical generators."""
+        """Exact word length with respect to the canonical generators;
+        GroupError once the ball it must search holds more than
+        BALL_SIZE_CAP points, or past _LENGTH_CAP layers."""
         self.check(g)
         for r in range(_LENGTH_CAP + 1):
-            self._balls.extend(r)
+            self._grow_balls(r)
             if g in self._balls.index:
                 return self._balls.index[g]
         raise GroupError(f"word length of {self.show(g)} exceeds cap {_LENGTH_CAP}")
@@ -363,8 +365,8 @@ class LatticeGroup(Group):
     """Z^d with unit-vector generators."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise GroupError(f"lattice dimension must be >= 1, got {dim}")
+        if not 1 <= dim <= 26:
+            raise GroupError(f"lattice dimension must be in 1..26, got {dim}")
         self.dim = dim
         self.key = f"zn:{dim}"
         super().__init__()

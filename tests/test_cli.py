@@ -555,6 +555,20 @@ class TestBallSizeCap:
         )
 
 
+class TestLatticeDimensionCap:
+    """zn:d takes d in 1..26, as free:k takes its rank: building zn:d makes
+    2d generators of d coordinates, so a group string alone once cost d²."""
+
+    def test_check_exits_1(self, capsys):
+        started = time.perf_counter()
+        assert run(["check", "--group", "zn:100000", "--set", "all",
+                    "--translators", "ball:1", "--window", "1", "--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "error: lattice dimension must be in 1..26, got 100000\n"
+        )
+
+
 class TestGreedyCap:
     """`greedy(N)` and `small-set --count` take at most 200 elements, so that
     neither a flag nor a certificate field asks for unbounded greedy work."""

@@ -11,6 +11,7 @@ from paradox.crossed import (
     cp_sub,
     cp_vanishes_on,
     cp_zero,
+    coeff_value,
     corner_compress,
     indicator,
     pi_witness,
@@ -143,6 +144,25 @@ class TestAlgebra:
                 cp_adjoint(cp_mul(x, y)), cp_mul(cp_adjoint(y), cp_adjoint(x))
             )
             assert cp_vanishes_on(delta, window, ctx) is None
+
+
+    def test_first_offender_matches_fraction_sums(self, bs_samples):
+        # the integer sums over the lcm of the denominators report the same
+        # first offender and value as summing each coefficient's Fractions
+        rng, elems, exprs = bs_samples
+        window = ball(BS, 2)
+        ctx = context_for(window)
+        for _ in range(20):
+            x = cp_zero(BS)
+            for _ in range(rng.randint(1, 4)):
+                q = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+                x = cp_add(x, single(BS, q, rng.choice(exprs), rng.choice(elems)))
+            expected = next(
+                ((t, g, val) for t, coeff in x.terms for g in window.elements
+                 if (val := coeff_value(coeff, ctx)(g)) != 0), None)
+            got = cp_vanishes_on(x, window, ctx)
+            assert got == expected
+            assert got is None or type(got[2]) is Fraction
 
 
 class TestPIWitness:

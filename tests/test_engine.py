@@ -31,7 +31,7 @@ from paradox.witness import (
     semigroup_window,
     witness_check,
 )
-from helpers import doubling_exists_oracle
+from helpers import doubling_exists_oracle, kuhn_matching
 
 Z1 = group_from_string("zn:1")
 Z2 = group_from_string("zn:2")
@@ -132,9 +132,30 @@ class TestMaxMatching:
         # deeper than the interpreter's recursion limit
         n = 2000
         adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
-        pair_left, pair_right, reached = max_matching(range(n), adjacency)
-        assert pair_left == {i: i for i in range(n)} == pair_right
+        pair_left, pair_right, reached = max_matching(range(n), adjacency, n)
+        assert pair_left == list(range(n)) == pair_right
         assert reached == set()
+
+    def test_random_graphs_against_kuhn(self):
+        rng = random.Random(7)
+        for trial in range(200):
+            n_lefts, n_rights = rng.randint(0, 12), rng.randint(0, 12)
+            adjacency = [rng.sample(range(n_rights), rng.randint(0, min(4, n_rights)))
+                         for _ in range(n_lefts)]
+            pair_left, pair_right, reached = max_matching(
+                range(n_lefts), adjacency, n_rights)
+            matched = [u for u in range(n_lefts) if pair_left[u] != -1]
+            assert len(matched) == kuhn_matching(range(n_lefts), adjacency)
+            # a matching: pair_left and pair_right are inverse, along edges
+            assert all(pair_left[u] in adjacency[u]
+                       and pair_right[pair_left[u]] == u for u in matched)
+            assert sum(v != -1 for v in pair_right) == len(matched)
+            if len(matched) < n_lefts:
+                # the Hall violator has fewer neighbours than members
+                neighbours = {v for u in reached for v in adjacency[u]}
+                assert len(neighbours) < len(reached)
+            else:
+                assert reached == set()
 
 
 class TestWitnessFromMatching:

@@ -10,6 +10,7 @@ from paradox.dyadic import parse_dyadic, show_dyadic
 from paradox.groups import (
     BALL_SIZE_CAP,
     AffineElem,
+    DyadicAffineGroup,
     FreeWord,
     GroupError,
     IntVec,
@@ -208,6 +209,18 @@ class TestBall:
         for group, radius in ((F2, 11), (group_from_string("zn:9"), 9), (BS, 30)):
             with pytest.raises(GroupError, match="more points than the cap"):
                 group.ball_elements(radius)
+
+
+    def test_word_length_search_is_capped(self):
+        # (1,1/2^12) has a short text but a long word: the generic search
+        # grows the ball under BALL_SIZE_CAP instead of until killed.  A
+        # fresh bs12 keeps the shared group's ball small.
+        bs = DyadicAffineGroup()
+        assert bs.word_length(bs.parse("(1,1/2)")) == 3
+        started = time.perf_counter()
+        with pytest.raises(GroupError, match="more points than the cap"):
+            bs.word_length(bs.parse("(1,1/2^12)"))
+        assert time.perf_counter() - started < 5.0
 
 
 class TestLayers:

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import paradox
 import paradox.cli
 from paradox.certificates import seal, window_digest, write_text
-from paradox.groups import explicit_window, group_from_string
+from paradox.groups import ball, explicit_window, group_from_string
 
 Z1 = group_from_string("zn:1")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
@@ -358,3 +359,26 @@ def test_writers_show_each_point_once(tmp_path, monkeypatch, argv, code):
                    "--out", str(tmp_path / "cert.json"), "--quiet"]
     assert paradox.cli.main(argv) == code
     assert calls["show"] <= len(group.ball_elements(3)) + len(group.ball_elements(1))
+
+
+def test_doubling_matching_memory():
+    """The transport graph and the matching hold int lists, not a tuple per
+    edge or dicts keyed by vertex: on free:2 window 7 (4,373 points, 21,865
+    edges) the solver's allocation peak stays under 3.5 MB.  It reads about
+    3.0 MB; a tuple per edge and dicts keyed by vertex read about 4.2 MB."""
+    from paradox.engine import doubling_matching
+    from paradox.sets import AllSet, context_for
+
+    f2 = group_from_string("free:2")
+    translators = f2.ball_elements(1)
+    small = ball(f2, 1)
+    doubling_matching(AllSet(), translators, small, context_for(small))
+    window = ball(f2, 7)
+    ctx = context_for(window)
+    tracemalloc.start()
+    try:
+        doubling_matching(AllSet(), translators, window, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
