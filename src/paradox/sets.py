@@ -1,10 +1,13 @@
 """Symbolic subsets of a group with exact, window-relative evaluation.
 
 Membership is three-valued: True, False, or BUDGET_EXCEEDED for semigroup
-queries that the configured enumeration budget cannot settle.  Everything
-else is decided exactly.  The third value stays in this module: the rest of
-the package asks `predicate`, `member_strict` or `materialize`, which raise
-the one `undecided_error` naming point, set and budget.
+queries that a fixed search cap cannot settle: an enumeration of more than
+BALL_SIZE_CAP positive words' values, or more than `_NODE_CAP` nodes of the
+affine decider.  No input, flag or certificate field moves either cap, so
+every answer is the same in every context and in any order of queries.
+Everything else is decided exactly.  The third value stays in this module:
+the rest of the package asks `predicate`, `member_strict` or `materialize`,
+which raise the one `undecided_error` naming point, set and cap.
 
 An expression is a tree of tuple nodes, each kind spelled out once in the
 node table `_NODES`.  Each expression is compiled once per context into a
@@ -21,6 +24,7 @@ from operator import mul
 from typing import Callable
 
 from .groups import (
+    BALL_SIZE_CAP,
     AffineElem,
     DyadicAffineGroup,
     Elem,
@@ -47,7 +51,7 @@ BUDGET_EXCEEDED = _BudgetExceeded()
 
 class BudgetError(RuntimeError):
     """An operation needed an exact membership answer but only got
-    BUDGET_EXCEEDED; retry with a larger budget slack."""
+    BUDGET_EXCEEDED: a semigroup search passed its fixed cap."""
 
 
 class SetExpr(Record):
@@ -125,26 +129,17 @@ def translate(t: Elem, inner: SetExpr, group: Group) -> SetExpr:
 
 
 class SetContext:
-    """Carries the group, the semigroup enumeration budget, and shared caches."""
+    """Carries the group and the caches its compiled tests share."""
 
-    __slots__ = ("group", "budget", "caches")
+    __slots__ = ("group", "caches")
 
-    def __init__(self, group: Group, budget: int = 8) -> None:
-        self.group, self.budget, self.caches = group, budget, {}
-
-
-# The one default budget slack: extra enumeration length beyond the window
-# radius, used by the CLI and by certificates that do not record their own.
-DEFAULT_SLACK = 4
-
-
-def context_for(window: Window, slack: int = DEFAULT_SLACK) -> SetContext:
-    return SetContext(window.group, window.radius + slack)
+    def __init__(self, group: Group) -> None:
+        self.group, self.caches = group, {}
 
 
 def member(expr: SetExpr, g: Elem, ctx: SetContext):
     """Exact membership of g in expr; BUDGET_EXCEEDED only for semigroup
-    queries beyond the enumeration budget, never a wrong bool."""
+    queries past a search cap, never a wrong bool."""
     return _compiled(expr, ctx)[1](ctx.group.check(g))
 
 
@@ -160,17 +155,18 @@ def predicate(expr: SetExpr, ctx: SetContext) -> Callable[[Elem], bool]:
 
 
 def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
-    """The error for a membership of g in expr that the budget cannot settle."""
+    """The error for a membership of g in expr that a search cap leaves open."""
     group = ctx.group
     return BudgetError(
         f"membership of {group.show(g)} in {show_setexpr(expr, group)} "
-        f"undecided at budget {ctx.budget}; increase the budget slack"
+        f"undecided: a semigroup search passed its cap ({BALL_SIZE_CAP} "
+        f"enumerated values, {_AffineSemigroupDecider._NODE_CAP} affine nodes)"
     )
 
 
 def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, ...]:
     """The window slice of expr, in window order; the first window point
-    whose membership the budget cannot settle raises `undecided_error`."""
+    whose membership a search cap leaves open raises `undecided_error`."""
     return tuple(filter(predicate(expr, ctx), window.elements))
 
 
@@ -301,9 +297,8 @@ def _diff(expr: Diff, ctx: SetContext):
 
 
 def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
-    """The nonempty positive words of expr's generators, enumerated per
-    context, so that no other context's deeper enumeration decides a query
-    beyond this context's budget."""
+    """The nonempty positive words of expr's generators, enumerated once per
+    context and at most to BALL_SIZE_CAP values."""
     key = ("sgenum", ctx.group.key, expr.gens)
     words = ctx.caches.get(key)
     if words is None:
@@ -313,9 +308,12 @@ def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
 
 def positive_words(group: Group, gens: tuple[Elem, ...], length: int) -> list[Elem]:
     """Distinct values of positive words of length <= `length` (including e),
-    in breadth-first order."""
+    in breadth-first order; GroupError if they are more than BALL_SIZE_CAP."""
     words = Layers(group, gens, with_root=True)
     words.extend(length)
+    if words.capped:
+        raise GroupError(f"positive words of length <= {length} have more values "
+                         f"than the cap of {BALL_SIZE_CAP}")
     return [g for layer in words.layers[: length + 1] for g in layer]
 
 
@@ -338,35 +336,28 @@ def _semigroup_test(expr: SemigroupSet, ctx: SetContext):
 
 
 def _enumeration_test(expr: SemigroupSet, ctx: SetContext):
-    """Membership read off the positive words enumerated up to the budget."""
+    """Membership read off the positive words, grown one layer at a time
+    until g turns up, the words run out, every word as long as the half-space
+    bound is enumerated, or the words pass the cap.  The enumeration order is
+    fixed and the cap is too, so the answer does not depend on which queries
+    came first."""
     words = _semigroup_words(expr, ctx)
-    budget = max(ctx.budget, 0)
+    layers, index = words.layers, words.index
     h = _lattice_halfspace(expr, ctx.group)
-    if h is None:
 
-        def test(g):
-            words.extend(budget)
-            if g in words.index:
-                return True
-            if not words.layers[-1]:
-                return False
-            return BUDGET_EXCEEDED
-
-        return test
-
-    def bounded(g):
+    def test(g):
         # every positive word for g is at most this long
-        bound = sum(map(mul, h, g))
-        if bound < 1:
-            return False
-        words.extend(min(bound, budget))
-        if g in words.index:
-            return True
-        if not words.layers[-1] or len(words.layers) > bound:
-            return False
-        return BUDGET_EXCEEDED
+        bound = math.inf if h is None else sum(map(mul, h, g))
+        while g not in index:
+            # all layers but a partly filled last one are complete
+            if not layers[-1] or len(layers) - words.capped > bound:
+                return False
+            if words.capped:
+                return BUDGET_EXCEEDED
+            words.extend(len(layers))
+        return True
 
-    return bounded
+    return test
 
 
 def _lattice_halfspace(expr: SemigroupSet, group: Group) -> tuple[int, ...] | None:

@@ -19,14 +19,7 @@ from .certificates import (
     witness_from_cert,
 )
 from .groups import Group, Record, Window, group_from_string
-from .sets import (
-    DEFAULT_SLACK,
-    BudgetError,
-    context_for,
-    materialize,
-    parse_setexpr,
-    predicate,
-)
+from .sets import BudgetError, SetContext, materialize, parse_setexpr, predicate
 
 
 class CertificateFormatError(ValueError):
@@ -45,9 +38,10 @@ class VerifyOutcome(Record, fields="ok message"):
         return VerifyOutcome(False, message)
 
 
-def read_envelope(cert) -> tuple[str, Group, Window, int]:
-    """The kind, group, window and budget slack a certificate declares;
-    CertificateFormatError when any of them cannot be read."""
+def read_envelope(cert) -> tuple[str, Group, Window]:
+    """The kind, group and window a certificate declares; CertificateFormatError
+    when any of them, or an envelope field that must be an integer, is
+    malformed."""
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate is not a JSON object")
     if cert.get("schema") != SCHEMA:
@@ -58,20 +52,20 @@ def read_envelope(cert) -> tuple[str, Group, Window, int]:
     try:
         group = group_from_string(cert["group"])
         window = window_from_descriptor(group, cert["window"])
-        slack = json_int(cert.get("budgetSlack", DEFAULT_SLACK), "budgetSlack")
+        json_int(cert.get("budgetSlack", 0), "budgetSlack")  # its value drives nothing
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
-    return kind, group, window, slack
+    return kind, group, window
 
 
 def verify_certificate(cert: dict) -> VerifyOutcome:
     """Re-check every semantic fact of a certificate; the first violated fact,
-    or the first membership undecided at the recorded budget, is named in the
+    or the first membership a search cap leaves undecided, is named in the
     outcome message."""
-    kind, group, window, slack = read_envelope(cert)
+    kind, group, window = read_envelope(cert)
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
-    ctx = context_for(window, slack)
+    ctx = SetContext(group)
     try:
         outcome = _CHECKERS[kind](cert, group, window, ctx)
     except BudgetError as exc:

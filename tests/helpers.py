@@ -214,7 +214,7 @@ def mutation_operators(cert):
 
     @op("stale-digest")
     def _(c, rng):
-        # semantic field edited without recomputing the content digest
+        # a digested field edited without recomputing the content digest
         c["budgetSlack"] = int(c.get("budgetSlack", 4)) + 1
         return c
 

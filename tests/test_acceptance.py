@@ -38,7 +38,6 @@ from paradox.sets import (
     Slab,
     Translate,
     Union,
-    context_for,
 )
 from paradox.smallsets import (
     absorbing_check,
@@ -90,7 +89,7 @@ def test_criterion_01_free_semigroup_pipeline():
         assert isinstance(witness, ParadoxWitness)
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         assert len(window) == 127  # all positive words distinct to depth 6
-        assert witness_check(witness, window, context_for(window)).passed
+        assert witness_check(witness, window, SetContext(window.group)).passed
         assert time.perf_counter() - started < 1.0
 
 
@@ -106,7 +105,7 @@ def test_criterion_02_matching_deficiency_duality():
 
         def run_and_verify(group, s_list, radius, to_fields):
             window = ball(group, radius)
-            result = doubling_matching(AllSet(), s_list, window, context_for(window))
+            result = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
             assert verify_certificate(sealed(to_fields(result))).ok
             return result
 
@@ -116,7 +115,7 @@ def test_criterion_02_matching_deficiency_duality():
             for radius in range(1, 9):
                 window = ball(Z1, radius)
                 result = doubling_matching(
-                    AllSet(), s_list, window, context_for(window)
+                    AllSet(), s_list, window, SetContext(window.group)
                 )
                 if isinstance(result, DeficiencyCert):
                     assert verify_certificate(sealed(deficiency_fields(result))).ok
@@ -167,7 +166,7 @@ def test_criterion_02_matching_deficiency_duality():
             s_list = rng.sample(gens2, rng.randint(1, 5))
             radius = rng.randint(1, 4)
             window = ball(Z2, radius)
-            result = doubling_matching(AllSet(), s_list, window, context_for(window))
+            result = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
             expected = doubling_exists_oracle(
                 Z2, list(window.elements), s_list, lambda img: True
             )
@@ -190,7 +189,7 @@ SLAB = Slab(Fraction(0), Fraction(1), Fraction(0))
 
 def slab_sweep(window_radius, max_s_radius=6):
     window = ball(BS, window_radius)
-    ctx = context_for(window)
+    ctx = SetContext(window.group)
     for s_radius in range(1, max_s_radius + 1):
         result = doubling_matching(SLAB, BS.ball_elements(s_radius), window, ctx)
         if isinstance(result, MatchCert):
@@ -216,7 +215,7 @@ def test_criterion_04_embedding():
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         reports = []
         for _ in range(2):  # stability across runs
-            embedding = build_embedding(witness, window, context_for(window))
+            embedding = build_embedding(witness, window, SetContext(window.group))
             reports.append(check_injective_lipschitz(embedding, 6))
         for report in reports:
             assert report.injective
@@ -250,7 +249,7 @@ def _criterion_witnesses():
     for radius in (2, 3):
         window = ball(F2, radius)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, context_for(window)
+            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
         )
         out.append((F2, witness_from_matching(cert), window))
     for window_radius in (2, 4):
@@ -263,7 +262,7 @@ def _criterion_witnesses():
 def test_criterion_06_proper_infiniteness_identities():
     with criterion(6, "crossed-product witness identities"):
         for group, witness, window in _criterion_witnesses():
-            ctx = context_for(window)
+            ctx = SetContext(window.group)
             pw = pi_witness(witness, group)
             assert verify_pi_witness(pw, window, ctx).passed
             # every single-translator tampering is detected
@@ -290,7 +289,7 @@ def test_criterion_07_corner_compression():
         for t in Z1.ball_elements(3):
             x = cp_add(x, unitary(Z1, t))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, context_for(window))
+        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
         assert report.off_diagonal  # six off-identity terms survive
         for t, support in report.off_diagonal:
             assert support <= 2
@@ -327,7 +326,7 @@ def test_criterion_08_absorbing_probe_identity():
         for group in (Z1, F2, BS):
             rng = random.Random(hash(group.key) & 0xFFFF)
             window = ball(group, 4)
-            ctx = SetContext(group, 8)
+            ctx = SetContext(group)
             for _ in range(100):
                 expr = _random_exact_expr(group, rng)
                 pattern = tuple(
@@ -371,11 +370,11 @@ def test_criterion_10_verifier_mutation_hardness():
         pool = []
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         semi = SemigroupSet((S_GEN, T_GEN), True)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         match = doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
         pool.append(sealed(match_fields(match)))
         z1_window = ball(Z1, 3)
-        z1_ctx = context_for(z1_window)
+        z1_ctx = SetContext(z1_window.group)
         pool.append(sealed(
             deficiency_fields(
                 doubling_matching(AllSet(), Z1.ball_elements(1), z1_window, z1_ctx)

@@ -11,6 +11,7 @@ import paradox
 from paradox import witness
 from paradox.certificates import load_certificate
 from paradox.cli import main
+from helpers import _redigest
 
 EX28_ARGS = [
     "check",
@@ -53,6 +54,29 @@ class TestCheck:
         )
         assert code == 0
         assert run(["verify", str(out), "--quiet"]) == 0
+
+    def test_far_lattice_translator_is_sorted_in_linear_space(self):
+        # the sort key of (1000000000) once spelled its word letter by letter
+        started = time.perf_counter()
+        assert run(["check", "--group", "zn:1", "--set", "all", "--translators",
+                    "(1000000000),(1)", "--window", "1", "--quiet"]) == 0
+        assert time.perf_counter() - started < 2.0
+
+    def test_many_generator_semigroup_stays_under_the_cap(self):
+        # the 36 reduced three-letter words: every window point and image
+        # turns up within three layers, and growth stops there rather than
+        # running on to a fixed length of about 36^5 words
+        letters = ["a", "a^-1", "b", "b^-1"]
+        words = [" ".join((x, y, z)) for x in letters for y in letters
+                 for z in letters
+                 if letters.index(y) ^ 1 != letters.index(x)
+                 and letters.index(z) ^ 1 != letters.index(y)]
+        assert len(words) == 36
+        started = time.perf_counter()
+        assert run(["check", "--group", "free:2", "--set",
+                    f"semigroup({','.join(words)})", "--translators", "a,b",
+                    "--window", "1", "--quiet"]) == 2
+        assert time.perf_counter() - started < 5.0
 
     def test_malformed_set_expression(self, capsys):
         assert run(
@@ -201,12 +225,12 @@ class TestVerify:
         from paradox.certificates import deficiency_fields, seal, write_text
         from paradox.engine import doubling_matching
         from paradox.groups import explicit_window, group_from_string
-        from paradox.sets import AllSet, context_for
+        from paradox.sets import AllSet, SetContext
 
         f2 = group_from_string("free:2")
         window = explicit_window(f2, [f2.parse(t) for t in ("e", "a", "b")], 1)
         result = doubling_matching(AllSet(), [f2.parse("a")], window,
-                                   context_for(window))
+                                   SetContext(window.group))
         base = tmp_path / "deficiency.json"
         write_text(seal(deficiency_fields(result)), str(base))
         assert run(["verify", str(base), "--quiet"]) == 0
@@ -769,7 +793,7 @@ class TestPipelines:
         )
         assert code == 0
         assert run(["verify", str(out), "--quiet"]) == 0
-        # written on the input's window, at the input's budget slack
+        # written on the input's window, with the same envelope fields
         written, given = load_certificate(str(out)), load_certificate(match_cert)
         for key in ("window", "checkedOn", "budgetSlack"):
             assert written[key] == given[key]
@@ -860,142 +884,144 @@ class TestPipelines:
         assert not out.exists()
 
 
-# The positive quadrant of Z^2, decided through its half-space length bound:
-# membership of a point of length L needs budget L (window radius + slack).
+# The positive quadrant of Z^2, decided through its half-space length bound.
 QUADRANT = "semigroup((1,0),(0,1);e)"
+# The positive words in a and b never give e, never run out and have no
+# half-space bound: e is undecided, at any window, once they pass the cap.
+FREE_SEMI = "semigroup(a,b)"
+UNDECIDED_AT_CAP = ("undecided: a semigroup search passed its cap (120000 "
+                    "enumerated values, 500000 affine nodes)")
+# budgetSlack values a certificate may carry; none changes what it decides
+HOSTILE_SLACKS = [10**30, -1, 0]
 
 
-def _quadrant_witness_cert(path, slack):
-    """A zn:2 witness on the quadrant whose pieces are translates by (-10,0)
-    and (0,-10), written on ball(3) at the given slack.  Its memberships and
-    identity coefficients are read at points of length up to 13, so they are
-    undecided at slack 4 (budget 7) and decided at slack 10."""
+def _witness_cert(path, group_name, set_text, movers, radius):
+    """A witness on the set whose pieces are its translates by the movers,
+    each moved back by its mover's inverse, written on the ball of radius."""
     from paradox.certificates import seal, witness_fields, write_text
     from paradox.groups import ball, group_from_string
-    from paradox.sets import context_for, parse_setexpr, translate
+    from paradox.sets import SetContext, parse_setexpr, translate
     from paradox.witness import ParadoxWitness
 
-    z2 = group_from_string("zn:2")
-    quadrant = parse_setexpr(QUADRANT, z2)
-    s, t = z2.parse("(-10,0)"), z2.parse("(0,-10)")
-    w = ParadoxWitness(
-        quadrant,
-        ((translate(s, quadrant, z2), z2.inv(s)),
-         (translate(t, quadrant, z2), z2.inv(t))),
-        1,
-    )
-    window = ball(z2, 3)
-    write_text(seal(witness_fields(w, window, context_for(window, slack))), str(path))
+    group = group_from_string(group_name)
+    whole = parse_setexpr(set_text, group)
+    pieces = tuple((translate(m, whole, group), group.inv(m))
+                   for m in map(group.parse, movers))
+    witness = ParadoxWitness(whole, pieces, 1)
+    write_text(seal(witness_fields(witness, ball(group, radius), SetContext(group))),
+               str(path))
+    return path
+
+
+def _quadrant_witness_cert(path):
+    """A zn:2 witness on the quadrant whose pieces are translates by (-10,0)
+    and (0,-10), written on ball(3); its pieces leave the quadrant."""
+    return _witness_cert(path, "zn:2", QUADRANT, ["(-10,0)", "(0,-10)"], 3)
+
+
+def _free_witness_cert(path):
+    """A free:2 witness on semigroup(a,b), pieces a S and b S, written on
+    ball(1): its memberships at e are undecided at the cap."""
+    return _witness_cert(path, "free:2", FREE_SEMI, ["a", "b"], 1)
+
+
+def _with_slack(base, slack, path):
+    """The certificate at base with budgetSlack set to slack and its digest
+    recomputed, so that only the replay can tell them apart."""
+    cert = load_certificate(str(base))
+    cert["budgetSlack"] = slack
+    path.write_text(json.dumps(_redigest(cert)))
+    return path
 
 
 class TestBudgetSlack:
-    """`embed-f2` and `cp-witness` check at the slack their input records."""
+    """There is no budget slack: semigroup searches stop at fixed caps.
+    Certificates carry budgetSlack 4, and no command reads its value."""
 
     def test_embed_f2_validates_at_the_recorded_slack(self, tmp_path, capsys):
-        from paradox.certificates import (
-            seal, window_from_descriptor, witness_fields, witness_from_cert,
-            write_text,
-        )
-        from paradox.groups import group_from_string
-        from paradox.sets import context_for
-
-        # the witness's finite pieces reach length 13 = radius 3 + slack 10
-        match, wit = tmp_path / "match.json", tmp_path / "witness.json"
+        # the quadrant witness validates whatever slack it records; the
+        # window is then too small for the embedding itself
+        wit = tmp_path / "witness.json"
         assert run(
             ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
-             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
-             "--out", str(match), "--witness-out", str(wit), "--quiet"]
+             "(10,0),(0,10)", "--window", "3", "--witness-out", str(wit), "--quiet"]
         ) == 0
         capsys.readouterr()
-        args = ["embed-f2", "--from-cert", str(wit), "--depth", "1", "--quiet"]
-        # recorded at slack 10 the witness validates; the window is then too
-        # small for the embedding itself
-        assert run(args) == 1
-        err = capsys.readouterr().err
-        assert "undecided" not in err
-        assert "left the validated window" in err
-        # the same witness recorded at the default slack is undecided
-        z2 = group_from_string("zn:2")
-        data = load_certificate(str(wit))
-        window = window_from_descriptor(z2, data["window"])
-        write_text(
-            seal(witness_fields(witness_from_cert(data, z2), window,
-                                context_for(window))),
-            str(wit),
-        )
-        assert run(args) == 1
-        assert "undecided at budget 7" in capsys.readouterr().err
+        for slack in [4] + HOSTILE_SLACKS:
+            path = _with_slack(wit, slack, tmp_path / f"witness{slack}.json")
+            assert run(["embed-f2", "--from-cert", str(path), "--depth", "1",
+                        "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert "left the validated window" in err and err.count("\n") == 1
+        # a witness whose set the cap leaves undecided is an error at any slack
+        _free_witness_cert(wit)
+        for slack in [4] + HOSTILE_SLACKS:
+            path = _with_slack(wit, slack, tmp_path / f"free{slack}.json")
+            assert run(["embed-f2", "--from-cert", str(path), "--depth", "1",
+                        "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and UNDECIDED_AT_CAP in err
 
     def test_cp_witness_checks_at_the_recorded_slack(self, tmp_path, capsys):
         wit, out = tmp_path / "witness.json", tmp_path / "cp.json"
         args = ["cp-witness", "--from-cert", str(wit), "--out", str(out)]
-        _quadrant_witness_cert(wit, 4)
+        _free_witness_cert(wit)
         assert run(args + ["--quiet"]) == 1
-        assert "undecided at budget 7" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: membership of e in ") and UNDECIDED_AT_CAP in err
 
-        # decided at slack 10; the quadrant is not properly infinite, so no
-        # certificate is written, and the verifier, replaying the same
-        # identities at slack 10, names the same failure
-        _quadrant_witness_cert(wit, 10)
-        assert run(args) == 3
-        lines = capsys.readouterr().out.splitlines()
-        first_fail = next(line for line in lines if ": FAIL " in line)
-        assert not out.exists()
-
+        # the quadrant is not properly infinite, so no certificate is
+        # written, and the verifier, replaying the same identities, names
+        # the same failure; a resealed slack changes neither
         from paradox.certificates import (
             pi_witness_fields, seal, witness_from_cert, write_text,
         )
         from paradox.crossed import pi_witness
         from paradox.groups import ball, group_from_string
-        from paradox.sets import context_for
+        from paradox.sets import SetContext
 
+        _quadrant_witness_cert(wit)
         z2 = group_from_string("zn:2")
         pw = pi_witness(witness_from_cert(load_certificate(str(wit)), z2), z2)
-        window = ball(z2, 3)
-        write_text(
-            seal(pi_witness_fields(pw, window, context_for(window, 10))), str(out)
-        )
-        assert run(["verify", str(out), "--quiet"]) == 3
-        assert capsys.readouterr().err == (
-            "verification failed: " + first_fail.replace(": FAIL ", ": ") + "\n"
-        )
+        cp = tmp_path / "pi.json"
+        write_text(seal(pi_witness_fields(pw, ball(z2, 3), SetContext(z2))), str(cp))
+        for slack in [4] + HOSTILE_SLACKS:
+            _with_slack(wit, slack, wit)
+            assert run(args) == 3
+            lines = capsys.readouterr().out.splitlines()
+            first_fail = next(line for line in lines if ": FAIL " in line)
+            assert not out.exists()
+            assert run(["verify", str(_with_slack(cp, slack, cp)), "--quiet"]) == 3
+            assert capsys.readouterr().err == (
+                "verification failed: " + first_fail.replace(": FAIL ", ": ") + "\n"
+            )
 
-    def test_undecided_membership_names_the_set(self, tmp_path, capsys):
-        match = tmp_path / "match.json"
+    def test_undecided_membership_names_the_set(self, capsys):
         assert run(
-            ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
-             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
-             "--out", str(match), "--quiet"]
-        ) == 0
-        capsys.readouterr()
-        args = ["embed-f2", "--from-cert", str(match), "--depth", "1", "--quiet"]
-        assert run(args) == 1
-        # (0,0) is in the quadrant; the query that runs out is (0,0) in a
-        # branch piece, which needs the word (20,0) of length 20 > 13
+            ["check", "--group", "free:2", "--set", f"ball(1)&{FREE_SEMI}",
+             "--translators", "a,b", "--window", "2", "--quiet"]
+        ) == 1
+        # e is in ball(1); the query that the cap leaves open is e in the
+        # semigroup, named with the whole set
         assert capsys.readouterr().err == (
-            "error: membership of (0,0) in "
-            "((semigroup((1,0),(0,1);e)&(-10,0)*semigroup((1,0),(0,1);e))"
-            "&(-20,0)*semigroup((1,0),(0,1);e)) undecided at budget 13; "
-            "increase the budget slack\n"
+            f"error: membership of e in (ball(1)&{FREE_SEMI}) {UNDECIDED_AT_CAP}\n"
         )
 
     def test_verify_reports_an_undecided_image(self, tmp_path, capsys):
-        from paradox.certificates import seal, write_text
-
-        # (10,0) is in the quadrant, but its word has length 10 > budget 7
+        # a match on all of free:2, its set edited to one that the cap leaves
+        # undecided at e and resealed: replay stops at that point
         match = tmp_path / "match.json"
         assert run(
-            ["check", "--group", "zn:2", "--set", QUADRANT, "--translators",
-             "(10,0),(0,10)", "--window", "3", "--budget-slack", "10",
-             "--out", str(match), "--quiet"]
+            ["check", "--group", "free:2", "--set", "all", "--translators",
+             "ball:1", "--window", "1", "--out", str(match), "--quiet"]
         ) == 0
-        cert = load_certificate(str(match))
-        cert["budgetSlack"] = 4
-        write_text(seal(cert), str(match))
+        path = _edited(match, lambda c: c.update(set=f"all\\{FREE_SEMI}"),
+                       tmp_path / "edited.json")
         capsys.readouterr()
-        assert run(["verify", str(match), "--quiet"]) == 3
+        assert run(["verify", str(path), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "undecided at budget 7" in err
+        assert err == (f"verification failed: membership of e in (all\\{FREE_SEMI}) "
+                       f"{UNDECIDED_AT_CAP}\n")
 
     def test_verify_reports_an_undecided_cp_witness(self, tmp_path, capsys):
         from paradox.certificates import (
@@ -1004,20 +1030,19 @@ class TestBudgetSlack:
         )
         from paradox.crossed import pi_witness
         from paradox.groups import group_from_string
-        from paradox.sets import context_for
+        from paradox.sets import SetContext
 
         wit, out = tmp_path / "witness.json", tmp_path / "cp.json"
-        _quadrant_witness_cert(wit, 4)
-        z2 = group_from_string("zn:2")
+        _free_witness_cert(wit)
+        f2 = group_from_string("free:2")
         data = load_certificate(str(wit))
-        window = window_from_descriptor(z2, data["window"])
-        pw = pi_witness(witness_from_cert(data, z2), z2)
-        write_text(
-            seal(pi_witness_fields(pw, window, context_for(window, 4))), str(out)
-        )
-        assert run(["verify", str(out), "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "undecided at budget 7" in err
+        window = window_from_descriptor(f2, data["window"])
+        pw = pi_witness(witness_from_cert(data, f2), f2)
+        write_text(seal(pi_witness_fields(pw, window, SetContext(f2))), str(out))
+        for slack in [4] + HOSTILE_SLACKS:
+            assert run(["verify", str(_with_slack(out, slack, out)), "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and UNDECIDED_AT_CAP in err
 
     @pytest.mark.parametrize("argv", [
         ["embed-f2", "--from-cert", "witness.json"],
@@ -1025,10 +1050,39 @@ class TestBudgetSlack:
         ["small-set", "--group", "zn:1", "--count", "4"],
         ["induce", "--group", "free:2", "--subgroup", "cyclic:a",
          "--input", "tokens.json", "--t", "b"],
+        ["check", "--group", "zn:1", "--set", "all", "--translators", "ball:1",
+         "--window", "1"],
+        ["type-order", "--group", "zn:1", "--m", "1", "--set-a", "all", "--n", "1",
+         "--set-b", "all", "--translators", "ball:1", "--window", "1"],
+        ["verify", "cert.json"],
     ])
     def test_taken_only_where_a_budget_is_chosen(self, argv, capsys):
+        # no command chooses a budget, so every one refuses the flag
         assert run(argv + ["--budget-slack", "4"]) == 1
         assert "unrecognized arguments: --budget-slack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slack", HOSTILE_SLACKS, ids=["huge", "negative", "zero"])
+    @pytest.mark.parametrize("group, set_text, translators, edited, code", [
+        ("zn:2", QUADRANT, "(10,0),(0,10)", None, 0),
+        ("free:2", "semigroup(a,b,a^-1,b^-1)", "ball:1", None, 0),
+        ("free:2", "all", "ball:1", f"all\\{FREE_SEMI}", 3),
+    ], ids=["quadrant", "free2-all-words", "free2-undecided"])
+    def test_hostile_slack_changes_no_exit(self, tmp_path, slack, group, set_text,
+                                           translators, edited, code):
+        # a semigroup certificate resealed with any budgetSlack replays as at
+        # 4, and as fast: the slack bounds no enumeration
+        base = tmp_path / "match.json"
+        assert run(
+            ["check", "--group", group, "--set", set_text, "--translators",
+             translators, "--window", "2", "--out", str(base), "--quiet"]
+        ) == 0
+        if edited is not None:
+            base = _edited(base, lambda c: c.update(set=edited), base)
+        assert run(["verify", str(base), "--quiet"]) == code
+        path = _with_slack(base, slack, tmp_path / "edited.json")
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == code
+        assert time.perf_counter() - started < 2.0
 
 
 def test_console_entry_point(tmp_path):

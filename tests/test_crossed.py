@@ -28,9 +28,9 @@ from paradox.sets import (
     GreedySet,
     Intersect,
     SemigroupSet,
+    SetContext,
     Slab,
     Translate,
-    context_for,
     translate,
 )
 from paradox.witness import free_semigroup_witness, semigroup_window
@@ -82,7 +82,7 @@ class TestAlgebra:
     def test_covariance_relation(self):
         # u_s 1_A u_s^* realises translation of the set
         window = ball(BS, 3)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for t in BS.ball_elements(2):
             lhs = cp_mul(unitary(BS, t), indicator(BS, SEMI))
             rhs = single(BS, Fraction(1), translate(t, SEMI, BS), t)
@@ -94,7 +94,7 @@ class TestAlgebra:
         prod = cp_mul(cp_adjoint(v), v)
         delta = cp_sub(prod, indicator(BS, SEMI))
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert cp_vanishes_on(delta, window, context_for(window)) is None
+        assert cp_vanishes_on(delta, window, SetContext(window.group)) is None
 
     def test_adjoint_examples(self):
         p = indicator(BS, SEMI)
@@ -112,7 +112,7 @@ class TestAlgebra:
     def test_associativity_extensional(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
@@ -123,7 +123,7 @@ class TestAlgebra:
     def test_distributivity_extensional(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
@@ -136,7 +136,7 @@ class TestAlgebra:
     def test_anti_multiplicative_adjoint(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
@@ -151,7 +151,7 @@ class TestAlgebra:
         # first offender and value as summing each coefficient's Fractions
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for _ in range(20):
             x = cp_zero(BS)
             for _ in range(rng.randint(1, 4)):
@@ -179,11 +179,11 @@ class TestPIWitness:
     def test_five_identities_pass(self):
         pw = pi_witness(self.witness(), BS)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert verify_pi_witness(pw, window, context_for(window)).passed
+        assert verify_pi_witness(pw, window, SetContext(window.group)).passed
 
     def test_matching_derived_witness_passes(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
         pw = pi_witness(witness_from_matching(cert), BS)
         assert verify_pi_witness(pw, window, ctx).passed
@@ -192,7 +192,7 @@ class TestPIWitness:
         pw = pi_witness(self.witness(), BS)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         bad = PIWitness(BS, pw.set_expr, cp_mul(unitary(BS, T_GEN), pw.v), pw.w)
-        report = verify_pi_witness(bad, window, context_for(window))
+        report = verify_pi_witness(bad, window, SetContext(window.group))
         assert not report.passed
         name, msg = report.failures()[0]
         assert "at (" in msg  # counterexample point is named
@@ -200,20 +200,20 @@ class TestPIWitness:
     def test_empty_set_vacuously_paradoxical(self):
         pw = PIWitness(BS, EmptySet(), cp_zero(BS), cp_zero(BS))
         window = ball(BS, 2)
-        assert verify_pi_witness(pw, window, context_for(window)).passed
+        assert verify_pi_witness(pw, window, SetContext(window.group)).passed
 
 
 class TestCornerCompress:
     def test_greedy_corner_is_almost_diagonal(self):
         x = cp_add(indicator(Z1, AllSet()), unitary(Z1, IntVec((1,))))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, context_for(window))
+        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
         assert report.off_diagonal == ((IntVec((1,)), 1),)
 
     def test_diagonal_input_stays_diagonal(self):
         f = single(Z1, Fraction(3), FiniteSet((IntVec((2,)),)), Z1.identity())
         window = ball(Z1, 30)
-        report = corner_compress(GreedySet(20), f, window, context_for(window))
+        report = corner_compress(GreedySet(20), f, window, SetContext(window.group))
         assert report.off_diagonal == ()
         assert report.compressed.support() == (Z1.identity(),)
 
@@ -222,7 +222,7 @@ class TestCornerCompress:
         for k in (0, 1, -2):
             x = cp_add(x, unitary(Z1, IntVec((k,))))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, context_for(window))
+        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
         assert report.off_diagonal
         for t, size in report.off_diagonal:
             assert size <= 2

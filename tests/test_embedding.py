@@ -8,7 +8,7 @@ from paradox.embedding import (
 )
 from paradox.groups import ball, group_from_string
 from paradox.pwt import PwT, pwt_apply
-from paradox.sets import EmptySet, context_for
+from paradox.sets import EmptySet, SetContext
 from paradox.witness import (
     ParadoxWitness,
     free_semigroup_witness,
@@ -26,7 +26,7 @@ T_GEN = BS.parse("(2,1)")
 def embedding():
     w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
     window = semigroup_window(BS, S_GEN, T_GEN, 6)
-    return build_embedding(w, window, context_for(window))
+    return build_embedding(w, window, SetContext(window.group))
 
 
 class TestBuild:
@@ -44,7 +44,7 @@ class TestBuild:
         empty = ParadoxWitness(EmptySet(), (), 0)
         with pytest.raises(ValueError):
             window = ball(BS, 2)
-            build_embedding(empty, window, context_for(window))
+            build_embedding(empty, window, SetContext(window.group))
 
     def test_images_and_base_point_disjoint(self, embedding):
         # build_embedding verifies this internally; re-check a sample here
@@ -70,7 +70,7 @@ class TestBuild:
         monkeypatch.setattr(emb, "base_translation_maps", lambda w, group: (plus, plus))
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         with pytest.raises(AssertionError) as info:
-            build_embedding(w, window, context_for(window))
+            build_embedding(w, window, SetContext(window.group))
         assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
 
 
@@ -102,7 +102,7 @@ class TestEval:
 
         semi = SemigroupSet((S_GEN, T_GEN), True)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         finite_witness = witness_from_matching(
             doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
         )

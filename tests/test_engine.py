@@ -22,7 +22,6 @@ from paradox.sets import (
     SetContext,
     Translate,
     Union,
-    context_for,
 )
 from paradox.witness import (
     Collision,
@@ -37,6 +36,9 @@ Z1 = group_from_string("zn:1")
 Z2 = group_from_string("zn:2")
 F2 = group_from_string("free:2")
 BS = group_from_string("bs12")
+# positive words in a and b: e and the points the words never reach are
+# undecided once the words pass the cap
+FREE_SEMI = SemigroupSet((F2.parse("a"), F2.parse("b")), False)
 
 S_GEN = BS.parse("(2,0)")
 T_GEN = BS.parse("(2,1)")
@@ -47,7 +49,7 @@ class TestDoublingMatching:
     def test_lattice_is_deficient(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
-        cert = doubling_matching(AllSet(), s_list, window, context_for(window))
+        cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
         assert isinstance(cert, DeficiencyCert)
         assert [Z1.show(x) for x in cert.violator] == [
             "(0)", "(1)", "(-1)", "(2)", "(-2)", "(3)", "(-3)",
@@ -59,7 +61,7 @@ class TestDoublingMatching:
     def test_free_group_doubles(self):
         window = ball(F2, 2)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, context_for(window)
+            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
         )
         assert isinstance(cert, MatchCert)
         assert len(cert.assignment) == 17
@@ -70,7 +72,7 @@ class TestDoublingMatching:
 
     def test_free_semigroup_matching_uses_both_generators(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
         assert isinstance(cert, MatchCert)
         assert {s1 for _, s1, _ in cert.assignment} == {S_GEN}
         assert {s2 for _, _, s2 in cert.assignment} == {T_GEN}
@@ -78,37 +80,37 @@ class TestDoublingMatching:
     def test_empty_window_slice_matches_vacuously(self):
         window = ball(Z1, 2)
         cert = doubling_matching(
-            FiniteSet(()), [IntVec((1,))], window, context_for(window)
+            FiniteSet(()), [IntVec((1,))], window, SetContext(window.group)
         )
         assert isinstance(cert, MatchCert)
         assert cert.assignment == ()
 
     def test_budget_exhaustion_is_an_error(self):
-        semi = SemigroupSet((IntVec((1,)),), False)
-        window = ball(Z1, 8)
-        # the error names the first undecided point and the set: a window
-        # point at budget 2, an image of the window at budget 8
-        with pytest.raises(BudgetError, match=r"^membership of \(3\) in "
-                           r"semigroup\(\(1\)\) undecided at budget 2;"):
-            doubling_matching(semi, [IntVec((1,))], window, context_for(window, -6))
-        with pytest.raises(BudgetError, match=r"^membership of \(9\) in "
-                           r"semigroup\(\(1\)\) undecided at budget 8;"):
-            doubling_matching(semi, [IntVec((1,))], window, context_for(window, 0))
+        # the error names the first point the cap leaves open and the set: a
+        # window point, then an image of a decided window point
+        a, b_inv = F2.parse("a"), F2.parse("b^-1")
+        with pytest.raises(BudgetError, match=r"^membership of e in "
+                           r"semigroup\(a,b\) undecided: "):
+            doubling_matching(FREE_SEMI, [a], ball(F2, 1), SetContext(F2))
+        with pytest.raises(BudgetError, match=r"^membership of b\^-1 a in "
+                           r"semigroup\(a,b\) undecided: "):
+            doubling_matching(FREE_SEMI, [b_inv], explicit_window(F2, [a], 1),
+                              SetContext(F2))
 
     def test_empty_translator_set_rejected(self):
         window = ball(Z1, 2)
         with pytest.raises(ValueError, match="nonempty"):
-            doubling_matching(AllSet(), [], window, context_for(window))
+            doubling_matching(AllSet(), [], window, SetContext(window.group))
 
     def test_agreement_with_independent_oracle(self):
         rng = random.Random(42)
         ball2 = Z1.ball_elements(2)
-        ctx = SetContext(Z1, 10)
+        ctx = SetContext(Z1)
         for trial in range(40):
             s_list = rng.sample(ball2, rng.randint(1, 4))
             radius = rng.randint(1, 3)
             window = ball(Z1, radius)
-            cert = doubling_matching(AllSet(), s_list, window, context_for(window))
+            cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
             expected = doubling_exists_oracle(
                 Z1, list(window.elements), s_list, lambda img: True
             )
@@ -117,7 +119,7 @@ class TestDoublingMatching:
     def test_deficiency_monotone_under_window_growth(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
-        small = doubling_matching(AllSet(), s_list, window, context_for(window))
+        small = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
         assert isinstance(small, DeficiencyCert)
         # the same violator refutes doubling on any larger window
         big_points = set(ball(Z1, 6).elements)
@@ -161,50 +163,50 @@ class TestMaxMatching:
 class TestWitnessFromMatching:
     def test_two_piece_structure(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
         w = witness_from_matching(cert)
         assert w.split == 1 and len(w.parts) == 2
         piece0, trans0 = w.parts[0]
         assert trans0 == BS.inv(S_GEN)
         assert set(piece0.elems) == {BS.mul(S_GEN, x) for x in window.elements}
-        assert witness_check(w, window, context_for(window)).passed
+        assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_single_point_window(self):
         window = explicit_window(Z1, (IntVec((0,)),), 0)
         cert = doubling_matching(
-            AllSet(), [IntVec((1,)), IntVec((2,))], window, context_for(window)
+            AllSet(), [IntVec((1,)), IntVec((2,))], window, SetContext(window.group)
         )
         assert isinstance(cert, MatchCert)
         w = witness_from_matching(cert)
         assert len(w.parts) == 2
         assert all(len(piece.elems) == 1 for piece, _ in w.parts)
-        assert witness_check(w, window, context_for(window)).passed
+        assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_piece_count_bounded_by_translators(self):
         window = ball(F2, 2)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, context_for(window)
+            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
         )
         w = witness_from_matching(cert)
         assert len(w.parts) <= 2 * len(cert.translators)
-        assert witness_check(w, window, context_for(window)).passed
+        assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_every_matching_transfers_to_a_checked_witness(self):
         rng = random.Random(13)
         for _ in range(20):
             s_list = rng.sample(F2.ball_elements(2), rng.randint(2, 6))
             window = ball(F2, rng.randint(1, 2))
-            cert = doubling_matching(AllSet(), s_list, window, context_for(window))
+            cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
             if isinstance(cert, MatchCert):
                 w = witness_from_matching(cert)
-                assert witness_check(w, window, context_for(window)).passed
+                assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_symbolic_lift_of_constant_matching(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
         lifted = symbolic_witness_from_matching(cert)
         assert lifted is not None
-        assert witness_check(lifted, window, context_for(window)).passed
+        assert witness_check(lifted, window, SetContext(window.group)).passed
         assert lifted.parts[0][0] == Translate(S_GEN, SEMI)
 
 
@@ -215,13 +217,13 @@ class TestWitnessCheck:
     def test_symbolic_witness_passes_on_window(self):
         w = self.witness()
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert witness_check(w, window, context_for(window)).passed
+        assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_duplicated_piece_fails_disjointness(self):
         w = self.witness()
         bad = ParadoxWitness(w.set_expr, (w.parts[0], w.parts[0]), 1)
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        report = witness_check(bad, window, context_for(window))
+        report = witness_check(bad, window, SetContext(window.group))
         assert "pieces-disjoint" in dict(report.failures())
 
     def test_missing_coverage_names_element(self):
@@ -229,23 +231,22 @@ class TestWitnessCheck:
         # drop the first family's only piece: nothing covers the identity
         bad = ParadoxWitness(w.set_expr, (w.parts[1],), 0)
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        report = witness_check(bad, window, context_for(window))
+        report = witness_check(bad, window, SetContext(window.group))
         failures = dict(report.failures())
         assert "first-family-covers" in failures
         assert "(1,0)" in failures["first-family-covers"]
 
     def test_undecided_window_point_stops_the_check(self):
-        semi = SemigroupSet((IntVec((1,)), IntVec((-1,))), False)
+        a, b = F2.parse("a"), F2.parse("b")
         parts = (
-            (FiniteSet((IntVec((0,)), IntVec((1,)))), IntVec((0,))),
-            (FiniteSet((IntVec((2,)), IntVec((3,)))), IntVec((-2,))),
+            (FiniteSet((a, F2.parse("a a"))), F2.identity()),
+            (FiniteSet((b, F2.parse("b b"))), F2.identity()),
         )
-        window = ball(Z1, 8)
-        ctx = context_for(window, -5)  # budget 3
+        window = ball(F2, 1)
         with pytest.raises(BudgetError) as err:
-            witness_check(ParadoxWitness(semi, parts, 1), window, ctx)
+            witness_check(ParadoxWitness(FREE_SEMI, parts, 1), window, SetContext(F2))
         assert str(err.value).startswith(
-            "membership of (4) in semigroup((1),(-1)) undecided at budget 3"
+            "membership of e in semigroup(a,b) undecided: "
         )
 
 
@@ -255,7 +256,7 @@ class TestFreeSemigroupWitness:
         assert isinstance(w, ParadoxWitness)
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         assert len(window) == 127
-        assert witness_check(w, window, context_for(window)).passed
+        assert witness_check(w, window, SetContext(window.group)).passed
 
     def test_equal_generators_collide_at_length_one(self):
         c = free_semigroup_witness(BS, S_GEN, S_GEN, 3)
@@ -276,7 +277,7 @@ class TestTypeOrder:
     def test_one_copy_into_double_capacity(self):
         window = ball(Z1, 3)
         cert = type_order(
-            1, AllSet(), 2, AllSet(), [Z1.identity()], window, context_for(window)
+            1, AllSet(), 2, AllSet(), [Z1.identity()], window, SetContext(window.group)
         )
         assert isinstance(cert, FlowCert)
         assert all(used == (Z1.identity(),) for _, used in cert.assignment)
@@ -285,7 +286,7 @@ class TestTypeOrder:
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
         cert = type_order(
-            2, AllSet(), 1, AllSet(), s_list, window, context_for(window)
+            2, AllSet(), 1, AllSet(), s_list, window, SetContext(window.group)
         )
         assert isinstance(cert, FlowDeficiency)
         targets = {Z1.mul(s, x) for s in s_list for x in cert.violator}
@@ -297,7 +298,7 @@ class TestTypeOrder:
         for _ in range(25):
             s_list = rng.sample(ball2, rng.randint(1, 4))
             window = ball(Z1, rng.randint(1, 3))
-            ctx = context_for(window)
+            ctx = SetContext(window.group)
             a = doubling_matching(AllSet(), s_list, window, ctx)
             b = type_order(2, AllSet(), 1, AllSet(), s_list, window, ctx)
             assert isinstance(a, MatchCert) == isinstance(b, FlowCert)
@@ -308,7 +309,7 @@ class TestTypeOrder:
         evens = FiniteSet(tuple(IntVec((i,)) for i in range(-8, 9, 2)))
         window = ball(Z1, 4)
         s_list = [IntVec((i,)) for i in (-1, 0, 1, 4, 5)]
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         tight = type_order(1, AllSet(), 1, evens, s_list, window, ctx)
         assert isinstance(tight, FlowDeficiency)
         relaxed = type_order(1, AllSet(), 2, evens, s_list, window, ctx)
@@ -341,7 +342,7 @@ class TestParadoxTransfer:
             },
             key=BS.sort_key,
         )
-        cert = doubling_matching(a, s_prime, window, context_for(window))
+        cert = doubling_matching(a, s_prime, window, SetContext(window.group))
         assert isinstance(cert, MatchCert)
 
 
@@ -354,14 +355,14 @@ class TestGrowthDichotomy:
                 s_list = rng.sample(ball3, rng.randint(1, 5))
                 radius = 40 if dim == 1 else 9
                 window = ball(group, radius)
-                cert = doubling_matching(AllSet(), s_list, window, context_for(window))
+                cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
                 assert isinstance(cert, DeficiencyCert)
 
     def test_large_lattice_window(self):
         # |ball(70)| = 9941 points in the plane: counting still refutes doubling
         window = ball(Z2, 70)
         cert = doubling_matching(
-            AllSet(), Z2.ball_elements(2), window, context_for(window)
+            AllSet(), Z2.ball_elements(2), window, SetContext(window.group)
         )
         assert isinstance(cert, DeficiencyCert)
 
@@ -370,12 +371,12 @@ class TestGrowthDichotomy:
             window = ball(F2, radius)
             assert isinstance(
                 doubling_matching(
-                    AllSet(), F2.ball_elements(1), window, context_for(window)
+                    AllSet(), F2.ball_elements(1), window, SetContext(window.group)
                 ),
                 MatchCert,
             )
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         assert isinstance(
-            doubling_matching(SEMI, [S_GEN, T_GEN], window, context_for(window)),
+            doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group)),
             MatchCert,
         )

@@ -27,7 +27,7 @@ from paradox.cli import main
 from paradox.crossed import pi_witness
 from paradox.engine import doubling_matching, type_order, witness_from_matching
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, context_for, parse_setexpr
+from paradox.sets import AllSet, SemigroupSet, SetContext, parse_setexpr
 from paradox.witness import semigroup_window
 
 Z1, BS = group_from_string("zn:1"), group_from_string("bs12")
@@ -35,9 +35,9 @@ F2 = group_from_string("free:2")
 s, t = BS.parse("(2,0)"), BS.parse("(2,1)")
 z1_ball1 = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
 window = semigroup_window(BS, s, t, 3)
-ctx = context_for(window)
+ctx = SetContext(window.group)
 z1_window, f2_window = ball(Z1, 3), ball(F2, 2)
-z1_ctx = context_for(z1_window)
+z1_ctx = SetContext(z1_window.group)
 match = doubling_matching(SemigroupSet((s, t), True), [s, t], window, ctx)
 witness = witness_from_matching(match)
 fields = {
@@ -56,11 +56,11 @@ fields = {
         parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
                       r"a b^-1 a^-1}", F2),
         [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
-        context_for(f2_window))),
+        SetContext(f2_window.group))),
     # offsets with denominators and signs, in window order
     "slab-match": match_fields(doubling_matching(
         parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3),
-        context_for(ball(BS, 3)))),
+        SetContext(BS))),
 }
 
 

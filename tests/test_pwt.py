@@ -38,12 +38,12 @@ def int_elems(*values):
 
 class TestApply:
     def test_semigroup_doubling_map(self):
-        ctx = SetContext(BS, 8)
+        ctx = SetContext(BS)
         assert BS.show(pwt_apply(SIGMA_PLUS, BS.parse("(2,1)"), ctx)) == "(4,2)"
 
     def test_identity_map(self):
         ident = PwT.single(AllSet(), Z1.identity())
-        ctx = SetContext(Z1, 8)
+        ctx = SetContext(Z1)
         g = IntVec((5,))
         assert pwt_apply(ident, g, ctx) == g
 
@@ -55,22 +55,22 @@ class TestApply:
             ((evens, IntVec((1,))), (odds, IntVec((-1,)))),
             (IntVec((1,)), IntVec((-1,))),
         )
-        ctx = SetContext(Z1, 8)
+        ctx = SetContext(Z1)
         assert pwt_apply(shift, IntVec((4,)), ctx) == IntVec((5,))
         assert pwt_apply(shift, IntVec((3,)), ctx) == IntVec((2,))
 
     def test_domain_errors(self):
-        ctx = SetContext(BS, 8)
+        ctx = SetContext(BS)
         with pytest.raises(PwTError):
             pwt_apply(SIGMA_PLUS, BS.parse("(2,-1)"), ctx)
         gap = PwT(AllSet(), ((FiniteSet((Z1.identity(),)), IntVec((1,))),), (IntVec((1,)),))
         with pytest.raises(PwTError):
-            pwt_apply(gap, IntVec((3,)), SetContext(Z1, 8))
+            pwt_apply(gap, IntVec((3,)), SetContext(Z1))
 
 
 class TestCompose:
     def test_compose_with_identity(self):
-        ctx = SetContext(BS, 8)
+        ctx = SetContext(BS)
         ident = PwT.single(SEMI, BS.identity())
         comp = pwt_compose(SIGMA_PLUS, ident, ctx)
         window = semigroup_window(3)
@@ -78,14 +78,14 @@ class TestCompose:
             assert pwt_apply(comp, g, ctx) == pwt_apply(SIGMA_PLUS, g, ctx)
 
     def test_compose_translators_multiply(self):
-        ctx = SetContext(BS, 8)
+        ctx = SetContext(BS)
         ss = pwt_compose(SIGMA_PLUS, SIGMA_PLUS, ctx)
         assert ss.displacement == (BS.parse("(4,0)"),)
         st = pwt_compose(SIGMA_PLUS, SIGMA_MINUS, ctx)
         assert st.displacement == (BS.parse("(4,2)"),)
 
     def test_pointwise_equality_on_window(self):
-        ctx = SetContext(BS, 10)
+        ctx = SetContext(BS)
         window = semigroup_window(3)
         comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, ctx)
         for g in materialize(SEMI, window, ctx):

@@ -285,9 +285,9 @@ def test_assignment_rows_are_read_in_certificates():
     assert found == []
 
 
-def test_budget_comes_from_the_callers_context():
-    """Only `sets.context_for` turns a slack into a budget, and no function
-    picks a context on its caller's behalf."""
+def test_no_budget_parameter_and_no_ctx_default():
+    """Semigroup searches stop at fixed caps, so no function takes a slack or
+    a budget, and none picks a context on its caller's behalf."""
     found = []
     for filename, tree in _package_modules():
         for node in ast.walk(tree):
@@ -300,12 +300,22 @@ def test_budget_comes_from_the_callers_context():
             ]
             for param in positional + args.kwonlyargs:
                 where = f"{filename}:{node.lineno} {node.name}({param.arg})"
-                if param.arg == "slack" and (filename, node.name) != (
-                        "sets.py", "context_for"):
+                if "slack" in param.arg.lower() or "budget" in param.arg.lower():
                     found.append(where)
                 if param.arg == "ctx" and param in defaulted:
                     found.append(where + " has a default")
     assert found == []
+    # schema v1's budgetSlack is spelled only where it is written as 4 and
+    # where its type is checked (as key and as the name in the error)
+    spelled = []
+    for filename, tree in _package_modules():
+        for node in ast.walk(tree):
+            text = (node.value if isinstance(node, ast.Constant)
+                    else getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "arg", None))
+            if isinstance(text, str) and "slack" in text.lower():
+                spelled.append(filename)
+    assert spelled == ["certificates.py", "verifier.py", "verifier.py"]
 
 
 def test_verify_reads_points_from_the_window(tmp_path, monkeypatch):
@@ -367,14 +377,14 @@ def test_doubling_matching_memory():
     edges) the solver's allocation peak stays under 3.5 MB.  It reads about
     3.0 MB; a tuple per edge and dicts keyed by vertex read about 4.2 MB."""
     from paradox.engine import doubling_matching
-    from paradox.sets import AllSet, context_for
+    from paradox.sets import AllSet, SetContext
 
     f2 = group_from_string("free:2")
     translators = f2.ball_elements(1)
     small = ball(f2, 1)
-    doubling_matching(AllSet(), translators, small, context_for(small))
+    doubling_matching(AllSet(), translators, small, SetContext(small.group))
     window = ball(f2, 7)
-    ctx = context_for(window)
+    ctx = SetContext(window.group)
     tracemalloc.start()
     try:
         doubling_matching(AllSet(), translators, window, ctx)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from paradox.groups import (
+    BALL_SIZE_CAP,
     DyadicAffineGroup,
     FreeWord,
     GroupError,
@@ -30,7 +31,6 @@ from paradox.sets import (
     Slab,
     Translate,
     Union,
-    context_for,
     materialize,
     member,
     member_strict,
@@ -40,6 +40,7 @@ from paradox.sets import (
     show_setexpr,
     translate,
 )
+from paradox.sets import _semigroup_words
 from helpers import brute_positive_words
 
 BS = group_from_string("bs12")
@@ -52,8 +53,17 @@ T_GEN = BS.parse("(2,1)")
 SEMI = SemigroupSet((S_GEN, T_GEN), True)
 
 
-def bs_ctx(budget=8):
-    return SetContext(BS, budget)
+def bs_ctx():
+    return SetContext(BS)
+
+
+# The positive words in a and b never give e and never run out, and no
+# half-space bounds them: e is undecided once they pass the cap.
+FREE_SEMI = SemigroupSet((F2.parse("a"), F2.parse("b")), False)
+UNDECIDED_AT_CAP = (
+    "undecided: a semigroup search passed its cap (120000 enumerated values, "
+    "500000 affine nodes)"
+)
 
 
 class TestMember:
@@ -74,7 +84,7 @@ class TestMember:
     @pytest.mark.parametrize("radius", [0, 1, 3, 5])
     def test_affine_ball_matches_enumeration(self, radius):
         # a fresh group, so membership enumerates the ball on its own
-        ctx = SetContext(DyadicAffineGroup(), 8)
+        ctx = SetContext(DyadicAffineGroup())
         inside = set(BS.ball_elements(radius))
         for g in BS.ball_elements(radius + 1):
             assert member(BallSet(radius), g, ctx) is (g in inside)
@@ -114,26 +124,80 @@ class TestMember:
         assert 30 < len(got) < len(points)
 
     def test_budget_exceeded_is_distinguished(self):
-        # words in a single lattice direction: membership of far points with a
-        # small budget must come back undecided, never wrongly False
+        # points the words never reach come back undecided at the cap, never
+        # wrongly False; the words that reach a point decide it
+        ctx = SetContext(F2)
+        assert member(FREE_SEMI, F2.parse("a b a"), ctx) is True
+        for text in ("e", "a^-1", "a b^-1"):
+            assert member(FREE_SEMI, F2.parse(text), ctx) is BUDGET_EXCEEDED
+        # one lattice direction is bounded by its half-space: decided far out
         semi = SemigroupSet((IntVec((1,)),), False)
-        ctx = SetContext(Z1, budget=3)
-        assert member(semi, IntVec((2,)), ctx) is True
-        assert member(semi, IntVec((9,)), ctx) is BUDGET_EXCEEDED
-        assert member(semi, IntVec((9,)), SetContext(Z1, budget=9)) is True
+        assert member(semi, IntVec((900,)), SetContext(Z1)) is True
+        assert member(semi, IntVec((-900,)), SetContext(Z1)) is False
 
     def test_enumeration_depth_stays_per_context(self):
-        # a deeper enumeration left in one context must not decide a query
-        # that another context's budget leaves open
-        semi = SemigroupSet((F2.parse("a"), F2.parse("b")), False)
+        # each context enumerates its own words, and only to the layer that
+        # answers: a query in a fresh context does not grow to the cap
         word = F2.parse("a b a b a")
-        assert member(semi, word, SetContext(F2, budget=6)) is True
-        assert member(semi, word, SetContext(F2, budget=3)) is BUDGET_EXCEEDED
+        first = SetContext(F2)
+        assert member(FREE_SEMI, F2.identity(), first) is BUDGET_EXCEEDED
+        second = SetContext(F2)
+        assert member(FREE_SEMI, word, second) is True
+        words = _semigroup_words(FREE_SEMI, second)
+        assert len(words.layers) == 6 and not words.capped
+        assert member(FREE_SEMI, F2.identity(), second) is BUDGET_EXCEEDED
+
+    def test_cap_stops_growth_inside_a_layer(self):
+        # the 676 positive two-letter words of free:26 give 676^2 values in
+        # the second layer alone, far past the cap
+        f26 = group_from_string("free:26")
+        letters = [f26.parse(x) for x in "abcdefghijklmnopqrstuvwxyz"]
+        semi = SemigroupSet(tuple(f26._mul(x, y) for x in letters for y in letters),
+                            False)
+        ctx = SetContext(f26)
+        assert member(semi, f26.identity(), ctx) is BUDGET_EXCEEDED
+        words = _semigroup_words(semi, ctx)
+        assert words.capped and len(words.layers) == 3
+        assert len(words.index) == BALL_SIZE_CAP + 1
+
+    def test_positive_words_past_the_cap_raise(self):
+        # the words in a and b of length <= n have 2^(n+1) - 1 distinct
+        # values: 65,535 for n = 15, and 131,071 for 16, never a truncated list
+        assert len(positive_words(F2, FREE_SEMI.gens, 15)) == 2**16 - 1
+        with pytest.raises(GroupError, match="more values than the cap of 120000"):
+            positive_words(F2, FREE_SEMI.gens, 16)
+
+    def test_partly_filled_layer_is_not_past_the_bound(self):
+        # the quadrant's words of length r are (r,0), (r-1,1), ..., (0,r) in
+        # that order, and the cap falls inside layer 489: (0,489) is a word
+        # of length 489 = its half-space bound, not yet reached
+        semi = parse_setexpr("semigroup((1,0),(0,1))", Z2)
+        ctx = SetContext(Z2)
+        assert member(semi, IntVec((0, 489)), ctx) is BUDGET_EXCEEDED
+        assert member(semi, IntVec((489, 0)), ctx) is True
+        assert member(semi, IntVec((0, 488)), ctx) is True
+        assert member(semi, IntVec((-1, 489)), ctx) is False
+        assert len(_semigroup_words(semi, ctx).layers) == 490
+
+    @pytest.mark.parametrize("group, text", [
+        (Z2, "semigroup((1,0),(-1,0),(0,1))"),
+        (BS, "semigroup((2,0),(1/2,1))"),
+        (F2, "semigroup(a b,b a)"),
+    ], ids=["zn2-half-plane", "bs12-mixed", "free2"])
+    def test_answers_do_not_depend_on_query_order(self, group, text):
+        semi = parse_setexpr(text, group)
+        points = ball(group, 6).elements[:200]
+        answers = []
+        for order in (points, points[::-1]):
+            ctx = SetContext(group)
+            answers.append({g: member(semi, g, ctx) for g in order})
+        assert answers[0] == answers[1]
+        assert BUDGET_EXCEEDED in answers[0].values()
 
     def test_finite_semigroup_exhausts_to_exact_false(self):
         # the cyclic subgroup {0} of Z: enumeration exhausts instantly
         semi = SemigroupSet((IntVec((0,)),), False)
-        ctx = SetContext(Z1, budget=3)
+        ctx = SetContext(Z1)
         assert member(semi, IntVec((0,)), ctx) is True
         assert member(semi, IntVec((1,)), ctx) is False
 
@@ -157,7 +221,7 @@ class TestMember:
             translate(IntVec((1,)), AllSet(), F2)
 
     def test_boolean_combinations(self):
-        ctx = SetContext(Z1, 6)
+        ctx = SetContext(Z1)
         evens = FiniteSet(tuple(IntVec((i,)) for i in range(-4, 5, 2)))
         odds = Diff(BallSet(4), evens)
         assert member(odds, IntVec((3,)), ctx) is True
@@ -169,13 +233,13 @@ class TestMember:
 class TestMaterialize:
     def test_all_on_lattice_ball(self):
         window = ball(Z1, 2)
-        got = materialize(AllSet(), window, context_for(window))
+        got = materialize(AllSet(), window, SetContext(window.group))
         assert [Z1.show(g) for g in got] == ["(0)", "(1)", "(-1)", "(2)", "(-2)"]
 
     def test_slab_filter_matches_direct_comparison(self):
         slab = Slab(Fraction(0), Fraction(1), Fraction(0))
         window = ball(BS, 2)
-        got = materialize(slab, window, context_for(window))
+        got = materialize(slab, window, SetContext(window.group))
         expected = tuple(
             g for g in window.elements if 0 <= Fraction(g.num, 2 ** g.exp) <= 1
         )
@@ -184,29 +248,26 @@ class TestMaterialize:
     def test_semigroup_window_has_seven_short_words(self):
         words = positive_words(BS, (S_GEN, T_GEN), 2)
         window = explicit_window(BS, words, 2)
-        got = materialize(SEMI, window, context_for(window))
+        got = materialize(SEMI, window, SetContext(window.group))
         assert len(got) == 7  # e, s, t, ss, st, ts, tt all distinct
 
     def test_undecided_points_are_reported(self):
-        semi = SemigroupSet((IntVec((1,)),), False)
+        # the first window point that the cap leaves open, e, is named
         with pytest.raises(BudgetError) as err:
-            materialize(semi, ball(Z1, 8), SetContext(Z1, budget=3))
-        assert str(err.value) == (
-            "membership of (4) in semigroup((1)) undecided at budget 3; "
-            "increase the budget slack"
-        )
+            materialize(FREE_SEMI, ball(F2, 1), SetContext(F2))
+        assert str(err.value) == f"membership of e in semigroup(a,b) {UNDECIDED_AT_CAP}"
 
     def test_monotone_under_window_growth(self):
         slab = Slab(Fraction(0), Fraction(2), Fraction(1))
         small, large = ball(BS, 2), ball(BS, 4)
-        small_mat = materialize(slab, small, context_for(small))
-        large_mat = materialize(slab, large, context_for(large))
+        small_mat = materialize(slab, small, SetContext(small.group))
+        large_mat = materialize(slab, large, SetContext(large.group))
         assert [g for g in large_mat if g in small.elements] == list(small_mat)
 
     def test_wide_slab_lies_in_two_translates_of_the_unit_slab(self):
         narrow = Slab(Fraction(0), Fraction(1), Fraction(0))
         wide = Slab(Fraction(0), Fraction(2), Fraction(0))
-        ctx = SetContext(BS, 8)
+        ctx = SetContext(BS)
         window = ball(BS, 3)
         u = BS.parse("(1,1)")
         for g in materialize(wide, window, ctx):
@@ -224,7 +285,7 @@ class TestDictionaryLaws:
     def test_translate_composition(self):
         rng = random.Random(5)
         window = ball(BS, 3)
-        ctx = bs_ctx(9)
+        ctx = bs_ctx()
         elems = BS.ball_elements(2)
         for expr in self.random_exprs(rng):
             for _ in range(5):
@@ -239,7 +300,7 @@ class TestDictionaryLaws:
     def test_translate_distributes_over_intersection(self):
         rng = random.Random(6)
         window = ball(BS, 3)
-        ctx = bs_ctx(9)
+        ctx = bs_ctx()
         elems = BS.ball_elements(2)
         exprs = self.random_exprs(rng)
         for _ in range(10):
@@ -333,7 +394,7 @@ class TestGrammar:
 
         seq = greedy_small_set(Z1, 6)
         expr = GreedySet(6)
-        ctx = SetContext(Z1, 8)
+        ctx = SetContext(Z1)
         for g in Z1.ball_elements(6):
             assert member(expr, g, ctx) is (g in seq)
 
@@ -348,11 +409,11 @@ class TestGrammar:
             return real(group, count)
 
         monkeypatch.setattr(smallsets, "greedy_small_set", counting)
-        ctx = SetContext(Z1, 8)
+        ctx = SetContext(Z1)
         for g in Z1.ball_elements(6):
             member(GreedySet(6), g, ctx)
         assert built == [6]
-        member(GreedySet(6), Z1.identity(), SetContext(Z1, 8))
+        member(GreedySet(6), Z1.identity(), SetContext(Z1))
         assert built == [6, 6]
 
 
@@ -402,7 +463,8 @@ def _random_tree(rng, group, depth):
     return op(_random_tree(rng, group, depth - 1), _random_tree(rng, group, depth - 1))
 
 
-# (2,0) scales up and (1/2,1) down: budgeted enumeration, undecided at (1,-1)
+# (2,0) scales up and (1/2,1) down: capped enumeration; every word has a
+# nonnegative offset, so (1,-1), x -> x - 1, is undecided at the cap
 MIXED = SemigroupSet((BS.parse("(2,0)"), BS.parse("(1/2,1)")), False)
 UNDECIDED = BS.parse("(1,-1)")
 
@@ -428,7 +490,7 @@ class TestCompiledMembership:
     def test_random_trees_agree_with_set_algebra(self, group):
         rng = random.Random(11)
         window = ball(group, 3)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         for _ in range(150):
             expr = _random_tree(rng, group, 4)
             expected = _reference(expr, window.elements, group)
@@ -437,7 +499,7 @@ class TestCompiledMembership:
                 assert member(expr, g, ctx) is (g in expected), (expr, g)
 
     def test_three_valued_tables(self):
-        ctx = SetContext(BS, 3)
+        ctx = SetContext(BS)
         assert member(MIXED, UNDECIDED, ctx) is BUDGET_EXCEEDED
         leaves = {True: AllSet(), False: EmptySet(), BUDGET_EXCEEDED: MIXED}
         tables = {
@@ -455,12 +517,9 @@ class TestCompiledMembership:
                     assert member(moved, BS.mul(S_GEN, UNDECIDED), ctx) is want
 
     def test_undecided_error_names_the_outer_expression(self):
-        ctx = SetContext(BS, 3)
+        ctx = SetContext(BS)
         outer = Union(EmptySet(), Intersect(AllSet(), MIXED))
-        message = (
-            f"membership of (1,-1) in {show_setexpr(outer, BS)} undecided at "
-            "budget 3; increase the budget slack"
-        )
+        message = f"membership of (1,-1) in {show_setexpr(outer, BS)} {UNDECIDED_AT_CAP}"
         with pytest.raises(BudgetError) as err:
             member_strict(outer, UNDECIDED, ctx)
         assert str(err.value) == message
@@ -498,7 +557,7 @@ class TestCompiledMembership:
         counts = []
         for radius in (5, 7):
             window = ball(F2, radius)
-            report = witness_check(witness, window, context_for(window))
+            report = witness_check(witness, window, SetContext(window.group))
             assert report.passed, report
             counts.append(len(calls))
             calls.clear()

@@ -19,7 +19,6 @@ from paradox.sets import (
     SemigroupSet,
     SetContext,
     Union,
-    context_for,
     member_strict,
 )
 from paradox.smallsets import (
@@ -159,7 +158,7 @@ NATURALS = Diff(AllSet(), SemigroupSet((IntVec((-1,)),), False))
 class TestAbsorbing:
     def test_naturals_absorb_small_pattern(self):
         window = ball(Z1, 10)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         got = absorbing_check(NATURALS, intvecs(0, 5), window, ctx)
         assert got == IntVec((0,))
         assert absorbing_check_direct(NATURALS, intvecs(0, 5), window, ctx) == got
@@ -168,14 +167,14 @@ class TestAbsorbing:
         window = ball(Z1, 60)
         expr = GreedySet(50)
         pattern = intvecs(0, 1, 2)
-        ctx = context_for(window)
+        ctx = SetContext(window.group)
         assert absorbing_check(expr, pattern, window, ctx) is None
         assert absorbing_check_direct(expr, pattern, window, ctx) is None
 
     def test_postcondition_replay(self):
         rng = random.Random(23)
         window = ball(Z1, 12)
-        ctx = SetContext(Z1, 16)
+        ctx = SetContext(Z1)
         for _ in range(20):
             pattern = tuple(
                 IntVec((rng.randint(-3, 3),)) for _ in range(rng.randint(1, 3))
@@ -193,4 +192,4 @@ class TestAbsorbing:
     def test_empty_pattern_rejected(self):
         window = ball(Z1, 2)
         with pytest.raises(ValueError):
-            absorbing_check(AllSet(), (), window, context_for(window))
+            absorbing_check(AllSet(), (), window, SetContext(window.group))
