@@ -263,12 +263,22 @@ class Group:
         return lambda g: index.get(g, outside) <= radius
 
     def enumerate_elements(self) -> Iterator[Elem]:
-        """Canonical enumeration of the whole group, layer by layer."""
-        r = 0
-        while True:
-            self._balls.extend(r)
-            yield from self._balls.layers[r]
-            r += 1
+        """Canonical enumeration of the whole group, layer by layer, in the
+        order of the ball layers.  It keeps its own search rather than the
+        capped `_balls`, so it runs as far as the caller reads."""
+        gens = self.generators()
+        layer = [self.identity()]
+        seen = set(layer)
+        while layer:
+            yield from layer
+            next_layer = []
+            for parent in layer:
+                for gen in gens:
+                    child = self._mul(parent, gen)
+                    if child not in seen:
+                        seen.add(child)
+                        next_layer.append(child)
+            layer = next_layer
 
     def __repr__(self) -> str:
         return f"<group {self.key}>"

@@ -10,6 +10,7 @@ import pytest
 import paradox
 from paradox import witness
 from paradox.certificates import load_certificate
+from paradox.groups import BALL_SIZE_CAP
 from paradox.cli import main
 from helpers import _redigest
 
@@ -609,6 +610,16 @@ class TestGreedyCap:
         assert run(argv + ["--quiet"]) == 1
         assert time.perf_counter() - started < 2.0
         assert capsys.readouterr().err == "error: " + self.MESSAGE
+
+    def test_largest_count_enumerates_past_the_ball_cap(self, tmp_path):
+        # zn:1 greedy(200) reaches |g| = 116,426: the enumeration passes
+        # BALL_SIZE_CAP points, which caps balls but not the greedy search
+        out = tmp_path / "small.json"
+        assert run(["small-set", "--group", "zn:1", "--count", "200",
+                    "--out", str(out), "--quiet"]) == 0
+        elements = json.loads(out.read_text())["elements"]
+        assert len(elements) == 200
+        assert 2 * max(abs(int(g.strip("()"))) for g in elements) > BALL_SIZE_CAP
 
     def test_verify_exits_3(self, tmp_path, capsys):
         base = tmp_path / "deficiency.json"

@@ -222,6 +222,22 @@ class TestBall:
             bs.word_length(bs.parse("(1,1/2^12)"))
         assert time.perf_counter() - started < 5.0
 
+    @pytest.mark.parametrize("spec", ["free:2", "zn:2", "bs12"])
+    def test_enumeration_follows_the_ball_layers(self, spec):
+        group = group_from_string(spec)
+        ball = group.ball_elements(3)
+        assert list(itertools.islice(group.enumerate_elements(), len(ball))) == ball
+
+    def test_enumeration_runs_past_the_cap(self):
+        # the whole-group enumeration is not a ball: it runs as far as it is
+        # read, after a ball has capped the group's own enumeration
+        group = group_from_string("bs12")
+        with pytest.raises(GroupError, match="more points than the cap"):
+            group.ball_elements(30)
+        elements = list(itertools.islice(group.enumerate_elements(),
+                                         BALL_SIZE_CAP + 2))
+        assert len(set(elements)) == BALL_SIZE_CAP + 2
+
 
 class TestLayers:
     """The breadth-first enumerator behind balls and semigroup words."""
