@@ -9,7 +9,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .groups import Group, Window, ball, explicit_window
-from .sets import SetContext, parse_setexpr, read_rational, show_setexpr
+from .sets import parse_setexpr, read_rational, show_setexpr
 
 if TYPE_CHECKING:
     # annotations only: the verifier loads no solver, and the witness and
@@ -104,12 +104,12 @@ def seal(fields: dict) -> str:
     return _assemble(entries)
 
 
-def _base(kind: str, window: Window, ctx: SetContext) -> dict:
+def _base(kind: str, window: Window) -> dict:
     """The envelope."""
     return {
         "schema": SCHEMA,
         "kind": kind,
-        "group": ctx.group.key,
+        "group": window.group.key,
         "window": window_descriptor(window),
         "checkedOn": window_digest(window),
         "budgetSlack": 4,  # a schema v1 field; no reader acts on its value
@@ -122,8 +122,8 @@ def _point_texts(window: Window) -> dict:
 
 
 def match_fields(cert: MatchCert) -> dict:
-    group = cert.ctx.group
-    out = _base("match", cert.window, cert.ctx)
+    group = cert.window.group
+    out = _base("match", cert.window)
     out["set"] = show_setexpr(cert.set_expr, group)
     names = {s: group.show(s) for s in cert.translators}
     out["translators"] = [names[s] for s in cert.translators]
@@ -135,8 +135,8 @@ def match_fields(cert: MatchCert) -> dict:
 
 
 def deficiency_fields(cert: DeficiencyCert) -> dict:
-    group = cert.ctx.group
-    out = _base("deficiency", cert.window, cert.ctx)
+    group = cert.window.group
+    out = _base("deficiency", cert.window)
     out["set"] = show_setexpr(cert.set_expr, group)
     out["translators"] = [group.show(s) for s in cert.translators]
     shown = _point_texts(cert.window)
@@ -144,9 +144,9 @@ def deficiency_fields(cert: DeficiencyCert) -> dict:
     return out
 
 
-def witness_fields(w: ParadoxWitness, window: Window, ctx: SetContext) -> dict:
-    group = ctx.group
-    out = _base("witness", window, ctx)
+def witness_fields(w: ParadoxWitness, window: Window) -> dict:
+    group = window.group
+    out = _base("witness", window)
     out["set"] = show_setexpr(w.set_expr, group)
     out["parts"] = [
         {"piece": show_setexpr(piece, group), "translator": group.show(t)}
@@ -168,8 +168,8 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
 
 
 def flow_fields(cert: FlowCert) -> dict:
-    group = cert.ctx.group
-    out = _base("flow", cert.window, cert.ctx)
+    group = cert.window.group
+    out = _base("flow", cert.window)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
     out["setA"] = show_setexpr(cert.set_a, group)
@@ -184,8 +184,8 @@ def flow_fields(cert: FlowCert) -> dict:
 
 
 def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
-    group = cert.ctx.group
-    out = _base("flow-deficiency", cert.window, cert.ctx)
+    group = cert.window.group
+    out = _base("flow-deficiency", cert.window)
     out["copies"] = cert.copies
     out["capacity"] = cert.capacity
     out["setA"] = show_setexpr(cert.set_a, group)
@@ -252,9 +252,9 @@ def cp_from_json(data: list, group: Group) -> CPElem:
     return CPElem(group, tuple(terms))
 
 
-def pi_witness_fields(pw: PIWitness, window: Window, ctx: SetContext) -> dict:
+def pi_witness_fields(pw: PIWitness, window: Window) -> dict:
     group = pw.group
-    out = _base("cp-witness", window, ctx)
+    out = _base("cp-witness", window)
     out["set"] = show_setexpr(pw.set_expr, group)
     out["v"] = _cp_to_json(pw.v)
     out["w"] = _cp_to_json(pw.w)

@@ -144,14 +144,13 @@ def cmd_check(args) -> int:
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
-    ctx = SetContext(group)
-    result = doubling_matching(expr, translators, window, ctx)
+    result = doubling_matching(expr, translators, window, SetContext(group))
     if isinstance(result, MatchCert):
         _emit(args, certs.match_fields(result))
         if args.witness_out:
             w = witness_from_matching(result)
             certs.write_text(
-                certs.seal(certs.witness_fields(w, window, ctx)), args.witness_out
+                certs.seal(certs.witness_fields(w, window)), args.witness_out
             )
             _say(args, f"wrote {args.witness_out}")
         _say(args, f"match: doubled {len(result.assignment)} window points")
@@ -193,9 +192,10 @@ def _witness_from_any_cert(path: str):
     from .witness import witness_check
 
     data = certs.load_certificate(path)
-    kind, group, window = read_envelope(data)
+    kind, window = read_envelope(data)
     if kind not in ("match", "witness"):
         raise _CliError(f"need a match or witness certificate, got {kind}")
+    group = window.group
     ctx = SetContext(group)
     with _parsing("certificate payload"):
         if kind == "witness":
@@ -211,7 +211,6 @@ def _witness_from_any_cert(path: str):
                 (point(x), group.parse(s1), group.parse(s2))
                 for x, (s1, s2) in certs.assignment_rows(data)
             ),
-            ctx,
         )
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
@@ -278,7 +277,7 @@ def cmd_cp_witness(args) -> int:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
     # a certificate is written only for identities that all hold
     if args.out and report.passed:
-        certs.write_text(certs.seal(certs.pi_witness_fields(pw, window, ctx)), args.out)
+        certs.write_text(certs.seal(certs.pi_witness_fields(pw, window)), args.out)
         _say(args, f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_SEMANTIC
 

@@ -4,7 +4,7 @@ free-group ball."""
 
 from __future__ import annotations
 
-from .groups import Elem, FreeGroup, FreeWord, Group, Record, Window
+from .groups import Elem, FreeGroup, FreeWord, Record, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
@@ -23,13 +23,12 @@ class EmbeddingData:
     """The four branch maps and base point driving the word-by-word recursion
     f(c x') = map_c(f(x')), f(e) = base point."""
 
-    __slots__ = ("group", "sigma_plus", "sigma_minus", "tau_plus", "tau_minus",
+    __slots__ = ("sigma_plus", "sigma_minus", "tau_plus", "tau_minus",
                  "base_point", "ctx", "_memo", "_apply")
 
-    def __init__(self, group: Group, sigma_plus: PwT, sigma_minus: PwT,
-                 tau_plus: PwT, tau_minus: PwT, base_point: Elem,
-                 ctx: SetContext) -> None:
-        self.group, self.base_point, self.ctx = group, group.check(base_point), ctx
+    def __init__(self, sigma_plus: PwT, sigma_minus: PwT, tau_plus: PwT,
+                 tau_minus: PwT, base_point: Elem, ctx: SetContext) -> None:
+        self.base_point, self.ctx = ctx.group.check(base_point), ctx
         self.sigma_plus, self.sigma_minus = sigma_plus, sigma_minus
         self.tau_plus, self.tau_minus = tau_plus, tau_minus
         self._memo: dict[tuple[int, ...], Elem] = {}
@@ -66,7 +65,7 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
     branches = []
     for eps in (plus, minus):
         for delta in (plus, minus):
-            branches.append(pwt_compose(plus, pwt_compose(eps, delta, ctx), ctx))
+            branches.append(pwt_compose(plus, pwt_compose(eps, delta, group), group))
     base_point = pwt_map(minus, ctx)(base[0])
 
     image_sets = []
@@ -82,10 +81,10 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
         image_sets.append(images)
     hit = first_overlap(image_sets + [{base_point}], group)
     if hit is not None:
-        raise AssertionError(
+        raise ValueError(
             f"branch images {hit[0]} and {hit[1]} overlap at {group.show(hit[2])}"
         )
-    return EmbeddingData(group, *branches, base_point, ctx)
+    return EmbeddingData(*branches, base_point, ctx)
 
 
 def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Elem:
@@ -134,7 +133,7 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
     map by the declared sets."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    group = data.group
+    group = data.ctx.group
     words = [w.letters for w in F2.ball_elements(radius)]
     values: dict[tuple[int, ...], Elem] = {}
     seen: dict[Elem, tuple[int, ...]] = {}

@@ -12,24 +12,13 @@ from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
 
 
-class _Decided(Record):
-    """Base of the deciders' results.  The fields make a result's value (its
-    ==, hash and repr); `ctx`, the context it was decided in and the last
-    constructor argument, is kept beside them."""
-
-    def __new__(cls, *fields_and_ctx):
-        result = super().__new__(cls, *fields_and_ctx[:-1])
-        result.ctx = fields_and_ctx[-1]
-        return result
-
-
-class MatchCert(_Decided, fields="set_expr translators window assignment"):
+class MatchCert(Record, fields="set_expr translators window assignment"):
     """For each window point x of the set, two translators whose images are
     globally pairwise distinct and stay inside the set: the assignment
     holds (x, s1, s2)."""
 
 
-class DeficiencyCert(_Decided, fields="set_expr translators window violator"):
+class DeficiencyCert(Record, fields="set_expr translators window violator"):
     """A finite violator D inside the window with |S.D intersect A| < 2|D|:
     no doubling matching can exist for this translator set."""
 
@@ -83,7 +72,7 @@ def doubling_matching(
     s_list, points, images, moves, n_images = _transport(
         a, a, translators, window, ctx)
     if n_images < 2 * len(points):
-        return DeficiencyCert(a, s_list, window, points, ctx)
+        return DeficiencyCert(a, s_list, window, points)
 
     adjacency = []
     for ids in images:
@@ -95,17 +84,17 @@ def doubling_matching(
             s1 = s_list[ks[ids.index(pair_left[2 * i])]]
             s2 = s_list[ks[ids.index(pair_left[2 * i + 1])]]
             assignment.append((x, s1, s2))
-        return MatchCert(a, s_list, window, tuple(assignment), ctx)
+        return MatchCert(a, s_list, window, tuple(assignment))
     violator = [
         x for i, x in enumerate(points) if 2 * i in reached or 2 * i + 1 in reached
     ]
-    return DeficiencyCert(a, s_list, window, tuple(violator), ctx)
+    return DeficiencyCert(a, s_list, window, tuple(violator))
 
 
 def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
     """Regroup a doubling matching by translator into a window-scoped witness:
     pieces are the translated blocks, translators their inverses."""
-    group = cert.ctx.group
+    group = cert.window.group
     parts = []
     split = 0
     for copy in (0, 1):
@@ -128,7 +117,7 @@ def symbolic_witness_from_matching(cert: MatchCert) -> ParadoxWitness | None:
     Returns None when the matching has no constant-translator structure."""
     from .sets import translate as _translate
 
-    group = cert.ctx.group
+    group = cert.window.group
     firsts = {s1 for _, s1, _ in cert.assignment}
     seconds = {s2 for _, _, s2 in cert.assignment}
     if len(firsts) != 1 or len(seconds) != 1:
@@ -142,14 +131,14 @@ def symbolic_witness_from_matching(cert: MatchCert) -> ParadoxWitness | None:
     return ParadoxWitness(cert.set_expr, parts, 1)
 
 
-class FlowCert(_Decided, fields="copies set_a capacity set_b translators window "
+class FlowCert(Record, fields="copies set_a capacity set_b translators window "
                "assignment"):
     """Integral assignment sending m = copies copies of every window point
     of set_a into set_b with at most n = capacity arrivals per target: the
     assignment holds (x, its m translators)."""
 
 
-class FlowDeficiency(_Decided, fields="copies set_a capacity set_b translators "
+class FlowDeficiency(Record, fields="copies set_a capacity set_b translators "
                      "window violator"):
     """Finite D with m|D| > n|S.D intersect B|, refuting the comparison."""
 
@@ -193,6 +182,6 @@ def type_order(
             for eid, k in zip(mid_edges[i], moves[i]):
                 used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
-        return FlowCert(copies, a, capacity, b, s_list, window, tuple(assignment), ctx)
+        return FlowCert(copies, a, capacity, b, s_list, window, tuple(assignment))
     violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]
-    return FlowDeficiency(copies, a, capacity, b, s_list, window, tuple(violator), ctx)
+    return FlowDeficiency(copies, a, capacity, b, s_list, window, tuple(violator))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groups import Elem, Record
+from .groups import Elem, Group, Record
 from .sets import (
     Intersect,
     SetContext,
@@ -59,9 +59,8 @@ def pwt_map(p: PwT, ctx: SetContext) -> Callable[[Elem], Elem]:
     return apply
 
 
-def pwt_compose(outer: PwT, inner: PwT, ctx: SetContext) -> PwT:
+def pwt_compose(outer: PwT, inner: PwT, group: Group) -> PwT:
     """Compose: outer applied after inner, piece by piece."""
-    group = ctx.group
     pieces = []
     for ipiece, s in inner.pieces:
         s_inv = group.inv(s)

@@ -232,7 +232,7 @@ def _compile_slab(expr: Slab, ctx: SetContext):
 def _compile_greedy(expr: GreedySet, ctx: SetContext):
     from .smallsets import greedy_small_set
 
-    key = ("greedy", ctx.group.key, expr.count)
+    key = ("greedy", expr.count)
     members = ctx.caches.get(key)
     if members is None:
         members = ctx.caches[key] = frozenset(greedy_small_set(ctx.group, expr.count))
@@ -299,7 +299,7 @@ def _diff(expr: Diff, ctx: SetContext):
 def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
     """The nonempty positive words of expr's generators, enumerated once per
     context and at most to BALL_SIZE_CAP values."""
-    key = ("sgenum", ctx.group.key, expr.gens)
+    key = ("sgenum", expr.gens)
     words = ctx.caches.get(key)
     if words is None:
         words = ctx.caches[key] = Layers(ctx.group, expr.gens, with_root=False)

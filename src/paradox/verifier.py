@@ -18,7 +18,7 @@ from .certificates import (
     window_from_descriptor,
     witness_from_cert,
 )
-from .groups import Group, Record, Window, group_from_string
+from .groups import Record, Window, group_from_string
 from .sets import BudgetError, SetContext, materialize, parse_setexpr, predicate
 
 
@@ -38,10 +38,10 @@ class VerifyOutcome(Record, fields="ok message"):
         return VerifyOutcome(False, message)
 
 
-def read_envelope(cert) -> tuple[str, Group, Window]:
-    """The kind, group and window a certificate declares; CertificateFormatError
-    when any of them, or an envelope field that must be an integer, is
-    malformed."""
+def read_envelope(cert) -> tuple[str, Window]:
+    """The kind a certificate declares and its window, in the declared group;
+    CertificateFormatError when any of them, or an envelope field that must
+    be an integer, is malformed."""
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate is not a JSON object")
     if cert.get("schema") != SCHEMA:
@@ -55,19 +55,19 @@ def read_envelope(cert) -> tuple[str, Group, Window]:
         json_int(cert.get("budgetSlack", 0), "budgetSlack")  # its value drives nothing
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
-    return kind, group, window
+    return kind, window
 
 
 def verify_certificate(cert: dict) -> VerifyOutcome:
     """Re-check every semantic fact of a certificate; the first violated fact,
     or the first membership a search cap leaves undecided, is named in the
     outcome message."""
-    kind, group, window = read_envelope(cert)
+    kind, window = read_envelope(cert)
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
-    ctx = SetContext(group)
+    ctx = SetContext(window.group)
     try:
-        outcome = _CHECKERS[kind](cert, group, window, ctx)
+        outcome = _CHECKERS[kind](cert, window, ctx)
     except BudgetError as exc:
         return VerifyOutcome.failed(str(exc))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -94,7 +94,8 @@ def _transport(cert: dict, group):
     )
 
 
-def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
+def _verify_assignment(cert: dict, window, ctx) -> VerifyOutcome:
+    group = window.group
     copies, set_a, capacity, set_b = _transport(cert, group)
     points = materialize(set_a, window, ctx)
     # Each declared text is parsed once; a row's text is looked up here first
@@ -144,7 +145,8 @@ def _verify_assignment(cert: dict, group, window, ctx) -> VerifyOutcome:
     return VerifyOutcome.passed()
 
 
-def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
+def _verify_violator(cert: dict, window, ctx) -> VerifyOutcome:
+    group = window.group
     copies, set_a, capacity, set_b = _transport(cert, group)
     point_set = set(materialize(set_a, window, ctx))
     point = point_reader(window)
@@ -176,17 +178,17 @@ def _verify_violator(cert: dict, group, window, ctx) -> VerifyOutcome:
     return VerifyOutcome.passed()
 
 
-def _verify_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
+def _verify_witness(cert: dict, window, ctx) -> VerifyOutcome:
     from .witness import witness_check
 
-    return _outcome(witness_check(witness_from_cert(cert, group), window, ctx))
+    return _outcome(witness_check(witness_from_cert(cert, window.group), window, ctx))
 
 
-def _verify_cp_witness(cert: dict, group, window, ctx) -> VerifyOutcome:
+def _verify_cp_witness(cert: dict, window, ctx) -> VerifyOutcome:
     from .crossed import verify_pi_witness
 
     return _outcome(
-        verify_pi_witness(pi_witness_from_cert(cert, group), window, ctx)
+        verify_pi_witness(pi_witness_from_cert(cert, window.group), window, ctx)
     )
 
 

@@ -383,7 +383,7 @@ def test_criterion_10_verifier_mutation_hardness():
         from paradox.certificates import flow_deficiency_fields, flow_fields, witness_fields
         from paradox.engine import type_order
 
-        pool.append(sealed(witness_fields(witness_from_matching(match), window, ctx)))
+        pool.append(sealed(witness_fields(witness_from_matching(match), window)))
         pool.append(sealed(
             flow_fields(
                 type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
@@ -398,7 +398,7 @@ def test_criterion_10_verifier_mutation_hardness():
         ))
         pool.append(sealed(
             pi_witness_fields(
-                pi_witness(witness_from_matching(match), BS), window, ctx
+                pi_witness(witness_from_matching(match), BS), window
             )
         ))
         for cert in pool:

@@ -68,13 +68,11 @@ def cert_pool():
     pool["deficiency"] = sealed(deficiency_fields(deficiency))
 
     witness = witness_from_matching(match)
-    pool["witness"] = sealed(witness_fields(witness, window, ctx))
+    pool["witness"] = sealed(witness_fields(witness, window))
 
     symbolic = free_semigroup_witness(BS, S_GEN, T_GEN, 5)
     symbolic_window = semigroup_window(BS, S_GEN, T_GEN, 4)
-    pool["witness-symbolic"] = sealed(witness_fields(
-        symbolic, symbolic_window, SetContext(symbolic_window.group)
-    ))
+    pool["witness-symbolic"] = sealed(witness_fields(symbolic, symbolic_window))
 
     flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
     assert isinstance(flow, FlowCert)
@@ -88,7 +86,7 @@ def cert_pool():
     pool["flow-deficiency"] = sealed(flow_deficiency_fields(flow_def))
 
     pw = pi_witness(witness, BS)
-    pool["cp-witness"] = sealed(pi_witness_fields(pw, window, ctx))
+    pool["cp-witness"] = sealed(pi_witness_fields(pw, window))
     return pool
 
 

@@ -919,8 +919,7 @@ def _witness_cert(path, group_name, set_text, movers, radius):
     pieces = tuple((translate(m, whole, group), group.inv(m))
                    for m in map(group.parse, movers))
     witness = ParadoxWitness(whole, pieces, 1)
-    write_text(seal(witness_fields(witness, ball(group, radius), SetContext(group))),
-               str(path))
+    write_text(seal(witness_fields(witness, ball(group, radius))), str(path))
     return path
 
 
@@ -995,7 +994,7 @@ class TestBudgetSlack:
         z2 = group_from_string("zn:2")
         pw = pi_witness(witness_from_cert(load_certificate(str(wit)), z2), z2)
         cp = tmp_path / "pi.json"
-        write_text(seal(pi_witness_fields(pw, ball(z2, 3), SetContext(z2))), str(cp))
+        write_text(seal(pi_witness_fields(pw, ball(z2, 3))), str(cp))
         for slack in [4] + HOSTILE_SLACKS:
             _with_slack(wit, slack, wit)
             assert run(args) == 3
@@ -1049,7 +1048,7 @@ class TestBudgetSlack:
         data = load_certificate(str(wit))
         window = window_from_descriptor(f2, data["window"])
         pw = pi_witness(witness_from_cert(data, f2), f2)
-        write_text(seal(pi_witness_fields(pw, window, SetContext(f2))), str(out))
+        write_text(seal(pi_witness_fields(pw, window)), str(out))
         for slack in [4] + HOSTILE_SLACKS:
             assert run(["verify", str(_with_slack(out, slack, out)), "--quiet"]) == 3
             err = capsys.readouterr().err

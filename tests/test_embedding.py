@@ -69,7 +69,7 @@ class TestBuild:
         # with minus replaced by plus, all four branches are x -> (8,0) x
         monkeypatch.setattr(emb, "base_translation_maps", lambda w, group: (plus, plus))
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        with pytest.raises(AssertionError) as info:
+        with pytest.raises(ValueError) as info:
             build_embedding(w, window, SetContext(window.group))
         assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
 
@@ -131,7 +131,6 @@ class TestLipschitz:
 
     def test_tampered_embedding_detected(self, embedding):
         broken = EmbeddingData(
-            embedding.group,
             embedding.sigma_plus,
             embedding.sigma_plus,  # minus branch duplicated
             embedding.tau_plus,
@@ -149,7 +148,6 @@ class TestLipschitz:
     def test_undeclared_displacement_is_a_violation(self, embedding):
         plus = embedding.sigma_plus
         undeclared = EmbeddingData(
-            embedding.group,
             PwT(plus.domain, plus.pieces, ()),  # sigma_plus declares nothing
             embedding.sigma_minus,
             embedding.tau_plus,

@@ -44,12 +44,12 @@ fields = {
     "match": match_fields(match),
     "deficiency": deficiency_fields(
         doubling_matching(AllSet(), z1_ball1, z1_window, z1_ctx)),
-    "witness": witness_fields(witness, window, ctx),
+    "witness": witness_fields(witness, window),
     "flow": flow_fields(
         type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)),
     "flow-deficiency": flow_deficiency_fields(
         type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window, z1_ctx)),
-    "cp-witness": pi_witness_fields(pi_witness(witness, BS), window, ctx),
+    "cp-witness": pi_witness_fields(pi_witness(witness, BS), window),
     # 15 points with 33 images pass the counting bound, so this violator
     # comes from the matching's alternating-reachability cut
     "deficiency-hall": deficiency_fields(doubling_matching(

@@ -72,22 +72,21 @@ class TestCompose:
     def test_compose_with_identity(self):
         ctx = SetContext(BS)
         ident = PwT.single(SEMI, BS.identity())
-        comp = pwt_compose(SIGMA_PLUS, ident, ctx)
+        comp = pwt_compose(SIGMA_PLUS, ident, BS)
         window = semigroup_window(3)
         for g in materialize(SEMI, window, ctx):
             assert pwt_apply(comp, g, ctx) == pwt_apply(SIGMA_PLUS, g, ctx)
 
     def test_compose_translators_multiply(self):
-        ctx = SetContext(BS)
-        ss = pwt_compose(SIGMA_PLUS, SIGMA_PLUS, ctx)
+        ss = pwt_compose(SIGMA_PLUS, SIGMA_PLUS, BS)
         assert ss.displacement == (BS.parse("(4,0)"),)
-        st = pwt_compose(SIGMA_PLUS, SIGMA_MINUS, ctx)
+        st = pwt_compose(SIGMA_PLUS, SIGMA_MINUS, BS)
         assert st.displacement == (BS.parse("(4,2)"),)
 
     def test_pointwise_equality_on_window(self):
         ctx = SetContext(BS)
         window = semigroup_window(3)
-        comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, ctx)
+        comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, BS)
         for g in materialize(SEMI, window, ctx):
             assert pwt_apply(comp, g, ctx) == pwt_apply(
                 SIGMA_MINUS, pwt_apply(SIGMA_PLUS, g, ctx), ctx

@@ -318,6 +318,33 @@ def test_no_budget_parameter_and_no_ctx_default():
     assert spelled == ["certificates.py", "verifier.py", "verifier.py"]
 
 
+def test_certificate_writers_hold_no_context():
+    """A writer reads the group from the window it records, and a decider's
+    result is its fields alone, so certificates.py names no context."""
+    tree = dict(_package_modules())["certificates.py"]
+    found = []
+    for node in ast.walk(tree):
+        for text in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None), getattr(node, "name", None)):
+            if text in ("ctx", "SetContext"):
+                found.append(f"{node.lineno}: {text}")
+    assert found == []
+
+
+def test_group_is_not_passed_beside_its_window_or_context():
+    """A window and a context each carry their group, so no function takes a
+    group parameter beside a window or ctx parameter."""
+    found = []
+    for filename, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "group" in params and params & {"window", "ctx"}:
+                    found.append(f"{filename}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_verify_reads_points_from_the_window(tmp_path, monkeypatch):
     """Replaying a canonical match takes each row's point from the window it
     built: no `parse` or `check` per point, so the per-row work cannot come
