@@ -56,7 +56,8 @@ def build_embedding(w: ParadoxWitness, window: Window,
 def embedding_from_checked(w: ParadoxWitness, window: Window,
                            ctx: SetContext) -> EmbeddingData:
     """`build_embedding` for a witness that has passed `witness_check` on
-    this window and context."""
+    this window and context.  A window-scoped witness can pass and still
+    give branch images that meet on the window: that is a ValueError."""
     group = ctx.group
     base = materialize(w.set_expr, window, ctx)
     if not base:

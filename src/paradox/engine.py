@@ -6,7 +6,7 @@ obstruction.  Also the capacitated generalisation m[A] <= n[B] via max-flow.
 from __future__ import annotations
 
 from .flow import FlowNetwork
-from .groups import Elem, Record, Window
+from .groups import PRODUCT_CAP, Elem, Record, Window
 from .matching import max_matching
 from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
@@ -38,6 +38,9 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
     group = ctx.group
     s_list = tuple(sorted(set(map(group.check, translators)), key=group.sort_key))
     points = materialize(a, window, ctx)  # window points are checked
+    if len(points) * len(s_list) > PRODUCT_CAP:
+        raise ValueError(f"{len(points)} window points times {len(s_list)} translators "
+                         f"make more than the cap of {PRODUCT_CAP} products")
     mul, in_b = group._mul, predicate(b, ctx)
     image_id: dict[Elem, int] = {}
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -133,6 +133,9 @@ _LENGTH_CAP = 64  # word_length gives up beyond this many layers
 # Most points a ball may hold before it is enumerated: free:2 radius 10
 # (118,097 points) fits, and a bs12 ball is counted past it within a second.
 BALL_SIZE_CAP = 120_000
+# Most (window point, translator) products a transport graph or a violator
+# replay may form: free:2 window 10 times its radius-1 ball (590,485) fits.
+PRODUCT_CAP = 600_000
 
 
 class Layers:

@@ -3,9 +3,11 @@
 Membership is three-valued: True, False, or BUDGET_EXCEEDED for semigroup
 queries that a fixed search cap cannot settle: an enumeration of more than
 BALL_SIZE_CAP positive words' values, or more than `_NODE_CAP` nodes of the
-affine decider.  No input, flag or certificate field moves either cap, so
-every answer is the same in every context and in any order of queries.
-Everything else is decided exactly.  The third value stays in this module:
+affine decider.  No input, flag or certificate field moves either cap.  An
+enumeration's answers do not depend on the order of the queries.  The affine
+decider's can, near its cap: its memo keeps what earlier searches settled, so
+a later query may decide a point that an earlier one left undecided.  A True
+or False is never wrong.  Everything else is decided exactly.  The third value stays in this module:
 the rest of the package asks `predicate`, `member_strict` or `materialize`,
 which raise the one `undecided_error` naming point, set and cap.
 
@@ -407,8 +409,10 @@ class _AffineSemigroupDecider:
     def decide(self, g: AffineElem):
         """True or False exactly, or BUDGET_EXCEEDED once the search would
         visit more than _NODE_CAP new elements.  Depth-first over the
-        generators in order, on an explicit stack, so the answer depends on
-        the node cap alone and never on the interpreter's stack depth."""
+        generators in order, on an explicit stack, so the answer never
+        depends on the interpreter's stack depth.  Nodes the memo already
+        settled are not counted, so near the cap an answer can depend on
+        which queries this decider saw before."""
         memo = self.memo
         if g in memo:
             return memo[g]

@@ -18,7 +18,7 @@ from .certificates import (
     window_from_descriptor,
     witness_from_cert,
 )
-from .groups import Record, Window, group_from_string
+from .groups import PRODUCT_CAP, Record, Window, group_from_string
 from .sets import BudgetError, SetContext, materialize, parse_setexpr, predicate
 
 
@@ -163,6 +163,11 @@ def _verify_violator(cert: dict, window, ctx) -> VerifyOutcome:
     translators = [
         group.parse(t) for t in json_list(cert["translators"], "translators")
     ]
+    if len(violator) * len(translators) > PRODUCT_CAP:
+        return VerifyOutcome.failed(
+            f"{len(violator)} violator points times {len(translators)} translators "
+            f"make more than the cap of {PRODUCT_CAP} products"
+        )
     in_b = predicate(set_b, ctx)
     targets = set()
     for x in violator:

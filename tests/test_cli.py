@@ -580,6 +580,47 @@ class TestBallSizeCap:
         )
 
 
+class TestProductCap:
+    """Window points times translators is capped by `groups.PRODUCT_CAP`,
+    checked before the transport graph or a violator's replay starts.  At
+    radius 1000 in zn:1 (2,001 × 2,001 products) `check` took 6.7 s and
+    `verify` of its deficiency 4.8 s."""
+
+    def test_check_exits_1(self, capsys):
+        started = time.perf_counter()
+        assert run(["check", "--group", "zn:1", "--set", "all", "--translators",
+                    "ball:1000", "--window", "1000", "--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "error: 2001 window points times 2001 translators make more than "
+            "the cap of 600000 products\n"
+        )
+
+    def test_verify_of_a_resealed_deficiency_exits_3(self, tmp_path, capsys):
+        from paradox.certificates import window_digest
+        from paradox.groups import ball, group_from_string
+
+        small = tmp_path / "z1w3.json"
+        assert run(["check", "--group", "zn:1", "--set", "all", "--translators",
+                    "ball:1", "--window", "3", "--out", str(small), "--quiet"]) == 2
+        window = ball(group_from_string("zn:1"), 1000)
+        points = list(window.texts())
+        # a true deficiency: 4,001 targets are fewer than 2 · 2,001
+        cert = load_certificate(str(small))
+        cert.update(window={"radius": 1000}, checkedOn=window_digest(window),
+                    translators=points, violator=points)
+        path = tmp_path / "z1w1000.json"
+        path.write_text(json.dumps(_redigest(cert)))
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "verification failed: 2001 violator points times 2001 translators "
+            "make more than the cap of 600000 products\n"
+        )
+
+
 class TestLatticeDimensionCap:
     """zn:d takes d in 1..26, as free:k takes its rank: building zn:d makes
     2d generators of d coordinates, so a group string alone once cost d²."""
@@ -796,6 +837,22 @@ class TestPipelines:
                 monkeypatch.setattr(module, "witness_check", counting)
         assert run(["embed-f2", "--from-cert", match_cert, "--depth", "2", "--quiet"]) == 0
         assert len(calls) == 1
+
+    def test_embed_f2_reports_overlapping_branch_images(self, tmp_path, capsys):
+        """A window-scoped witness can pass its check and still give branch
+        maps whose images meet: one error line, not a traceback."""
+        match = tmp_path / "m.json"
+        assert run(["check", "--group", "zn:2", "--set", "semigroup((1,0),(0,1);e)",
+                    "--translators", "(10,0),(0,10)", "--window", "3",
+                    "--out", str(match), "--quiet"]) == 0
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["embed-f2", "--from-cert", str(match), "--depth", "1",
+                    "--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == (
+            "error: branch images 1 and 2 overlap at (20,10)\n"
+        )
 
     def test_cp_witness(self, match_cert, tmp_path):
         out = tmp_path / "cp.json"
