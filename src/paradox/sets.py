@@ -7,9 +7,10 @@ affine decider.  No input, flag or certificate field moves either cap.  An
 enumeration's answers do not depend on the order of the queries.  The affine
 decider's can, near its cap: its memo keeps what earlier searches settled, so
 a later query may decide a point that an earlier one left undecided.  A True
-or False is never wrong.  Everything else is decided exactly.  The third value stays in this module:
-the rest of the package asks `predicate`, `member_strict` or `materialize`,
-which raise the one `undecided_error` naming point, set and cap.
+or False is never wrong.  Everything else is decided exactly.  The third
+value stays in this module: the rest of the package asks `predicate`,
+`member_strict` or `materialize`, which raise the one `undecided_error`
+naming point, set and cap.
 
 An expression is a tree of tuple nodes, each kind spelled out once in the
 node table `_NODES`.  Each expression is compiled once per context into a

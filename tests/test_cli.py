@@ -968,7 +968,7 @@ def _witness_cert(path, group_name, set_text, movers, radius):
     each moved back by its mover's inverse, written on the ball of radius."""
     from paradox.certificates import seal, witness_fields, write_text
     from paradox.groups import ball, group_from_string
-    from paradox.sets import SetContext, parse_setexpr, translate
+    from paradox.sets import parse_setexpr, translate
     from paradox.witness import ParadoxWitness
 
     group = group_from_string(group_name)
@@ -1045,7 +1045,6 @@ class TestBudgetSlack:
         )
         from paradox.crossed import pi_witness
         from paradox.groups import ball, group_from_string
-        from paradox.sets import SetContext
 
         _quadrant_witness_cert(wit)
         z2 = group_from_string("zn:2")
@@ -1097,7 +1096,6 @@ class TestBudgetSlack:
         )
         from paradox.crossed import pi_witness
         from paradox.groups import group_from_string
-        from paradox.sets import SetContext
 
         wit, out = tmp_path / "witness.json", tmp_path / "cp.json"
         _free_witness_cert(wit)
