@@ -44,15 +44,6 @@ class CPElem(Record, fields="group terms"):
 
     __slots__ = ()
 
-    def support(self) -> tuple[Elem, ...]:
-        return tuple(t for t, _ in self.terms)
-
-    def coefficient(self, t: Elem) -> Coefficient:
-        for u, coeff in self.terms:
-            if u == t:
-                return coeff
-        return ()
-
 
 def _build(group: Group, raw: dict[Elem, list[tuple[Fraction, SetExpr]]]) -> CPElem:
     terms, shown = [], {}

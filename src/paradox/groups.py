@@ -27,7 +27,6 @@ class ParseError(ValueError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-        self.position = position
 
 
 class Record(tuple):
@@ -91,10 +90,6 @@ class IntVec(tuple):
 
     __slots__ = ()
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self
-
     def __repr__(self) -> str:
         return f"IntVec(coords={tuple(self)!r})"
 
@@ -128,7 +123,6 @@ _word = partial(tuple.__new__, FreeWord)
 _affine = partial(tuple.__new__, AffineElem)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-_LENGTH_CAP = 64  # word_length gives up beyond this many layers
 
 # Most points a ball may hold before it is enumerated: free:2 radius 10
 # (118,097 points) fits, and a bs12 ball is counted past it within a second.
@@ -247,17 +241,6 @@ class Group:
         self._grow_balls(radius)
         return [g for layer in self._balls.layers[: radius + 1] for g in layer]
 
-    def word_length(self, g: Elem) -> int:
-        """Exact word length with respect to the canonical generators;
-        GroupError once the ball it must search holds more than
-        BALL_SIZE_CAP points, or past _LENGTH_CAP layers."""
-        self.check(g)
-        for r in range(_LENGTH_CAP + 1):
-            self._grow_balls(r)
-            if g in self._balls.index:
-                return self._balls.index[g]
-        raise GroupError(f"word length of {self.show(g)} exceeds cap {_LENGTH_CAP}")
-
     def _ball_test(self, radius: int):
         """A test of word length <= radius for checked elements; here it reads
         the element's layer from the enumerated ball."""
@@ -334,9 +317,6 @@ class FreeGroup(Group):
     def sort_key(self, g: FreeWord):
         return (len(g), g)
 
-    def word_length(self, g: Elem) -> int:
-        return len(self.check(g))
-
     def _ball_test(self, radius: int):
         return lambda g: len(g) <= radius
 
@@ -358,8 +338,11 @@ class FreeGroup(Group):
         return " ".join(map(self._names.__getitem__, g))
 
     def parse(self, text: str) -> FreeWord:
+        tokens = text.split()
+        if not tokens:
+            raise ParseError(f"expected a word or 'e', got {text!r}")
         codes: list[int] = []
-        for pos, token in enumerate(text.split()):
+        for pos, token in enumerate(tokens):
             code = self._codes.get(token)
             if code is None:
                 if token == "e":
@@ -417,9 +400,6 @@ class LatticeGroup(Group):
         # the code after it is larger
         return (sum(map(abs, g)), tuple(
             (2 * i if v > 0 else 2 * i + 1, -abs(v)) for i, v in enumerate(g) if v))
-
-    def word_length(self, g: Elem) -> int:
-        return sum(map(abs, self.check(g)))
 
     def _ball_test(self, radius: int):
         return lambda g: sum(map(abs, g)) <= radius

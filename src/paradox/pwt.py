@@ -9,7 +9,6 @@ from .groups import Elem, Group, Record
 from .sets import (
     Intersect,
     SetContext,
-    SetExpr,
     predicate,
     translate,
 )
@@ -28,10 +27,6 @@ class PwT(Record, fields="domain pieces displacement"):
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def single(domain: SetExpr, t: Elem) -> "PwT":
-        return PwT(domain, ((domain, t),), (t,))
 
 
 def pwt_apply(p: PwT, g: Elem, ctx: SetContext) -> Elem:

@@ -363,14 +363,22 @@ def _enumeration_test(expr: SemigroupSet, ctx: SetContext):
     return test
 
 
-def _lattice_halfspace(expr: SemigroupSet, group: Group) -> tuple[int, ...] | None:
-    """A {-1,0,1}-functional that is >= 1 on every generator, if the group is
-    a lattice and one exists: its value at g bounds the length of any
-    positive word equal to g."""
+def _lattice_halfspace(expr: SemigroupSet, group: Group) -> list[int] | None:
+    """The lexicographically first {-1,0,1}-functional that is >= 1 on every
+    generator, if the group is a lattice and one exists: its value at g bounds
+    the length of any positive word equal to g.  It is -1 on each coordinate
+    no generator uses, so only the k used ones are searched; None, for no
+    bound, when their 3^k functionals are more than BALL_SIZE_CAP."""
     if not isinstance(group, LatticeGroup):
         return None
-    for h in itertools.product((-1, 0, 1), repeat=group.dim):
-        if any(h) and all(sum(map(mul, h, gen)) >= 1 for gen in expr.gens):
+    used = [i for i in range(group.dim) if any(gen[i] for gen in expr.gens)]
+    if 3 ** len(used) > BALL_SIZE_CAP:
+        return None
+    h = [-1] * group.dim
+    for values in itertools.product((-1, 0, 1), repeat=len(used)):
+        for i, v in zip(used, values):
+            h[i] = v
+        if all(sum(map(mul, h, gen)) >= 1 for gen in expr.gens):
             return h
     return None
 

@@ -635,6 +635,30 @@ class TestLatticeDimensionCap:
         )
 
 
+def _unit(d, i, sign=1):
+    """The text of sign * e_i in zn:d."""
+    return "(" + ",".join(str(sign) if j == i else "0" for j in range(d)) + ")"
+
+
+class TestHalfSpaceSearch:
+    """A lattice semigroup's half-space bound is searched over the coordinates
+    its generators use, and not at all past BALL_SIZE_CAP functionals.  Over
+    all of {-1,0,1}^d, ±e1 in zn:14 took 13.6 s and zn:26 did not end."""
+
+    @pytest.mark.parametrize("gens", [
+        [_unit(26, 0), _unit(26, 0, -1)],
+        [_unit(26, i) for i in range(26)] + ["(" + ",".join(["-1"] * 26) + ")"],
+    ], ids=["plus-minus-e1", "units-and-minus-ones"])
+    def test_zn26_exits_1(self, capsys, gens):
+        started = time.perf_counter()
+        assert run(["check", "--group", "zn:26", "--set",
+                    f"semigroup({','.join(gens)})", "--translators", _unit(26, 0),
+                    "--window", "2", "--quiet"]) == 1
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and UNDECIDED_AT_CAP in err
+
+
 class TestGreedyCap:
     """`greedy(N)` and `small-set --count` take at most 200 elements, so that
     neither a flag nor a certificate field asks for unbounded greedy work."""
@@ -801,6 +825,30 @@ class TestMalformedInput:
         assert run(["verify", str(path)]) == 3
         assert capsys.readouterr().err.startswith(
             "verification failed: payload does not parse or replay: "
+        )
+
+
+class TestEmptyFreeWord:
+    """A free-group element's text must hold a token: "" once read as e, so a
+    match resealed with "" in place of e passed `verify`."""
+
+    def test_verify_of_a_resealed_match_exits_3(self, tmp_path, capsys):
+        base = tmp_path / "match.json"
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "1", "--out", str(base), "--quiet"]) == 0
+
+        def blank_e(cert):
+            blank = lambda t: "" if t == "e" else t
+            cert["translators"] = list(map(blank, cert["translators"]))
+            cert["assignment"] = [[p, *map(blank, rest)]
+                                  for p, *rest in cert["assignment"]]
+
+        path = _edited(base, blank_e, tmp_path / "blank.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: "
+            "expected a word or 'e', got ''\n"
         )
 
 

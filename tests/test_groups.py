@@ -10,7 +10,6 @@ from paradox.dyadic import parse_dyadic, show_dyadic
 from paradox.groups import (
     BALL_SIZE_CAP,
     AffineElem,
-    DyadicAffineGroup,
     FreeWord,
     GroupError,
     IntVec,
@@ -132,7 +131,7 @@ class TestRepresentation:
 
     def test_fields(self):
         assert F2.parse("a b^-1").letters == (1, -2)
-        assert IntVec((3, -4)).coords == (3, -4)
+        assert tuple(IntVec((3, -4))) == (3, -4)
         g = BS.parse("(1/2,3/4)")
         assert (g.a_exp, g.num, g.exp) == (-1, 3, 2)
 
@@ -210,18 +209,6 @@ class TestBall:
             with pytest.raises(GroupError, match="more points than the cap"):
                 group.ball_elements(radius)
 
-
-    def test_word_length_search_is_capped(self):
-        # (1,1/2^12) has a short text but a long word: the generic search
-        # grows the ball under BALL_SIZE_CAP instead of until killed.  A
-        # fresh bs12 keeps the shared group's ball small.
-        bs = DyadicAffineGroup()
-        assert bs.word_length(bs.parse("(1,1/2)")) == 3
-        started = time.perf_counter()
-        with pytest.raises(GroupError, match="more points than the cap"):
-            bs.word_length(bs.parse("(1,1/2^12)"))
-        assert time.perf_counter() - started < 5.0
-
     @pytest.mark.parametrize("spec", ["free:2", "zn:2", "bs12"])
     def test_enumeration_follows_the_ball_layers(self, spec):
         group = group_from_string(spec)
@@ -287,6 +274,11 @@ class TestParse:
         assert len(w.letters) == length
         assert set(w.letters) <= {1}
 
+    @pytest.mark.parametrize("text", ["", "   "], ids=["empty", "blank"])
+    def test_free_text_without_a_token_raises(self, text):
+        with pytest.raises(ParseError, match="expected a word or 'e'"):
+            F2.parse(text)
+
     def test_parse_errors_carry_position(self):
         with pytest.raises(ParseError):
             F2.parse("a q")
@@ -319,16 +311,6 @@ class TestGroupAxioms:
         for g in group.ball_elements(2):
             assert group.mul(g, e) == g
             assert group.mul(e, g) == g
-
-    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.key)
-    def test_word_length_subadditive(self, group):
-        rng = random.Random(11)
-        elems = group.ball_elements(3)
-        for _ in range(100):
-            g, h = rng.choice(elems), rng.choice(elems)
-            assert group.word_length(group.mul(g, h)) <= group.word_length(
-                g
-            ) + group.word_length(h)
 
     def test_affine_exactness_under_products(self):
         rng = random.Random(3)
@@ -371,9 +353,10 @@ class TestGroupAxioms:
             right = undo[: rng.randint(0, len(undo))] + [
                 rng.choice(letters) for _ in range(rng.randint(0, 8))
             ]
-            g, h = F2.parse(" ".join(left)), F2.parse(" ".join(right))
+            # a leading "e" keeps an empty word's text from being empty
+            g, h = F2.parse(" ".join(["e", *left])), F2.parse(" ".join(["e", *right]))
             # the parser reduces the concatenated text on its own stack
-            expected = F2.parse(" ".join(left + right))
+            expected = F2.parse(" ".join(["e", *left, *right]))
             assert F2._mul(g, h) == F2.mul(g, h) == expected
 
     def test_generators_symmetric(self):

@@ -136,7 +136,7 @@ class TestContainsByDefinition:
 
     def test_coordinate_members(self):
         for g in Z2.ball_elements(4):
-            assert FIRST_COORD.contains(g) == (g.coords[1] == 0)
+            assert FIRST_COORD.contains(g) == (g[1] == 0)
 
     def test_affine_kernel_members(self):
         for g in BS.ball_elements(4):

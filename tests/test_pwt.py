@@ -24,8 +24,8 @@ Z1 = group_from_string("zn:1")
 S_GEN = BS.parse("(2,0)")
 T_GEN = BS.parse("(2,1)")
 SEMI = SemigroupSet((S_GEN, T_GEN), True)
-SIGMA_PLUS = PwT.single(SEMI, S_GEN)
-SIGMA_MINUS = PwT.single(SEMI, T_GEN)
+SIGMA_PLUS = PwT(SEMI, ((SEMI, S_GEN),), (S_GEN,))
+SIGMA_MINUS = PwT(SEMI, ((SEMI, T_GEN),), (T_GEN,))
 
 
 def semigroup_window(depth):
@@ -42,7 +42,8 @@ class TestApply:
         assert BS.show(pwt_apply(SIGMA_PLUS, BS.parse("(2,1)"), ctx)) == "(4,2)"
 
     def test_identity_map(self):
-        ident = PwT.single(AllSet(), Z1.identity())
+        e = Z1.identity()
+        ident = PwT(AllSet(), ((AllSet(), e),), (e,))
         ctx = SetContext(Z1)
         g = IntVec((5,))
         assert pwt_apply(ident, g, ctx) == g
@@ -71,7 +72,8 @@ class TestApply:
 class TestCompose:
     def test_compose_with_identity(self):
         ctx = SetContext(BS)
-        ident = PwT.single(SEMI, BS.identity())
+        e = BS.identity()
+        ident = PwT(SEMI, ((SEMI, e),), (e,))
         comp = pwt_compose(SIGMA_PLUS, ident, BS)
         window = semigroup_window(3)
         for g in materialize(SEMI, window, ctx):

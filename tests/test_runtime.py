@@ -225,15 +225,21 @@ CHECKED_ENTRY_POINTS = {
 }
 
 
-def test_every_public_function_has_a_caller():
-    """A public top-level function is named elsewhere in the package, by an
-    acceptance criterion or by the golden generator, or is a checked entry
-    point; so code that only its own tests call cannot build up unnoticed."""
+def _outside_callers():
+    """Syntax trees of the acceptance suite and the golden generator, the
+    callers outside the package that keep a public name alive."""
     from test_golden import GENERATE
 
     with open(os.path.join(os.path.dirname(__file__), "test_acceptance.py"),
               encoding="utf-8") as fh:
-        outside = _names_used([ast.parse(fh.read()), ast.parse(GENERATE)])
+        return [ast.parse(fh.read()), ast.parse(GENERATE)]
+
+
+def test_every_public_function_has_a_caller():
+    """A public top-level function is named elsewhere in the package, by an
+    acceptance criterion or by the golden generator, or is a checked entry
+    point; so code that only its own tests call cannot build up unnoticed."""
+    outside = _names_used(_outside_callers())
     modules = dict(_package_modules())
     uncalled = []
     for filename, tree in modules.items():
@@ -247,6 +253,31 @@ def test_every_public_function_has_a_caller():
             if node.name not in named | _names_used(
                     other for other in tree.body if other is not node):
                 uncalled.append(f"{filename}:{node.lineno} {node.name}")
+    assert uncalled == []
+
+
+# Called by argparse, which reports a bad argument through its parser's `error`.
+LIBRARY_HOOKS = {("cli.py", "_Parser", "error")}
+
+
+def test_every_public_method_has_a_caller():
+    """A public method, property or static method of a package class is read
+    as an attribute (`x.name`) in the package, by an acceptance criterion or
+    by the golden generator, or is a library hook; so a member that only its
+    own tests read cannot build up unnoticed."""
+    modules = dict(_package_modules())
+    read = {node.attr for tree in [*_outside_callers(), *modules.values()]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    uncalled = []
+    for filename, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in read
+                        and (filename, cls.name, node.name) not in LIBRARY_HOOKS):
+                    uncalled.append(f"{filename}:{node.lineno} {cls.name}.{node.name}")
     assert uncalled == []
 
 

@@ -1,8 +1,10 @@
 import gzip
+import itertools
 import json
 import os
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -40,7 +42,7 @@ from paradox.sets import (
     show_setexpr,
     translate,
 )
-from paradox.sets import _semigroup_words
+from paradox.sets import _lattice_halfspace, _semigroup_words
 from helpers import brute_positive_words
 
 BS = group_from_string("bs12")
@@ -178,6 +180,30 @@ class TestMember:
         assert member(semi, IntVec((0, 488)), ctx) is True
         assert member(semi, IntVec((-1, 489)), ctx) is False
         assert len(_semigroup_words(semi, ctx).layers) == 490
+
+    def test_halfspace_is_the_first_of_all_functionals(self):
+        # searching only the coordinates the generators use finds the first
+        # functional of {-1,0,1}^d in lexicographic order, -1 elsewhere
+        rng = random.Random(24)
+        for _ in range(300):
+            group = group_from_string(f"zn:{rng.randint(1, 5)}")
+            live = rng.sample(range(group.dim), rng.randint(1, group.dim))
+            gens = tuple(
+                IntVec(rng.randint(-2, 2) if i in live else 0 for i in range(group.dim))
+                for _ in range(rng.randint(1, 3)))
+            first = next((list(h) for h in itertools.product((-1, 0, 1),
+                                                             repeat=group.dim)
+                          if all(sum(map(mul, h, g)) >= 1 for g in gens)), None)
+            assert _lattice_halfspace(SemigroupSet(gens, False), group) == first
+
+    def test_halfspace_search_is_capped(self):
+        # none is sought once the used coordinates have over BALL_SIZE_CAP
+        # (3^k) functionals
+        z26 = group_from_string("zn:26")
+        units = z26.generators()[::2]
+        assert _lattice_halfspace(SemigroupSet(units[:10], False), z26) == (
+            [1] * 10 + [-1] * 16)
+        assert _lattice_halfspace(SemigroupSet(units[:11], False), z26) is None
 
     @pytest.mark.parametrize("group, text", [
         (Z2, "semigroup((1,0),(-1,0),(0,1))"),
@@ -431,7 +457,7 @@ def _reference(expr, points, group):
     if isinstance(expr, FiniteSet):
         return points & set(expr.elems)
     if isinstance(expr, BallSet):
-        return {p for p in points if group.word_length(p) <= expr.radius}
+        return points & set(group.ball_elements(expr.radius))
     if isinstance(expr, Translate):
         moved = {p: group.mul(group.inv(expr.t), p) for p in points}
         inside = _reference(expr.inner, moved.values(), group)
