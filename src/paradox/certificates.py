@@ -15,7 +15,7 @@ if TYPE_CHECKING:
     # annotations only: the verifier loads no solver, and the witness and
     # crossed-product modules only for certificates of those kinds
     from .crossed import CPElem, PIWitness
-    from .engine import DeficiencyCert, FlowCert, FlowDeficiency, MatchCert
+    from .engine import TransportCert, ViolatorCert
     from .witness import ParadoxWitness
 
 SCHEMA = "paradox-cert/v1"
@@ -121,27 +121,51 @@ def _point_texts(window: Window) -> dict:
     return dict(zip(window.elements, window.texts()))
 
 
-def match_fields(cert: MatchCert) -> dict:
-    group = cert.window.group
-    out = _base("match", cert.window)
-    out["set"] = show_setexpr(cert.set_expr, group)
+def transport_fields(kind: str, cert: TransportCert | ViolatorCert) -> dict:
+    """The fields of a transport certificate of the given kind.  A `match` or
+    a `deficiency` states a doubling, m = 2, n = 1 and B = A, by its one
+    `set`, with `[x, s1, s2]` rows; a `flow` or a `flow-deficiency` states
+    m, A, n and B, with `[x, [its m translators]]` rows."""
+    window = cert.window
+    group = window.group
+    out = _base(kind, window)
+    if kind in ("match", "deficiency"):
+        out["set"] = show_setexpr(cert.set_a, group)
+    else:
+        out["copies"] = cert.copies
+        out["capacity"] = cert.capacity
+        out["setA"] = show_setexpr(cert.set_a, group)
+        out["setB"] = show_setexpr(cert.set_b, group)
     names = {s: group.show(s) for s in cert.translators}
     out["translators"] = [names[s] for s in cert.translators]
-    shown = _point_texts(cert.window)
-    out["assignment"] = [
-        [shown[x], names[s1], names[s2]] for x, s1, s2 in cert.assignment
-    ]
+    shown = _point_texts(window)
+    if kind.endswith("deficiency"):
+        out["violator"] = [shown[x] for x in cert.violator]
+    elif kind == "match":
+        out["assignment"] = [
+            [shown[x], names[s1], names[s2]] for x, (s1, s2) in cert.assignment
+        ]
+    else:
+        out["assignment"] = [
+            [shown[x], [names[s] for s in used]] for x, used in cert.assignment
+        ]
     return out
 
 
-def deficiency_fields(cert: DeficiencyCert) -> dict:
-    group = cert.window.group
-    out = _base("deficiency", cert.window)
-    out["set"] = show_setexpr(cert.set_expr, group)
-    out["translators"] = [group.show(s) for s in cert.translators]
-    shown = _point_texts(cert.window)
-    out["violator"] = [shown[x] for x in cert.violator]
-    return out
+def transport_sets(cert: dict, group: Group) -> tuple:
+    """(m, A, n, B) of a transport certificate: m copies of every point of A
+    go to targets in B, each target taking at most n.  A doubling (match or
+    deficiency) is the case m = 2, n = 1, A = B of a flow.  ValueError when
+    m or n is below 1, which `type-order` refuses too."""
+    if cert["kind"] in ("match", "deficiency"):
+        expr = parse_setexpr(cert["set"], group)
+        return 2, expr, 1, expr
+    copies = json_int(cert["copies"], "copies")
+    capacity = json_int(cert["capacity"], "capacity")
+    if copies < 1 or capacity < 1:
+        raise ValueError("copies and capacity must be >= 1")
+    return (copies, parse_setexpr(cert["setA"], group),
+            capacity, parse_setexpr(cert["setB"], group))
 
 
 def witness_fields(w: ParadoxWitness, window: Window) -> dict:
@@ -165,35 +189,6 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
     )
     split = json_int(data["split"], "split")
     return ParadoxWitness(parse_setexpr(data["set"], group), parts, split)
-
-
-def flow_fields(cert: FlowCert) -> dict:
-    group = cert.window.group
-    out = _base("flow", cert.window)
-    out["copies"] = cert.copies
-    out["capacity"] = cert.capacity
-    out["setA"] = show_setexpr(cert.set_a, group)
-    out["setB"] = show_setexpr(cert.set_b, group)
-    names = {s: group.show(s) for s in cert.translators}
-    out["translators"] = [names[s] for s in cert.translators]
-    shown = _point_texts(cert.window)
-    out["assignment"] = [
-        [shown[x], [names[s] for s in used]] for x, used in cert.assignment
-    ]
-    return out
-
-
-def flow_deficiency_fields(cert: FlowDeficiency) -> dict:
-    group = cert.window.group
-    out = _base("flow-deficiency", cert.window)
-    out["copies"] = cert.copies
-    out["capacity"] = cert.capacity
-    out["setA"] = show_setexpr(cert.set_a, group)
-    out["setB"] = show_setexpr(cert.set_b, group)
-    out["translators"] = [group.show(s) for s in cert.translators]
-    shown = _point_texts(cert.window)
-    out["violator"] = [shown[x] for x in cert.violator]
-    return out
 
 
 def point_reader(window: Window):

@@ -138,15 +138,15 @@ def build_parser() -> _Parser:
 
 def cmd_check(args) -> int:
     from . import certificates as certs
-    from .engine import MatchCert, doubling_matching, witness_from_matching
+    from .engine import TransportCert, doubling_matching, witness_from_matching
 
     group = group_from_string(args.group)
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
     result = doubling_matching(expr, translators, window, SetContext(group))
-    if isinstance(result, MatchCert):
-        _emit(args, certs.match_fields(result))
+    if isinstance(result, TransportCert):
+        _emit(args, certs.transport_fields("match", result))
         if args.witness_out:
             w = witness_from_matching(result)
             certs.write_text(
@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
             _say(args, f"wrote {args.witness_out}")
         _say(args, f"match: doubled {len(result.assignment)} window points")
         return EXIT_OK
-    _emit(args, certs.deficiency_fields(result))
+    _emit(args, certs.transport_fields("deficiency", result))
     _say(args, f"deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 
@@ -187,7 +187,7 @@ def _witness_from_any_cert(path: str):
     the context it was checked in, and whether it has passed `witness_check`
     there already."""
     from . import certificates as certs
-    from .engine import MatchCert, symbolic_witness_from_matching, witness_from_matching
+    from .engine import TransportCert, symbolic_witness_from_matching, witness_from_matching
     from .verifier import read_envelope
     from .witness import witness_check
 
@@ -203,14 +203,12 @@ def _witness_from_any_cert(path: str):
         # the rows are read as `verify` reads them
         translators = certs.json_list(data["translators"], "translators")
         point = certs.point_reader(window)
-        match = MatchCert(
-            parse_setexpr(data["set"], group),
+        match = TransportCert(
+            *certs.transport_sets(data, group),
             tuple(map(group.parse, translators)),
             window,
-            tuple(
-                (point(x), group.parse(s1), group.parse(s2))
-                for x, (s1, s2) in certs.assignment_rows(data)
-            ),
+            tuple((point(x), tuple(map(group.parse, used)))
+                  for x, used in certs.assignment_rows(data)),
         )
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
@@ -284,7 +282,7 @@ def cmd_cp_witness(args) -> int:
 
 def cmd_type_order(args) -> int:
     from . import certificates as certs
-    from .engine import FlowCert, type_order
+    from .engine import TransportCert, type_order
 
     group = group_from_string(args.group)
     set_a = parse_setexpr(args.set_a, group)
@@ -295,11 +293,11 @@ def cmd_type_order(args) -> int:
         args.copies, set_a, args.capacity, set_b, translators, window,
         SetContext(group),
     )
-    if isinstance(result, FlowCert):
-        _emit(args, certs.flow_fields(result))
+    if isinstance(result, TransportCert):
+        _emit(args, certs.transport_fields("flow", result))
         _say(args, "flow: comparison holds on this window")
         return EXIT_OK
-    _emit(args, certs.flow_deficiency_fields(result))
+    _emit(args, certs.transport_fields("flow-deficiency", result))
     _say(args, f"flow deficiency: violator of size {len(result.violator)}")
     return EXIT_DUAL
 

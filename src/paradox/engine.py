@@ -1,6 +1,9 @@
-"""Window-exact doubling decisions: either a two-fold matching of a set into
-itself with displacements from a fixed translator set, or a finite Hall-style
-obstruction.  Also the capacitated generalisation m[A] <= n[B] via max-flow.
+"""Window-exact transport decisions m[A] <= n[B]: either an assignment
+sending m copies of every window point of A into B, each target taking at
+most n, with displacements from a fixed translator set, or a finite
+Hall-style violator.  A doubling of A is the case m = 2, n = 1, B = A, which
+`doubling_matching` decides by bipartite matching; `type_order` decides any
+m and n by max-flow.  Both return the same two records.
 """
 
 from __future__ import annotations
@@ -12,15 +15,17 @@ from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
 
 
-class MatchCert(Record, fields="set_expr translators window assignment"):
-    """For each window point x of the set, two translators whose images are
-    globally pairwise distinct and stay inside the set: the assignment
-    holds (x, s1, s2)."""
+class TransportCert(Record, fields="copies set_a capacity set_b translators window "
+                    "assignment"):
+    """Integral assignment sending m = copies copies of every window point
+    of set_a into set_b with at most n = capacity arrivals per target: the
+    assignment holds (x, its m translators)."""
 
 
-class DeficiencyCert(Record, fields="set_expr translators window violator"):
-    """A finite violator D inside the window with |S.D intersect A| < 2|D|:
-    no doubling matching can exist for this translator set."""
+class ViolatorCert(Record, fields="copies set_a capacity set_b translators window "
+                   "violator"):
+    """A finite D inside the window with m|D| > n|S.D intersect B|: no
+    assignment can exist for this translator set."""
 
 
 def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
@@ -63,8 +68,9 @@ def doubling_matching(
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
     ctx: SetContext,
-) -> MatchCert | DeficiencyCert:
-    """Decide two-into-one window doubling for the given translator set.
+) -> TransportCert | ViolatorCert:
+    """Decide two-into-one window doubling, 2[a] <= 1[a], for the given
+    translator set.
 
     Fast path: when the full window slice already violates the counting bound
     (fewer than twice as many reachable targets as sources), it is emitted as
@@ -75,26 +81,26 @@ def doubling_matching(
     s_list, points, images, moves, n_images = _transport(
         a, a, translators, window, ctx)
     if n_images < 2 * len(points):
-        return DeficiencyCert(a, s_list, window, points)
+        return ViolatorCert(2, a, 1, a, s_list, window, points)
 
     adjacency = []
     for ids in images:
         adjacency += (ids, ids)  # both copies of a point share its id list
     pair_left, _, reached = max_matching(range(len(adjacency)), adjacency, n_images)
     if -1 not in pair_left:
-        assignment = []
+        assignment, pairs = [], {}  # equal translator pairs are one tuple
         for i, (x, ids, ks) in enumerate(zip(points, images, moves)):
-            s1 = s_list[ks[ids.index(pair_left[2 * i])]]
-            s2 = s_list[ks[ids.index(pair_left[2 * i + 1])]]
-            assignment.append((x, s1, s2))
-        return MatchCert(a, s_list, window, tuple(assignment))
+            used = (s_list[ks[ids.index(pair_left[2 * i])]],
+                    s_list[ks[ids.index(pair_left[2 * i + 1])]])
+            assignment.append((x, pairs.setdefault(used, used)))
+        return TransportCert(2, a, 1, a, s_list, window, tuple(assignment))
     violator = [
         x for i, x in enumerate(points) if 2 * i in reached or 2 * i + 1 in reached
     ]
-    return DeficiencyCert(a, s_list, window, tuple(violator))
+    return ViolatorCert(2, a, 1, a, s_list, window, tuple(violator))
 
 
-def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
+def witness_from_matching(cert: TransportCert) -> ParadoxWitness:
     """Regroup a doubling matching by translator into a window-scoped witness:
     pieces are the translated blocks, translators their inverses."""
     group = cert.window.group
@@ -102,48 +108,30 @@ def witness_from_matching(cert: MatchCert) -> ParadoxWitness:
     split = 0
     for copy in (0, 1):
         for s in cert.translators:
-            block = [
-                group.mul(s, x)
-                for (x, s1, s2) in cert.assignment
-                if (s1 if copy == 0 else s2) == s
-            ]
+            block = [group.mul(s, x) for x, used in cert.assignment if used[copy] == s]
             if block:
                 parts.append((FiniteSet(tuple(block)), group.inv(s)))
                 if copy == 0:
                     split += 1
-    return ParadoxWitness(cert.set_expr, tuple(parts), split)
+    return ParadoxWitness(cert.set_a, tuple(parts), split)
 
 
-def symbolic_witness_from_matching(cert: MatchCert) -> ParadoxWitness | None:
+def symbolic_witness_from_matching(cert: TransportCert) -> ParadoxWitness | None:
     """When both copies use a single constant translator, lift the witness to
     symbolic pieces s*A and t*A; callers must re-validate with witness_check.
     Returns None when the matching has no constant-translator structure."""
     from .sets import translate as _translate
 
     group = cert.window.group
-    firsts = {s1 for _, s1, _ in cert.assignment}
-    seconds = {s2 for _, _, s2 in cert.assignment}
-    if len(firsts) != 1 or len(seconds) != 1:
+    pairs = {used for _, used in cert.assignment}
+    if len(pairs) != 1:
         return None
-    s = next(iter(firsts))
-    t = next(iter(seconds))
+    [(s, t)] = pairs
     parts = (
-        (_translate(s, cert.set_expr, group), group.inv(s)),
-        (_translate(t, cert.set_expr, group), group.inv(t)),
+        (_translate(s, cert.set_a, group), group.inv(s)),
+        (_translate(t, cert.set_a, group), group.inv(t)),
     )
-    return ParadoxWitness(cert.set_expr, parts, 1)
-
-
-class FlowCert(Record, fields="copies set_a capacity set_b translators window "
-               "assignment"):
-    """Integral assignment sending m = copies copies of every window point
-    of set_a into set_b with at most n = capacity arrivals per target: the
-    assignment holds (x, its m translators)."""
-
-
-class FlowDeficiency(Record, fields="copies set_a capacity set_b translators "
-                     "window violator"):
-    """Finite D with m|D| > n|S.D intersect B|, refuting the comparison."""
+    return ParadoxWitness(cert.set_a, parts, 1)
 
 
 def type_order(
@@ -154,7 +142,7 @@ def type_order(
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
     ctx: SetContext,
-) -> FlowCert | FlowDeficiency:
+) -> TransportCert | ViolatorCert:
     """Decide whether m copies of a's window slice inject into b with
     multiplicity at most n, displacements drawn from the translator set."""
     if copies < 1 or capacity < 1:
@@ -185,6 +173,6 @@ def type_order(
             for eid, k in zip(mid_edges[i], moves[i]):
                 used.extend([s_list[k]] * net.flow_on(eid))
             assignment.append((x, tuple(used)))
-        return FlowCert(copies, a, capacity, b, s_list, window, tuple(assignment))
+        return TransportCert(copies, a, capacity, b, s_list, window, tuple(assignment))
     violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]
-    return FlowDeficiency(copies, a, capacity, b, s_list, window, tuple(violator))
+    return ViolatorCert(copies, a, capacity, b, s_list, window, tuple(violator))

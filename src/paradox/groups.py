@@ -591,15 +591,6 @@ class Window:
             self._texts = tuple(map(self.group.show, self.elements))
         return self._texts
 
-    def _value(self) -> tuple:
-        return (self.group, self.radius, self.elements, self.kind)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Window and self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -14,12 +14,13 @@ from .certificates import (
     json_list,
     pi_witness_from_cert,
     point_reader,
+    transport_sets,
     window_digest,
     window_from_descriptor,
     witness_from_cert,
 )
 from .groups import PRODUCT_CAP, Record, Window, group_from_string
-from .sets import BudgetError, SetContext, materialize, parse_setexpr, predicate
+from .sets import BudgetError, SetContext, materialize, predicate
 
 
 class CertificateFormatError(ValueError):
@@ -79,24 +80,9 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     return outcome
 
 
-def _transport(cert: dict, group):
-    """(m, A, n, B) of a transport fact: m copies of every point of A go to
-    targets in B, each target taking at most n.  A doubling (match or
-    deficiency) is the case m = 2, n = 1, A = B of a flow."""
-    if cert["kind"] in ("match", "deficiency"):
-        expr = parse_setexpr(cert["set"], group)
-        return 2, expr, 1, expr
-    return (
-        json_int(cert["copies"], "copies"),
-        parse_setexpr(cert["setA"], group),
-        json_int(cert["capacity"], "capacity"),
-        parse_setexpr(cert["setB"], group),
-    )
-
-
 def _verify_assignment(cert: dict, window, ctx) -> VerifyOutcome:
     group = window.group
-    copies, set_a, capacity, set_b = _transport(cert, group)
+    copies, set_a, capacity, set_b = transport_sets(cert, group)
     points = materialize(set_a, window, ctx)
     # Each declared text is parsed once; a row's text is looked up here first
     # and parsed only when it is spelled differently.
@@ -147,7 +133,7 @@ def _verify_assignment(cert: dict, window, ctx) -> VerifyOutcome:
 
 def _verify_violator(cert: dict, window, ctx) -> VerifyOutcome:
     group = window.group
-    copies, set_a, capacity, set_b = _transport(cert, group)
+    copies, set_a, capacity, set_b = transport_sets(cert, group)
     point_set = set(materialize(set_a, window, ctx))
     point = point_reader(window)
     violator = [point(x) for x in json_list(cert["violator"], "violator")]

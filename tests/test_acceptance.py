@@ -11,16 +11,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from paradox.certificates import (
-    deficiency_fields,
-    match_fields,
-    pi_witness_fields,
-)
+from paradox.certificates import pi_witness_fields, transport_fields
 from paradox.crossed import pi_witness, unitary, verify_pi_witness
 from paradox.embedding import build_embedding, check_injective_lipschitz
 from paradox.engine import (
-    DeficiencyCert,
-    MatchCert,
+    TransportCert,
+    ViolatorCert,
     doubling_matching,
     witness_from_matching,
 )
@@ -103,10 +99,10 @@ def test_criterion_02_matching_deficiency_duality():
     with criterion(2, "doubling duality on lattices and the free group"):
         started = time.perf_counter()
 
-        def run_and_verify(group, s_list, radius, to_fields):
+        def run_and_verify(group, s_list, radius, kind):
             window = ball(group, radius)
             result = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
-            assert verify_certificate(sealed(to_fields(result))).ok
+            assert verify_certificate(sealed(transport_fields(kind, result))).ok
             return result
 
         # Z: exhaustive over the 31 nonempty subsets of ball(2), radii 1..8
@@ -117,17 +113,17 @@ def test_criterion_02_matching_deficiency_duality():
                 result = doubling_matching(
                     AllSet(), s_list, window, SetContext(window.group)
                 )
-                if isinstance(result, DeficiencyCert):
-                    assert verify_certificate(sealed(deficiency_fields(result))).ok
+                if isinstance(result, ViolatorCert):
+                    assert verify_certificate(sealed(transport_fields("deficiency", result))).ok
                 else:
-                    assert verify_certificate(sealed(match_fields(result))).ok
+                    assert verify_certificate(sealed(transport_fields("match", result))).ok
                 if radius >= 2:
-                    assert isinstance(result, DeficiencyCert)
+                    assert isinstance(result, ViolatorCert)
                 else:
                     expected = doubling_exists_oracle(
                         Z1, list(window.elements), s_list, lambda img: True
                     )
-                    assert isinstance(result, MatchCert) is expected
+                    assert isinstance(result, TransportCert) is expected
 
         # Z^2, radii >= 5: counting refutes every subset of ball(2); check all
         # 8191 subsets exactly with bitmask unions, then re-run the engine on
@@ -158,8 +154,8 @@ def test_criterion_02_matching_deficiency_duality():
         for _ in range(80):
             s_list = rng.sample(gens2, rng.randint(1, 6))
             radius = rng.choice((5, 6, 7, 8))
-            result = run_and_verify(Z2, s_list, radius, deficiency_fields)
-            assert isinstance(result, DeficiencyCert)
+            result = run_and_verify(Z2, s_list, radius, "deficiency")
+            assert isinstance(result, ViolatorCert)
 
         # Z^2, radii 1..4: duality against the independent oracle
         for _ in range(60):
@@ -170,16 +166,14 @@ def test_criterion_02_matching_deficiency_duality():
             expected = doubling_exists_oracle(
                 Z2, list(window.elements), s_list, lambda img: True
             )
-            assert isinstance(result, MatchCert) is expected
-            to_fields = (
-                match_fields if isinstance(result, MatchCert) else deficiency_fields
-            )
-            assert verify_certificate(sealed(to_fields(result))).ok
+            assert isinstance(result, TransportCert) is expected
+            kind = "match" if isinstance(result, TransportCert) else "deficiency"
+            assert verify_certificate(sealed(transport_fields(kind, result))).ok
 
         # free group: ball(1) translators double every window up to radius 5
         for radius in range(1, 6):
-            result = run_and_verify(F2, F2.ball_elements(1), radius, match_fields)
-            assert isinstance(result, MatchCert)
+            result = run_and_verify(F2, F2.ball_elements(1), radius, "match")
+            assert isinstance(result, TransportCert)
 
         assert time.perf_counter() - started < 10.0
 
@@ -192,7 +186,7 @@ def slab_sweep(window_radius, max_s_radius=6):
     ctx = SetContext(window.group)
     for s_radius in range(1, max_s_radius + 1):
         result = doubling_matching(SLAB, BS.ball_elements(s_radius), window, ctx)
-        if isinstance(result, MatchCert):
+        if isinstance(result, TransportCert):
             return s_radius, result
     return None, None
 
@@ -203,7 +197,7 @@ def test_criterion_03_slab_paradoxicality():
         for window_radius in range(0, 6):
             s_radius, result = slab_sweep(window_radius)
             assert s_radius is not None, f"no translator ball up to 6 works at window {window_radius}"
-            assert verify_certificate(sealed(match_fields(result))).ok
+            assert verify_certificate(sealed(transport_fields("match", result))).ok
             found[window_radius] = s_radius
         print(f"  slab translator radii per window: {found}")
         assert max(found.values()) <= 6
@@ -372,29 +366,27 @@ def test_criterion_10_verifier_mutation_hardness():
         semi = SemigroupSet((S_GEN, T_GEN), True)
         ctx = SetContext(window.group)
         match = doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
-        pool.append(sealed(match_fields(match)))
+        pool.append(sealed(transport_fields("match", match)))
         z1_window = ball(Z1, 3)
         z1_ctx = SetContext(z1_window.group)
         pool.append(sealed(
-            deficiency_fields(
-                doubling_matching(AllSet(), Z1.ball_elements(1), z1_window, z1_ctx)
-            )
+            transport_fields("deficiency", doubling_matching(
+                AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
+            ))
         ))
-        from paradox.certificates import flow_deficiency_fields, flow_fields, witness_fields
+        from paradox.certificates import witness_fields
         from paradox.engine import type_order
 
         pool.append(sealed(witness_fields(witness_from_matching(match), window)))
         pool.append(sealed(
-            flow_fields(
-                type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
-            )
+            transport_fields("flow", type_order(
+                1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx
+            ))
         ))
         pool.append(sealed(
-            flow_deficiency_fields(
-                type_order(
-                    2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
-                )
-            )
+            transport_fields("flow-deficiency", type_order(
+                2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
+            ))
         ))
         pool.append(sealed(
             pi_witness_fields(

@@ -6,23 +6,18 @@ import pytest
 from paradox.certificates import (
     canonical_json,
     content_digest,
-    deficiency_fields,
-    flow_deficiency_fields,
-    flow_fields,
     load_certificate,
-    match_fields,
     pi_witness_fields,
     seal,
+    transport_fields,
     window_from_descriptor,
     witness_fields,
     write_text,
 )
 from paradox.crossed import pi_witness
 from paradox.engine import (
-    DeficiencyCert,
-    FlowCert,
-    FlowDeficiency,
-    MatchCert,
+    TransportCert,
+    ViolatorCert,
     doubling_matching,
     type_order,
     witness_from_matching,
@@ -50,22 +45,22 @@ def cert_pool():
     window = semigroup_window(BS, S_GEN, T_GEN, 3)
     ctx = SetContext(window.group)
     match = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
-    assert isinstance(match, MatchCert)
-    pool["match"] = sealed(match_fields(match))
+    assert isinstance(match, TransportCert)
+    pool["match"] = sealed(transport_fields("match", match))
 
     f2_window = ball(F2, 2)
     free_match = doubling_matching(
         AllSet(), F2.ball_elements(1), f2_window, SetContext(f2_window.group)
     )
-    pool["match-free"] = sealed(match_fields(free_match))
+    pool["match-free"] = sealed(transport_fields("match", free_match))
 
     z1_window = ball(Z1, 3)
     z1_ctx = SetContext(z1_window.group)
     deficiency = doubling_matching(
         AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window, z1_ctx
     )
-    assert isinstance(deficiency, DeficiencyCert)
-    pool["deficiency"] = sealed(deficiency_fields(deficiency))
+    assert isinstance(deficiency, ViolatorCert)
+    pool["deficiency"] = sealed(transport_fields("deficiency", deficiency))
 
     witness = witness_from_matching(match)
     pool["witness"] = sealed(witness_fields(witness, window))
@@ -75,15 +70,15 @@ def cert_pool():
     pool["witness-symbolic"] = sealed(witness_fields(symbolic, symbolic_window))
 
     flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
-    assert isinstance(flow, FlowCert)
-    pool["flow"] = sealed(flow_fields(flow))
+    assert isinstance(flow, TransportCert)
+    pool["flow"] = sealed(transport_fields("flow", flow))
 
     flow_def = type_order(
         2, AllSet(), 1, AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))],
         z1_window, z1_ctx,
     )
-    assert isinstance(flow_def, FlowDeficiency)
-    pool["flow-deficiency"] = sealed(flow_deficiency_fields(flow_def))
+    assert isinstance(flow_def, ViolatorCert)
+    pool["flow-deficiency"] = sealed(transport_fields("flow-deficiency", flow_def))
 
     pw = pi_witness(witness, BS)
     pool["cp-witness"] = sealed(pi_witness_fields(pw, window))
@@ -109,8 +104,10 @@ class TestRoundTrip:
     def test_serialisation_is_deterministic(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         ctx = SetContext(window.group)
-        a = seal(match_fields(doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)))
-        b = seal(match_fields(doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx)))
+        a = seal(transport_fields(
+            "match", doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)))
+        b = seal(transport_fields(
+            "match", doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx)))
         assert a == b
 
     def test_writes_the_schema_budget_slack(self):
@@ -118,7 +115,7 @@ class TestRoundTrip:
         # answer depends on it
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         match = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(BS))
-        cert = sealed(match_fields(match))
+        cert = sealed(transport_fields("match", match))
         assert cert["budgetSlack"] == 4
         assert verify_certificate(cert).ok
         # the context rides on the result but is not part of its value
@@ -215,3 +212,22 @@ class TestDoublingIsFlow:
         as_def, as_flow = _verdicts(deficiency, flow)
         assert not as_def.ok and not as_flow.ok
         assert as_def.message == as_flow.message
+
+    @pytest.mark.parametrize("group, radius", [(Z1, 2), (F2, 2)], ids=["zn1", "free2"])
+    def test_either_decider_writes_either_layout(self, group, radius):
+        """Both deciders return one record per outcome, and a result of
+        either is written as a doubling or as a flow."""
+        window = ball(group, radius)
+        ctx = SetContext(window.group)
+        translators = group.ball_elements(1)
+        results = (doubling_matching(AllSet(), translators, window, ctx),
+                   type_order(2, AllSet(), 1, AllSet(), translators, window, ctx))
+        assert type(results[0]) is type(results[1])
+        kinds = (("match", "flow") if isinstance(results[0], TransportCert)
+                 else ("deficiency", "flow-deficiency"))
+        for result in results:
+            for kind in kinds:
+                cert = sealed(transport_fields(kind, result))
+                assert cert["kind"] == kind
+                outcome = verify_certificate(cert)
+                assert outcome.ok, f"{kind}: {outcome.message}"

@@ -223,7 +223,7 @@ class TestVerify:
 
     def test_window_elements_must_be_a_json_array(self, tmp_path, capsys):
         # "eab" iterated letter by letter reads as the window e, a, b again
-        from paradox.certificates import deficiency_fields, seal, write_text
+        from paradox.certificates import seal, transport_fields, write_text
         from paradox.engine import doubling_matching
         from paradox.groups import explicit_window, group_from_string
         from paradox.sets import AllSet, SetContext
@@ -233,7 +233,7 @@ class TestVerify:
         result = doubling_matching(AllSet(), [f2.parse("a")], window,
                                    SetContext(window.group))
         base = tmp_path / "deficiency.json"
-        write_text(seal(deficiency_fields(result)), str(base))
+        write_text(seal(transport_fields("deficiency", result)), str(base))
         assert run(["verify", str(base), "--quiet"]) == 0
         path = _edited(base, lambda c: c["window"].update(elements="eab"),
                        tmp_path / "edited.json")
@@ -849,6 +849,36 @@ class TestEmptyFreeWord:
         assert capsys.readouterr().err == (
             "verification failed: payload does not parse or replay: "
             "expected a word or 'e', got ''\n"
+        )
+
+
+class TestCopiesAndCapacity:
+    """`verify` refuses a transport fact with m or n below 1, as `type-order`
+    does: a flow with no copies and no capacity, and a deficiency whose
+    negative capacity makes m|D| > n|targets| hold for any violator, once
+    passed."""
+
+    @pytest.mark.parametrize("m, n, code, copies, capacity", [
+        ("1", "1", 0, 0, 0),
+        ("2", "1", 2, 1, -1),
+    ], ids=["flow", "flow-deficiency"])
+    def test_verify_exits_3(self, tmp_path, capsys, m, n, code, copies, capacity):
+        base = tmp_path / "flow.json"
+        assert run(["type-order", "--group", "zn:1", "--m", m, "--set-a", "all",
+                    "--n", n, "--set-b", "all", "--translators", "ball:1",
+                    "--window", "2", "--out", str(base), "--quiet"]) == code
+
+        def lower(cert):
+            cert.update(copies=copies, capacity=capacity)
+            if "assignment" in cert:
+                cert["assignment"] = [[x, []] for x, _ in cert["assignment"]]
+
+        path = _edited(base, lower, tmp_path / "lowered.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: "
+            "copies and capacity must be >= 1\n"
         )
 
 

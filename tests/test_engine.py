@@ -3,10 +3,8 @@ import random
 import pytest
 
 from paradox.engine import (
-    DeficiencyCert,
-    FlowCert,
-    FlowDeficiency,
-    MatchCert,
+    TransportCert,
+    ViolatorCert,
     doubling_matching,
     symbolic_witness_from_matching,
     type_order,
@@ -50,7 +48,7 @@ class TestDoublingMatching:
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
         cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
-        assert isinstance(cert, DeficiencyCert)
+        assert isinstance(cert, ViolatorCert)
         assert [Z1.show(x) for x in cert.violator] == [
             "(0)", "(1)", "(-1)", "(2)", "(-2)", "(3)", "(-3)",
         ]
@@ -63,26 +61,23 @@ class TestDoublingMatching:
         cert = doubling_matching(
             AllSet(), F2.ball_elements(1), window, SetContext(window.group)
         )
-        assert isinstance(cert, MatchCert)
+        assert isinstance(cert, TransportCert)
         assert len(cert.assignment) == 17
-        images = [
-            F2.mul(s, x) for x, s1, s2 in cert.assignment for s in (s1, s2)
-        ]
+        images = [F2.mul(s, x) for x, used in cert.assignment for s in used]
         assert len(set(images)) == 34
 
     def test_free_semigroup_matching_uses_both_generators(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
-        assert isinstance(cert, MatchCert)
-        assert {s1 for _, s1, _ in cert.assignment} == {S_GEN}
-        assert {s2 for _, _, s2 in cert.assignment} == {T_GEN}
+        assert isinstance(cert, TransportCert)
+        assert {used for _, used in cert.assignment} == {(S_GEN, T_GEN)}
 
     def test_empty_window_slice_matches_vacuously(self):
         window = ball(Z1, 2)
         cert = doubling_matching(
             FiniteSet(()), [IntVec((1,))], window, SetContext(window.group)
         )
-        assert isinstance(cert, MatchCert)
+        assert isinstance(cert, TransportCert)
         assert cert.assignment == ()
 
     def test_budget_exhaustion_is_an_error(self):
@@ -114,13 +109,13 @@ class TestDoublingMatching:
             expected = doubling_exists_oracle(
                 Z1, list(window.elements), s_list, lambda img: True
             )
-            assert isinstance(cert, MatchCert) is expected
+            assert isinstance(cert, TransportCert) is expected
 
     def test_deficiency_monotone_under_window_growth(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
         small = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
-        assert isinstance(small, DeficiencyCert)
+        assert isinstance(small, ViolatorCert)
         # the same violator refutes doubling on any larger window
         big_points = set(ball(Z1, 6).elements)
         assert all(x in big_points for x in small.violator)
@@ -176,7 +171,7 @@ class TestWitnessFromMatching:
         cert = doubling_matching(
             AllSet(), [IntVec((1,)), IntVec((2,))], window, SetContext(window.group)
         )
-        assert isinstance(cert, MatchCert)
+        assert isinstance(cert, TransportCert)
         w = witness_from_matching(cert)
         assert len(w.parts) == 2
         assert all(len(piece.elems) == 1 for piece, _ in w.parts)
@@ -197,7 +192,7 @@ class TestWitnessFromMatching:
             s_list = rng.sample(F2.ball_elements(2), rng.randint(2, 6))
             window = ball(F2, rng.randint(1, 2))
             cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
-            if isinstance(cert, MatchCert):
+            if isinstance(cert, TransportCert):
                 w = witness_from_matching(cert)
                 assert witness_check(w, window, SetContext(window.group)).passed
 
@@ -279,7 +274,7 @@ class TestTypeOrder:
         cert = type_order(
             1, AllSet(), 2, AllSet(), [Z1.identity()], window, SetContext(window.group)
         )
-        assert isinstance(cert, FlowCert)
+        assert isinstance(cert, TransportCert)
         assert all(used == (Z1.identity(),) for _, used in cert.assignment)
 
     def test_two_copies_into_lattice_fail(self):
@@ -288,7 +283,7 @@ class TestTypeOrder:
         cert = type_order(
             2, AllSet(), 1, AllSet(), s_list, window, SetContext(window.group)
         )
-        assert isinstance(cert, FlowDeficiency)
+        assert isinstance(cert, ViolatorCert)
         targets = {Z1.mul(s, x) for s in s_list for x in cert.violator}
         assert 2 * len(cert.violator) > len(targets)
 
@@ -301,7 +296,7 @@ class TestTypeOrder:
             ctx = SetContext(window.group)
             a = doubling_matching(AllSet(), s_list, window, ctx)
             b = type_order(2, AllSet(), 1, AllSet(), s_list, window, ctx)
-            assert isinstance(a, MatchCert) == isinstance(b, FlowCert)
+            assert type(a) is type(b)
 
     def test_flow_between_different_sets(self):
         # 9 sources, 7 reachable even targets: impossible at capacity one,
@@ -311,9 +306,9 @@ class TestTypeOrder:
         s_list = [IntVec((i,)) for i in (-1, 0, 1, 4, 5)]
         ctx = SetContext(window.group)
         tight = type_order(1, AllSet(), 1, evens, s_list, window, ctx)
-        assert isinstance(tight, FlowDeficiency)
+        assert isinstance(tight, ViolatorCert)
         relaxed = type_order(1, AllSet(), 2, evens, s_list, window, ctx)
-        assert isinstance(relaxed, FlowCert)
+        assert isinstance(relaxed, TransportCert)
         arrivals = {}
         for x, used in relaxed.assignment:
             assert len(used) == 1
@@ -343,7 +338,7 @@ class TestParadoxTransfer:
             key=BS.sort_key,
         )
         cert = doubling_matching(a, s_prime, window, SetContext(window.group))
-        assert isinstance(cert, MatchCert)
+        assert isinstance(cert, TransportCert)
 
 
 class TestGrowthDichotomy:
@@ -356,7 +351,7 @@ class TestGrowthDichotomy:
                 radius = 40 if dim == 1 else 9
                 window = ball(group, radius)
                 cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
-                assert isinstance(cert, DeficiencyCert)
+                assert isinstance(cert, ViolatorCert)
 
     def test_large_lattice_window(self):
         # |ball(70)| = 9941 points in the plane: counting still refutes doubling
@@ -364,7 +359,7 @@ class TestGrowthDichotomy:
         cert = doubling_matching(
             AllSet(), Z2.ball_elements(2), window, SetContext(window.group)
         )
-        assert isinstance(cert, DeficiencyCert)
+        assert isinstance(cert, ViolatorCert)
 
     def test_exponential_examples_always_match(self):
         for radius in (1, 2, 3):
@@ -373,10 +368,10 @@ class TestGrowthDichotomy:
                 doubling_matching(
                     AllSet(), F2.ball_elements(1), window, SetContext(window.group)
                 ),
-                MatchCert,
+                TransportCert,
             )
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         assert isinstance(
             doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group)),
-            MatchCert,
+            TransportCert,
         )

@@ -20,8 +20,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
 GENERATE = r"""
 import os, sys
 from paradox.certificates import (
-    deficiency_fields, flow_deficiency_fields, flow_fields, match_fields,
-    pi_witness_fields, seal, witness_fields, write_text,
+    pi_witness_fields, seal, transport_fields, witness_fields, write_text,
 )
 from paradox.cli import main
 from paradox.crossed import pi_witness
@@ -41,24 +40,24 @@ z1_ctx = SetContext(z1_window.group)
 match = doubling_matching(SemigroupSet((s, t), True), [s, t], window, ctx)
 witness = witness_from_matching(match)
 fields = {
-    "match": match_fields(match),
-    "deficiency": deficiency_fields(
+    "match": transport_fields("match", match),
+    "deficiency": transport_fields("deficiency",
         doubling_matching(AllSet(), z1_ball1, z1_window, z1_ctx)),
     "witness": witness_fields(witness, window),
-    "flow": flow_fields(
+    "flow": transport_fields("flow",
         type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)),
-    "flow-deficiency": flow_deficiency_fields(
+    "flow-deficiency": transport_fields("flow-deficiency",
         type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window, z1_ctx)),
     "cp-witness": pi_witness_fields(pi_witness(witness, BS), window),
     # 15 points with 33 images pass the counting bound, so this violator
     # comes from the matching's alternating-reachability cut
-    "deficiency-hall": deficiency_fields(doubling_matching(
+    "deficiency-hall": transport_fields("deficiency", doubling_matching(
         parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
                       r"a b^-1 a^-1}", F2),
         [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
         SetContext(f2_window.group))),
     # offsets with denominators and signs, in window order
-    "slab-match": match_fields(doubling_matching(
+    "slab-match": transport_fields("match", doubling_matching(
         parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3),
         SetContext(BS))),
 }

@@ -302,17 +302,20 @@ def test_three_valued_membership_stays_in_sets():
 
 
 def test_assignment_rows_are_read_in_certificates():
-    """Only `certificates.py` subscripts a certificate's "assignment", so
-    `verify`, `embed-f2` and `cp-witness` read a row through one reader,
-    `assignment_rows`."""
+    """Only `certificates.py` subscripts a certificate's "assignment" or the
+    keys of the flow layout, so `verify`, `embed-f2` and `cp-witness` read a
+    row through one reader, `assignment_rows`, and (m, A, n, B) through one,
+    `transport_sets`."""
+    keys = ("assignment", "setA", "setB", "copies", "capacity")
     found = []
     for filename, tree in _package_modules():
         if filename == "certificates.py":
             continue
-        found += [f"{filename}:{node.lineno}" for node in ast.walk(tree)
+        found += [f"{filename}:{node.lineno} {node.slice.value}"
+                  for node in ast.walk(tree)
                   if isinstance(node, ast.Subscript)
                   and isinstance(node.slice, ast.Constant)
-                  and node.slice.value == "assignment"]
+                  and node.slice.value in keys]
     assert found == []
 
 
