@@ -1,6 +1,7 @@
 """Self-contained JSON certificates: deterministic serialisation, content
 digests, and window descriptors.  A certificate carries everything an
-independent verifier needs to replay its facts exactly."""
+independent verifier needs to replay its facts exactly; a transport fact is
+written from its record and read back into the same record."""
 
 from __future__ import annotations
 
@@ -8,18 +9,31 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any
 
-from .groups import Group, Window, ball, explicit_window
+from .groups import Group, Record, Window, ball, explicit_window
 from .sets import parse_setexpr, read_rational, show_setexpr
 
 if TYPE_CHECKING:
-    # annotations only: the verifier loads no solver, and the witness and
-    # crossed-product modules only for certificates of those kinds
+    # annotations only: the verifier loads the witness and crossed-product
+    # modules only for certificates of those kinds
     from .crossed import CPElem, PIWitness
-    from .engine import TransportCert, ViolatorCert
     from .witness import ParadoxWitness
 
 SCHEMA = "paradox-cert/v1"
 PRODUCER = "paradox 0.1.0"
+_DOUBLING = ("match", "deficiency")
+
+
+class TransportCert(Record, fields="copies set_a capacity set_b translators window "
+                    "assignment"):
+    """Integral assignment sending m = copies copies of every window point
+    of set_a into set_b with at most n = capacity arrivals per target: the
+    assignment holds (x, its m translators)."""
+
+
+class ViolatorCert(Record, fields="copies set_a capacity set_b translators window "
+                   "violator"):
+    """A finite D inside the window with m|D| > n|S.D intersect B|: no
+    assignment can exist for this translator set."""
 
 
 def canonical_json(obj: Any) -> str:
@@ -116,20 +130,23 @@ def _base(kind: str, window: Window) -> dict:
     }
 
 
-def _point_texts(window: Window) -> dict:
-    """The text of each window point, from the window's own text table."""
-    return dict(zip(window.elements, window.texts()))
-
-
 def transport_fields(kind: str, cert: TransportCert | ViolatorCert) -> dict:
     """The fields of a transport certificate of the given kind.  A `match` or
     a `deficiency` states a doubling, m = 2, n = 1 and B = A, by its one
     `set`, with `[x, s1, s2]` rows; a `flow` or a `flow-deficiency` states
-    m, A, n and B, with `[x, [its m translators]]` rows."""
+    m, A, n and B, with `[x, [its m translators]]` rows.  ValueError when
+    the kind is unknown, its outcome is not the record's, or it states a
+    doubling that the record does not."""
+    if (kind not in (*_DOUBLING, "flow", "flow-deficiency")
+            or kind.endswith("deficiency") != isinstance(cert, ViolatorCert)
+            or kind in _DOUBLING
+            and (cert.copies, cert.capacity, cert.set_b) != (2, 1, cert.set_a)):
+        raise ValueError(f"a {type(cert).__name__} of {cert.copies}[A] <= "
+                         f"{cert.capacity}[B] is not written as {kind!r}")
     window = cert.window
     group = window.group
     out = _base(kind, window)
-    if kind in ("match", "deficiency"):
+    if kind in _DOUBLING:
         out["set"] = show_setexpr(cert.set_a, group)
     else:
         out["copies"] = cert.copies
@@ -138,7 +155,7 @@ def transport_fields(kind: str, cert: TransportCert | ViolatorCert) -> dict:
         out["setB"] = show_setexpr(cert.set_b, group)
     names = {s: group.show(s) for s in cert.translators}
     out["translators"] = [names[s] for s in cert.translators]
-    shown = _point_texts(window)
+    shown = dict(zip(window.elements, window.texts()))  # the window's own texts
     if kind.endswith("deficiency"):
         out["violator"] = [shown[x] for x in cert.violator]
     elif kind == "match":
@@ -152,20 +169,58 @@ def transport_fields(kind: str, cert: TransportCert | ViolatorCert) -> dict:
     return out
 
 
-def transport_sets(cert: dict, group: Group) -> tuple:
-    """(m, A, n, B) of a transport certificate: m copies of every point of A
-    go to targets in B, each target taking at most n.  A doubling (match or
-    deficiency) is the case m = 2, n = 1, A = B of a flow.  ValueError when
-    m or n is below 1, which `type-order` refuses too."""
-    if cert["kind"] in ("match", "deficiency"):
-        expr = parse_setexpr(cert["set"], group)
-        return 2, expr, 1, expr
-    copies = json_int(cert["copies"], "copies")
-    capacity = json_int(cert["capacity"], "capacity")
-    if copies < 1 or capacity < 1:
-        raise ValueError("copies and capacity must be >= 1")
-    return (copies, parse_setexpr(cert["setA"], group),
-            capacity, parse_setexpr(cert["setB"], group))
+class _Texts(dict):
+    """Group elements by their text; a text not in the table is parsed."""
+
+    __slots__ = ("parse",)
+
+    def __missing__(self, text):
+        return self.parse(text)
+
+
+def transport_from_cert(data: dict, window: Window) -> TransportCert | ViolatorCert:
+    """The record that `transport_fields(data["kind"], record)` wrote.  Each
+    declared translator text is parsed once, a window point's text reads as
+    the window's own element, and any other spelling is parsed.  ValueError
+    when m or n is below 1, the translator set is empty, or a match row is
+    not three strings or a flow row not a string and an array of strings."""
+    group = window.group
+    kind = data["kind"]
+    if kind in _DOUBLING:
+        set_a = set_b = parse_setexpr(data["set"], group)
+        copies, capacity = 2, 1
+    else:
+        copies = json_int(data["copies"], "copies")
+        capacity = json_int(data["capacity"], "capacity")
+        if copies < 1 or capacity < 1:
+            raise ValueError("copies and capacity must be >= 1")
+        set_a = parse_setexpr(data["setA"], group)
+        set_b = parse_setexpr(data["setB"], group)
+    texts = json_list(data["translators"], "translators")
+    if not texts:
+        raise ValueError("translator set must be nonempty")
+    table = _Texts({t: group.parse(t) for t in texts})
+    table.parse = group.parse
+    head = (copies, set_a, capacity, set_b, tuple(map(table.get, texts)), window)
+    table.update(zip(window.texts(), window.elements))
+    if kind.endswith("deficiency"):
+        violator = json_list(data["violator"], "violator")
+        return ViolatorCert(*head, tuple(map(table.__getitem__, violator)))
+    rows = json_list(data["assignment"], "assignment")
+    if kind == "match":
+        for i, row in enumerate(rows):
+            if (type(row) is not list or len(row) != 3
+                    or not type(row[0]) is type(row[1]) is type(row[2]) is str):
+                raise ValueError(f"match row {i} must be an array of three strings")
+        return TransportCert(*head, tuple(
+            (table[x], (table[s1], table[s2])) for x, s1, s2 in rows))
+    for i, row in enumerate(rows):
+        if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
+                or type(row[1]) is not list
+                or not all(type(text) is str for text in row[1])):
+            raise ValueError(f"flow row {i} must be a string and an array of strings")
+    return TransportCert(*head, tuple(
+        (table[x], tuple(map(table.__getitem__, used))) for x, used in rows))
 
 
 def witness_fields(w: ParadoxWitness, window: Window) -> dict:
@@ -189,41 +244,6 @@ def witness_from_cert(data: dict, group: Group) -> ParadoxWitness:
     )
     split = json_int(data["split"], "split")
     return ParadoxWitness(parse_setexpr(data["set"], group), parts, split)
-
-
-def point_reader(window: Window):
-    """A point from its text: the window's own element when the text is how
-    the window shows it, otherwise `group.parse`, so that a non-canonical
-    spelling still reads."""
-    table = dict(zip(window.texts(), window.elements))
-    parse = window.group.parse
-
-    def point(text):
-        x = table.get(text)
-        # `is None`: the identity of a free group is the empty word, falsy
-        return parse(text) if x is None else x
-
-    return point
-
-
-def assignment_rows(cert: dict):
-    """(point text, translator texts) of each row of a match or flow
-    certificate's assignment.  A match row must be an array of three strings
-    and a flow row a string and an array of strings; any other shape is a
-    ValueError."""
-    rows = json_list(cert["assignment"], "assignment")
-    if cert["kind"] == "match":
-        for i, row in enumerate(rows):
-            if (type(row) is not list or len(row) != 3
-                    or not type(row[0]) is type(row[1]) is type(row[2]) is str):
-                raise ValueError(f"match row {i} must be an array of three strings")
-        return ((x, (s1, s2)) for x, s1, s2 in rows)
-    for i, row in enumerate(rows):
-        if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
-                or type(row[1]) is not list
-                or not all(type(text) is str for text in row[1])):
-            raise ValueError(f"flow row {i} must be a string and an array of strings")
-    return rows
 
 
 def _cp_to_json(x: CPElem) -> list:

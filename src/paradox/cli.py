@@ -187,7 +187,7 @@ def _witness_from_any_cert(path: str):
     the context it was checked in, and whether it has passed `witness_check`
     there already."""
     from . import certificates as certs
-    from .engine import TransportCert, symbolic_witness_from_matching, witness_from_matching
+    from .engine import symbolic_witness_from_matching, witness_from_matching
     from .verifier import read_envelope
     from .witness import witness_check
 
@@ -195,21 +195,11 @@ def _witness_from_any_cert(path: str):
     kind, window = read_envelope(data)
     if kind not in ("match", "witness"):
         raise _CliError(f"need a match or witness certificate, got {kind}")
-    group = window.group
-    ctx = SetContext(group)
+    ctx = SetContext(window.group)
     with _parsing("certificate payload"):
         if kind == "witness":
-            return certs.witness_from_cert(data, group), window, ctx, False
-        # the rows are read as `verify` reads them
-        translators = certs.json_list(data["translators"], "translators")
-        point = certs.point_reader(window)
-        match = TransportCert(
-            *certs.transport_sets(data, group),
-            tuple(map(group.parse, translators)),
-            window,
-            tuple((point(x), tuple(map(group.parse, used)))
-                  for x, used in certs.assignment_rows(data)),
-        )
+            return certs.witness_from_cert(data, window.group), window, ctx, False
+        match = certs.transport_from_cert(data, window)
     lifted = symbolic_witness_from_matching(match)
     if lifted is not None and witness_check(lifted, window, ctx).passed:
         return lifted, window, ctx, True

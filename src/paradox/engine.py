@@ -3,29 +3,18 @@ sending m copies of every window point of A into B, each target taking at
 most n, with displacements from a fixed translator set, or a finite
 Hall-style violator.  A doubling of A is the case m = 2, n = 1, B = A, which
 `doubling_matching` decides by bipartite matching; `type_order` decides any
-m and n by max-flow.  Both return the same two records.
+m and n by max-flow.  Both return the two records of `certificates.py`,
+which writes them and reads them back.
 """
 
 from __future__ import annotations
 
+from .certificates import TransportCert, ViolatorCert
 from .flow import FlowNetwork
-from .groups import PRODUCT_CAP, Elem, Record, Window
+from .groups import PRODUCT_CAP, Elem, Window
 from .matching import max_matching
 from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
-
-
-class TransportCert(Record, fields="copies set_a capacity set_b translators window "
-                    "assignment"):
-    """Integral assignment sending m = copies copies of every window point
-    of set_a into set_b with at most n = capacity arrivals per target: the
-    assignment holds (x, its m translators)."""
-
-
-class ViolatorCert(Record, fields="copies set_a capacity set_b translators window "
-                   "violator"):
-    """A finite D inside the window with m|D| > n|S.D intersect B|: no
-    assignment can exist for this translator set."""
 
 
 def _transport(a: SetExpr, b: SetExpr, translators, window: Window,

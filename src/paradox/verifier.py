@@ -1,20 +1,20 @@
 """Independent certificate verifier: pure replay of the recorded facts using
 only the data model and group arithmetic.  No matching or flow solver is
 imported here, so a verifier pass is evidence independent of the producer.
-The witness and crossed-product checkers are imported by the checkers of
-those kinds alone, so a transport certificate's replay loads neither."""
+A transport certificate is checked as the record its decider returned.  The
+witness and crossed-product checkers are imported by the checkers of those
+kinds alone, so a transport certificate's replay loads neither."""
 
 from __future__ import annotations
 
 from .certificates import (
     SCHEMA,
-    assignment_rows,
+    TransportCert,
+    ViolatorCert,
     content_digest,
     json_int,
-    json_list,
     pi_witness_from_cert,
-    point_reader,
-    transport_sets,
+    transport_from_cert,
     window_digest,
     window_from_descriptor,
     witness_from_cert,
@@ -80,39 +80,32 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     return outcome
 
 
-def _verify_assignment(cert: dict, window, ctx) -> VerifyOutcome:
-    group = window.group
-    copies, set_a, capacity, set_b = transport_sets(cert, group)
-    points = materialize(set_a, window, ctx)
-    # Each declared text is parsed once; a row's text is looked up here first
-    # and parsed only when it is spelled differently.
-    declared = {
-        t: group.parse(t) for t in json_list(cert["translators"], "translators")
-    }
-    translators = set(declared.values())
-    # Translators stay text until their row is replayed, and a point is the
-    # window's own element, so the rows parse no element of a canonical
-    # certificate and hold no copy of one.
-    point = point_reader(window)
-    assignment = [(point(x), used) for x, used in assignment_rows(cert)]
+def _verify_transport(data: dict, window, ctx) -> VerifyOutcome:
+    fact = transport_from_cert(data, window)
+    check = _verify_violator if isinstance(fact, ViolatorCert) else _verify_assignment
+    return check(fact, ctx)
+
+
+def _verify_assignment(cert: TransportCert, ctx) -> VerifyOutcome:
+    group = ctx.group
+    points = materialize(cert.set_a, cert.window, ctx)
     # The slice lists each point once, so equal sizes and equal sets also
     # rule out a point assigned twice.
+    copies, capacity, assignment = cert.copies, cert.capacity, cert.assignment
     if len(assignment) != len(points) or {x for x, _ in assignment} != set(points):
         return VerifyOutcome.failed(
             "assignment domain differs from the set's window slice"
         )
+    declared = set(cert.translators)
     arrivals: dict = {}
-    in_b = predicate(set_b, ctx)
+    in_b = predicate(cert.set_b, ctx)
     for x, used in assignment:
         if len(used) != copies:
             return VerifyOutcome.failed(
                 f"{group.show(x)} sends {len(used)} copies, expected {copies}"
             )
-        for text in used:
-            s = declared.get(text)
-            if s is None:
-                s = group.parse(text)
-            if s not in translators:
+        for s in used:
+            if s not in declared:
                 return VerifyOutcome.failed(
                     f"translator {group.show(s)} for {group.show(x)} is not declared"
                 )
@@ -131,12 +124,10 @@ def _verify_assignment(cert: dict, window, ctx) -> VerifyOutcome:
     return VerifyOutcome.passed()
 
 
-def _verify_violator(cert: dict, window, ctx) -> VerifyOutcome:
-    group = window.group
-    copies, set_a, capacity, set_b = transport_sets(cert, group)
-    point_set = set(materialize(set_a, window, ctx))
-    point = point_reader(window)
-    violator = [point(x) for x in json_list(cert["violator"], "violator")]
+def _verify_violator(cert: ViolatorCert, ctx) -> VerifyOutcome:
+    group = ctx.group
+    point_set = set(materialize(cert.set_a, cert.window, ctx))
+    violator, translators = cert.violator, cert.translators
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")
     if len(set(violator)) != len(violator):
@@ -146,25 +137,22 @@ def _verify_violator(cert: dict, window, ctx) -> VerifyOutcome:
             return VerifyOutcome.failed(
                 f"violator point {group.show(x)} is outside the window slice"
             )
-    translators = [
-        group.parse(t) for t in json_list(cert["translators"], "translators")
-    ]
     if len(violator) * len(translators) > PRODUCT_CAP:
         return VerifyOutcome.failed(
             f"{len(violator)} violator points times {len(translators)} translators "
             f"make more than the cap of {PRODUCT_CAP} products"
         )
-    in_b = predicate(set_b, ctx)
+    in_b = predicate(cert.set_b, ctx)
     targets = set()
     for x in violator:
         for s in translators:
             img = group._mul(s, x)  # both parsed or window points, hence checked
             if in_b(img):
                 targets.add(img)
-    if not copies * len(violator) > capacity * len(targets):
+    if not cert.copies * len(violator) > cert.capacity * len(targets):
         return VerifyOutcome.failed(
-            f"m|D| = {copies * len(violator)} does not exceed "
-            f"n|targets| = {capacity * len(targets)}"
+            f"m|D| = {cert.copies * len(violator)} does not exceed "
+            f"n|targets| = {cert.capacity * len(targets)}"
         )
     return VerifyOutcome.passed()
 
@@ -192,10 +180,10 @@ def _outcome(report) -> VerifyOutcome:
 
 
 _CHECKERS = {
-    "match": _verify_assignment,
-    "deficiency": _verify_violator,
+    "match": _verify_transport,
+    "deficiency": _verify_transport,
     "witness": _verify_witness,
-    "flow": _verify_assignment,
-    "flow-deficiency": _verify_violator,
+    "flow": _verify_transport,
+    "flow-deficiency": _verify_transport,
     "cp-witness": _verify_cp_witness,
 }

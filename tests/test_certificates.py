@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from paradox.certificates import (
     pi_witness_fields,
     seal,
     transport_fields,
+    transport_from_cert,
     window_from_descriptor,
     witness_fields,
     write_text,
@@ -23,7 +25,7 @@ from paradox.engine import (
     witness_from_matching,
 )
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, SetContext
+from paradox.sets import AllSet, SemigroupSet, SetContext, parse_setexpr, show_setexpr
 from paradox.verifier import CertificateFormatError, verify_certificate
 from paradox.witness import free_semigroup_witness, semigroup_window
 from helpers import mutate_certificate, mutation_operators, sealed
@@ -38,21 +40,22 @@ SEMI = SemigroupSet((S_GEN, T_GEN), True)
 
 
 @pytest.fixture(scope="module")
-def cert_pool():
-    """One valid certificate of every kind."""
+def transport_pool():
+    """A decider's result of every transport kind, with the kind it is
+    written as."""
     pool = {}
 
     window = semigroup_window(BS, S_GEN, T_GEN, 3)
     ctx = SetContext(window.group)
     match = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
     assert isinstance(match, TransportCert)
-    pool["match"] = sealed(transport_fields("match", match))
+    pool["match"] = "match", match
 
     f2_window = ball(F2, 2)
     free_match = doubling_matching(
         AllSet(), F2.ball_elements(1), f2_window, SetContext(f2_window.group)
     )
-    pool["match-free"] = sealed(transport_fields("match", free_match))
+    pool["match-free"] = "match", free_match
 
     z1_window = ball(Z1, 3)
     z1_ctx = SetContext(z1_window.group)
@@ -60,28 +63,42 @@ def cert_pool():
         AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window, z1_ctx
     )
     assert isinstance(deficiency, ViolatorCert)
-    pool["deficiency"] = sealed(transport_fields("deficiency", deficiency))
-
-    witness = witness_from_matching(match)
-    pool["witness"] = sealed(witness_fields(witness, window))
-
-    symbolic = free_semigroup_witness(BS, S_GEN, T_GEN, 5)
-    symbolic_window = semigroup_window(BS, S_GEN, T_GEN, 4)
-    pool["witness-symbolic"] = sealed(witness_fields(symbolic, symbolic_window))
+    pool["deficiency"] = "deficiency", deficiency
 
     flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
     assert isinstance(flow, TransportCert)
-    pool["flow"] = sealed(transport_fields("flow", flow))
+    pool["flow"] = "flow", flow
 
     flow_def = type_order(
         2, AllSet(), 1, AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))],
         z1_window, z1_ctx,
     )
     assert isinstance(flow_def, ViolatorCert)
-    pool["flow-deficiency"] = sealed(transport_fields("flow-deficiency", flow_def))
+    pool["flow-deficiency"] = "flow-deficiency", flow_def
+    return pool
+
+
+@pytest.fixture(scope="module")
+def cert_pool(transport_pool):
+    """One valid certificate of every kind, in a fixed order that the seeded
+    mutation tests walk."""
+    def written(name):
+        kind, result = transport_pool[name]
+        return sealed(transport_fields(kind, result))
+
+    pool = {name: written(name) for name in ("match", "match-free", "deficiency")}
+    _, match = transport_pool["match"]
+    witness = witness_from_matching(match)
+    pool["witness"] = sealed(witness_fields(witness, match.window))
+
+    symbolic = free_semigroup_witness(BS, S_GEN, T_GEN, 5)
+    symbolic_window = semigroup_window(BS, S_GEN, T_GEN, 4)
+    pool["witness-symbolic"] = sealed(witness_fields(symbolic, symbolic_window))
+    pool["flow"] = written("flow")
+    pool["flow-deficiency"] = written("flow-deficiency")
 
     pw = pi_witness(witness, BS)
-    pool["cp-witness"] = sealed(pi_witness_fields(pw, window))
+    pool["cp-witness"] = sealed(pi_witness_fields(pw, match.window))
     return pool
 
 
@@ -231,3 +248,54 @@ class TestDoublingIsFlow:
                 assert cert["kind"] == kind
                 outcome = verify_certificate(cert)
                 assert outcome.ok, f"{kind}: {outcome.message}"
+
+
+class TestReader:
+    """`transport_from_cert` reads a certificate back into the record its
+    decider returned, and `transport_fields` writes no fact the record does
+    not state."""
+
+    def test_reader_inverts_the_writer(self, transport_pool):
+        window = ball(F2, 2)
+        flow = type_order(3, AllSet(), 2, AllSet(), F2.ball_elements(1), window,
+                          SetContext(F2))
+        assert isinstance(flow, TransportCert) and flow.capacity == 2
+        for kind, result in [*transport_pool.values(), ("flow", flow)]:
+            group = result.window.group
+            read = transport_from_cert(
+                json.loads(seal(transport_fields(kind, result))), result.window)
+            assert type(read) is type(result), kind
+            for name in type(result)._fields:
+                if name in ("set_a", "set_b"):
+                    assert (show_setexpr(getattr(read, name), group)
+                            == show_setexpr(getattr(result, name), group)), kind
+                else:
+                    assert getattr(read, name) == getattr(result, name), kind
+
+    @pytest.mark.parametrize("copies, capacity, kind, record", [
+        (3, 1, "deficiency", "ViolatorCert"),
+        (1, 1, "match", "TransportCert"),
+        (1, 1, "bogus", "TransportCert"),
+        (1, 1, "flow-deficiency", "TransportCert"),
+        (3, 1, "flow", "ViolatorCert"),
+    ], ids=["not-a-doubling", "match-not-a-doubling", "unknown-kind",
+            "assignment-as-violator", "violator-as-assignment"])
+    def test_writer_refuses_a_kind_the_record_does_not_state(
+            self, copies, capacity, kind, record):
+        window = ball(Z1, 2)
+        result = type_order(copies, AllSet(), capacity, AllSet(),
+                            Z1.ball_elements(1), window, SetContext(Z1))
+        assert type(result).__name__ == record
+        with pytest.raises(ValueError, match=f"^a {record} of {copies}\\[A\\] <= "
+                                             f"{capacity}\\[B\\] is not written "
+                                             f"as '{kind}'$"):
+            transport_fields(kind, result)
+
+    def test_a_doubling_needs_b_equal_to_a(self):
+        window = ball(Z1, 2)
+        wider = parse_setexpr("ball(9)", Z1)
+        result = type_order(2, AllSet(), 1, wider, Z1.ball_elements(1), window,
+                            SetContext(Z1))
+        kind = "match" if isinstance(result, TransportCert) else "deficiency"
+        with pytest.raises(ValueError, match="is not written as"):
+            transport_fields(kind, result)

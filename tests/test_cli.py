@@ -353,16 +353,20 @@ class TestReplayPoints:
         assert capsys.readouterr().err == ""
 
     def test_identity_is_the_window_point(self):
-        # the free-group identity is the empty word, which is falsy
+        # the free-group identity is the empty word, which is falsy; declared
+        # as a translator too, its text still reads as the window's point
         from paradox.groups import ball, group_from_string
-        from paradox.certificates import point_reader
+        from paradox.certificates import transport_from_cert
 
         for spec in ("free:2", "zn:1", "bs12"):
             group = group_from_string(spec)
             window = ball(group, 2)
-            point = point_reader(window)
-            assert point(group.show(group.identity())) is window.elements[0]
-            assert point("e") == group.identity()
+            identity = group.show(group.identity())
+            fact = transport_from_cert(
+                {"kind": "deficiency", "set": "all", "translators": [identity],
+                 "violator": [identity, "e"]}, window)
+            assert fact.violator[0] is window.elements[0]
+            assert fact.violator[1] == group.identity()
 
     @pytest.mark.parametrize("edit", [
         lambda rows: rows[1].__setitem__(0, rows[0][0]),
@@ -879,6 +883,31 @@ class TestCopiesAndCapacity:
         assert capsys.readouterr().err == (
             "verification failed: payload does not parse or replay: "
             "copies and capacity must be >= 1\n"
+        )
+
+
+class TestEmptyTranslatorSet:
+    """`verify` refuses a transport fact over no translators, as every
+    producer does: such a violator reaches no target, so m|D| > n|targets|
+    held for any violator, and the fact once passed."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--group", "zn:1", "--set", "all"], 2),
+        (["type-order", "--group", "zn:1", "--m", "2", "--set-a", "all", "--n", "1",
+          "--set-b", "all"], 2),
+        (["check", "--group", "free:2", "--set", "all"], 0),
+    ], ids=["deficiency", "flow-deficiency", "match"])
+    def test_verify_exits_3(self, tmp_path, capsys, argv, code):
+        base = tmp_path / "base.json"
+        assert run(argv + ["--translators", "ball:1", "--window", "2",
+                           "--out", str(base), "--quiet"]) == code
+        path = _edited(base, lambda c: c.update(translators=[]),
+                       tmp_path / "empty.json")
+        capsys.readouterr()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: "
+            "translator set must be nonempty\n"
         )
 
 

@@ -302,11 +302,13 @@ def test_three_valued_membership_stays_in_sets():
 
 
 def test_assignment_rows_are_read_in_certificates():
-    """Only `certificates.py` subscripts a certificate's "assignment" or the
-    keys of the flow layout, so `verify`, `embed-f2` and `cp-witness` read a
-    row through one reader, `assignment_rows`, and (m, A, n, B) through one,
-    `transport_sets`."""
-    keys = ("assignment", "setA", "setB", "copies", "capacity")
+    """Only `certificates.py` subscripts a transport certificate's
+    "assignment", "violator" or "translators", or the keys of the flow
+    layout, so `verify`, `embed-f2` and `cp-witness` read the fact through
+    one reader, `transport_from_cert`, into the record its decider
+    returned."""
+    keys = ("assignment", "violator", "translators", "setA", "setB", "copies",
+            "capacity")
     found = []
     for filename, tree in _package_modules():
         if filename == "certificates.py":
