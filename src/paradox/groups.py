@@ -9,7 +9,6 @@ generator indices) order so that downstream results are byte-reproducible.
 from __future__ import annotations
 
 from functools import partial
-from math import comb
 from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
 
@@ -124,9 +123,15 @@ _affine = partial(tuple.__new__, AffineElem)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
-# Most points a ball may hold before it is enumerated: free:2 radius 10
-# (118,097 points) fits, and a bs12 ball is counted past it within a second.
+# Most values an enumeration of a ball or of a semigroup's positive words may
+# hold: free:2 radius 10 (118,097 points) fits, and a bs12 ball passes it
+# within a second.
 BALL_SIZE_CAP = 120_000
+# Most total size (`Group._size`: letters of a free word, bit lengths of a
+# lattice point or a bs12 element) such an enumeration may hold, or the walk of
+# `enumerate_elements` reach: zn:1 `greedy(200)` reaches 3.7 million, and the
+# free:1 ball of radius 1999 (3,998,000 letters) fits.
+SIZE_CAP = 4_000_000
 # Most (window point, translator) products a transport graph or a violator
 # replay may form: free:2 window 10 times its radius-1 ball (590,485) fits.
 PRODUCT_CAP = 600_000
@@ -143,7 +148,8 @@ class Layers:
     as reached only when a nonempty word gives it.  Growth stops after an
     empty layer: then every value has been found.  Growth also stops for good,
     in the middle of a layer, once `index` holds more than BALL_SIZE_CAP
-    values: then `capped` is set and the last layer is incomplete."""
+    values or their sizes add up to more than SIZE_CAP: then `capped` is set
+    and the last layer is incomplete, and `values` refuses what it lacks."""
 
     def __init__(self, group: "Group", gens: Sequence[Elem], with_root: bool):
         self.group = group
@@ -151,12 +157,14 @@ class Layers:
         root = group.identity()
         self.layers: list[list[Elem]] = [[root]]
         self.index: dict[Elem, int] = {root: 0} if with_root else {}
+        self.size = 0
         self.capped = False
 
     def extend(self, upto: int) -> None:
         """Compute the layers up to length `upto`, to the first empty one, or
-        to the cap."""
-        layers, index, mul = self.layers, self.index, self.group._mul
+        to a cap."""
+        layers, index = self.layers, self.index
+        mul, size = self.group._mul, self.group._size
         while len(layers) <= upto and layers[-1] and not self.capped:
             r = len(layers)
             layer = []
@@ -167,9 +175,20 @@ class Layers:
                     if child not in index:
                         index[child] = r
                         layer.append(child)
-                        if len(index) > BALL_SIZE_CAP:
+                        self.size += size(child)
+                        if len(index) > BALL_SIZE_CAP or self.size > SIZE_CAP:
                             self.capped = True
                             return
+
+    def values(self, length: int, what: str) -> list[Elem]:
+        """The values of the words of length <= `length`, layer by layer;
+        GroupError naming `what` if a cap stopped growth before they were all
+        found.  A cap reached at a longer length refuses nothing shorter."""
+        self.extend(length)
+        if self.capped and len(self.layers) <= length + 1:
+            raise GroupError(f"enumerating {what} passed its cap ({BALL_SIZE_CAP} "
+                             f"values, {SIZE_CAP} letters or bits)")
+        return [g for layer in self.layers[: length + 1] for g in layer]
 
 
 class Group:
@@ -219,40 +238,29 @@ class Group:
 
     # ---- word metric ----------------------------------------------------
 
-    def _ball_size(self, radius: int) -> int:
-        """The number of points of the ball of `radius`, or a number over
-        BALL_SIZE_CAP when it holds more; here counted by enumerating it,
-        which stops past the cap."""
-        self._balls.extend(radius)
-        return sum(map(len, self._balls.layers[: radius + 1]))
-
-    def _grow_balls(self, radius: int) -> None:
-        """Enumerate the ball of `radius`; GroupError first if it holds more
-        than BALL_SIZE_CAP points."""
-        if self._ball_size(radius) > BALL_SIZE_CAP:
-            raise GroupError(f"the ball of radius {radius} in {self.key} has more "
-                             f"points than the cap of {BALL_SIZE_CAP}")
-        self._balls.extend(radius)
+    def _size(self, g: Elem) -> int:
+        """What g costs an enumeration: here the bit lengths of its fields."""
+        return sum(map(int.bit_length, g))
 
     def ball_elements(self, radius: int) -> list[Elem]:
         """All elements of word length <= radius, in canonical order."""
         if radius < 0:
             raise GroupError("radius must be >= 0")
-        self._grow_balls(radius)
-        return [g for layer in self._balls.layers[: radius + 1] for g in layer]
+        return self._balls.values(radius, f"the ball of radius {radius} in {self.key}")
 
     def _ball_test(self, radius: int):
         """A test of word length <= radius for checked elements; here it reads
         the element's layer from the enumerated ball."""
-        self._grow_balls(radius)
+        self.ball_elements(max(radius, 0))  # a negative radius holds no point
         index, outside = self._balls.index, radius + 1
         return lambda g: index.get(g, outside) <= radius
 
     def enumerate_elements(self) -> Iterator[Elem]:
         """Canonical enumeration of the whole group, layer by layer, in the
         order of the ball layers.  It keeps its own search rather than the
-        capped `_balls`, so it runs as far as the caller reads."""
-        gens = self.generators()
+        capped `_balls`, so it runs past BALL_SIZE_CAP points as far as the
+        caller reads, until their sizes pass SIZE_CAP (GroupError)."""
+        gens, size, total = self.generators(), self._size, 0
         layer = [self.identity()]
         seen = set(layer)
         while layer:
@@ -264,6 +272,10 @@ class Group:
                     if child not in seen:
                         seen.add(child)
                         next_layer.append(child)
+                        total += size(child)
+                        if total > SIZE_CAP:
+                            raise GroupError(f"enumerating {self.key} passed its "
+                                             f"cap of {SIZE_CAP} letters or bits")
             layer = next_layer
 
     def __repr__(self) -> str:
@@ -320,17 +332,8 @@ class FreeGroup(Group):
     def _ball_test(self, radius: int):
         return lambda g: len(g) <= radius
 
-    def _ball_size(self, radius: int) -> int:
-        # 1 + sum over i = 1..radius of 2k (2k - 1)^(i - 1), for rank k
-        if self.rank == 1:
-            return 2 * radius + 1
-        size, sphere = 1, 2 * self.rank
-        for _ in range(radius):
-            size += sphere
-            if size > BALL_SIZE_CAP:
-                break
-            sphere *= 2 * self.rank - 1
-        return size
+    def _size(self, g: FreeWord) -> int:
+        return len(g)
 
     def show(self, g: FreeWord) -> str:
         if not g:
@@ -403,16 +406,6 @@ class LatticeGroup(Group):
 
     def _ball_test(self, radius: int):
         return lambda g: sum(map(abs, g)) <= radius
-
-    def _ball_size(self, radius: int) -> int:
-        # the sum over i of 2^i C(d, i) C(radius, i): i nonzero coordinates,
-        # their signs, and their absolute values summing to at most radius
-        size = 0
-        for i in range(min(self.dim, radius) + 1):
-            size += 2**i * comb(self.dim, i) * comb(radius, i)
-            if size > BALL_SIZE_CAP:
-                break
-        return size
 
     def show(self, g: IntVec) -> str:
         return "(" + ",".join(map(str, g)) + ")"

@@ -1,9 +1,10 @@
 """Symbolic subsets of a group with exact, window-relative evaluation.
 
 Membership is three-valued: True, False, or BUDGET_EXCEEDED for semigroup
-queries that a fixed search cap cannot settle: an enumeration of more than
-BALL_SIZE_CAP positive words' values, or more than `_NODE_CAP` nodes of the
-affine decider.  No input, flag or certificate field moves either cap.  An
+queries that a fixed search cap cannot settle: an enumeration of positive
+words' values past `groups.Layers`' caps (BALL_SIZE_CAP values, or SIZE_CAP
+letters or bits in all), or more than `_NODE_CAP` nodes of the affine
+decider.  No input, flag or certificate field moves any of these caps.  An
 enumeration's answers do not depend on the order of the queries.  The affine
 decider's can, near its cap: its memo keeps what earlier searches settled, so
 a later query may decide a point that an earlier one left undecided.  A True
@@ -28,6 +29,7 @@ from typing import Callable
 
 from .groups import (
     BALL_SIZE_CAP,
+    SIZE_CAP,
     AffineElem,
     DyadicAffineGroup,
     Elem,
@@ -163,7 +165,8 @@ def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
     return BudgetError(
         f"membership of {group.show(g)} in {show_setexpr(expr, group)} "
         f"undecided: a semigroup search passed its cap ({BALL_SIZE_CAP} "
-        f"enumerated values, {_AffineSemigroupDecider._NODE_CAP} affine nodes)"
+        f"enumerated values, {SIZE_CAP} letters or bits, "
+        f"{_AffineSemigroupDecider._NODE_CAP} affine nodes)"
     )
 
 
@@ -301,7 +304,7 @@ def _diff(expr: Diff, ctx: SetContext):
 
 def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
     """The nonempty positive words of expr's generators, enumerated once per
-    context and at most to BALL_SIZE_CAP values."""
+    context and at most to the caps of `Layers`."""
     key = ("sgenum", expr.gens)
     words = ctx.caches.get(key)
     if words is None:
@@ -311,13 +314,9 @@ def _semigroup_words(expr: SemigroupSet, ctx: SetContext) -> Layers:
 
 def positive_words(group: Group, gens: tuple[Elem, ...], length: int) -> list[Elem]:
     """Distinct values of positive words of length <= `length` (including e),
-    in breadth-first order; GroupError if they are more than BALL_SIZE_CAP."""
-    words = Layers(group, gens, with_root=True)
-    words.extend(length)
-    if words.capped:
-        raise GroupError(f"positive words of length <= {length} have more values "
-                         f"than the cap of {BALL_SIZE_CAP}")
-    return [g for layer in words.layers[: length + 1] for g in layer]
+    in breadth-first order; GroupError if they pass the caps of `Layers`."""
+    return Layers(group, gens, with_root=True).values(
+        length, f"the positive words of length <= {length} in {group.key}")
 
 
 def _semigroup_test(expr: SemigroupSet, ctx: SetContext):

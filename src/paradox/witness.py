@@ -6,7 +6,7 @@ Everything here is checker-side; no matching or flow solver is involved.
 
 from __future__ import annotations
 
-from .groups import Elem, Group, Record, Window, explicit_window
+from .groups import BALL_SIZE_CAP, Elem, Group, Record, Window, explicit_window
 from .pwt import PwT, ValidationReport, first_overlap
 from .sets import (
     Diff,
@@ -42,9 +42,13 @@ def free_semigroup_witness(
     group: Group, s: Elem, t: Elem, depth: int
 ) -> ParadoxWitness | Collision:
     """If all positive words in {s, t} of length <= depth are distinct, emit
-    the two-piece witness for the generated semigroup (with identity)."""
+    the two-piece witness for the generated semigroup (with identity).  It
+    refuses a depth whose 2^(depth+1) - 1 words are more than BALL_SIZE_CAP."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if 2 ** (depth + 1) - 1 > BALL_SIZE_CAP:
+        raise ValueError(f"depth {depth} is over the cap: its 2^{depth + 1} - 1 "
+                         f"positive words are more than {BALL_SIZE_CAP}")
     group.check(s), group.check(t)
     gens = (s, t)
     seen: dict[Elem, tuple[int, ...]] = {group.identity(): ()}

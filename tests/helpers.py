@@ -233,3 +233,35 @@ def mutate_certificate(cert, rng):
     ops = mutation_operators(cert)
     name, fn = ops[rng.randrange(len(ops))]
     return name, fn(copy.deepcopy(cert), rng)
+
+
+# ---- memory-limited command runs --------------------------------------------
+
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_ADDRESS_SPACE = 1 << 30  # bytes: a runaway allocation fails here, not the host
+CLI_TIMEOUT = 120  # seconds before the run is killed and the test fails
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
+
+
+def run_cli_limited(argv):
+    """Run `python -m paradox.cli *argv` in a subprocess, with PYTHONPATH=src
+    and a 1 GB RLIMIT_AS set in the child only.  Returns (exit code, stderr,
+    seconds)."""
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "paradox.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=CLI_TIMEOUT,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=_limit_address_space,
+    )
+    return proc.returncode, proc.stderr, time.perf_counter() - started

@@ -12,7 +12,7 @@ from paradox import witness
 from paradox.certificates import load_certificate
 from paradox.groups import BALL_SIZE_CAP
 from paradox.cli import main
-from helpers import _redigest
+from helpers import _redigest, run_cli_limited
 
 EX28_ARGS = [
     "check",
@@ -539,9 +539,9 @@ class TestAffineSizeCap:
 
 
 class TestBallSizeCap:
-    """A ball past `groups.BALL_SIZE_CAP` is refused before it is enumerated:
-    one line, fast, whichever command asks for it.  Each of these used to be
-    killed at a timeout."""
+    """A ball past `groups.BALL_SIZE_CAP` is refused: one line, fast,
+    whichever command asks for it.  Each of these used to be killed at a
+    timeout."""
 
     @pytest.fixture(scope="class")
     def f2w4(self, tmp_path_factory):
@@ -568,7 +568,8 @@ class TestBallSizeCap:
         assert run(argv + ["--quiet"]) == 1
         assert time.perf_counter() - started < 2.0
         assert capsys.readouterr().err == (
-            f"error: the ball of {ball} has more points than the cap of 120000\n"
+            f"error: enumerating the ball of {ball} passed its cap (120000 values, "
+            "4000000 letters or bits)\n"
         )
 
     def test_verify_reports_an_envelope_error(self, f2w4, tmp_path, capsys):
@@ -579,9 +580,56 @@ class TestBallSizeCap:
         assert run(["verify", str(path), "--quiet"]) == 1
         assert time.perf_counter() - started < 2.0
         assert capsys.readouterr().err == (
-            "error: malformed certificate envelope: the ball of radius 40 in "
-            "free:2 has more points than the cap of 120000\n"
+            "error: malformed certificate envelope: enumerating the ball of "
+            "radius 40 in free:2 passed its cap (120000 values, 4000000 letters "
+            "or bits)\n"
         )
+
+
+class TestEnumerationSizeCap:
+    """An enumeration stops once its values' sizes add up past
+    `groups.SIZE_CAP` (letters of a free word, bits of a lattice point or a
+    bs12 element), however few the values: a one-generator semigroup, a
+    free:1 ball and the free:1 greedy walk hold few values of growing size.
+    Each of these ran to a MemoryError traceback or near 1 GB; each now runs
+    in a subprocess under a 1 GB address-space limit and ends in one line."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("sizes")
+        match = folder / "f1w2.json"
+        assert run(["check", "--group", "free:1", "--set", "all", "--translators",
+                    "ball:3", "--window", "2", "--out", str(match), "--quiet"]) == 0
+        deficiency = folder / "f2def.json"
+        assert run(["check", "--group", "free:2", "--set", "ball(1)", "--translators",
+                    "a", "--window", "1", "--out", str(deficiency), "--quiet"]) == 2
+        return {
+            "F1W59999": _edited(match, lambda cert: cert.update(window={"radius": 59999}),
+                                folder / "f1w59999.json"),
+            "F2SEMI": _edited(deficiency, lambda cert: cert.update(set="semigroup(a b)"),
+                              folder / "f2semi.json"),
+        }
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--group", "free:1", "--set", "all", "--translators", "ball:1",
+          "--window", "59999"], 1),
+        (["check", "--group", "free:2", "--set", "semigroup(a;e)", "--translators",
+          "a,b", "--window", "1"], 1),
+        (["check", "--group", "free:2", "--set", "semigroup(a b)", "--translators",
+          "a,b", "--window", "1"], 1),
+        (["check", "--group", "bs12", "--set", "semigroup((1/2,1))", "--translators",
+          "(2,0),(1,1)", "--window", "1"], 1),
+        (["verify", "F1W59999"], 1),
+        (["verify", "F2SEMI"], 3),
+        (["small-set", "--group", "free:1", "--count", "200"], 1),
+    ], ids=["free1-window", "free2-power", "free2-word-power", "bs12-halving",
+            "verify-window", "verify-set", "free1-greedy"])
+    def test_ends_in_one_line(self, certs, argv, code):
+        exit_code, err, seconds = run_cli_limited(
+            [certs.get(arg, arg) for arg in argv] + ["--quiet"])
+        assert (exit_code, err.count("\n")) == (code, 1), err
+        assert "4000000 letters or bits" in err
+        assert seconds < 2.0
 
 
 class TestProductCap:
@@ -1065,7 +1113,8 @@ QUADRANT = "semigroup((1,0),(0,1);e)"
 # half-space bound: e is undecided, at any window, once they pass the cap.
 FREE_SEMI = "semigroup(a,b)"
 UNDECIDED_AT_CAP = ("undecided: a semigroup search passed its cap (120000 "
-                    "enumerated values, 500000 affine nodes)")
+                    "enumerated values, 4000000 letters or bits, 500000 affine "
+                    "nodes)")
 # budgetSlack values a certificate may carry; none changes what it decides
 HOSTILE_SLACKS = [10**30, -1, 0]
 

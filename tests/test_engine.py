@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -266,6 +267,14 @@ class TestFreeSemigroupWitness:
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             free_semigroup_witness(BS, S_GEN, T_GEN, 0)
+
+    def test_depth_past_the_cap_is_refused_at_once(self):
+        # 2^17 - 1 = 131,071 words at depth 16 pass BALL_SIZE_CAP, and the
+        # search would hold them all: refused before any product
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="depth 16 is over the cap"):
+            free_semigroup_witness(BS, S_GEN, T_GEN, 16)
+        assert time.perf_counter() - started < 0.1
 
 
 class TestTypeOrder:

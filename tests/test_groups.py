@@ -196,18 +196,22 @@ class TestBall:
         with pytest.raises(GroupError):
             F2.ball_elements(-1)
 
-    @pytest.mark.parametrize("spec", ["free:1", "free:2", "free:3", "zn:1", "zn:2",
-                                      "zn:3", "bs12"])
-    def test_size_is_counted_before_enumerating(self, spec):
-        group = group_from_string(spec)
-        for radius in range(5):
-            assert group._ball_size(radius) == len(group.ball_elements(radius))
-
     def test_size_cap(self):
-        assert F2._ball_size(10) == 118097 <= BALL_SIZE_CAP
+        assert len(F2.ball_elements(10)) == 118097 <= BALL_SIZE_CAP
         for group, radius in ((F2, 11), (group_from_string("zn:9"), 9), (BS, 30)):
-            with pytest.raises(GroupError, match="more points than the cap"):
+            with pytest.raises(GroupError, match=r"passed its cap \(120000 values"):
                 group.ball_elements(radius)
+
+    def test_letter_cap_stops_a_free1_ball(self):
+        # the free:1 ball of radius r holds r (r + 1) letters in 2r + 1
+        # points: 3,998,000 letters fit SIZE_CAP at radius 1999, 4,002,000
+        # do not, and the refusal leaves shorter radii served
+        free1 = group_from_string("free:1")
+        assert len(free1.ball_elements(1999)) == 3999
+        with pytest.raises(GroupError, match="4000000 letters or bits"):
+            free1.ball_elements(2000)
+        assert [free1.show(g) for g in free1.ball_elements(1)] == ["e", "a", "a^-1"]
+        assert len(free1.ball_elements(8)) == 17
 
     @pytest.mark.parametrize("spec", ["free:2", "zn:2", "bs12"])
     def test_enumeration_follows_the_ball_layers(self, spec):
@@ -219,7 +223,7 @@ class TestBall:
         # the whole-group enumeration is not a ball: it runs as far as it is
         # read, after a ball has capped the group's own enumeration
         group = group_from_string("bs12")
-        with pytest.raises(GroupError, match="more points than the cap"):
+        with pytest.raises(GroupError, match="passed its cap"):
             group.ball_elements(30)
         elements = list(itertools.islice(group.enumerate_elements(),
                                          BALL_SIZE_CAP + 2))
