@@ -9,8 +9,7 @@ from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
-F2 = FreeGroup(2)
-# the letters a, a^-1, b, b^-1 of F2, in the order of branch_maps()
+# the letters a, a^-1, b, b^-1, in the order of branch_maps()
 _BRANCH_LETTERS = (1, -1, 2, -2)
 
 
@@ -135,7 +134,7 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
     if radius < 1:
         raise ValueError("radius must be >= 1")
     group = data.ctx.group
-    words = [w.letters for w in F2.ball_elements(radius)]
+    words = [w.letters for w in FreeGroup(2).ball_elements(radius)]
     values: dict[tuple[int, ...], Elem] = {}
     seen: dict[Elem, tuple[int, ...]] = {}
     collisions = []

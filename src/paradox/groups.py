@@ -466,20 +466,12 @@ class DyadicAffineGroup(Group):
         num = hn + (gn << (e - ge))
         if num & 1 or not e:
             return _affine((ga + ha, num, e))
-        # strip the factors of two that num and 2**e share
-        k = min(e, (num & -num).bit_length() - 1) if num else e
-        return _affine((ga + ha, num >> k, e - k))
+        return _affine((ga + ha, *_lowest_terms(num, e)))
 
     def _inv(self, g: AffineElem) -> AffineElem:
         # x -> (x - b) / a
         a, n, e = g
-        e += a
-        if e <= 0:
-            return _affine((-a, -n << -e, 0))
-        if n & 1:
-            return _affine((-a, -n, e))
-        k = min(e, (n & -n).bit_length() - 1) if n else e
-        return _affine((-a, -n >> k, e - k))
+        return _affine((-a, *_lowest_terms(-n, e + a)))
 
     def generators(self) -> tuple[AffineElem, ...]:
         s, u = _affine((1, 0, 0)), _affine((0, 1, 0))
@@ -540,24 +532,17 @@ def _split_top(text: str, sep: str) -> list[str]:
     return [sep.join(run) for run in runs]
 
 
-_GROUPS: dict[str, Group] = {}
-
-
 def group_from_string(spec: str) -> Group:
-    """Resolve 'free:k', 'zn:d' or 'bs12' to a (shared) group instance."""
+    """Build a new group for 'free:k', 'zn:d' or 'bs12'; its ball cache
+    lives as long as the group does."""
     spec = spec.strip()
-    if spec in _GROUPS:
-        return _GROUPS[spec]
     if spec == "bs12":
-        grp: Group = DyadicAffineGroup()
-    elif spec.startswith("free:"):
-        grp = FreeGroup(int(spec.split(":", 1)[1]))
-    elif spec.startswith("zn:"):
-        grp = LatticeGroup(int(spec.split(":", 1)[1]))
-    else:
-        raise ParseError(f"unknown group spec {spec!r}")
-    _GROUPS[spec] = grp
-    return grp
+        return DyadicAffineGroup()
+    if spec.startswith("free:"):
+        return FreeGroup(int(spec.split(":", 1)[1]))
+    if spec.startswith("zn:"):
+        return LatticeGroup(int(spec.split(":", 1)[1]))
+    raise ParseError(f"unknown group spec {spec!r}")
 
 
 # ---- windows -------------------------------------------------------------

@@ -42,7 +42,7 @@ class VerifyOutcome(Record, fields="ok message"):
 def read_envelope(cert) -> tuple[str, Window]:
     """The kind a certificate declares and its window, in the declared group;
     CertificateFormatError when any of them, or an envelope field that must
-    be an integer, is malformed."""
+    be an integer or a string, is malformed."""
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate is not a JSON object")
     if cert.get("schema") != SCHEMA:
@@ -54,6 +54,10 @@ def read_envelope(cert) -> tuple[str, Window]:
         group = group_from_string(cert["group"])
         window = window_from_descriptor(group, cert["window"])
         json_int(cert.get("budgetSlack", 0), "budgetSlack")  # its value drives nothing
+        producer = cert.get("producer", "")  # left out of the digest
+        if type(producer) is not str:
+            raise ValueError(f"producer must be a string, "
+                             f"got {type(producer).__name__}")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CertificateFormatError(f"malformed certificate envelope: {exc}") from exc
     return kind, window

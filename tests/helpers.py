@@ -235,6 +235,25 @@ def mutate_certificate(cert, rng):
     return name, fn(copy.deepcopy(cert), rng)
 
 
+# ---- one-key edits of a certificate ------------------------------------------
+
+# one value of each JSON type: null, bool, int, float, string, array, object
+_JSON_VALUES = (None, True, 1, 0.5, "x", [], {})
+
+
+def one_key_edits(cert):
+    """(label, edited copy) for each top-level key but `digest`: the key
+    dropped, then its value swapped for each JSON type it is not.  The copies
+    keep the old digest; reseal them to reach replay."""
+    for key, value in cert.items():
+        if key == "digest":
+            continue
+        yield f"drop {key}", {k: v for k, v in cert.items() if k != key}
+        for other in _JSON_VALUES:
+            if type(other) is not type(value):
+                yield f"{key} as {json.dumps(other)}", dict(cert, **{key: other})
+
+
 # ---- memory-limited command runs --------------------------------------------
 
 import os

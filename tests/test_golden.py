@@ -16,7 +16,7 @@ import paradox
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(paradox.__file__)))
 
-# The inputs of the `cert_pool` fixture in test_certificates.py.
+# The inputs of the `cert_pool` fixture in conftest.py.
 GENERATE = r"""
 import os, sys
 from paradox.certificates import (

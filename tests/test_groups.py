@@ -100,12 +100,24 @@ class TestAffineReference:
         a_exp, num, exp = g
         assert exp >= 0 and (num & 1 or exp == 0)
 
+    @staticmethod
+    def seeded_element(rng):
+        # an even numerator, so that the offset is reduced before it is stored
+        offset = Fraction(rng.randint(-10**6, 10**6) << rng.randint(1, 20),
+                          2 ** rng.randint(0, 60))
+        return AffineElem(rng.randint(-40, 40), offset.numerator,
+                          offset.denominator.bit_length() - 1)
+
     def test_random_pairs_of_the_radius5_ball(self):
         rng = random.Random(20)
         elems = BS.ball_elements(5)
+        # the ball, then elements past it: scales up to 2^40 and offsets up to
+        # 60 binary places give _inv integer offsets and _mul even sums to reduce
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(20_000)]
+        pairs += [(self.seeded_element(rng), self.seeded_element(rng))
+                  for _ in range(5_000)]
         products = []
-        for _ in range(20_000):
-            g, h = rng.choice(elems), rng.choice(elems)
+        for g, h in pairs:
             (ga, gb), (ha, hb) = self.ref(g), self.ref(h)
             gh = BS._mul(g, h)
             self.assert_normal(gh)
