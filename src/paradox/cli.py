@@ -14,7 +14,7 @@ import sys
 
 # Each command imports the modules it runs, so that `verify` loads no solver.
 from .groups import ball, group_from_string
-from .sets import BudgetError, SetContext, parse_setexpr
+from .sets import SetContext, parse_setexpr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -22,7 +22,7 @@ EXIT_DUAL = 2
 EXIT_SEMANTIC = 3
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     pass
 
 
@@ -162,18 +162,14 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import certificates as certs
-    from .verifier import CertificateFormatError, verify_certificate
+    from .verifier import verify_certificate
 
     try:
         cert = certs.load_certificate(args.path)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        outcome = verify_certificate(cert)
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    outcome = verify_certificate(cert)
     if outcome.ok:
         if not args.quiet:
             print("certificate verifies")
@@ -208,7 +204,6 @@ def _witness_from_any_cert(path: str):
 
 def cmd_embed_f2(args) -> int:
     from .embedding import (
-        EmbeddingWindowError,
         build_embedding,
         check_injective_lipschitz,
         embedding_from_checked,
@@ -218,10 +213,7 @@ def cmd_embed_f2(args) -> int:
     group = ctx.group
     build = embedding_from_checked if checked else build_embedding
     embedding = build(witness, window, ctx)
-    try:
-        report = check_injective_lipschitz(embedding, args.depth)
-    except EmbeddingWindowError as exc:
-        raise _CliError(str(exc)) from exc
+    report = check_injective_lipschitz(embedding, args.depth)
     payload = {
         "injective": report.injective,
         "L": report.radius,
@@ -356,9 +348,10 @@ def main(argv=None) -> int:
         "type-order": cmd_type_order,
         "induce": cmd_induce,
     }
+    # every error class of the package is a ValueError
     try:
         return handlers[args.command](args)
-    except (BudgetError, _CliError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

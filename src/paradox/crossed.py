@@ -58,17 +58,17 @@ def cp_zero(group: Group) -> CPElem:
     return CPElem(group, ())
 
 
+def single(group: Group, q: Fraction, expr: SetExpr, t: Elem) -> CPElem:
+    return _build(group, {t: [(q, expr)]})
+
+
 def indicator(group: Group, expr: SetExpr) -> CPElem:
     """The diagonal element 1_expr (coefficient at the identity unitary)."""
-    return _build(group, {group.identity(): [(Fraction(1), expr)]})
+    return single(group, Fraction(1), expr, group.identity())
 
 
 def unitary(group: Group, t: Elem) -> CPElem:
-    return _build(group, {t: [(Fraction(1), AllSet())]})
-
-
-def single(group: Group, q: Fraction, expr: SetExpr, t: Elem) -> CPElem:
-    return _build(group, {t: [(q, expr)]})
+    return single(group, Fraction(1), AllSet(), t)
 
 
 def cp_add(x: CPElem, y: CPElem) -> CPElem:
@@ -78,13 +78,10 @@ def cp_add(x: CPElem, y: CPElem) -> CPElem:
     return _build(x.group, raw)
 
 
-def cp_scale(q: Fraction, x: CPElem) -> CPElem:
-    raw = {t: [(q * c, e) for c, e in coeff] for t, coeff in x.terms}
-    return _build(x.group, raw)
-
-
 def cp_sub(x: CPElem, y: CPElem) -> CPElem:
-    return cp_add(x, cp_scale(Fraction(-1), y))
+    # negating every coefficient leaves y's terms merged and in order
+    neg = tuple((t, tuple((-q, e) for q, e in coeff)) for t, coeff in y.terms)
+    return cp_add(x, CPElem(y.group, neg))
 
 
 def _coeff_translate(coeff: Coefficient, t: Elem, group: Group) -> list:
@@ -158,17 +155,11 @@ class PIWitness(Record, fields="group set_expr v w"):
 def pi_witness(w: ParadoxWitness, group: Group) -> PIWitness:
     """Read the two covering families into the pair v, w: a piece A_j with
     translator t_j contributes 1_{t_j A_j} u_{t_j^(-1)}."""
-    vs, ws = [], []
+    raw_v, raw_w = {}, {}
     for j, (piece, t) in enumerate(w.parts):
-        term = single(group, Fraction(1), piece, group.inv(t))
-        (vs if j < w.split else ws).append(term)
-    v = cp_zero(group)
-    for term in vs:
-        v = cp_add(v, term)
-    w_elem = cp_zero(group)
-    for term in ws:
-        w_elem = cp_add(w_elem, term)
-    return PIWitness(group, w.set_expr, v, w_elem)
+        raw = raw_v if j < w.split else raw_w
+        raw.setdefault(group.inv(t), []).append((Fraction(1), piece))
+    return PIWitness(group, w.set_expr, _build(group, raw_v), _build(group, raw_w))
 
 
 def verify_pi_witness(pw: PIWitness, window: Window,

@@ -13,7 +13,7 @@ from .witness import ParadoxWitness, base_translation_maps, witness_check
 _BRANCH_LETTERS = (1, -1, 2, -2)
 
 
-class EmbeddingWindowError(RuntimeError):
+class EmbeddingWindowError(ValueError):
     """The recursion needs values outside the window the witness was
     validated on; rebuild the witness on a larger window."""
 
@@ -30,7 +30,8 @@ class EmbeddingData:
         self.base_point, self.ctx = ctx.group.check(base_point), ctx
         self.sigma_plus, self.sigma_minus = sigma_plus, sigma_minus
         self.tau_plus, self.tau_minus = tau_plus, tau_minus
-        self._memo: dict[tuple[int, ...], Elem] = {}
+        # word -> its value, for every word evaluated so far
+        self._memo: dict[tuple[int, ...], Elem] = {(): self.base_point}
         # letter -> its branch map as a function of checked points
         self._apply = {
             c: pwt_map(m, ctx) for c, m in zip(_BRANCH_LETTERS, self.branch_maps())
@@ -95,14 +96,12 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
             raise ValueError(f"letter {x} is not one of the two generators")
         if i and letters[i - 1] == -x:
             raise ValueError(f"word {letters} is not reduced")
-    maps = data._apply
-    # reuse the longest memoised suffix, then extend letter by letter
-    start = len(letters)
-    for k in range(len(letters)):
-        if letters[k:] in data._memo:
-            start = k
+    maps, memo = data._apply, data._memo
+    # extend the longest memoised suffix, () at least, letter by letter
+    for start in range(len(letters) + 1):
+        if letters[start:] in memo:
             break
-    value = data._memo[letters[start:]] if start < len(letters) else data.base_point
+    value = memo[letters[start:]]
     for k in range(start - 1, -1, -1):
         try:
             value = maps[letters[k]](value)
@@ -112,7 +111,7 @@ def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Ele
                 f"{len(letters) - 1 - k} of {len(letters)} letters; rebuild "
                 f"the witness on a larger window (word {letters})"
             ) from exc
-        data._memo[letters[k:]] = value
+        memo[letters[k:]] = value
     return value
 
 
@@ -135,12 +134,10 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         raise ValueError("radius must be >= 1")
     group = data.ctx.group
     words = [w.letters for w in FreeGroup(2).ball_elements(radius)]
-    values: dict[tuple[int, ...], Elem] = {}
     seen: dict[Elem, tuple[int, ...]] = {}
     collisions = []
     for w in words:
         v = eval_embedding(data, w)
-        values[w] = v
         if v in seen:
             collisions.append((seen[v], w))
         else:
@@ -150,8 +147,8 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
         c: set(m.displacement)
         for c, m in zip(_BRANCH_LETTERS, data.branch_maps())
     }
-    # the values were built from checked points by the branch maps
-    mul, inv = group._mul, group._inv
+    # the memo's values were built from checked points by the branch maps
+    values, mul, inv = data._memo, group._mul, group._inv
     observed = set()
     violations = []
     for w in words:

@@ -147,20 +147,22 @@ def type_order(
     # middle edges are effectively uncapacitated so a min cut never uses one
     # and the residual-reachable rights contain the whole neighbourhood
     big = copies * len(points) + 1
-    mid_edges = [
-        [net.add_edge(1 + i, 1 + len(points) + img, big) for img in ids]
-        for i, ids in enumerate(images)
-    ]
+    for i, ids in enumerate(images):
+        for img in ids:
+            net.add_edge(1 + i, 1 + len(points) + img, big)
     for img in range(n_images):
         net.add_edge(1 + len(points) + img, sink, capacity)
 
     total = net.max_flow(source, sink)
     if total == copies * len(points):
-        assignment = []
-        for i, x in enumerate(points):
+        # the middle edges were added right after the len(points) source
+        # edges, point by point, so their ids run on from 2 * len(points)
+        assignment, eid = [], 2 * len(points)
+        for x, ks in zip(points, moves):
             used: list[Elem] = []
-            for eid, k in zip(mid_edges[i], moves[i]):
+            for k in ks:
                 used.extend([s_list[k]] * net.flow_on(eid))
+                eid += 2
             assignment.append((x, tuple(used)))
         return TransportCert(copies, a, capacity, b, s_list, window, tuple(assignment))
     violator = [x for i, x in enumerate(points) if net.level[1 + i] >= 0]

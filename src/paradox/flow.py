@@ -16,7 +16,8 @@ class FlowNetwork:
         self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Returns the edge id; the reverse edge is id ^ 1."""
+        """Returns the edge id: edges get 0, 2, 4, ... in the order they are
+        added, and the reverse edge is id ^ 1."""
         eid = len(self.to)
         self.to.append(v)
         self.cap.append(cap)

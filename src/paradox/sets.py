@@ -54,7 +54,7 @@ class _BudgetExceeded:
 BUDGET_EXCEEDED = _BudgetExceeded()
 
 
-class BudgetError(RuntimeError):
+class BudgetError(ValueError):
     """An operation needed an exact membership answer but only got
     BUDGET_EXCEEDED: a semigroup search passed its fixed cap."""
 

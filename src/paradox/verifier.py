@@ -71,6 +71,7 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
     ctx = SetContext(window.group)
+    # a BudgetError is a ValueError caught first, so its message gets no prefix
     try:
         outcome = _CHECKERS[kind](cert, window, ctx)
     except BudgetError as exc:

@@ -254,6 +254,56 @@ def one_key_edits(cert):
                 yield f"{key} as {json.dumps(other)}", dict(cert, **{key: other})
 
 
+def _slots(node, path):
+    """(path, value) of every key of every object and of the first and last
+    element of every array inside node, each followed by the slots inside
+    its value."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = sorted({0, len(node) - 1}) if node else []
+    else:
+        return
+    for key in keys:
+        yield path + (key,), node[key]
+        yield from _slots(node[key], path + (key,))
+
+
+def _edited_at(cert, path, *value):
+    """A copy of cert with the slot at path set to value, or dropped when no
+    value is given."""
+    edited = copy.deepcopy(cert)
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    if value:
+        parent[path[-1]] = value[0]
+    else:
+        del parent[path[-1]]
+    return edited
+
+
+def nested_edits(cert):
+    """(label, edited copy) below the top level: every key of every object
+    and the first and last element of every array dropped, then its value
+    swapped for each JSON type it is not; and each set expression swapped
+    for the semigroup of the group's first generator.  The copies keep the
+    old digest; reseal them to reach replay."""
+    for key, value in cert.items():
+        for path, inner in _slots(value, (key,)):
+            name = key + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                 for k in path[1:])
+            yield f"drop {name}", _edited_at(cert, path)
+            for other in _JSON_VALUES:
+                if type(other) is not type(inner):
+                    yield f"{name} as {json.dumps(other)}", _edited_at(cert, path, other)
+    group = group_from_string(cert["group"])
+    semigroup = f"semigroup({group.show(group.generators()[0])})"
+    for key in ("set", "setA", "setB"):
+        if key in cert:
+            yield f"{key} as {semigroup}", dict(cert, **{key: semigroup})
+
+
 # ---- memory-limited command runs --------------------------------------------
 
 import os

@@ -1320,3 +1320,55 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 2
     assert out.exists()
+
+
+def _check(group, set_text, translators):
+    return ["check", "--group", group, "--set", set_text, "--translators", translators,
+            "--window", "1"]
+
+
+class TestRefusals:
+    """Each refusal that no other test names ends in exit 1 and one line."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        """A zn:1 deficiency, a free:2 match, and its witness with part 0's
+        translator changed to `a a`, resealed."""
+        base = tmp_path_factory.mktemp("refusals")
+        paths = {name: str(base / f"{name}.json")
+                 for name in ("deficiency", "match", "witness", "bad-witness")}
+        assert run(["check", "--group", "zn:1", "--set", "all", "--translators",
+                    "(-1),(0),(1)", "--window", "3", "--out", paths["deficiency"],
+                    "--quiet"]) == 2
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "2", "--out", paths["match"],
+                    "--witness-out", paths["witness"], "--quiet"]) == 0
+        cert = load_certificate(paths["witness"])
+        cert["parts"][0]["translator"] = "a a"
+        with open(paths["bad-witness"], "w", encoding="utf-8") as fh:
+            json.dump(_redigest(cert), fh)
+        return paths
+
+    @pytest.mark.parametrize("argv, message", [
+        (_check("foo", "all", "a"), "unknown group spec 'foo'"),
+        (_check("free:2", "all", "a^2"), "unsupported power in 'a^2'"),
+        (_check("free:2", "ball(1) all", "a"), "trailing input in set expression"),
+        (_check("free:2", "(ball(1)", "a"), "expected ')' in set expression"),
+        (_check("free:2", "semigroup(a;b)", "a"), "expected 'gens' or 'gens;e'"),
+        (_check("zn:2", "slab(0,1,0)", "(1,0)"),
+         "slab sets are only defined for the dyadic affine group"),
+        (["embed-f2", "--from-cert", "deficiency"],
+         "need a match or witness certificate, got deficiency"),
+        (["cp-witness", "--from-cert", "deficiency"],
+         "need a match or witness certificate, got deficiency"),
+        (["embed-f2", "--from-cert", "bad-witness"], "witness fails validation"),
+        (["embed-f2", "--from-cert", "match", "--depth", "0"], "radius must be >= 1"),
+    ], ids=["group", "power", "trailing-input", "open-paren", "semigroup-gens",
+            "slab-group", "embed-f2-kind", "cp-witness-kind", "embed-f2-witness",
+            "embed-f2-depth"])
+    def test_exits_1_with_one_line(self, certs, capsys, argv, message):
+        argv = [certs.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run(argv + ["--quiet"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line

@@ -509,3 +509,35 @@ def test_refused_enumerations_are_freed_with_their_command(commands, bs12w8):
     *outcomes, held = proc.stdout.split("\n")[:-1]
     assert outcomes == ["1 1"] * len(commands)
     assert int(held) < 2e6
+
+
+def test_every_error_class_is_a_value_error():
+    """`main` prints every refusal of the package through one `except`
+    clause, so every exception class a module defines is a ValueError."""
+    import importlib
+
+    not_value_errors = []
+    for filename, _ in _package_modules():
+        dotted = "paradox" + ("" if filename == "__init__.py" else "." + filename[:-3])
+        module = importlib.import_module(dotted)
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and issubclass(obj, BaseException)
+                    and not issubclass(obj, ValueError)):
+                not_value_errors.append(f"{filename} {name}")
+    assert not_value_errors == []
+
+
+def test_flow_edge_ids_are_consecutive_even_numbers():
+    """`type_order` reads each middle edge's flow at the id it was given, so
+    `add_edge` numbers edges 0, 2, 4, ... in the order they are added, and
+    `flow_on(eid)` reads the reverse edge eid ^ 1."""
+    from paradox.flow import FlowNetwork
+
+    net = FlowNetwork(4)
+    ids = [net.add_edge(0, 1, 2), net.add_edge(1, 2, 1), net.add_edge(0, 2, 1),
+           net.add_edge(2, 3, 3)]
+    assert ids == [0, 2, 4, 6]
+    assert net.max_flow(0, 3) == 2
+    assert [net.flow_on(eid) for eid in ids] == [1, 1, 1, 2]
+    assert [net.flow_on(eid) for eid in ids] == [net.cap[eid ^ 1] for eid in ids]
