@@ -239,7 +239,7 @@ def cmd_small_set(args) -> int:
         "count": args.count,
         "elements": [group.show(g) for g in elems],
         "maxPairIntersection": pair.maximum,
-        "attainedAt": group.show(pair.attained_at) if pair.attained_at else None,
+        "attainedAt": group.show(pair.attained_at),
         "checkRadius": args.check_radius,
     }
     _report(args, payload)

@@ -4,7 +4,7 @@ free-group ball."""
 
 from __future__ import annotations
 
-from .groups import Elem, FreeGroup, FreeWord, Record, Window
+from .groups import Elem, FreeGroup, Record, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import SetContext, materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
@@ -18,24 +18,12 @@ class EmbeddingWindowError(ValueError):
     validated on; rebuild the witness on a larger window."""
 
 
-class EmbeddingData:
+class EmbeddingData(Record, fields="sigma_plus sigma_minus tau_plus tau_minus "
+                   "base_point ctx"):
     """The four branch maps and base point driving the word-by-word recursion
     f(c x') = map_c(f(x')), f(e) = base point."""
 
-    __slots__ = ("sigma_plus", "sigma_minus", "tau_plus", "tau_minus",
-                 "base_point", "ctx", "_memo", "_apply")
-
-    def __init__(self, sigma_plus: PwT, sigma_minus: PwT, tau_plus: PwT,
-                 tau_minus: PwT, base_point: Elem, ctx: SetContext) -> None:
-        self.base_point, self.ctx = ctx.group.check(base_point), ctx
-        self.sigma_plus, self.sigma_minus = sigma_plus, sigma_minus
-        self.tau_plus, self.tau_minus = tau_plus, tau_minus
-        # word -> its value, for every word evaluated so far
-        self._memo: dict[tuple[int, ...], Elem] = {(): self.base_point}
-        # letter -> its branch map as a function of checked points
-        self._apply = {
-            c: pwt_map(m, ctx) for c, m in zip(_BRANCH_LETTERS, self.branch_maps())
-        }
+    __slots__ = ()
 
     def branch_maps(self) -> tuple[PwT, PwT, PwT, PwT]:
         return (self.sigma_plus, self.sigma_minus, self.tau_plus, self.tau_minus)
@@ -88,33 +76,6 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
     return EmbeddingData(*branches, base_point, ctx)
 
 
-def eval_embedding(data: EmbeddingData, word: FreeWord | tuple[int, ...]) -> Elem:
-    """Evaluate the embedding on a reduced rank-2 free word."""
-    letters = word.letters if isinstance(word, FreeWord) else tuple(word)
-    for i, x in enumerate(letters):
-        if x == 0 or abs(x) > 2:
-            raise ValueError(f"letter {x} is not one of the two generators")
-        if i and letters[i - 1] == -x:
-            raise ValueError(f"word {letters} is not reduced")
-    maps, memo = data._apply, data._memo
-    # extend the longest memoised suffix, () at least, letter by letter
-    for start in range(len(letters) + 1):
-        if letters[start:] in memo:
-            break
-    value = memo[letters[start:]]
-    for k in range(start - 1, -1, -1):
-        try:
-            value = maps[letters[k]](value)
-        except PwTError as exc:
-            raise EmbeddingWindowError(
-                f"evaluation left the validated window after "
-                f"{len(letters) - 1 - k} of {len(letters)} letters; rebuild "
-                f"the witness on a larger window (word {letters})"
-            ) from exc
-        memo[letters[k:]] = value
-    return value
-
-
 class LipschitzReport(Record, fields="radius injective value_count displacement_set "
                       "collisions violations"):
     """Exhaustive check on the free-group ball of the stated radius: the
@@ -132,29 +93,41 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
     map by the declared sets."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    group = data.ctx.group
-    words = [w.letters for w in FreeGroup(2).ball_elements(radius)]
+    ctx = data.ctx
+    group = ctx.group
+    maps, declared = {}, {}
+    for c, m in zip(_BRANCH_LETTERS, data.branch_maps()):
+        maps[c], declared[c] = pwt_map(m, ctx), set(m.displacement)
+    base = group.check(data.base_point)
+    # the ball is in layer order, so the value of each word's suffix w[1:]
+    # is already in the table; every value is built from the checked base
+    # point by the branch maps
+    values: dict[tuple[int, ...], Elem] = {}
     seen: dict[Elem, tuple[int, ...]] = {}
     collisions = []
-    for w in words:
-        v = eval_embedding(data, w)
+    for word in FreeGroup(2).ball_elements(radius):
+        w = word.letters
+        try:
+            v = maps[w[0]](values[w[1:]]) if w else base
+        except PwTError as exc:
+            raise EmbeddingWindowError(
+                f"evaluation left the validated window after {len(w) - 1} of "
+                f"{len(w)} letters; rebuild the witness on a larger window "
+                f"(word {w})"
+            ) from exc
+        values[w] = v
         if v in seen:
             collisions.append((seen[v], w))
         else:
             seen[v] = w
 
-    declared = {
-        c: set(m.displacement)
-        for c, m in zip(_BRANCH_LETTERS, data.branch_maps())
-    }
-    # the memo's values were built from checked points by the branch maps
-    values, mul, inv = data._memo, group._mul, group._inv
+    mul, inv = group._mul, group._inv
     observed = set()
     violations = []
-    for w in words:
+    for w, v in values.items():
         if len(w) >= radius:
             continue
-        w_inv = inv(values[w])
+        w_inv = inv(v)
         for c in _BRANCH_LETTERS:
             if w and w[0] == -c:
                 continue

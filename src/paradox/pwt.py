@@ -29,13 +29,10 @@ class PwT(Record, fields="domain pieces displacement"):
     __slots__ = ()
 
 
-def pwt_apply(p: PwT, g: Elem, ctx: SetContext) -> Elem:
-    return pwt_map(p, ctx)(ctx.group.check(g))
-
-
 def pwt_map(p: PwT, ctx: SetContext) -> Callable[[Elem], Elem]:
-    """`pwt_apply` of p as a function of points already checked in
-    ctx.group, with the membership tests of p's sets taken once."""
+    """p as a function of points already checked in ctx.group, with the
+    membership tests of p's sets taken once.  A point outside the domain or
+    in other than one piece raises PwTError."""
     group = ctx.group
     in_domain = predicate(p.domain, ctx)
     pieces = [(predicate(piece, ctx), group.check(t)) for piece, t in p.pieces]

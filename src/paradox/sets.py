@@ -9,9 +9,9 @@ enumeration's answers do not depend on the order of the queries.  The affine
 decider's can, near its cap: its memo keeps what earlier searches settled, so
 a later query may decide a point that an earlier one left undecided.  A True
 or False is never wrong.  Everything else is decided exactly.  The third
-value stays in this module: the rest of the package asks `predicate`,
-`member_strict` or `materialize`, which raise the one `undecided_error`
-naming point, set and cap.
+value stays in this module: the rest of the package asks `predicate` or
+`materialize`, which raise the one `undecided_error` naming point, set and
+cap.
 
 An expression is a tree of tuple nodes, each kind spelled out once in the
 node table `_NODES`.  Each expression is compiled once per context into a
@@ -148,14 +148,10 @@ def member(expr: SetExpr, g: Elem, ctx: SetContext):
     return _compiled(expr, ctx)[1](ctx.group.check(g))
 
 
-def member_strict(expr: SetExpr, g: Elem, ctx: SetContext) -> bool:
-    """`member`, with an undecided point raising `undecided_error`."""
-    return _compiled(expr, ctx)[2](ctx.group.check(g))
-
-
 def predicate(expr: SetExpr, ctx: SetContext) -> Callable[[Elem], bool]:
-    """`member_strict` of expr as a function of points already checked in
-    ctx.group, compiled once: a loop takes it before it starts."""
+    """`member` of expr as a function of points already checked in
+    ctx.group, with an undecided point raising `undecided_error`, compiled
+    once: a loop takes it before it starts."""
     return _compiled(expr, ctx)[2]
 
 
@@ -479,6 +475,13 @@ class _AffineSemigroupDecider:
 MAX_DEPTH = 100
 _TOO_DEEP = f"set expression nests more than {MAX_DEPTH} levels deep"
 
+# At most this many atoms and operations in all (a translate adds none, so a
+# producer's piece s*A counts as A does): a membership test costs about one
+# step per node, and a certificate's set text has no length limit.  A chain
+# at the depth cap has 2 * MAX_DEPTH + 1 of them.
+MAX_NODES = 256
+_TOO_BIG = f"set expression has more than {MAX_NODES} nodes"
+
 # the characters at which a leading translate prefix can end or nest
 _PREFIX_STOPS = re.compile(r"[(){}*|&\\]")
 
@@ -494,10 +497,17 @@ def parse_setexpr(text: str, group: Group) -> SetExpr:
 
 class _SetParser:
     """Recursive descent over the text.  Each method returns the expression
-    it read and its operation depth; `nesting` counts the open parentheses."""
+    it read and its operation depth; `nesting` counts the open parentheses
+    and `nodes` the nodes read so far."""
 
     def __init__(self, text: str, group: Group):
-        self.text, self.group, self.pos, self.nesting = text, group, 0, 0
+        self.text, self.group = text, group
+        self.pos = self.nesting = self.nodes = 0
+
+    def add_node(self) -> None:
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            raise ParseError(_TOO_BIG, self.pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -515,6 +525,7 @@ class _SetParser:
             if not self.text.startswith(operator, self.pos):
                 return expr, depth
             self.pos += len(operator)
+            self.add_node()
             right, right_depth = operand()
             expr, depth = kind(expr, right), max(depth, right_depth) + 1
             if depth > MAX_DEPTH:
@@ -557,6 +568,7 @@ class _SetParser:
             self.pos += 1
             self.nesting -= 1
         else:
+            self.add_node()
             expr, depth = self._parse_keyword(), 0
         for t in reversed(translators):
             expr = translate(t, expr, self.group)

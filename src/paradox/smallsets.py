@@ -92,6 +92,8 @@ def check_pair_intersections(
     group: Group, elems: tuple[Elem, ...], radius: int
 ) -> PairIntersectionReport:
     """max over nonidentity s in the ball of |sA intersect A|, exactly."""
+    if radius < 1:
+        raise ValueError("check radius must be >= 1")
     elems = tuple(map(group.check, elems))
     elem_set, mul, identity = set(elems), group._mul, group.identity()
     best, where = -1, None

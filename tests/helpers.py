@@ -283,6 +283,15 @@ def _edited_at(cert, path, *value):
     return edited
 
 
+def balanced_union(leaves):
+    """The text of a union of the leaves, parenthesised as a balanced binary
+    tree, so that it nests only about log2(len(leaves)) deep."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return f"({balanced_union(leaves[:half])}|{balanced_union(leaves[half:])})"
+
+
 def nested_edits(cert):
     """(label, edited copy) below the top level: every key of every object
     and the first and last element of every array dropped, then its value

@@ -12,7 +12,7 @@ from paradox import witness
 from paradox.certificates import load_certificate
 from paradox.groups import BALL_SIZE_CAP
 from paradox.cli import main
-from helpers import _redigest, run_cli_limited
+from helpers import _redigest, balanced_union, run_cli_limited
 
 EX28_ARGS = [
     "check",
@@ -465,6 +465,19 @@ class TestPayloadShape:
         )
 
 
+def _edited_match(tmp_path, set_text):
+    """A free:2 window-2 match certificate with its set replaced, resealed."""
+    from paradox.certificates import seal, write_text
+
+    path = tmp_path / "match.json"
+    assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                "ball:1", "--window", "2", "--out", str(path), "--quiet"]) == 0
+    cert = load_certificate(str(path))
+    cert["set"] = set_text
+    write_text(seal(cert), str(path))
+    return path
+
+
 # The two hostile set texts: 3000 nested parentheses, and a chain of 5000
 # unions.  Each used to end in a RecursionError traceback.
 DEEP_SETS = {
@@ -486,19 +499,46 @@ class TestNestingCap:
 
     @pytest.mark.parametrize("text", DEEP_SETS.values(), ids=DEEP_SETS)
     def test_verify_exits_3(self, tmp_path, capsys, text):
-        from paradox.certificates import seal, write_text
-
-        path = tmp_path / "match.json"
-        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
-                    "ball:1", "--window", "2", "--out", str(path), "--quiet"]) == 0
-        cert = load_certificate(str(path))
-        cert["set"] = text
-        write_text(seal(cert), str(path))
+        path = _edited_match(tmp_path, text)
         capsys.readouterr()
         assert run(["verify", str(path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("verification failed: payload does not parse or "
                               "replay: set expression nests more than ")
+        assert err.count("\n") == 1, err
+
+
+# A balanced union of 16,000 empties, 127,997 characters: before the node cap
+# `check --group free:2 --translators a,b` took 3.1 s on it at window 6 and
+# 22 s at window 8, and a certificate can carry a longer one.
+WIDE_SET = balanced_union(["empty"] * 16000)
+
+
+class TestNodeCap:
+    """A set expression past `sets.MAX_NODES` ends in one line, fast."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--set", WIDE_SET],
+        ["type-order", "--m", "2", "--set-a", "all", "--n", "1", "--set-b", WIDE_SET],
+    ], ids=["check", "type-order"])
+    def test_producer_exits_1(self, capsys, argv):
+        started = time.perf_counter()
+        assert run(argv + ["--group", "free:2", "--translators", "a,b", "--window",
+                           "8", "--quiet"]) == 1
+        assert time.perf_counter() - started < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: set expression has more than 256 nodes")
+        assert err.count("\n") == 1, err
+
+    def test_verify_exits_3(self, tmp_path, capsys):
+        path = _edited_match(tmp_path, WIDE_SET)
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["verify", str(path), "--quiet"]) == 3
+        assert time.perf_counter() - started < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: payload does not parse or "
+                              "replay: set expression has more than 256 nodes")
         assert err.count("\n") == 1, err
 
 
@@ -1363,9 +1403,11 @@ class TestRefusals:
          "need a match or witness certificate, got deficiency"),
         (["embed-f2", "--from-cert", "bad-witness"], "witness fails validation"),
         (["embed-f2", "--from-cert", "match", "--depth", "0"], "radius must be >= 1"),
+        (["small-set", "--group", "zn:1", "--count", "3", "--check-radius", "0"],
+         "check radius must be >= 1"),
     ], ids=["group", "power", "trailing-input", "open-paren", "semigroup-gens",
             "slab-group", "embed-f2-kind", "cp-witness-kind", "embed-f2-witness",
-            "embed-f2-depth"])
+            "embed-f2-depth", "small-set-check-radius"])
     def test_exits_1_with_one_line(self, certs, capsys, argv, message):
         argv = [certs.get(a, a) for a in argv]
         capsys.readouterr()

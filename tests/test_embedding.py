@@ -2,12 +2,13 @@ import pytest
 
 from paradox.embedding import (
     EmbeddingData,
+    EmbeddingWindowError,
     build_embedding,
     check_injective_lipschitz,
-    eval_embedding,
 )
+from paradox.engine import doubling_matching, witness_from_matching
 from paradox.groups import ball, group_from_string
-from paradox.pwt import PwT, pwt_apply
+from paradox.pwt import PwT, pwt_map
 from paradox.sets import EmptySet, SetContext
 from paradox.witness import (
     ParadoxWitness,
@@ -16,7 +17,6 @@ from paradox.witness import (
 )
 
 BS = group_from_string("bs12")
-F2 = group_from_string("free:2")
 
 S_GEN = BS.parse("(2,0)")
 T_GEN = BS.parse("(2,1)")
@@ -54,7 +54,7 @@ class TestBuild:
 
         pts = materialize(embedding.sigma_plus.domain, window, ctx)
         image_sets = [
-            {pwt_apply(m, g, ctx) for g in pts} for m in embedding.branch_maps()
+            set(map(pwt_map(m, ctx), pts)) for m in embedding.branch_maps()
         ]
         image_sets.append({embedding.base_point})
         for i in range(len(image_sets)):
@@ -74,30 +74,8 @@ class TestBuild:
         assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
 
 
-class TestEval:
-    def test_identity_and_single_letters(self, embedding):
-        assert BS.show(eval_embedding(embedding, ())) == "(2,1)"
-        assert BS.show(eval_embedding(embedding, (1,))) == "(16,8)"
-
-    def test_recursion_matches_map_application(self, embedding):
-        ctx = embedding.ctx
-        inner = eval_embedding(embedding, (2, -1))
-        outer = eval_embedding(embedding, (1, 2, -1))
-        assert pwt_apply(embedding.sigma_plus, inner, ctx) == outer
-
-    def test_unreduced_word_rejected(self, embedding):
-        with pytest.raises(ValueError):
-            eval_embedding(embedding, (-1, 1))
-        with pytest.raises(ValueError):
-            eval_embedding(embedding, (3,))
-
-    def test_accepts_free_words(self, embedding):
-        w = F2.parse("a b^-1")
-        assert eval_embedding(embedding, w) == eval_embedding(embedding, (1, -2))
-
+class TestWindowExit:
     def test_window_scoped_witness_names_required_growth(self):
-        from paradox.embedding import EmbeddingWindowError
-        from paradox.engine import doubling_matching, witness_from_matching
         from paradox.sets import SemigroupSet
 
         semi = SemigroupSet((S_GEN, T_GEN), True)
@@ -107,10 +85,13 @@ class TestEval:
             doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
         )
         data = build_embedding(finite_witness, window, ctx)
-        with pytest.raises(EmbeddingWindowError, match="larger window"):
-            for radius in (1, 2, 3):
-                for w in F2.ball_elements(radius):
-                    eval_embedding(data, w.letters)
+        assert check_injective_lipschitz(data, 1).value_count == 5
+        with pytest.raises(EmbeddingWindowError) as info:
+            check_injective_lipschitz(data, 2)
+        assert str(info.value) == (
+            "evaluation left the validated window after 1 of 2 letters; "
+            "rebuild the witness on a larger window (word (1, 1))"
+        )
 
 
 class TestLipschitz:

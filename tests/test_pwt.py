@@ -5,8 +5,8 @@ from paradox.pwt import (
     PwT,
     PwTError,
     first_overlap,
-    pwt_apply,
     pwt_compose,
+    pwt_map,
 )
 from paradox.sets import (
     AllSet,
@@ -39,14 +39,14 @@ def int_elems(*values):
 class TestApply:
     def test_semigroup_doubling_map(self):
         ctx = SetContext(BS)
-        assert BS.show(pwt_apply(SIGMA_PLUS, BS.parse("(2,1)"), ctx)) == "(4,2)"
+        assert BS.show(pwt_map(SIGMA_PLUS, ctx)(BS.parse("(2,1)"))) == "(4,2)"
 
     def test_identity_map(self):
         e = Z1.identity()
         ident = PwT(AllSet(), ((AllSet(), e),), (e,))
         ctx = SetContext(Z1)
         g = IntVec((5,))
-        assert pwt_apply(ident, g, ctx) == g
+        assert pwt_map(ident, ctx)(g) == g
 
     def test_two_piece_lookup(self):
         evens = FiniteSet(int_elems(-4, -2, 0, 2, 4))
@@ -57,16 +57,17 @@ class TestApply:
             (IntVec((1,)), IntVec((-1,))),
         )
         ctx = SetContext(Z1)
-        assert pwt_apply(shift, IntVec((4,)), ctx) == IntVec((5,))
-        assert pwt_apply(shift, IntVec((3,)), ctx) == IntVec((2,))
+        apply = pwt_map(shift, ctx)
+        assert apply(IntVec((4,))) == IntVec((5,))
+        assert apply(IntVec((3,))) == IntVec((2,))
 
     def test_domain_errors(self):
         ctx = SetContext(BS)
         with pytest.raises(PwTError):
-            pwt_apply(SIGMA_PLUS, BS.parse("(2,-1)"), ctx)
+            pwt_map(SIGMA_PLUS, ctx)(BS.parse("(2,-1)"))
         gap = PwT(AllSet(), ((FiniteSet((Z1.identity(),)), IntVec((1,))),), (IntVec((1,)),))
         with pytest.raises(PwTError):
-            pwt_apply(gap, IntVec((3,)), SetContext(Z1))
+            pwt_map(gap, SetContext(Z1))(IntVec((3,)))
 
 
 class TestCompose:
@@ -76,8 +77,9 @@ class TestCompose:
         ident = PwT(SEMI, ((SEMI, e),), (e,))
         comp = pwt_compose(SIGMA_PLUS, ident, BS)
         window = semigroup_window(3)
+        apply_comp, apply_plus = pwt_map(comp, ctx), pwt_map(SIGMA_PLUS, ctx)
         for g in materialize(SEMI, window, ctx):
-            assert pwt_apply(comp, g, ctx) == pwt_apply(SIGMA_PLUS, g, ctx)
+            assert apply_comp(g) == apply_plus(g)
 
     def test_compose_translators_multiply(self):
         ss = pwt_compose(SIGMA_PLUS, SIGMA_PLUS, BS)
@@ -89,10 +91,10 @@ class TestCompose:
         ctx = SetContext(BS)
         window = semigroup_window(3)
         comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, BS)
+        apply_comp = pwt_map(comp, ctx)
+        apply_minus, apply_plus = pwt_map(SIGMA_MINUS, ctx), pwt_map(SIGMA_PLUS, ctx)
         for g in materialize(SEMI, window, ctx):
-            assert pwt_apply(comp, g, ctx) == pwt_apply(
-                SIGMA_MINUS, pwt_apply(SIGMA_PLUS, g, ctx), ctx
-            )
+            assert apply_comp(g) == apply_minus(apply_plus(g))
 
 
 class TestFirstOverlap:

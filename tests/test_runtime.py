@@ -219,10 +219,9 @@ def _names_used(trees):
     return names
 
 
-# Checked versions of what the package asks unchecked, kept for library users.
-CHECKED_ENTRY_POINTS = {
-    ("sets.py", "member"), ("sets.py", "member_strict"), ("pwt.py", "pwt_apply"),
-}
+# The checked, three-valued membership, kept for library users and the
+# benchmark's per-layer probes.
+CHECKED_ENTRY_POINTS = {("sets.py", "member")}
 
 
 def _outside_callers():
@@ -282,9 +281,8 @@ def test_every_public_method_has_a_caller():
 
 
 def test_three_valued_membership_stays_in_sets():
-    """Outside `sets.py` membership is asked through `predicate`,
-    `member_strict` or `materialize`, so an undecided point always raises
-    `undecided_error`."""
+    """Outside `sets.py` membership is asked through `predicate` or
+    `materialize`, so an undecided point always raises `undecided_error`."""
     found = []
     for filename, tree in _package_modules():
         if filename == "sets.py":

@@ -19,7 +19,7 @@ from paradox.sets import (
     SemigroupSet,
     SetContext,
     Union,
-    member_strict,
+    predicate,
 )
 from paradox.smallsets import (
     absorbing_check,
@@ -187,7 +187,7 @@ class TestAbsorbing:
             assert got == absorbing_check_direct(expr, pattern, window, ctx)
             if got is not None:
                 for t in pattern:
-                    assert member_strict(expr, Z1.mul(t, got), ctx)
+                    assert predicate(expr, ctx)(Z1.mul(t, got))
 
     def test_empty_pattern_rejected(self):
         window = ball(Z1, 2)
