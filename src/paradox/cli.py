@@ -14,7 +14,7 @@ import sys
 
 # Each command imports the modules it runs, so that `verify` loads no solver.
 from .groups import ball, group_from_string
-from .sets import SetContext, parse_setexpr
+from .sets import parse_setexpr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +144,7 @@ def cmd_check(args) -> int:
     expr = parse_setexpr(args.set_expr, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
-    result = doubling_matching(expr, translators, window, SetContext(group))
+    result = doubling_matching(expr, translators, window)
     if isinstance(result, TransportCert):
         _emit(args, certs.transport_fields("match", result))
         if args.witness_out:
@@ -179,9 +179,8 @@ def cmd_verify(args) -> int:
 
 
 def _witness_from_any_cert(path: str):
-    """The witness a match or witness certificate gives, with the window and
-    the context it was checked in, and whether it has passed `witness_check`
-    there already."""
+    """The witness a match or witness certificate gives, with the window it
+    was checked in, and whether it has passed `witness_check` there already."""
     from . import certificates as certs
     from .engine import symbolic_witness_from_matching, witness_from_matching
     from .verifier import read_envelope
@@ -191,15 +190,14 @@ def _witness_from_any_cert(path: str):
     kind, window = read_envelope(data)
     if kind not in ("match", "witness"):
         raise _CliError(f"need a match or witness certificate, got {kind}")
-    ctx = SetContext(window.group)
     with _parsing("certificate payload"):
         if kind == "witness":
-            return certs.witness_from_cert(data, window.group), window, ctx, False
+            return certs.witness_from_cert(data, window.group), window, False
         match = certs.transport_from_cert(data, window)
     lifted = symbolic_witness_from_matching(match)
-    if lifted is not None and witness_check(lifted, window, ctx).passed:
-        return lifted, window, ctx, True
-    return witness_from_matching(match), window, ctx, False
+    if lifted is not None and witness_check(lifted, window).passed:
+        return lifted, window, True
+    return witness_from_matching(match), window, False
 
 
 def cmd_embed_f2(args) -> int:
@@ -209,10 +207,10 @@ def cmd_embed_f2(args) -> int:
         embedding_from_checked,
     )
 
-    witness, window, ctx, checked = _witness_from_any_cert(args.from_cert)
-    group = ctx.group
+    witness, window, checked = _witness_from_any_cert(args.from_cert)
+    group = window.group
     build = embedding_from_checked if checked else build_embedding
-    embedding = build(witness, window, ctx)
+    embedding = build(witness, window)
     report = check_injective_lipschitz(embedding, args.depth)
     payload = {
         "injective": report.injective,
@@ -250,9 +248,9 @@ def cmd_cp_witness(args) -> int:
     from . import certificates as certs
     from .crossed import pi_witness, verify_pi_witness
 
-    witness, window, ctx, _ = _witness_from_any_cert(args.from_cert)
-    pw = pi_witness(witness, ctx.group)
-    report = verify_pi_witness(pw, window, ctx)
+    witness, window, _ = _witness_from_any_cert(args.from_cert)
+    pw = pi_witness(witness, window.group)
+    report = verify_pi_witness(pw, window)
     for name, ok, msg in report.checks:
         _say(args, f"{name}: {'PASS' if ok else 'FAIL ' + msg}")
     # a certificate is written only for identities that all hold
@@ -271,10 +269,7 @@ def cmd_type_order(args) -> int:
     set_b = parse_setexpr(args.set_b, group)
     translators = _parse_translators(group, args.translators)
     window = ball(group, args.window)
-    result = type_order(
-        args.copies, set_a, args.capacity, set_b, translators, window,
-        SetContext(group),
-    )
+    result = type_order(args.copies, set_a, args.capacity, set_b, translators, window)
     if isinstance(result, TransportCert):
         _emit(args, certs.transport_fields("flow", result))
         _say(args, "flow: comparison holds on this window")

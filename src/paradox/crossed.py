@@ -122,14 +122,14 @@ def coeff_value(coeff: Coefficient, ctx: SetContext) -> Callable[[Elem], Fractio
     return lambda g: sum((q for q, in_expr in terms if in_expr(g)), zero)
 
 
-def cp_vanishes_on(x: CPElem, window: Window, ctx: SetContext):
+def cp_vanishes_on(x: CPElem, window: Window):
     """None when every coefficient evaluates to zero at every window point;
     otherwise the first offending (unitary element, point, value).  Each
     coefficient is summed as integer numerators over the lcm of its
     denominators; only the reported value is a Fraction."""
     for t, coeff in x.terms:
         scale = lcm(*(q.denominator for q, _ in coeff))
-        terms = [(q.numerator * (scale // q.denominator), predicate(expr, ctx))
+        terms = [(q.numerator * (scale // q.denominator), predicate(expr, window))
                  for q, expr in coeff]
         for g in window.elements:
             num = sum(n for n, in_expr in terms if in_expr(g))
@@ -162,8 +162,7 @@ def pi_witness(w: ParadoxWitness, group: Group) -> PIWitness:
     return PIWitness(group, w.set_expr, _build(group, raw_v), _build(group, raw_w))
 
 
-def verify_pi_witness(pw: PIWitness, window: Window,
-                      ctx: SetContext) -> ValidationReport:
+def verify_pi_witness(pw: PIWitness, window: Window) -> ValidationReport:
     """Window-exact check of v*v = p = w*w, orthogonality of the ranges, and
     range domination by p."""
     group = pw.group
@@ -180,7 +179,7 @@ def verify_pi_witness(pw: PIWitness, window: Window,
     )
     results = []
     for name, delta in identities:
-        offender = cp_vanishes_on(delta, window, ctx)
+        offender = cp_vanishes_on(delta, window)
         if offender is None:
             results.append((name, True, ""))
         else:
@@ -205,8 +204,7 @@ class CornerReport(Record, fields="compressed off_diagonal"):
     __slots__ = ()
 
 
-def corner_compress(a: SetExpr, x: CPElem, window: Window,
-                    ctx: SetContext) -> CornerReport:
+def corner_compress(a: SetExpr, x: CPElem, window: Window) -> CornerReport:
     """Compute 1_a * x * 1_a and measure how concentrated every off-identity
     coefficient is on the window."""
     group = x.group
@@ -216,6 +214,6 @@ def corner_compress(a: SetExpr, x: CPElem, window: Window,
     for t, coeff in compressed.terms:
         if t == group.identity():
             continue
-        value = coeff_value(coeff, ctx)
+        value = coeff_value(coeff, window)
         sizes.append((t, sum(1 for g in window.elements if value(g) != 0)))
     return CornerReport(compressed, tuple(sizes))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .groups import Elem, FreeGroup, Record, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
-from .sets import SetContext, materialize
+from .sets import materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
 
 # the letters a, a^-1, b, b^-1, in the order of branch_maps()
@@ -19,7 +19,7 @@ class EmbeddingWindowError(ValueError):
 
 
 class EmbeddingData(Record, fields="sigma_plus sigma_minus tau_plus tau_minus "
-                   "base_point ctx"):
+                   "base_point window"):
     """The four branch maps and base point driving the word-by-word recursion
     f(c x') = map_c(f(x')), f(e) = base point."""
 
@@ -29,25 +29,23 @@ class EmbeddingData(Record, fields="sigma_plus sigma_minus tau_plus tau_minus "
         return (self.sigma_plus, self.sigma_minus, self.tau_plus, self.tau_minus)
 
 
-def build_embedding(w: ParadoxWitness, window: Window,
-                    ctx: SetContext) -> EmbeddingData:
+def build_embedding(w: ParadoxWitness, window: Window) -> EmbeddingData:
     """Derive four pairwise-disjoint-image maps and an unhit base point from a
     two-map witness, which must pass `witness_check` on the window first:
     depth-three composites inside the plus branch, base point from the minus
     branch."""
-    report = witness_check(w, window, ctx)
+    report = witness_check(w, window)
     if not report.passed:
         raise ValueError(f"witness fails validation: {report.failures()}")
-    return embedding_from_checked(w, window, ctx)
+    return embedding_from_checked(w, window)
 
 
-def embedding_from_checked(w: ParadoxWitness, window: Window,
-                           ctx: SetContext) -> EmbeddingData:
+def embedding_from_checked(w: ParadoxWitness, window: Window) -> EmbeddingData:
     """`build_embedding` for a witness that has passed `witness_check` on
-    this window and context.  A window-scoped witness can pass and still
-    give branch images that meet on the window: that is a ValueError."""
-    group = ctx.group
-    base = materialize(w.set_expr, window, ctx)
+    this window.  A window-scoped witness can pass and still give branch
+    images that meet on the window: that is a ValueError."""
+    group = window.group
+    base = materialize(w.set_expr, window)
     if not base:
         raise ValueError("the witness set has an empty window slice")
     plus, minus = base_translation_maps(w, group)
@@ -55,12 +53,12 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
     for eps in (plus, minus):
         for delta in (plus, minus):
             branches.append(pwt_compose(plus, pwt_compose(eps, delta, group), group))
-    base_point = pwt_map(minus, ctx)(base[0])
+    base_point = pwt_map(minus, window)(base[0])
 
     image_sets = []
     for mp in branches:
         images = set()
-        apply = pwt_map(mp, ctx)
+        apply = pwt_map(mp, window)
         for g in base:
             try:
                 images.add(apply(g))
@@ -73,7 +71,7 @@ def embedding_from_checked(w: ParadoxWitness, window: Window,
         raise ValueError(
             f"branch images {hit[0]} and {hit[1]} overlap at {group.show(hit[2])}"
         )
-    return EmbeddingData(*branches, base_point, ctx)
+    return EmbeddingData(*branches, base_point, window)
 
 
 class LipschitzReport(Record, fields="radius injective value_count displacement_set "
@@ -93,11 +91,10 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
     map by the declared sets."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    ctx = data.ctx
-    group = ctx.group
+    group = data.window.group
     maps, declared = {}, {}
     for c, m in zip(_BRANCH_LETTERS, data.branch_maps()):
-        maps[c], declared[c] = pwt_map(m, ctx), set(m.displacement)
+        maps[c], declared[c] = pwt_map(m, data.window), set(m.displacement)
     base = group.check(data.base_point)
     # the ball is in layer order, so the value of each word's suffix w[1:]
     # is already in the table; every value is built from the checked base

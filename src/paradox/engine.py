@@ -13,12 +13,11 @@ from .certificates import TransportCert, ViolatorCert
 from .flow import FlowNetwork
 from .groups import PRODUCT_CAP, Elem, Window
 from .matching import max_matching
-from .sets import FiniteSet, SetContext, SetExpr, materialize, predicate
+from .sets import FiniteSet, SetExpr, materialize, predicate
 from .witness import ParadoxWitness
 
 
-def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
-               ctx: SetContext):
+def _transport(a: SetExpr, b: SetExpr, translators, window: Window):
     """The transport graph from a's window slice into b, built once.
 
     Returns (sorted translators, points, images, moves, image count):
@@ -29,13 +28,13 @@ def _transport(a: SetExpr, b: SetExpr, translators, window: Window,
     edge beyond the image id's int."""
     if not translators:
         raise ValueError("translator set must be nonempty")
-    group = ctx.group
+    group = window.group
     s_list = tuple(sorted(set(map(group.check, translators)), key=group.sort_key))
-    points = materialize(a, window, ctx)  # window points are checked
+    points = materialize(a, window)  # window points are checked
     if len(points) * len(s_list) > PRODUCT_CAP:
         raise ValueError(f"{len(points)} window points times {len(s_list)} translators "
                          f"make more than the cap of {PRODUCT_CAP} products")
-    mul, in_b = group._mul, predicate(b, ctx)
+    mul, in_b = group._mul, predicate(b, window)
     image_id: dict[Elem, int] = {}
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     images, moves = [], []
@@ -56,7 +55,6 @@ def doubling_matching(
     a: SetExpr,
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
-    ctx: SetContext,
 ) -> TransportCert | ViolatorCert:
     """Decide two-into-one window doubling, 2[a] <= 1[a], for the given
     translator set.
@@ -67,8 +65,7 @@ def doubling_matching(
     vertex 2i + c for copy c of point i and, on failure, the violator is read
     off the matching's final alternating-reachability layering.
     """
-    s_list, points, images, moves, n_images = _transport(
-        a, a, translators, window, ctx)
+    s_list, points, images, moves, n_images = _transport(a, a, translators, window)
     if n_images < 2 * len(points):
         return ViolatorCert(2, a, 1, a, s_list, window, points)
 
@@ -130,14 +127,12 @@ def type_order(
     b: SetExpr,
     translators: list[Elem] | tuple[Elem, ...],
     window: Window,
-    ctx: SetContext,
 ) -> TransportCert | ViolatorCert:
     """Decide whether m copies of a's window slice inject into b with
     multiplicity at most n, displacements drawn from the translator set."""
     if copies < 1 or capacity < 1:
         raise ValueError("copies and capacity must be >= 1")
-    s_list, points, images, moves, n_images = _transport(
-        a, b, translators, window, ctx)
+    s_list, points, images, moves, n_images = _transport(a, b, translators, window)
 
     n_nodes = 2 + len(points) + n_images
     source, sink = 0, n_nodes - 1

@@ -8,7 +8,7 @@ generator indices) order so that downstream results are byte-reproducible.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from operator import add, itemgetter, neg, xor
 from typing import Iterator, Sequence, Union
 
@@ -218,6 +218,10 @@ class Group:
     def _inv(self, g: Elem) -> Elem:
         raise NotImplementedError
 
+    def _product(self, elems) -> Elem:
+        """The product of checked elements, left to right."""
+        return reduce(self._mul, elems, self.identity())
+
     def generators(self) -> tuple[Elem, ...]:
         """Canonical symmetric generating set, in enumeration order."""
         raise NotImplementedError
@@ -323,6 +327,18 @@ class FreeGroup(Group):
     def _inv(self, g: FreeWord) -> FreeWord:
         return _word([c ^ 1 for c in reversed(g)])
 
+    def _product(self, elems) -> FreeWord:
+        # one stack over all the letter codes: each letter cancels against
+        # the top or is pushed, so the product costs its total length
+        stack: list[int] = []
+        for g in elems:
+            for c in g:
+                if stack and stack[-1] == c ^ 1:
+                    stack.pop()
+                else:
+                    stack.append(c)
+        return _word(stack)
+
     def generators(self) -> tuple[FreeWord, ...]:
         return tuple(_word((c,)) for c in range(2 * self.rank))
 
@@ -356,11 +372,8 @@ class FreeGroup(Group):
                 elif "^" in token:
                     raise ParseError(f"unsupported power in {token!r}", pos)
                 raise ParseError(f"unknown generator {name!r} for {self.key}", pos)
-            if codes and codes[-1] == code ^ 1:
-                codes.pop()
-            else:
-                codes.append(code)
-        return _word(codes)
+            codes.append(code)
+        return self._product((codes,))  # the codes reduced as one word
 
 
 class LatticeGroup(Group):
@@ -548,19 +561,29 @@ def group_from_string(spec: str) -> Group:
 # ---- windows -------------------------------------------------------------
 
 
-class Window:
-    """Finite, ordered, duplicate-free slice of a group on which all
-    certificates are checked; `kind` is "ball" (the elements are the ball of
-    `radius`) or "explicit".  Build one with `ball` or `explicit_window`,
-    which hand over checked, distinct elements: code that reads
-    `elements` neither checks them again nor looks for repeats."""
+class SetContext:
+    """Carries the group and the caches its compiled tests share."""
 
-    __slots__ = ("group", "radius", "elements", "kind", "_texts")
+    __slots__ = ("group", "caches")
+
+    def __init__(self, group: Group) -> None:
+        self.group, self.caches = group, {}
+
+
+class Window(SetContext):
+    """Finite, ordered, duplicate-free slice of a group on which all
+    certificates are checked, and the context of the tests compiled for those
+    checks; `kind` is "ball" (the elements are the ball of `radius`) or
+    "explicit".  Build one with `ball` or `explicit_window`, which hand over
+    checked, distinct elements: code that reads `elements` neither checks
+    them again nor looks for repeats."""
+
+    __slots__ = ("radius", "elements", "kind", "_texts")
 
     def __init__(self, group: Group, radius: int, elements: tuple[Elem, ...],
                  kind: str = "ball") -> None:
-        self.group, self.radius = group, radius
-        self.elements, self.kind = elements, kind
+        super().__init__(group)
+        self.radius, self.elements, self.kind = radius, elements, kind
         self._texts: tuple[str, ...] | None = None
 
     def texts(self) -> tuple[str, ...]:

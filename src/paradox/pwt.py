@@ -83,11 +83,19 @@ class ValidationReport(Record, fields="checks"):
 
 
 def first_overlap(point_sets, group) -> tuple[int, int, Elem] | None:
-    """The first pair i < j of point sets that meet, with their least shared
-    point by `group.sort_key`; None when the sets are pairwise disjoint."""
-    for i in range(len(point_sets)):
-        for j in range(i + 1, len(point_sets)):
-            common = point_sets[i] & point_sets[j]
-            if common:
-                return i, j, min(common, key=group.sort_key)
-    return None
+    """The first pair i < j of point collections that meet, with their least
+    shared point by `group.sort_key`; None when they are pairwise disjoint.
+    One pass: each point remembers the first collection that holds it.  A
+    point held by L0 < L1 < ... meets first at (L0, L1), so the least pair
+    seen over all points is the first pair that meets."""
+    first: dict[Elem, int] = {}
+    pair = None
+    for j, points in enumerate(point_sets):
+        for g in points:
+            i = first.setdefault(g, j)
+            if i != j and (pair is None or (i, j) < pair):
+                pair = (i, j)
+    if pair is None:
+        return None
+    i, j = pair
+    return i, j, min(set(point_sets[i]).intersection(point_sets[j]), key=group.sort_key)

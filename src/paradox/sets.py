@@ -14,8 +14,8 @@ value stays in this module: the rest of the package asks `predicate` or
 cap.
 
 An expression is a tree of tuple nodes, each kind spelled out once in the
-node table `_NODES`.  Each expression is compiled once per context into a
-closure over checked points, and every membership question runs that closure.
+node table `_NODES`.  Each expression is compiled once per context (a window
+is one) into a closure over checked points, run by every membership question.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .groups import (
     LatticeGroup,
     ParseError,
     Record,
+    SetContext,
     Window,
     _split_top,
 )
@@ -130,18 +131,6 @@ def translate(t: Elem, inner: SetExpr, group: Group) -> SetExpr:
     return Translate(t, inner)
 
 
-# ---- evaluation context ----------------------------------------------------
-
-
-class SetContext:
-    """Carries the group and the caches its compiled tests share."""
-
-    __slots__ = ("group", "caches")
-
-    def __init__(self, group: Group) -> None:
-        self.group, self.caches = group, {}
-
-
 def member(expr: SetExpr, g: Elem, ctx: SetContext):
     """Exact membership of g in expr; BUDGET_EXCEEDED only for semigroup
     queries past a search cap, never a wrong bool."""
@@ -166,10 +155,10 @@ def undecided_error(expr: SetExpr, g: Elem, ctx: SetContext) -> BudgetError:
     )
 
 
-def materialize(expr: SetExpr, window: Window, ctx: SetContext) -> tuple[Elem, ...]:
+def materialize(expr: SetExpr, window: Window) -> tuple[Elem, ...]:
     """The window slice of expr, in window order; the first window point
     whose membership a search cap leaves open raises `undecided_error`."""
-    return tuple(filter(predicate(expr, ctx), window.elements))
+    return tuple(filter(predicate(expr, window), window.elements))
 
 
 # ---- compiled membership -----------------------------------------------------
@@ -570,8 +559,8 @@ class _SetParser:
         else:
             self.add_node()
             expr, depth = self._parse_keyword(), 0
-        for t in reversed(translators):
-            expr = translate(t, expr, self.group)
+        if translators:
+            expr = translate(self.group._product(translators), expr, self.group)
         return expr, depth
 
     def _parse_keyword(self) -> SetExpr:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from .groups import Elem, Group, Record, Window
 from .sets import (
     Intersect,
-    SetContext,
     SetExpr,
     predicate,
     translate,
@@ -107,25 +106,25 @@ def check_pair_intersections(
 
 
 def absorbing_check(
-    a: SetExpr, finite: tuple[Elem, ...], window: Window, ctx: SetContext
+    a: SetExpr, finite: tuple[Elem, ...], window: Window
 ) -> Elem | None:
     """First window g with finite*g inside a, computed via the intersection
     of the inverse translates; None when the window holds no such g."""
     if not finite:
         raise ValueError("the finite set must be nonempty")
-    group = ctx.group
+    group = window.group
     expr: SetExpr | None = None
     for t in finite:
         piece = translate(group.inv(t), a, group)
         expr = piece if expr is None else Intersect(expr, piece)
-    return next(filter(predicate(expr, ctx), window.elements), None)
+    return next(filter(predicate(expr, window), window.elements), None)
 
 
 def absorbing_check_direct(
-    a: SetExpr, finite: tuple[Elem, ...], window: Window, ctx: SetContext
+    a: SetExpr, finite: tuple[Elem, ...], window: Window
 ) -> Elem | None:
     """Reference computation of absorbing_check by direct scanning."""
-    group, in_a = ctx.group, predicate(a, ctx)
+    group, in_a = window.group, predicate(a, window)
     finite = [group.check(t) for t in finite]
     for g in map(group.check, window.elements):
         if all(in_a(group._mul(t, g)) for t in finite):

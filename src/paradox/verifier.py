@@ -20,7 +20,7 @@ from .certificates import (
     witness_from_cert,
 )
 from .groups import PRODUCT_CAP, Record, Window, group_from_string
-from .sets import BudgetError, SetContext, materialize, predicate
+from .sets import BudgetError, materialize, predicate
 
 
 class CertificateFormatError(ValueError):
@@ -70,10 +70,9 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     kind, window = read_envelope(cert)
     if window_digest(window) != cert.get("checkedOn"):
         return VerifyOutcome.failed("window digest does not match checkedOn")
-    ctx = SetContext(window.group)
     # a BudgetError is a ValueError caught first, so its message gets no prefix
     try:
-        outcome = _CHECKERS[kind](cert, window, ctx)
+        outcome = _CHECKERS[kind](cert, window)
     except BudgetError as exc:
         return VerifyOutcome.failed(str(exc))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -85,15 +84,15 @@ def verify_certificate(cert: dict) -> VerifyOutcome:
     return outcome
 
 
-def _verify_transport(data: dict, window, ctx) -> VerifyOutcome:
+def _verify_transport(data: dict, window) -> VerifyOutcome:
     fact = transport_from_cert(data, window)
     check = _verify_violator if isinstance(fact, ViolatorCert) else _verify_assignment
-    return check(fact, ctx)
+    return check(fact)
 
 
-def _verify_assignment(cert: TransportCert, ctx) -> VerifyOutcome:
-    group = ctx.group
-    points = materialize(cert.set_a, cert.window, ctx)
+def _verify_assignment(cert: TransportCert) -> VerifyOutcome:
+    group = cert.window.group
+    points = materialize(cert.set_a, cert.window)
     # The slice lists each point once, so equal sizes and equal sets also
     # rule out a point assigned twice.
     copies, capacity, assignment = cert.copies, cert.capacity, cert.assignment
@@ -103,7 +102,7 @@ def _verify_assignment(cert: TransportCert, ctx) -> VerifyOutcome:
         )
     declared = set(cert.translators)
     arrivals: dict = {}
-    in_b = predicate(cert.set_b, ctx)
+    in_b = predicate(cert.set_b, cert.window)
     for x, used in assignment:
         if len(used) != copies:
             return VerifyOutcome.failed(
@@ -129,9 +128,9 @@ def _verify_assignment(cert: TransportCert, ctx) -> VerifyOutcome:
     return VerifyOutcome.passed()
 
 
-def _verify_violator(cert: ViolatorCert, ctx) -> VerifyOutcome:
-    group = ctx.group
-    point_set = set(materialize(cert.set_a, cert.window, ctx))
+def _verify_violator(cert: ViolatorCert) -> VerifyOutcome:
+    group = cert.window.group
+    point_set = set(materialize(cert.set_a, cert.window))
     violator, translators = cert.violator, cert.translators
     if not violator:
         return VerifyOutcome.failed("empty violator certifies nothing")
@@ -147,7 +146,7 @@ def _verify_violator(cert: ViolatorCert, ctx) -> VerifyOutcome:
             f"{len(violator)} violator points times {len(translators)} translators "
             f"make more than the cap of {PRODUCT_CAP} products"
         )
-    in_b = predicate(cert.set_b, ctx)
+    in_b = predicate(cert.set_b, cert.window)
     targets = set()
     for x in violator:
         for s in translators:
@@ -162,18 +161,16 @@ def _verify_violator(cert: ViolatorCert, ctx) -> VerifyOutcome:
     return VerifyOutcome.passed()
 
 
-def _verify_witness(cert: dict, window, ctx) -> VerifyOutcome:
+def _verify_witness(cert: dict, window) -> VerifyOutcome:
     from .witness import witness_check
 
-    return _outcome(witness_check(witness_from_cert(cert, window.group), window, ctx))
+    return _outcome(witness_check(witness_from_cert(cert, window.group), window))
 
 
-def _verify_cp_witness(cert: dict, window, ctx) -> VerifyOutcome:
+def _verify_cp_witness(cert: dict, window) -> VerifyOutcome:
     from .crossed import verify_pi_witness
 
-    return _outcome(
-        verify_pi_witness(pi_witness_from_cert(cert, window.group), window, ctx)
-    )
+    return _outcome(verify_pi_witness(pi_witness_from_cert(cert, window.group), window))
 
 
 def _outcome(report) -> VerifyOutcome:

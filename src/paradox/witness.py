@@ -12,7 +12,6 @@ from .sets import (
     Diff,
     FiniteSet,
     SemigroupSet,
-    SetContext,
     SetExpr,
     Translate,
     Union,
@@ -77,21 +76,20 @@ def semigroup_window(group: Group, s: Elem, t: Elem, depth: int) -> Window:
     return explicit_window(group, positive_words(group, (s, t), depth), depth)
 
 
-def _piece_points(piece: SetExpr, window: Window, ctx: SetContext) -> list[Elem]:
+def _piece_points(piece: SetExpr, window: Window) -> list[Elem]:
     """Probe points of a piece, checked: full content when syntactically
     finite, otherwise its window slice."""
     if isinstance(piece, FiniteSet):
-        return list(map(ctx.group.check, piece.elems))
+        return list(map(window.group.check, piece.elems))
     if isinstance(piece, Translate) and isinstance(piece.inner, FiniteSet):
-        return [ctx.group.mul(piece.t, e) for e in piece.inner.elems]
-    return list(materialize(piece, window, ctx))
+        return [window.group.mul(piece.t, e) for e in piece.inner.elems]
+    return list(materialize(piece, window))
 
 
-def witness_check(w: ParadoxWitness, window: Window,
-                  ctx: SetContext) -> ValidationReport:
+def witness_check(w: ParadoxWitness, window: Window) -> ValidationReport:
     """Verify piece disjointness, containment in the ambient set, and both
     covering identities, window-relatively."""
-    group = ctx.group
+    group = window.group
     checks = []
 
     ok = 0 <= w.split <= len(w.parts)
@@ -99,14 +97,14 @@ def witness_check(w: ParadoxWitness, window: Window,
     if not ok:
         return ValidationReport(tuple(checks))
 
-    points = [_piece_points(piece, window, ctx) for piece, _ in w.parts]
-    hit = first_overlap([set(p) for p in points], group)
+    points = [_piece_points(piece, window) for piece, _ in w.parts]
+    hit = first_overlap(points, group)
     bad = "" if hit is None else (
         f"pieces {hit[0]} and {hit[1]} share {group.show(hit[2])}"
     )
     checks.append(("pieces-disjoint", not bad, bad))
 
-    in_set = predicate(w.set_expr, ctx)
+    in_set = predicate(w.set_expr, window)
     bad = ""
     for i, pts in enumerate(points):
         for g in pts:
@@ -117,30 +115,22 @@ def witness_check(w: ParadoxWitness, window: Window,
             break
     checks.append(("pieces-inside-set", not bad, bad))
 
-    base = materialize(w.set_expr, window, ctx)  # window points are checked
-    # (inverse translator, membership test) of each piece
-    covers = [(group.inv(t), predicate(piece, ctx)) for piece, t in w.parts]
+    base = materialize(w.set_expr, window)  # window points are checked
+    # (inverse translator, membership test) of each piece; `inv` checks t
+    covers = [(group.inv(t), predicate(piece, window)) for piece, t in w.parts]
     mul = group._mul
     for fam, label in ((range(0, w.split), "first"), (range(w.split, len(w.parts)), "second")):
         family = [covers[j] for j in fam]
-        bad = ""
-        for g in base:
-            if not any(in_piece(mul(t_inv, g)) for t_inv, in_piece in family):
-                bad = f"{group.show(g)} not covered by the {label} family"
-                break
+        # the translated probe points t_j p are covered; only the window
+        # points left over ask the pieces' membership tests, in base order
+        moved = [(j, [mul(w.parts[j][1], g) for g in points[j]]) for j in fam]
+        covered = {h for _, images in moved for h in images}
+        bad = next((f"{group.show(g)} not covered by the {label} family" for g in base
+                    if g not in covered and not any(
+                        in_piece(mul(t_inv, g)) for t_inv, in_piece in family)), "")
         checks.append((f"{label}-family-covers", not bad, bad))
-        bad = ""
-        for j in fam:
-            t = group.check(w.parts[j][1])
-            for g in points[j]:
-                if not in_set(mul(t, g)):
-                    bad = (
-                        f"translated piece {j} leaves the set at "
-                        f"{group.show(mul(t, g))}"
-                    )
-                    break
-            if bad:
-                break
+        bad = next((f"translated piece {j} leaves the set at {group.show(h)}"
+                    for j, images in moved for h in images if not in_set(h)), "")
         checks.append((f"{label}-family-inside", not bad, bad))
     return ValidationReport(tuple(checks))
 

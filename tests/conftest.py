@@ -13,7 +13,7 @@ from paradox.engine import (
     witness_from_matching,
 )
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, SetContext
+from paradox.sets import AllSet, SemigroupSet
 from paradox.witness import free_semigroup_witness, semigroup_window
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -36,32 +36,30 @@ def transport_pool():
     pool = {}
 
     window = semigroup_window(BS, S_GEN, T_GEN, 3)
-    ctx = SetContext(window.group)
-    match = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
+    match = doubling_matching(SEMI, [S_GEN, T_GEN], window)
     assert isinstance(match, TransportCert)
     pool["match"] = "match", match
 
     f2_window = ball(F2, 2)
     free_match = doubling_matching(
-        AllSet(), F2.ball_elements(1), f2_window, SetContext(f2_window.group)
+        AllSet(), F2.ball_elements(1), f2_window
     )
     pool["match-free"] = "match", free_match
 
     z1_window = ball(Z1, 3)
-    z1_ctx = SetContext(z1_window.group)
     deficiency = doubling_matching(
-        AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window, z1_ctx
+        AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))], z1_window
     )
     assert isinstance(deficiency, ViolatorCert)
     pool["deficiency"] = "deficiency", deficiency
 
-    flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)
+    flow = type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window)
     assert isinstance(flow, TransportCert)
     pool["flow"] = "flow", flow
 
     flow_def = type_order(
         2, AllSet(), 1, AllSet(), [IntVec((-1,)), IntVec((0,)), IntVec((1,))],
-        z1_window, z1_ctx,
+        z1_window,
     )
     assert isinstance(flow_def, ViolatorCert)
     pool["flow-deficiency"] = "flow-deficiency", flow_def

@@ -30,7 +30,6 @@ from paradox.sets import (
     GreedySet,
     Intersect,
     SemigroupSet,
-    SetContext,
     Slab,
     Translate,
     Union,
@@ -85,7 +84,7 @@ def test_criterion_01_free_semigroup_pipeline():
         assert isinstance(witness, ParadoxWitness)
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         assert len(window) == 127  # all positive words distinct to depth 6
-        assert witness_check(witness, window, SetContext(window.group)).passed
+        assert witness_check(witness, window).passed
         assert time.perf_counter() - started < 1.0
 
 
@@ -101,7 +100,7 @@ def test_criterion_02_matching_deficiency_duality():
 
         def run_and_verify(group, s_list, radius, kind):
             window = ball(group, radius)
-            result = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+            result = doubling_matching(AllSet(), s_list, window)
             assert verify_certificate(sealed(transport_fields(kind, result))).ok
             return result
 
@@ -111,7 +110,7 @@ def test_criterion_02_matching_deficiency_duality():
             for radius in range(1, 9):
                 window = ball(Z1, radius)
                 result = doubling_matching(
-                    AllSet(), s_list, window, SetContext(window.group)
+                    AllSet(), s_list, window
                 )
                 if isinstance(result, ViolatorCert):
                     assert verify_certificate(sealed(transport_fields("deficiency", result))).ok
@@ -162,7 +161,7 @@ def test_criterion_02_matching_deficiency_duality():
             s_list = rng.sample(gens2, rng.randint(1, 5))
             radius = rng.randint(1, 4)
             window = ball(Z2, radius)
-            result = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+            result = doubling_matching(AllSet(), s_list, window)
             expected = doubling_exists_oracle(
                 Z2, list(window.elements), s_list, lambda img: True
             )
@@ -183,9 +182,8 @@ SLAB = Slab(Fraction(0), Fraction(1), Fraction(0))
 
 def slab_sweep(window_radius, max_s_radius=6):
     window = ball(BS, window_radius)
-    ctx = SetContext(window.group)
     for s_radius in range(1, max_s_radius + 1):
-        result = doubling_matching(SLAB, BS.ball_elements(s_radius), window, ctx)
+        result = doubling_matching(SLAB, BS.ball_elements(s_radius), window)
         if isinstance(result, TransportCert):
             return s_radius, result
     return None, None
@@ -209,7 +207,7 @@ def test_criterion_04_embedding():
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         reports = []
         for _ in range(2):  # stability across runs
-            embedding = build_embedding(witness, window, SetContext(window.group))
+            embedding = build_embedding(witness, window)
             reports.append(check_injective_lipschitz(embedding, 6))
         for report in reports:
             assert report.injective
@@ -243,7 +241,7 @@ def _criterion_witnesses():
     for radius in (2, 3):
         window = ball(F2, radius)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
+            AllSet(), F2.ball_elements(1), window
         )
         out.append((F2, witness_from_matching(cert), window))
     for window_radius in (2, 4):
@@ -256,9 +254,8 @@ def _criterion_witnesses():
 def test_criterion_06_proper_infiniteness_identities():
     with criterion(6, "crossed-product witness identities"):
         for group, witness, window in _criterion_witnesses():
-            ctx = SetContext(window.group)
             pw = pi_witness(witness, group)
-            assert verify_pi_witness(pw, window, ctx).passed
+            assert verify_pi_witness(pw, window).passed
             # every single-translator tampering is detected
             gen = group.generators()[0]
             for idx in range(len(witness.parts)):
@@ -272,7 +269,7 @@ def test_criterion_06_proper_infiniteness_identities():
                     ParadoxWitness(witness.set_expr, tampered_parts, witness.split),
                     group,
                 )
-                assert not verify_pi_witness(bad, window, ctx).passed
+                assert not verify_pi_witness(bad, window).passed
 
 
 def test_criterion_07_corner_compression():
@@ -283,7 +280,7 @@ def test_criterion_07_corner_compression():
         for t in Z1.ball_elements(3):
             x = cp_add(x, unitary(Z1, t))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
+        report = corner_compress(GreedySet(50), x, window)
         assert report.off_diagonal  # six off-identity terms survive
         for t, support in report.off_diagonal:
             assert support <= 2
@@ -320,15 +317,14 @@ def test_criterion_08_absorbing_probe_identity():
         for group in (Z1, F2, BS):
             rng = random.Random(hash(group.key) & 0xFFFF)
             window = ball(group, 4)
-            ctx = SetContext(group)
             for _ in range(100):
                 expr = _random_exact_expr(group, rng)
                 pattern = tuple(
                     rng.choice(group.ball_elements(2))
                     for _ in range(rng.randint(1, 3))
                 )
-                via_intersection = absorbing_check(expr, pattern, window, ctx)
-                via_scan = absorbing_check_direct(expr, pattern, window, ctx)
+                via_intersection = absorbing_check(expr, pattern, window)
+                via_scan = absorbing_check_direct(expr, pattern, window)
                 assert via_intersection == via_scan
 
 
@@ -364,14 +360,12 @@ def test_criterion_10_verifier_mutation_hardness():
         pool = []
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
         semi = SemigroupSet((S_GEN, T_GEN), True)
-        ctx = SetContext(window.group)
-        match = doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
+        match = doubling_matching(semi, [S_GEN, T_GEN], window)
         pool.append(sealed(transport_fields("match", match)))
         z1_window = ball(Z1, 3)
-        z1_ctx = SetContext(z1_window.group)
         pool.append(sealed(
             transport_fields("deficiency", doubling_matching(
-                AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
+                AllSet(), Z1.ball_elements(1), z1_window
             ))
         ))
         from paradox.certificates import witness_fields
@@ -380,12 +374,12 @@ def test_criterion_10_verifier_mutation_hardness():
         pool.append(sealed(witness_fields(witness_from_matching(match), window)))
         pool.append(sealed(
             transport_fields("flow", type_order(
-                1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx
+                1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window
             ))
         ))
         pool.append(sealed(
             transport_fields("flow-deficiency", type_order(
-                2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window, z1_ctx
+                2, AllSet(), 1, AllSet(), Z1.ball_elements(1), z1_window
             ))
         ))
         pool.append(sealed(

@@ -21,7 +21,7 @@ from paradox.engine import (
     type_order,
 )
 from paradox.groups import ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, SetContext, parse_setexpr, show_setexpr
+from paradox.sets import AllSet, SemigroupSet, parse_setexpr, show_setexpr
 from paradox.verifier import CertificateFormatError, verify_certificate
 from paradox.witness import semigroup_window
 from helpers import mutate_certificate, mutation_operators, sealed
@@ -53,24 +53,23 @@ class TestRoundTrip:
 
     def test_serialisation_is_deterministic(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        ctx = SetContext(window.group)
         a = seal(transport_fields(
-            "match", doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)))
+            "match", doubling_matching(SEMI, [S_GEN, T_GEN], window)))
         b = seal(transport_fields(
-            "match", doubling_matching(SEMI, [T_GEN, S_GEN], window, ctx)))
+            "match", doubling_matching(SEMI, [T_GEN, S_GEN], window)))
         assert a == b
 
     def test_writes_the_schema_budget_slack(self):
         # schema v1 keeps budgetSlack; every writer gives it as 4, and no
         # answer depends on it
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        match = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(BS))
+        match = doubling_matching(SEMI, [S_GEN, T_GEN], window)
         cert = sealed(transport_fields("match", match))
         assert cert["budgetSlack"] == 4
         assert verify_certificate(cert).ok
         # the context rides on the result but is not part of its value
         assert match == doubling_matching(
-            SEMI, [S_GEN, T_GEN], window, SetContext(BS)
+            SEMI, [S_GEN, T_GEN], window
         )
         assert "ctx" not in repr(match)
 
@@ -168,10 +167,9 @@ class TestDoublingIsFlow:
         """Both deciders return one record per outcome, and a result of
         either is written as a doubling or as a flow."""
         window = ball(group, radius)
-        ctx = SetContext(window.group)
         translators = group.ball_elements(1)
-        results = (doubling_matching(AllSet(), translators, window, ctx),
-                   type_order(2, AllSet(), 1, AllSet(), translators, window, ctx))
+        results = (doubling_matching(AllSet(), translators, window),
+                   type_order(2, AllSet(), 1, AllSet(), translators, window))
         assert type(results[0]) is type(results[1])
         kinds = (("match", "flow") if isinstance(results[0], TransportCert)
                  else ("deficiency", "flow-deficiency"))
@@ -190,8 +188,7 @@ class TestReader:
 
     def test_reader_inverts_the_writer(self, transport_pool):
         window = ball(F2, 2)
-        flow = type_order(3, AllSet(), 2, AllSet(), F2.ball_elements(1), window,
-                          SetContext(F2))
+        flow = type_order(3, AllSet(), 2, AllSet(), F2.ball_elements(1), window)
         assert isinstance(flow, TransportCert) and flow.capacity == 2
         for kind, result in [*transport_pool.values(), ("flow", flow)]:
             group = result.window.group
@@ -217,7 +214,7 @@ class TestReader:
             self, copies, capacity, kind, record):
         window = ball(Z1, 2)
         result = type_order(copies, AllSet(), capacity, AllSet(),
-                            Z1.ball_elements(1), window, SetContext(Z1))
+                            Z1.ball_elements(1), window)
         assert type(result).__name__ == record
         with pytest.raises(ValueError, match=f"^a {record} of {copies}\\[A\\] <= "
                                              f"{capacity}\\[B\\] is not written "
@@ -227,8 +224,7 @@ class TestReader:
     def test_a_doubling_needs_b_equal_to_a(self):
         window = ball(Z1, 2)
         wider = parse_setexpr("ball(9)", Z1)
-        result = type_order(2, AllSet(), 1, wider, Z1.ball_elements(1), window,
-                            SetContext(Z1))
+        result = type_order(2, AllSet(), 1, wider, Z1.ball_elements(1), window)
         kind = "match" if isinstance(result, TransportCert) else "deficiency"
         with pytest.raises(ValueError, match="is not written as"):
             transport_fields(kind, result)

@@ -226,12 +226,11 @@ class TestVerify:
         from paradox.certificates import seal, transport_fields, write_text
         from paradox.engine import doubling_matching
         from paradox.groups import explicit_window, group_from_string
-        from paradox.sets import AllSet, SetContext
+        from paradox.sets import AllSet
 
         f2 = group_from_string("free:2")
         window = explicit_window(f2, [f2.parse(t) for t in ("e", "a", "b")], 1)
-        result = doubling_matching(AllSet(), [f2.parse("a")], window,
-                                   SetContext(window.group))
+        result = doubling_matching(AllSet(), [f2.parse("a")], window)
         base = tmp_path / "deficiency.json"
         write_text(seal(transport_fields("deficiency", result)), str(base))
         assert run(["verify", str(base), "--quiet"]) == 0

@@ -28,7 +28,6 @@ from paradox.sets import (
     GreedySet,
     Intersect,
     SemigroupSet,
-    SetContext,
     Slab,
     Translate,
     translate,
@@ -79,11 +78,10 @@ class TestAlgebra:
     def test_covariance_relation(self):
         # u_s 1_A u_s^* realises translation of the set
         window = ball(BS, 3)
-        ctx = SetContext(window.group)
         for t in BS.ball_elements(2):
             lhs = cp_mul(unitary(BS, t), indicator(BS, SEMI))
             rhs = single(BS, Fraction(1), translate(t, SEMI, BS), t)
-            assert cp_vanishes_on(cp_sub(lhs, rhs), window, ctx) is None
+            assert cp_vanishes_on(cp_sub(lhs, rhs), window) is None
 
     def test_isometry_collapse(self):
         # (1_{sA} u_s)^* (1_{sA} u_s) agrees with 1_A on windows
@@ -91,7 +89,7 @@ class TestAlgebra:
         prod = cp_mul(cp_adjoint(v), v)
         delta = cp_sub(prod, indicator(BS, SEMI))
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert cp_vanishes_on(delta, window, SetContext(window.group)) is None
+        assert cp_vanishes_on(delta, window) is None
 
     def test_adjoint_examples(self):
         p = indicator(BS, SEMI)
@@ -109,18 +107,16 @@ class TestAlgebra:
     def test_associativity_extensional(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
             z = random_cp(BS, rng, elems, exprs)
             delta = cp_sub(cp_mul(cp_mul(x, y), z), cp_mul(x, cp_mul(y, z)))
-            assert cp_vanishes_on(delta, window, ctx) is None
+            assert cp_vanishes_on(delta, window) is None
 
     def test_distributivity_extensional(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
@@ -128,19 +124,18 @@ class TestAlgebra:
             delta = cp_sub(
                 cp_mul(x, cp_add(y, z)), cp_add(cp_mul(x, y), cp_mul(x, z))
             )
-            assert cp_vanishes_on(delta, window, ctx) is None
+            assert cp_vanishes_on(delta, window) is None
 
     def test_anti_multiplicative_adjoint(self, bs_samples):
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = SetContext(window.group)
         for _ in range(6):
             x = random_cp(BS, rng, elems, exprs)
             y = random_cp(BS, rng, elems, exprs)
             delta = cp_sub(
                 cp_adjoint(cp_mul(x, y)), cp_mul(cp_adjoint(y), cp_adjoint(x))
             )
-            assert cp_vanishes_on(delta, window, ctx) is None
+            assert cp_vanishes_on(delta, window) is None
 
 
     def test_first_offender_matches_fraction_sums(self, bs_samples):
@@ -148,7 +143,6 @@ class TestAlgebra:
         # first offender and value as summing each coefficient's Fractions
         rng, elems, exprs = bs_samples
         window = ball(BS, 2)
-        ctx = SetContext(window.group)
         for _ in range(20):
             x = cp_zero(BS)
             for _ in range(rng.randint(1, 4)):
@@ -156,8 +150,8 @@ class TestAlgebra:
                 x = cp_add(x, single(BS, q, rng.choice(exprs), rng.choice(elems)))
             expected = next(
                 ((t, g, val) for t, coeff in x.terms for g in window.elements
-                 if (val := coeff_value(coeff, ctx)(g)) != 0), None)
-            got = cp_vanishes_on(x, window, ctx)
+                 if (val := coeff_value(coeff, window)(g)) != 0), None)
+            got = cp_vanishes_on(x, window)
             assert got == expected
             assert got is None or type(got[2]) is Fraction
 
@@ -174,20 +168,19 @@ class TestPIWitness:
     def test_five_identities_pass(self):
         pw = pi_witness(self.witness(), BS)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert verify_pi_witness(pw, window, SetContext(window.group)).passed
+        assert verify_pi_witness(pw, window).passed
 
     def test_matching_derived_witness_passes(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        ctx = SetContext(window.group)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, ctx)
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
         pw = pi_witness(witness_from_matching(cert), BS)
-        assert verify_pi_witness(pw, window, ctx).passed
+        assert verify_pi_witness(pw, window).passed
 
     def test_tampered_translator_detected(self):
         pw = pi_witness(self.witness(), BS)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         bad = PIWitness(BS, pw.set_expr, cp_mul(unitary(BS, T_GEN), pw.v), pw.w)
-        report = verify_pi_witness(bad, window, SetContext(window.group))
+        report = verify_pi_witness(bad, window)
         assert not report.passed
         name, msg = report.failures()[0]
         assert "at (" in msg  # counterexample point is named
@@ -195,20 +188,20 @@ class TestPIWitness:
     def test_empty_set_vacuously_paradoxical(self):
         pw = PIWitness(BS, EmptySet(), cp_zero(BS), cp_zero(BS))
         window = ball(BS, 2)
-        assert verify_pi_witness(pw, window, SetContext(window.group)).passed
+        assert verify_pi_witness(pw, window).passed
 
 
 class TestCornerCompress:
     def test_greedy_corner_is_almost_diagonal(self):
         x = cp_add(indicator(Z1, AllSet()), unitary(Z1, IntVec((1,))))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
+        report = corner_compress(GreedySet(50), x, window)
         assert report.off_diagonal == ((IntVec((1,)), 1),)
 
     def test_diagonal_input_stays_diagonal(self):
         f = single(Z1, Fraction(3), FiniteSet((IntVec((2,)),)), Z1.identity())
         window = ball(Z1, 30)
-        report = corner_compress(GreedySet(20), f, window, SetContext(window.group))
+        report = corner_compress(GreedySet(20), f, window)
         assert report.off_diagonal == ()
         assert [t for t, _ in report.compressed.terms] == [Z1.identity()]
 
@@ -217,7 +210,7 @@ class TestCornerCompress:
         for k in (0, 1, -2):
             x = cp_add(x, unitary(Z1, IntVec((k,))))
         window = ball(Z1, 60)
-        report = corner_compress(GreedySet(50), x, window, SetContext(window.group))
+        report = corner_compress(GreedySet(50), x, window)
         assert report.off_diagonal
         for t, size in report.off_diagonal:
             assert size <= 2

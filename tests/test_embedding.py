@@ -9,7 +9,7 @@ from paradox.embedding import (
 from paradox.engine import doubling_matching, witness_from_matching
 from paradox.groups import ball, group_from_string
 from paradox.pwt import PwT, pwt_map
-from paradox.sets import EmptySet, SetContext
+from paradox.sets import EmptySet
 from paradox.witness import (
     ParadoxWitness,
     free_semigroup_witness,
@@ -26,7 +26,7 @@ T_GEN = BS.parse("(2,1)")
 def embedding():
     w = free_semigroup_witness(BS, S_GEN, T_GEN, 6)
     window = semigroup_window(BS, S_GEN, T_GEN, 6)
-    return build_embedding(w, window, SetContext(window.group))
+    return build_embedding(w, window)
 
 
 class TestBuild:
@@ -44,17 +44,16 @@ class TestBuild:
         empty = ParadoxWitness(EmptySet(), (), 0)
         with pytest.raises(ValueError):
             window = ball(BS, 2)
-            build_embedding(empty, window, SetContext(window.group))
+            build_embedding(empty, window)
 
     def test_images_and_base_point_disjoint(self, embedding):
         # build_embedding verifies this internally; re-check a sample here
-        ctx = embedding.ctx
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         from paradox.sets import materialize
 
-        pts = materialize(embedding.sigma_plus.domain, window, ctx)
+        pts = materialize(embedding.sigma_plus.domain, window)
         image_sets = [
-            set(map(pwt_map(m, ctx), pts)) for m in embedding.branch_maps()
+            set(map(pwt_map(m, embedding.window), pts)) for m in embedding.branch_maps()
         ]
         image_sets.append({embedding.base_point})
         for i in range(len(image_sets)):
@@ -70,7 +69,7 @@ class TestBuild:
         monkeypatch.setattr(emb, "base_translation_maps", lambda w, group: (plus, plus))
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         with pytest.raises(ValueError) as info:
-            build_embedding(w, window, SetContext(window.group))
+            build_embedding(w, window)
         assert str(info.value) == "branch images 0 and 1 overlap at (8,0)"
 
 
@@ -80,11 +79,10 @@ class TestWindowExit:
 
         semi = SemigroupSet((S_GEN, T_GEN), True)
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        ctx = SetContext(window.group)
         finite_witness = witness_from_matching(
-            doubling_matching(semi, [S_GEN, T_GEN], window, ctx)
+            doubling_matching(semi, [S_GEN, T_GEN], window)
         )
-        data = build_embedding(finite_witness, window, ctx)
+        data = build_embedding(finite_witness, window)
         assert check_injective_lipschitz(data, 1).value_count == 5
         with pytest.raises(EmbeddingWindowError) as info:
             check_injective_lipschitz(data, 2)
@@ -117,7 +115,7 @@ class TestLipschitz:
             embedding.tau_plus,
             embedding.tau_minus,
             embedding.base_point,
-            embedding.ctx,
+            embedding.window,
         )
         report = check_injective_lipschitz(broken, 2)
         assert not report.injective
@@ -134,7 +132,7 @@ class TestLipschitz:
             embedding.tau_plus,
             embedding.tau_minus,
             embedding.base_point,
-            embedding.ctx,
+            embedding.window,
         )
         report = check_injective_lipschitz(undeclared, 2)
         # every edge (a w, w) of the radius-2 ball, in ball order of w

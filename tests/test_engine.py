@@ -18,7 +18,6 @@ from paradox.sets import (
     BudgetError,
     FiniteSet,
     SemigroupSet,
-    SetContext,
     Translate,
     Union,
 )
@@ -48,7 +47,7 @@ class TestDoublingMatching:
     def test_lattice_is_deficient(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
-        cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+        cert = doubling_matching(AllSet(), s_list, window)
         assert isinstance(cert, ViolatorCert)
         assert [Z1.show(x) for x in cert.violator] == [
             "(0)", "(1)", "(-1)", "(2)", "(-2)", "(3)", "(-3)",
@@ -60,7 +59,7 @@ class TestDoublingMatching:
     def test_free_group_doubles(self):
         window = ball(F2, 2)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
+            AllSet(), F2.ball_elements(1), window
         )
         assert isinstance(cert, TransportCert)
         assert len(cert.assignment) == 17
@@ -69,14 +68,14 @@ class TestDoublingMatching:
 
     def test_free_semigroup_matching_uses_both_generators(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
         assert isinstance(cert, TransportCert)
         assert {used for _, used in cert.assignment} == {(S_GEN, T_GEN)}
 
     def test_empty_window_slice_matches_vacuously(self):
         window = ball(Z1, 2)
         cert = doubling_matching(
-            FiniteSet(()), [IntVec((1,))], window, SetContext(window.group)
+            FiniteSet(()), [IntVec((1,))], window
         )
         assert isinstance(cert, TransportCert)
         assert cert.assignment == ()
@@ -87,26 +86,24 @@ class TestDoublingMatching:
         a, b_inv = F2.parse("a"), F2.parse("b^-1")
         with pytest.raises(BudgetError, match=r"^membership of e in "
                            r"semigroup\(a,b\) undecided: "):
-            doubling_matching(FREE_SEMI, [a], ball(F2, 1), SetContext(F2))
+            doubling_matching(FREE_SEMI, [a], ball(F2, 1))
         with pytest.raises(BudgetError, match=r"^membership of b\^-1 a in "
                            r"semigroup\(a,b\) undecided: "):
-            doubling_matching(FREE_SEMI, [b_inv], explicit_window(F2, [a], 1),
-                              SetContext(F2))
+            doubling_matching(FREE_SEMI, [b_inv], explicit_window(F2, [a], 1))
 
     def test_empty_translator_set_rejected(self):
         window = ball(Z1, 2)
         with pytest.raises(ValueError, match="nonempty"):
-            doubling_matching(AllSet(), [], window, SetContext(window.group))
+            doubling_matching(AllSet(), [], window)
 
     def test_agreement_with_independent_oracle(self):
         rng = random.Random(42)
         ball2 = Z1.ball_elements(2)
-        ctx = SetContext(Z1)
         for trial in range(40):
             s_list = rng.sample(ball2, rng.randint(1, 4))
             radius = rng.randint(1, 3)
             window = ball(Z1, radius)
-            cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+            cert = doubling_matching(AllSet(), s_list, window)
             expected = doubling_exists_oracle(
                 Z1, list(window.elements), s_list, lambda img: True
             )
@@ -115,7 +112,7 @@ class TestDoublingMatching:
     def test_deficiency_monotone_under_window_growth(self):
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
-        small = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+        small = doubling_matching(AllSet(), s_list, window)
         assert isinstance(small, ViolatorCert)
         # the same violator refutes doubling on any larger window
         big_points = set(ball(Z1, 6).elements)
@@ -159,50 +156,50 @@ class TestMaxMatching:
 class TestWitnessFromMatching:
     def test_two_piece_structure(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
         w = witness_from_matching(cert)
         assert w.split == 1 and len(w.parts) == 2
         piece0, trans0 = w.parts[0]
         assert trans0 == BS.inv(S_GEN)
         assert set(piece0.elems) == {BS.mul(S_GEN, x) for x in window.elements}
-        assert witness_check(w, window, SetContext(window.group)).passed
+        assert witness_check(w, window).passed
 
     def test_single_point_window(self):
         window = explicit_window(Z1, (IntVec((0,)),), 0)
         cert = doubling_matching(
-            AllSet(), [IntVec((1,)), IntVec((2,))], window, SetContext(window.group)
+            AllSet(), [IntVec((1,)), IntVec((2,))], window
         )
         assert isinstance(cert, TransportCert)
         w = witness_from_matching(cert)
         assert len(w.parts) == 2
         assert all(len(piece.elems) == 1 for piece, _ in w.parts)
-        assert witness_check(w, window, SetContext(window.group)).passed
+        assert witness_check(w, window).passed
 
     def test_piece_count_bounded_by_translators(self):
         window = ball(F2, 2)
         cert = doubling_matching(
-            AllSet(), F2.ball_elements(1), window, SetContext(window.group)
+            AllSet(), F2.ball_elements(1), window
         )
         w = witness_from_matching(cert)
         assert len(w.parts) <= 2 * len(cert.translators)
-        assert witness_check(w, window, SetContext(window.group)).passed
+        assert witness_check(w, window).passed
 
     def test_every_matching_transfers_to_a_checked_witness(self):
         rng = random.Random(13)
         for _ in range(20):
             s_list = rng.sample(F2.ball_elements(2), rng.randint(2, 6))
             window = ball(F2, rng.randint(1, 2))
-            cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+            cert = doubling_matching(AllSet(), s_list, window)
             if isinstance(cert, TransportCert):
                 w = witness_from_matching(cert)
-                assert witness_check(w, window, SetContext(window.group)).passed
+                assert witness_check(w, window).passed
 
     def test_symbolic_lift_of_constant_matching(self):
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group))
+        cert = doubling_matching(SEMI, [S_GEN, T_GEN], window)
         lifted = symbolic_witness_from_matching(cert)
         assert lifted is not None
-        assert witness_check(lifted, window, SetContext(window.group)).passed
+        assert witness_check(lifted, window).passed
         assert lifted.parts[0][0] == Translate(S_GEN, SEMI)
 
 
@@ -213,13 +210,13 @@ class TestWitnessCheck:
     def test_symbolic_witness_passes_on_window(self):
         w = self.witness()
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
-        assert witness_check(w, window, SetContext(window.group)).passed
+        assert witness_check(w, window).passed
 
     def test_duplicated_piece_fails_disjointness(self):
         w = self.witness()
         bad = ParadoxWitness(w.set_expr, (w.parts[0], w.parts[0]), 1)
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        report = witness_check(bad, window, SetContext(window.group))
+        report = witness_check(bad, window)
         assert "pieces-disjoint" in dict(report.failures())
 
     def test_missing_coverage_names_element(self):
@@ -227,7 +224,7 @@ class TestWitnessCheck:
         # drop the first family's only piece: nothing covers the identity
         bad = ParadoxWitness(w.set_expr, (w.parts[1],), 0)
         window = semigroup_window(BS, S_GEN, T_GEN, 3)
-        report = witness_check(bad, window, SetContext(window.group))
+        report = witness_check(bad, window)
         failures = dict(report.failures())
         assert "first-family-covers" in failures
         assert "(1,0)" in failures["first-family-covers"]
@@ -240,7 +237,7 @@ class TestWitnessCheck:
         )
         window = ball(F2, 1)
         with pytest.raises(BudgetError) as err:
-            witness_check(ParadoxWitness(FREE_SEMI, parts, 1), window, SetContext(F2))
+            witness_check(ParadoxWitness(FREE_SEMI, parts, 1), window)
         assert str(err.value).startswith(
             "membership of e in semigroup(a,b) undecided: "
         )
@@ -252,7 +249,7 @@ class TestFreeSemigroupWitness:
         assert isinstance(w, ParadoxWitness)
         window = semigroup_window(BS, S_GEN, T_GEN, 6)
         assert len(window) == 127
-        assert witness_check(w, window, SetContext(window.group)).passed
+        assert witness_check(w, window).passed
 
     def test_equal_generators_collide_at_length_one(self):
         c = free_semigroup_witness(BS, S_GEN, S_GEN, 3)
@@ -281,7 +278,7 @@ class TestTypeOrder:
     def test_one_copy_into_double_capacity(self):
         window = ball(Z1, 3)
         cert = type_order(
-            1, AllSet(), 2, AllSet(), [Z1.identity()], window, SetContext(window.group)
+            1, AllSet(), 2, AllSet(), [Z1.identity()], window
         )
         assert isinstance(cert, TransportCert)
         assert all(used == (Z1.identity(),) for _, used in cert.assignment)
@@ -290,7 +287,7 @@ class TestTypeOrder:
         s_list = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
         window = ball(Z1, 3)
         cert = type_order(
-            2, AllSet(), 1, AllSet(), s_list, window, SetContext(window.group)
+            2, AllSet(), 1, AllSet(), s_list, window
         )
         assert isinstance(cert, ViolatorCert)
         targets = {Z1.mul(s, x) for s in s_list for x in cert.violator}
@@ -302,9 +299,8 @@ class TestTypeOrder:
         for _ in range(25):
             s_list = rng.sample(ball2, rng.randint(1, 4))
             window = ball(Z1, rng.randint(1, 3))
-            ctx = SetContext(window.group)
-            a = doubling_matching(AllSet(), s_list, window, ctx)
-            b = type_order(2, AllSet(), 1, AllSet(), s_list, window, ctx)
+            a = doubling_matching(AllSet(), s_list, window)
+            b = type_order(2, AllSet(), 1, AllSet(), s_list, window)
             assert type(a) is type(b)
 
     def test_flow_between_different_sets(self):
@@ -313,10 +309,9 @@ class TestTypeOrder:
         evens = FiniteSet(tuple(IntVec((i,)) for i in range(-8, 9, 2)))
         window = ball(Z1, 4)
         s_list = [IntVec((i,)) for i in (-1, 0, 1, 4, 5)]
-        ctx = SetContext(window.group)
-        tight = type_order(1, AllSet(), 1, evens, s_list, window, ctx)
+        tight = type_order(1, AllSet(), 1, evens, s_list, window)
         assert isinstance(tight, ViolatorCert)
-        relaxed = type_order(1, AllSet(), 2, evens, s_list, window, ctx)
+        relaxed = type_order(1, AllSet(), 2, evens, s_list, window)
         assert isinstance(relaxed, TransportCert)
         arrivals = {}
         for x, used in relaxed.assignment:
@@ -346,7 +341,7 @@ class TestParadoxTransfer:
             },
             key=BS.sort_key,
         )
-        cert = doubling_matching(a, s_prime, window, SetContext(window.group))
+        cert = doubling_matching(a, s_prime, window)
         assert isinstance(cert, TransportCert)
 
 
@@ -359,14 +354,14 @@ class TestGrowthDichotomy:
                 s_list = rng.sample(ball3, rng.randint(1, 5))
                 radius = 40 if dim == 1 else 9
                 window = ball(group, radius)
-                cert = doubling_matching(AllSet(), s_list, window, SetContext(window.group))
+                cert = doubling_matching(AllSet(), s_list, window)
                 assert isinstance(cert, ViolatorCert)
 
     def test_large_lattice_window(self):
         # |ball(70)| = 9941 points in the plane: counting still refutes doubling
         window = ball(Z2, 70)
         cert = doubling_matching(
-            AllSet(), Z2.ball_elements(2), window, SetContext(window.group)
+            AllSet(), Z2.ball_elements(2), window
         )
         assert isinstance(cert, ViolatorCert)
 
@@ -375,12 +370,12 @@ class TestGrowthDichotomy:
             window = ball(F2, radius)
             assert isinstance(
                 doubling_matching(
-                    AllSet(), F2.ball_elements(1), window, SetContext(window.group)
+                    AllSet(), F2.ball_elements(1), window
                 ),
                 TransportCert,
             )
         window = semigroup_window(BS, S_GEN, T_GEN, 4)
         assert isinstance(
-            doubling_matching(SEMI, [S_GEN, T_GEN], window, SetContext(window.group)),
+            doubling_matching(SEMI, [S_GEN, T_GEN], window),
             TransportCert,
         )

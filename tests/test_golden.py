@@ -26,7 +26,7 @@ from paradox.cli import main
 from paradox.crossed import pi_witness
 from paradox.engine import doubling_matching, type_order, witness_from_matching
 from paradox.groups import IntVec, ball, group_from_string
-from paradox.sets import AllSet, SemigroupSet, SetContext, parse_setexpr
+from paradox.sets import AllSet, SemigroupSet, parse_setexpr
 from paradox.witness import semigroup_window
 
 Z1, BS = group_from_string("zn:1"), group_from_string("bs12")
@@ -34,32 +34,28 @@ F2 = group_from_string("free:2")
 s, t = BS.parse("(2,0)"), BS.parse("(2,1)")
 z1_ball1 = [IntVec((-1,)), IntVec((0,)), IntVec((1,))]
 window = semigroup_window(BS, s, t, 3)
-ctx = SetContext(window.group)
 z1_window, f2_window = ball(Z1, 3), ball(F2, 2)
-z1_ctx = SetContext(z1_window.group)
-match = doubling_matching(SemigroupSet((s, t), True), [s, t], window, ctx)
+match = doubling_matching(SemigroupSet((s, t), True), [s, t], window)
 witness = witness_from_matching(match)
 fields = {
     "match": transport_fields("match", match),
     "deficiency": transport_fields("deficiency",
-        doubling_matching(AllSet(), z1_ball1, z1_window, z1_ctx)),
+        doubling_matching(AllSet(), z1_ball1, z1_window)),
     "witness": witness_fields(witness, window),
     "flow": transport_fields("flow",
-        type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window, z1_ctx)),
+        type_order(1, AllSet(), 2, AllSet(), [Z1.identity()], z1_window)),
     "flow-deficiency": transport_fields("flow-deficiency",
-        type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window, z1_ctx)),
+        type_order(2, AllSet(), 1, AllSet(), z1_ball1, z1_window)),
     "cp-witness": pi_witness_fields(pi_witness(witness, BS), window),
     # 15 points with 33 images pass the counting bound, so this violator
     # comes from the matching's alternating-reachability cut
     "deficiency-hall": transport_fields("deficiency", doubling_matching(
         parse_setexpr(r"all\finite{a a b,b^-1 b^-1,a b^-1 a,b^-1,a b^-1 b^-1,"
                       r"a b^-1 a^-1}", F2),
-        [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window,
-        SetContext(f2_window.group))),
+        [F2.parse(w) for w in ("a", "a^-1", "b")], f2_window)),
     # offsets with denominators and signs, in window order
     "slab-match": transport_fields("match", doubling_matching(
-        parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3),
-        SetContext(BS))),
+        parse_setexpr("slab(0,1,0)", BS), BS.ball_elements(3), ball(BS, 3))),
 }
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from paradox.groups import IntVec, explicit_window, group_from_string
@@ -78,7 +81,7 @@ class TestCompose:
         comp = pwt_compose(SIGMA_PLUS, ident, BS)
         window = semigroup_window(3)
         apply_comp, apply_plus = pwt_map(comp, ctx), pwt_map(SIGMA_PLUS, ctx)
-        for g in materialize(SEMI, window, ctx):
+        for g in materialize(SEMI, window):
             assert apply_comp(g) == apply_plus(g)
 
     def test_compose_translators_multiply(self):
@@ -93,7 +96,7 @@ class TestCompose:
         comp = pwt_compose(SIGMA_MINUS, SIGMA_PLUS, BS)
         apply_comp = pwt_map(comp, ctx)
         apply_minus, apply_plus = pwt_map(SIGMA_MINUS, ctx), pwt_map(SIGMA_PLUS, ctx)
-        for g in materialize(SEMI, window, ctx):
+        for g in materialize(SEMI, window):
             assert apply_comp(g) == apply_minus(apply_plus(g))
 
 
@@ -113,3 +116,26 @@ class TestFirstOverlap:
         # (1, 2) meets too, but (0, 3) comes first; (3) precedes (-3), (5), (7)
         assert first_overlap(sets, Z1) == (0, 3, IntVec((1,)))
         assert first_overlap(sets[1:], Z1) == (0, 1, IntVec((3,)))
+
+    def test_agrees_with_the_pairwise_definition(self):
+        # seeded random families of lists and of sets, with points in three or
+        # more of them, points repeated within one list, and empty ones
+        rng = random.Random(38)
+        kinds = set()
+        for _ in range(400):
+            lists = [int_elems(*(rng.randint(-6, 6) for _ in range(rng.randint(0, 5))))
+                     for _ in range(rng.randint(0, 6))]
+            meets = [(i, j, set(lists[i]) & set(lists[j]))
+                     for i, j in itertools.combinations(range(len(lists)), 2)]
+            expected = next(((i, j, min(common, key=Z1.sort_key))
+                             for i, j, common in meets if common), None)
+            assert first_overlap(lists, Z1) == expected
+            assert first_overlap([set(p) for p in lists], Z1) == expected
+            kinds.add("disjoint" if expected is None else "meet")
+            if any(len(set(p)) < len(p) for p in lists):
+                kinds.add("repeat")
+            if any(not p for p in lists):
+                kinds.add("empty")
+            if any(sum(g in p for p in lists) >= 3 for g in set().union(*lists)):
+                kinds.add("three")
+        assert kinds == {"disjoint", "meet", "repeat", "empty", "three"}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -366,8 +367,9 @@ def test_certificate_writers_hold_no_context():
 
 
 def test_group_is_not_passed_beside_its_window_or_context():
-    """A window and a context each carry their group, so no function takes a
-    group parameter beside a window or ctx parameter."""
+    """A window and a context each carry their group, and a window is the
+    context of its checks, so no function takes a group parameter beside a
+    window or ctx parameter, nor a ctx parameter beside a window."""
     found = []
     for filename, tree in _package_modules():
         for node in ast.walk(tree):
@@ -376,6 +378,8 @@ def test_group_is_not_passed_beside_its_window_or_context():
                 params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 if "group" in params and params & {"window", "ctx"}:
                     found.append(f"{filename}:{node.lineno} {node.name}")
+                if {"window", "ctx"} <= params:
+                    found.append(f"{filename}:{node.lineno} {node.name} (ctx)")
     assert found == []
 
 
@@ -438,21 +442,45 @@ def test_doubling_matching_memory():
     edges) the solver's allocation peak stays under 3.5 MB.  It reads about
     3.0 MB; a tuple per edge and dicts keyed by vertex read about 4.2 MB."""
     from paradox.engine import doubling_matching
-    from paradox.sets import AllSet, SetContext
+    from paradox.sets import AllSet
 
     f2 = group_from_string("free:2")
     translators = f2.ball_elements(1)
     small = ball(f2, 1)
-    doubling_matching(AllSet(), translators, small, SetContext(small.group))
+    doubling_matching(AllSet(), translators, small)
     window = ball(f2, 7)
-    ctx = SetContext(window.group)
     tracemalloc.start()
     try:
-        doubling_matching(AllSet(), translators, window, ctx)
+        doubling_matching(AllSet(), translators, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3.5e6
+
+
+def test_witness_replay_is_linear_in_its_parts(tmp_path):
+    """The witness of free:2 window 7, cut into one-point parts (8,746 of
+    them), verifies in well under 2 s: comparing every pair of parts for
+    overlap, or asking every part of a family at every window point whether
+    it covers the point, took about 19 s."""
+    from paradox.certificates import witness_fields, witness_from_cert
+    from paradox.sets import FiniteSet
+    from paradox.witness import ParadoxWitness
+
+    path, cut_path = tmp_path / "witness.json", tmp_path / "cut.json"
+    assert paradox.cli.main(["check", "--group", "free:2", "--set", "all",
+                             "--translators", "ball:1", "--window", "7",
+                             "--witness-out", str(path), "--quiet"]) == 0
+    f2 = group_from_string("free:2")
+    w = witness_from_cert(json.loads(path.read_text()), f2)
+    first, second = ([(FiniteSet((x,)), t) for piece, t in parts for x in piece.elems]
+                     for parts in (w.parts[:w.split], w.parts[w.split:]))
+    cut = ParadoxWitness(w.set_expr, tuple(first + second), len(first))
+    assert len(cut.parts) == 8746
+    write_text(seal(witness_fields(cut, ball(f2, 7))), str(cut_path))
+    start = time.perf_counter()
+    assert paradox.cli.main(["verify", str(cut_path), "--quiet"]) == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_each_call_builds_a_new_group():

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
@@ -258,13 +259,13 @@ class TestMember:
 class TestMaterialize:
     def test_all_on_lattice_ball(self):
         window = ball(Z1, 2)
-        got = materialize(AllSet(), window, SetContext(window.group))
+        got = materialize(AllSet(), window)
         assert [Z1.show(g) for g in got] == ["(0)", "(1)", "(-1)", "(2)", "(-2)"]
 
     def test_slab_filter_matches_direct_comparison(self):
         slab = Slab(Fraction(0), Fraction(1), Fraction(0))
         window = ball(BS, 2)
-        got = materialize(slab, window, SetContext(window.group))
+        got = materialize(slab, window)
         expected = tuple(
             g for g in window.elements if 0 <= Fraction(g.num, 2 ** g.exp) <= 1
         )
@@ -273,20 +274,20 @@ class TestMaterialize:
     def test_semigroup_window_has_seven_short_words(self):
         words = positive_words(BS, (S_GEN, T_GEN), 2)
         window = explicit_window(BS, words, 2)
-        got = materialize(SEMI, window, SetContext(window.group))
+        got = materialize(SEMI, window)
         assert len(got) == 7  # e, s, t, ss, st, ts, tt all distinct
 
     def test_undecided_points_are_reported(self):
         # the first window point that the cap leaves open, e, is named
         with pytest.raises(BudgetError) as err:
-            materialize(FREE_SEMI, ball(F2, 1), SetContext(F2))
+            materialize(FREE_SEMI, ball(F2, 1))
         assert str(err.value) == f"membership of e in semigroup(a,b) {UNDECIDED_AT_CAP}"
 
     def test_monotone_under_window_growth(self):
         slab = Slab(Fraction(0), Fraction(2), Fraction(1))
         small, large = ball(BS, 2), ball(BS, 4)
-        small_mat = materialize(slab, small, SetContext(small.group))
-        large_mat = materialize(slab, large, SetContext(large.group))
+        small_mat = materialize(slab, small)
+        large_mat = materialize(slab, large)
         assert [g for g in large_mat if g in small.elements] == list(small_mat)
 
     def test_wide_slab_lies_in_two_translates_of_the_unit_slab(self):
@@ -297,7 +298,7 @@ class TestMaterialize:
         u = BS.parse("(1,1)")
         in_narrow = predicate(narrow, ctx)
         in_moved = predicate(Translate(u, narrow), ctx)
-        for g in materialize(wide, window, ctx):
+        for g in materialize(wide, window):
             assert in_narrow(g) or in_moved(g)
 
 
@@ -318,8 +319,8 @@ class TestDictionaryLaws:
                 nested = Translate(t, Translate(u, expr))
                 flat = Translate(BS.mul(t, u), expr)
                 assert (
-                    materialize(nested, window, ctx)
-                    == materialize(flat, window, ctx)
+                    materialize(nested, window)
+                    == materialize(flat, window)
                 )
 
     def test_translate_distributes_over_intersection(self):
@@ -334,8 +335,8 @@ class TestDictionaryLaws:
             lhs = Intersect(Translate(t, a), Translate(t, b))
             rhs = Translate(t, Intersect(a, b))
             assert (
-                materialize(lhs, window, ctx)
-                == materialize(rhs, window, ctx)
+                materialize(lhs, window)
+                == materialize(rhs, window)
             )
 
     def test_translate_constructor_collapses(self):
@@ -379,6 +380,37 @@ class TestGrammar:
     def test_free_group_translate(self):
         expr = parse_setexpr("a b^-1*ball(1)", F2)
         assert expr == Translate(F2.parse("a b^-1"), BallSet(1))
+
+    def test_translate_chain_matches_one_prefix_at_a_time(self):
+        # the parser multiplies a chain's prefixes once; folding `translate`
+        # over them one prefix at a time, innermost first, gives the same
+        # node, also over a parenthesised translate and when the product is e
+        rng = random.Random(14)
+        for group in (F2, Z1, BS):
+            gens = group.generators()
+            identities = 0
+            for trial in range(60):
+                prefixes = [rng.choice(gens) for _ in range(rng.randint(1, 6))]
+                inner = [rng.choice(gens)] if trial % 2 else []
+                if trial % 3 == 0:  # close the chain: the whole product is e
+                    prefixes += [group.inv(t) for t in reversed(inner + prefixes)]
+                expected = BallSet(1)
+                for t in reversed(prefixes + inner):
+                    expected = translate(t, expected, group)
+                text = "".join(f"{group.show(t)}*" for t in prefixes)
+                text += f"({group.show(inner[0])}*ball(1))" if inner else "ball(1)"
+                assert parse_setexpr(text, group) == expected, text
+                identities += expected == BallSet(1)
+            assert identities >= 10
+
+    def test_long_translate_chain_parses_in_linear_time(self):
+        # 64,000 prefixes (128 KB): multiplied one at a time, each product a
+        # word one letter longer, 10,000 of them took seconds
+        start = time.perf_counter()
+        expr = parse_setexpr("a*" * 64_000 + "all", F2)
+        elapsed = time.perf_counter() - start
+        assert expr == Translate(FreeWord((1,) * 64_000), AllSet())
+        assert elapsed < 2.0
 
     def test_errors(self):
         from paradox.groups import ParseError
@@ -531,7 +563,7 @@ class TestCompiledMembership:
         for _ in range(150):
             expr = _random_tree(rng, group, 4)
             expected = _reference(expr, window.elements, group)
-            assert set(materialize(expr, window, ctx)) == expected, expr
+            assert set(materialize(expr, window)) == expected, expr
             for g in window.elements:
                 assert member(expr, g, ctx) is (g in expected), (expr, g)
 
@@ -562,7 +594,7 @@ class TestCompiledMembership:
         assert str(err.value) == message
         window = explicit_window(BS, (S_GEN, UNDECIDED), 1)
         with pytest.raises(BudgetError) as err:
-            materialize(outer, window, ctx)
+            materialize(outer, window)
         assert str(err.value) == message
 
     def test_witness_check_hashes_no_set_expression(self, monkeypatch):
@@ -591,7 +623,7 @@ class TestCompiledMembership:
         counts = []
         for radius in (5, 7):
             window = ball(F2, radius)
-            report = witness_check(witness, window, SetContext(window.group))
+            report = witness_check(witness, window)
             assert report.passed, report
             counts.append(len(calls))
             calls.clear()

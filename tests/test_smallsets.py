@@ -17,7 +17,6 @@ from paradox.sets import (
     FiniteSet,
     GreedySet,
     SemigroupSet,
-    SetContext,
     Union,
     predicate,
 )
@@ -158,23 +157,20 @@ NATURALS = Diff(AllSet(), SemigroupSet((IntVec((-1,)),), False))
 class TestAbsorbing:
     def test_naturals_absorb_small_pattern(self):
         window = ball(Z1, 10)
-        ctx = SetContext(window.group)
-        got = absorbing_check(NATURALS, intvecs(0, 5), window, ctx)
+        got = absorbing_check(NATURALS, intvecs(0, 5), window)
         assert got == IntVec((0,))
-        assert absorbing_check_direct(NATURALS, intvecs(0, 5), window, ctx) == got
+        assert absorbing_check_direct(NATURALS, intvecs(0, 5), window) == got
 
     def test_greedy_set_has_no_consecutive_triples(self):
         window = ball(Z1, 60)
         expr = GreedySet(50)
         pattern = intvecs(0, 1, 2)
-        ctx = SetContext(window.group)
-        assert absorbing_check(expr, pattern, window, ctx) is None
-        assert absorbing_check_direct(expr, pattern, window, ctx) is None
+        assert absorbing_check(expr, pattern, window) is None
+        assert absorbing_check_direct(expr, pattern, window) is None
 
     def test_postcondition_replay(self):
         rng = random.Random(23)
         window = ball(Z1, 12)
-        ctx = SetContext(Z1)
         for _ in range(20):
             pattern = tuple(
                 IntVec((rng.randint(-3, 3),)) for _ in range(rng.randint(1, 3))
@@ -183,13 +179,13 @@ class TestAbsorbing:
                 FiniteSet(tuple(IntVec((rng.randint(-9, 9),)) for _ in range(6))),
                 BallSet(rng.randint(0, 3)),
             )
-            got = absorbing_check(expr, pattern, window, ctx)
-            assert got == absorbing_check_direct(expr, pattern, window, ctx)
+            got = absorbing_check(expr, pattern, window)
+            assert got == absorbing_check_direct(expr, pattern, window)
             if got is not None:
                 for t in pattern:
-                    assert predicate(expr, ctx)(Z1.mul(t, got))
+                    assert predicate(expr, window)(Z1.mul(t, got))
 
     def test_empty_pattern_rejected(self):
         window = ball(Z1, 2)
         with pytest.raises(ValueError):
-            absorbing_check(AllSet(), (), window, SetContext(window.group))
+            absorbing_check(AllSet(), (), window)
