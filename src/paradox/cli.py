@@ -169,6 +169,9 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except certs.CertificateTooLarge as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
     outcome = verify_certificate(cert)
     if outcome.ok:
         if not args.quiet:

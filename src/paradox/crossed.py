@@ -25,6 +25,10 @@ from .witness import ParadoxWitness
 # a coefficient is a merged, deterministically ordered sum q_1*1_{A_1} + ...
 Coefficient = tuple[tuple[Fraction, SetExpr], ...]
 
+# Most evaluations of a coefficient entry at a window point a cp-witness replay
+# may make, with 100 for an entry's build: free:2 window 8 (81 entries) fits.
+EVALUATION_CAP = 2_000_000
+
 
 def _canon_coeff(terms: list[tuple[Fraction, SetExpr]], group: Group,
                  shown: dict) -> Coefficient:
@@ -164,7 +168,12 @@ def pi_witness(w: ParadoxWitness, group: Group) -> PIWitness:
 
 def verify_pi_witness(pw: PIWitness, window: Window) -> ValidationReport:
     """Window-exact check of v*v = p = w*w, orthogonality of the ranges, and
-    range domination by p."""
+    range domination by p, refused past EVALUATION_CAP before any product."""
+    # e = e_v + e_w entries in v and w: vv*.ww* makes (e_v e_w)^2 <= (e^2/4)^2
+    entries = (sum(len(c) for x in (pw.v, pw.w) for _, c in x.terms) ** 2 // 4) ** 2
+    if entries * (len(window) + 100) > EVALUATION_CAP:
+        raise ValueError(f"v and w form {entries} coefficient entries on {len(window)} "
+                         f"window points, past the cap of {EVALUATION_CAP} evaluations")
     group = pw.group
     p = pw.p
     v, w = pw.v, pw.w

@@ -4,14 +4,10 @@ free-group ball."""
 
 from __future__ import annotations
 
-from .groups import Elem, FreeGroup, Record, Window
+from .groups import FreeGroup, Record, Window
 from .pwt import PwT, PwTError, first_overlap, pwt_compose, pwt_map
 from .sets import materialize
 from .witness import ParadoxWitness, base_translation_maps, witness_check
-
-# the letters a, a^-1, b, b^-1, in the order of branch_maps()
-_BRANCH_LETTERS = (1, -1, 2, -2)
-
 
 class EmbeddingWindowError(ValueError):
     """The recursion needs values outside the window the witness was
@@ -92,47 +88,37 @@ def check_injective_lipschitz(data: EmbeddingData, radius: int) -> LipschitzRepo
     if radius < 1:
         raise ValueError("radius must be >= 1")
     group = data.window.group
-    maps, declared = {}, {}
-    for c, m in zip(_BRANCH_LETTERS, data.branch_maps()):
-        maps[c], declared[c] = pwt_map(m, data.window), set(m.displacement)
+    mul, inv = group._mul, group._inv
+    # indexed by the letter code of a, a^-1, b, b^-1: the order of branch_maps()
+    maps = [pwt_map(m, data.window) for m in data.branch_maps()]
+    declared = [set(m.displacement) for m in data.branch_maps()]
+    e, *words = FreeGroup(2).ball_elements(radius)
     base = group.check(data.base_point)
-    # the ball is in layer order, so the value of each word's suffix w[1:]
-    # is already in the table; every value is built from the checked base
-    # point by the branch maps
-    values: dict[tuple[int, ...], Elem] = {}
-    seen: dict[Elem, tuple[int, ...]] = {}
-    collisions = []
-    for word in FreeGroup(2).ball_elements(radius):
-        w = word.letters
+    # (value, inverse) of each word shorter than the radius, all built from the
+    # checked base point; in layer order each suffix word[1:] is already here
+    table = {e: (base, inv(base))}
+    seen = {base: e}
+    collisions, violations, observed = [], [], set()
+    for word in words:
+        u, u_inv = table[word[1:]]
         try:
-            v = maps[w[0]](values[w[1:]]) if w else base
+            v = maps[word[0]](u)
         except PwTError as exc:
             raise EmbeddingWindowError(
-                f"evaluation left the validated window after {len(w) - 1} of "
-                f"{len(w)} letters; rebuild the witness on a larger window "
-                f"(word {w})"
+                f"evaluation left the validated window after {len(word) - 1} of "
+                f"{len(word)} letters; rebuild the witness on a larger window "
+                f"(word {word.letters})"
             ) from exc
-        values[w] = v
+        if len(word) < radius:
+            table[word] = (v, inv(v))
         if v in seen:
-            collisions.append((seen[v], w))
+            collisions.append((seen[v].letters, word.letters))
         else:
-            seen[v] = w
-
-    mul, inv = group._mul, group._inv
-    observed = set()
-    violations = []
-    for w, v in values.items():
-        if len(w) >= radius:
-            continue
-        w_inv = inv(v)
-        for c in _BRANCH_LETTERS:
-            if w and w[0] == -c:
-                continue
-            cw = (c,) + w
-            d = mul(values[cw], w_inv)
-            observed.add(d)
-            if d not in declared[c]:
-                violations.append((cw, w))
+            seen[v] = word
+        d = mul(v, u_inv)  # the step's displacement f(c w') f(w')^-1
+        observed.add(d)
+        if d not in declared[word[0]]:
+            violations.append((word.letters, word.letters[1:]))
     t_set = observed | set(map(inv, observed))
     ordered = tuple(sorted(t_set, key=group.sort_key))
     return LipschitzReport(

@@ -6,7 +6,7 @@ Everything here is checker-side; no matching or flow solver is involved.
 
 from __future__ import annotations
 
-from .groups import BALL_SIZE_CAP, Elem, Group, Record, Window, explicit_window
+from .groups import BALL_SIZE_CAP, PRODUCT_CAP, Elem, Group, Record, Window, explicit_window
 from .pwt import PwT, ValidationReport, first_overlap
 from .sets import (
     Diff,
@@ -76,20 +76,30 @@ def semigroup_window(group: Group, s: Elem, t: Elem, depth: int) -> Window:
     return explicit_window(group, positive_words(group, (s, t), depth), depth)
 
 
+def _sliced(piece: SetExpr) -> bool:
+    """Whether a piece is neither finite{...} nor a translate of one."""
+    return not isinstance(piece.inner if isinstance(piece, Translate) else piece, FiniteSet)
+
+
 def _piece_points(piece: SetExpr, window: Window) -> list[Elem]:
     """Probe points of a piece, checked: full content when syntactically
     finite, otherwise its window slice."""
-    if isinstance(piece, FiniteSet):
-        return list(map(window.group.check, piece.elems))
-    if isinstance(piece, Translate) and isinstance(piece.inner, FiniteSet):
+    if _sliced(piece):
+        return list(materialize(piece, window))
+    if isinstance(piece, Translate):
         return [window.group.mul(piece.t, e) for e in piece.inner.elems]
-    return list(materialize(piece, window))
+    return list(map(window.group.check, piece.elems))
 
 
 def witness_check(w: ParadoxWitness, window: Window) -> ValidationReport:
     """Verify piece disjointness, containment in the ambient set, and both
-    covering identities, window-relatively."""
+    covering identities, window-relatively.  It refuses a witness whose
+    symbolic parts times window points pass PRODUCT_CAP before any slice."""
     group = window.group
+    sliced = sum(_sliced(piece) for piece, _ in w.parts)
+    if sliced * len(window) > PRODUCT_CAP:
+        raise ValueError(f"{sliced} symbolic parts times {len(window)} window points "
+                         f"make more than the cap of {PRODUCT_CAP} products")
     checks = []
 
     ok = 0 <= w.split <= len(w.parts)

@@ -712,6 +712,111 @@ class TestProductCap:
         )
 
 
+class TestReplayCaps:
+    """Three caps refuse a certificate before the work its size would buy:
+    a witness's symbolic parts times window points (`groups.PRODUCT_CAP`),
+    the coefficient entries of a cp-witness's products times window points
+    (`crossed.EVALUATION_CAP`), and a certificate file's bytes
+    (`certificates.CERT_BYTES_CAP`).  `verify` exits 3 and a producing
+    command 1, each with one line, in under 0.5 s."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replay-caps")
+        for radius in (4, 7):
+            assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                        "ball:1", "--window", str(radius), "--witness-out",
+                        str(root / f"f2w{radius}wit.json"), "--quiet"]) == 0
+        assert run(["check", "--group", "free:2", "--set", "all", "--translators",
+                    "ball:1", "--window", "4", "--out", str(root / "f2w4.json"),
+                    "--quiet"]) == 0
+        assert run(["cp-witness", "--from-cert", str(root / "f2w4.json"),
+                    "--out", str(root / "cpw4.json"), "--quiet"]) == 0
+        return root
+
+    def _timed(self, argv):
+        started = time.perf_counter()
+        code = run(argv + ["--quiet"])
+        assert time.perf_counter() - started < 0.5
+        return code
+
+    def _witness_with_symbolic_parts(self, certs, path, extra):
+        """The free:2 window-7 witness plus `extra` parts `all\\all`: with
+        4,373 window points, 137 make 599,101 products and 138 make 603,474."""
+        cert = load_certificate(str(certs / "f2w7wit.json"))
+        cert["parts"] += [{"piece": "all\\all", "translator": "e"}] * extra
+        path.write_text(json.dumps(_redigest(cert)))
+        return str(path)
+
+    def test_137_symbolic_witness_parts_verify(self, certs, tmp_path):
+        path = self._witness_with_symbolic_parts(certs, tmp_path / "wit.json", 137)
+        assert run(["verify", path, "--quiet"]) == 0
+
+    def test_138_symbolic_witness_parts_are_refused(self, certs, tmp_path, capsys):
+        path = self._witness_with_symbolic_parts(certs, tmp_path / "wit.json", 138)
+        message = ("138 symbolic parts times 4373 window points make more than "
+                   "the cap of 600000 products\n")
+        assert self._timed(["verify", path]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: " + message)
+        assert self._timed(["embed-f2", "--from-cert", path]) == 1
+        assert capsys.readouterr().err == "error: " + message
+
+    def test_cp_witness_terms(self, certs, tmp_path, capsys):
+        """v and w of 30 one-entry terms over 60 distinct translators make
+        30^4 entries in vv*.ww*; the replay took 11.4 s."""
+        from paradox.groups import group_from_string
+
+        f2 = group_from_string("free:2")
+        ts = [f2.show(g) for g in f2.ball_elements(4)[1:61]]
+        cert = load_certificate(str(certs / "cpw4.json"))
+        cert["v"] = [[t, [["1", "all"]]] for t in ts[:30]]
+        cert["w"] = [[t, [["1", "all"]]] for t in ts[30:]]
+        path = tmp_path / "cpw.json"
+        path.write_text(json.dumps(_redigest(cert)))
+        capsys.readouterr()
+        assert self._timed(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: payload does not parse or replay: v and w form "
+            "810000 coefficient entries on 161 window points, past the cap of "
+            "2000000 evaluations\n")
+
+    def test_cp_witness_of_one_point_parts(self, certs, tmp_path, capsys):
+        """The free:2 window-4 witness cut into one-point parts passes its
+        own check, but its v and w have 161 entries each."""
+        cert = load_certificate(str(certs / "f2w4wit.json"))
+        split = cert["split"]
+        cut = [[{"piece": f"finite{{{x}}}", "translator": part["translator"]}
+                for part in parts for x in part["piece"][7:-1].split(",")]
+               for parts in (cert["parts"][:split], cert["parts"][split:])]
+        cert.update(parts=cut[0] + cut[1], split=len(cut[0]))
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(_redigest(cert)))
+        assert run(["verify", str(path), "--quiet"]) == 0
+        capsys.readouterr()
+        assert self._timed(["cp-witness", "--from-cert", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: v and w form 671898241 coefficient entries on 161 window "
+            "points, past the cap of 2000000 evaluations\n")
+
+    def test_certificate_bytes(self, tmp_path, capsys, monkeypatch):
+        from paradox.certificates import CERT_BYTES_CAP
+
+        def unread(*args, **kwargs):
+            raise AssertionError("json.load ran on a file over the cap")
+
+        monkeypatch.setattr(json, "load", unread)
+        path = tmp_path / "big.json"
+        with open(path, "wb") as fh:
+            fh.truncate(CERT_BYTES_CAP + 1)
+        message = "16777217 bytes are more than the cap of 16777216 bytes for a certificate\n"
+        assert self._timed(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == "verification failed: " + message
+        for command in ("embed-f2", "cp-witness"):
+            assert self._timed([command, "--from-cert", str(path)]) == 1
+            assert capsys.readouterr().err == "error: " + message
+
+
 class TestLatticeDimensionCap:
     """zn:d takes d in 1..26, as free:k takes its rank: building zn:d makes
     2d generators of d coordinates, so a group string alone once cost d²."""

@@ -142,3 +142,19 @@ class TestLipschitz:
         assert report.displacement_set == (
             check_injective_lipschitz(embedding, 2).displacement_set
         )
+
+    def test_violations_come_in_ball_order(self, embedding):
+        """Each step c w of the one walk over the ball is checked as it is
+        made, so the violations of two letters interleave in ball order."""
+        a, b = embedding.sigma_plus, embedding.tau_plus
+        undeclared = EmbeddingData(
+            PwT(a.domain, a.pieces, ()),  # a declares nothing
+            embedding.sigma_minus,
+            PwT(b.domain, b.pieces, ()),  # nor does b
+            embedding.tau_minus,
+            embedding.base_point,
+            embedding.window,
+        )
+        report = check_injective_lipschitz(undeclared, 2)
+        steps = [(1,), (2,), (1, 1), (1, 2), (1, -2), (2, 1), (2, -1), (2, 2)]
+        assert report.violations == tuple((cw, cw[1:]) for cw in steps)
