@@ -176,19 +176,10 @@ def transport_fields(kind: str, cert: TransportCert | ViolatorCert) -> dict:
     return out
 
 
-class _Texts(dict):
-    """Group elements by their text; a text not in the table is parsed."""
-
-    __slots__ = ("parse",)
-
-    def __missing__(self, text):
-        return self.parse(text)
-
-
 def transport_from_cert(data: dict, window: Window) -> TransportCert | ViolatorCert:
-    """The record that `transport_fields(data["kind"], record)` wrote.  Each
-    declared translator text is parsed once, a window point's text reads as
-    the window's own element, and any other spelling is parsed.  ValueError
+    """The record that `transport_fields(data["kind"], record)` wrote.  Its
+    texts are read with `group.parse` once the window has shown its points,
+    so a window point's text reads as the window's own element.  ValueError
     when m or n is below 1, the translator set is empty, or a match row is
     not three strings or a flow row not a string and an array of strings."""
     group = window.group
@@ -206,13 +197,12 @@ def transport_from_cert(data: dict, window: Window) -> TransportCert | ViolatorC
     texts = json_list(data["translators"], "translators")
     if not texts:
         raise ValueError("translator set must be nonempty")
-    table = _Texts({t: group.parse(t) for t in texts})
-    table.parse = group.parse
-    head = (copies, set_a, capacity, set_b, tuple(map(table.get, texts)), window)
-    table.update(zip(window.texts(), window.elements))
+    window.texts()  # enters the window's texts in the table `group.parse` reads
+    parse = group.parse
+    head = (copies, set_a, capacity, set_b, tuple(map(parse, texts)), window)
     if kind.endswith("deficiency"):
         violator = json_list(data["violator"], "violator")
-        return ViolatorCert(*head, tuple(map(table.__getitem__, violator)))
+        return ViolatorCert(*head, tuple(map(parse, violator)))
     rows = json_list(data["assignment"], "assignment")
     if kind == "match":
         for i, row in enumerate(rows):
@@ -220,14 +210,14 @@ def transport_from_cert(data: dict, window: Window) -> TransportCert | ViolatorC
                     or not type(row[0]) is type(row[1]) is type(row[2]) is str):
                 raise ValueError(f"match row {i} must be an array of three strings")
         return TransportCert(*head, tuple(
-            (table[x], (table[s1], table[s2])) for x, s1, s2 in rows))
+            (parse(x), (parse(s1), parse(s2))) for x, s1, s2 in rows))
     for i, row in enumerate(rows):
         if (type(row) is not list or len(row) != 2 or type(row[0]) is not str
                 or type(row[1]) is not list
                 or not all(type(text) is str for text in row[1])):
             raise ValueError(f"flow row {i} must be a string and an array of strings")
     return TransportCert(*head, tuple(
-        (table[x], tuple(map(table.__getitem__, used))) for x, used in rows))
+        (parse(x), tuple(map(parse, used))) for x, used in rows))
 
 
 def witness_fields(w: ParadoxWitness, window: Window) -> dict:

@@ -28,6 +28,14 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def quote(text: str, detail: object = "") -> str:
+    """`repr(text)`, then `: detail` if given, for an error message; a text of
+    over 60 characters is its first 60, `…` and its length, with no detail."""
+    if len(text) > 60:
+        return f"{text[:60]!r}… ({len(text)} characters)"
+    return f"{text!r}: {detail}" if detail else repr(text)
+
+
 class Record(tuple):
     """Base of the package's immutable value types: a tuple of the fields
     that the class statement names (`class R(Record, fields="a b")`), each
@@ -202,6 +210,7 @@ class Group:
 
     def __init__(self) -> None:
         self._balls = Layers(self, self.generators(), with_root=True)
+        self._shown: dict[str, Elem] = {}  # text -> point, of every window's points
 
     def identity(self) -> Elem:
         raise NotImplementedError
@@ -238,7 +247,10 @@ class Group:
         raise NotImplementedError
 
     def parse(self, text: str) -> Elem:
-        raise NotImplementedError
+        """The element a text names: the text of a point that a window of
+        this group has shown reads as that point, any other text is parsed."""
+        g = self._shown.get(text)
+        return self._parse(text) if g is None else g
 
     # ---- word metric ----------------------------------------------------
 
@@ -356,10 +368,10 @@ class FreeGroup(Group):
             return "e"
         return " ".join(map(self._names.__getitem__, g))
 
-    def parse(self, text: str) -> FreeWord:
+    def _parse(self, text: str) -> FreeWord:
         tokens = text.split()
         if not tokens:
-            raise ParseError(f"expected a word or 'e', got {text!r}")
+            raise ParseError(f"expected a word or 'e', got {quote(text)}")
         codes: list[int] = []
         for pos, token in enumerate(tokens):
             code = self._codes.get(token)
@@ -370,8 +382,8 @@ class FreeGroup(Group):
                 if token.endswith("^-1"):
                     name = token[:-3]
                 elif "^" in token:
-                    raise ParseError(f"unsupported power in {token!r}", pos)
-                raise ParseError(f"unknown generator {name!r} for {self.key}", pos)
+                    raise ParseError(f"unsupported power in {quote(token)}", pos)
+                raise ParseError(f"unknown generator {quote(name)} for {self.key}", pos)
             codes.append(code)
         return self._product((codes,))  # the codes reduced as one word
 
@@ -423,7 +435,7 @@ class LatticeGroup(Group):
     def show(self, g: IntVec) -> str:
         return "(" + ",".join(map(str, g)) + ")"
 
-    def parse(self, text: str) -> IntVec:
+    def _parse(self, text: str) -> IntVec:
         text = text.strip()
         if text == "e":
             return self.identity()
@@ -432,14 +444,14 @@ class LatticeGroup(Group):
         elif self.dim == 1:
             body = text
         else:
-            raise ParseError(f"expected '(i1,...,i{self.dim})', got {text!r}")
+            raise ParseError(f"expected '(i1,...,i{self.dim})', got {quote(text)}")
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != self.dim:
-            raise ParseError(f"expected {self.dim} coordinates in {text!r}")
+            raise ParseError(f"expected {self.dim} coordinates in {quote(text)}")
         try:
             return IntVec(int(p) for p in parts)
         except ValueError as exc:
-            raise ParseError(f"bad integer in {text!r}: {exc}") from None
+            raise ParseError(f"bad integer in {quote(text, exc)}") from None
 
 
 _AFFINE_ONE = AffineElem(0)
@@ -501,29 +513,29 @@ class DyadicAffineGroup(Group):
         a = str(1 << a_exp) if a_exp >= 0 else f"1/{1 << -a_exp}"
         return f"({a},{show_dyadic(num, exp)})"
 
-    def parse(self, text: str) -> AffineElem:
+    def _parse(self, text: str) -> AffineElem:
         text = text.strip()
         if text == "e":
             return self.identity()
         if not (text.startswith("(") and text.endswith(")")):
-            raise ParseError(f"expected '(a,b)', got {text!r}")
+            raise ParseError(f"expected '(a,b)', got {quote(text)}")
         parts = _split_top(text[1:-1], ",")
         if len(parts) != 2:
-            raise ParseError(f"expected two components in {text!r}")
+            raise ParseError(f"expected two components in {quote(text)}")
         try:
             a_num, a_den_exp = parse_dyadic(parts[0])
             num, exp = parse_dyadic(parts[1])
         except ValueError as exc:
-            raise ParseError(f"bad dyadic in {text!r}: {exc}") from None
+            raise ParseError(f"bad dyadic in {quote(text, exc)}") from None
         if a_num == 1:
             a_exp = -a_den_exp
         elif a_den_exp == 0 and a_num > 0 and (a_num & (a_num - 1)) == 0:
             a_exp = a_num.bit_length() - 1
         else:
-            raise ParseError(f"scale component must be a power of two: {parts[0]!r}")
+            raise ParseError(f"scale component must be a power of two: {quote(parts[0])}")
         cap = AFFINE_SIZE_CAP
         if abs(a_exp) > cap or exp > cap or num.bit_length() > cap:
-            raise ParseError(f"element {text!r} is out of range: a scale 2^k and "
+            raise ParseError(f"element {quote(text)} is out of range: a scale 2^k and "
                              f"an offset p/2^j need |k|, j and the bit length of "
                              f"p at most {cap}")
         return _affine((a_exp, num, exp))
@@ -555,7 +567,7 @@ def group_from_string(spec: str) -> Group:
         return FreeGroup(int(spec.split(":", 1)[1]))
     if spec.startswith("zn:"):
         return LatticeGroup(int(spec.split(":", 1)[1]))
-    raise ParseError(f"unknown group spec {spec!r}")
+    raise ParseError(f"unknown group spec {quote(spec)}")
 
 
 # ---- windows -------------------------------------------------------------
@@ -587,9 +599,10 @@ class Window(SetContext):
         self._texts: tuple[str, ...] | None = None
 
     def texts(self) -> tuple[str, ...]:
-        """`group.show` of each element, in window order, computed once."""
+        """`group.show` of each element in window order, made once for `Group.parse`."""
         if self._texts is None:
             self._texts = tuple(map(self.group.show, self.elements))
+            self.group._shown.update(zip(self._texts, self.elements))
         return self._texts
 
     def __len__(self) -> int:

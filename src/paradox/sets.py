@@ -42,6 +42,7 @@ from .groups import (
     SetContext,
     Window,
     _split_top,
+    quote,
 )
 
 
@@ -480,7 +481,7 @@ def parse_setexpr(text: str, group: Group) -> SetExpr:
     expr, _ = parser.parse_infix(0)
     parser.skip_ws()
     if parser.pos != len(text):
-        raise ParseError(f"trailing input in set expression {text!r}", parser.pos)
+        raise ParseError(f"trailing input in set expression {quote(text)}", parser.pos)
     return expr
 
 
@@ -602,14 +603,14 @@ class _SetParser:
 def _read_semigroup(body: str, group: Group) -> SemigroupSet:
     gens, *identity = _split_top(body, ";")
     if [part.strip() for part in identity] not in ([], ["e"]):
-        raise ParseError(f"expected 'gens' or 'gens;e' in semigroup(...), got {body!r}")
+        raise ParseError(f"expected 'gens' or 'gens;e' in semigroup(...), got {quote(body)}")
     return SemigroupSet(tuple(map(group.parse, _split_top(gens, ","))), bool(identity))
 
 
 def _read_slab(body: str, group: Group) -> Slab:
     parts = _split_top(body, ",")
     if len(parts) != 3:
-        raise ParseError(f"slab needs three rationals, got {body!r}")
+        raise ParseError(f"slab needs three rationals, got {quote(body)}")
     return Slab(*(read_rational(p.strip()) for p in parts))
 
 
@@ -622,11 +623,11 @@ def read_rational(text: str):
     if type(text) is not str:
         raise ParseError(f"a rational must be a string, got {text!r}")
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
-        raise ParseError(f"rational {text!r} is not p/q or p")
+        raise ParseError(f"rational {quote(text)} is not p/q or p")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rational {text!r}") from None
+        raise ParseError(f"zero denominator in rational {quote(text)}") from None
 
 
 def show_setexpr(expr: SetExpr, group: Group, memo: dict | None = None) -> str:

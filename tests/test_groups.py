@@ -308,6 +308,32 @@ class TestParse:
         for g in group.ball_elements(3):
             assert group.parse(group.show(g)) == g
 
+    @pytest.mark.parametrize("key, radius, size", [
+        ("free:2", 8, 13_121), ("zn:2", 30, 1_861), ("bs12", 8, 1_317),
+    ], ids=["free2-w8", "zn2-w30", "bs12-w8"])
+    def test_show_parse_roundtrip_on_benchmark_windows(self, key, radius, size):
+        """Every point of the benchmark windows reads back from its text with
+        the group's own reader: the reading group has shown no window, so no
+        table of window texts answers for it."""
+        shown, reader = group_from_string(key), group_from_string(key)
+        points = shown.ball_elements(radius)
+        assert len(points) == size
+        assert [reader.parse(shown.show(g)) for g in points] == points
+
+    def test_parse_reads_window_texts_and_remembers_no_other(self, monkeypatch):
+        """A text that a window has shown reads as that window's point; any
+        other text is read by the group's own reader each time it is asked."""
+        group = group_from_string("free:2")
+        window = ball(group, 2)
+        texts = window.texts()
+        read = []
+        original = type(group)._parse
+        monkeypatch.setattr(type(group), "_parse",
+                            lambda self, text: read.append(text) or original(self, text))
+        assert all(group.parse(t) is g for t, g in zip(texts, window.elements))
+        assert group.parse("a a a") == group.parse("a a a") == FreeWord((1, 1, 1))
+        assert read == ["a a a", "a a a"]
+
 
 class TestGroupAxioms:
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.key)

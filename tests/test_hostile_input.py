@@ -1,9 +1,12 @@
 """Hostile certificates: every one-key edit of a valid certificate, and every
 edit below its top level, resealed so that only replay can reject it, ends
 in exit 0, 1 or 3 with at most one line on stderr, and only the edits that
-still state a true fact verify."""
+still state a true fact verify.  An input text of any length is quoted in
+that line by at most 60 of its characters."""
 
 import json
+
+import pytest
 
 from paradox import cli
 from paradox.certificates import content_digest
@@ -81,3 +84,42 @@ def test_every_nested_edit_ends_in_one_line(cert_pool, tmp_path, capsys):
     assert not long_stderr
     verified = {edit for edit, (code, _) in outcomes.items() if code == 0}
     assert verified == NESTED_EDITS_THAT_VERIFY
+
+
+def _check(group, set_text, translators):
+    return ["check", "--group", group, "--set", set_text, "--translators", translators,
+            "--window", "1", "--quiet"]
+
+
+@pytest.mark.parametrize("argv", [
+    _check("zn:1", "all", "(" + "1" * 5000 + ")"),
+    _check("zn:2", "all", "(" + ",".join(["1"] * 3000) + ")"),
+    _check("free:2", "all" + " x" * 3000, "a"),
+    _check("free:2", "all", "x" * 5000),
+    _check("bs12", "all", "(1," + "1" * 5000 + ")"),
+    _check("bs12", "slab(0,1." + "1" * 5000 + ",0)", "(2,0)"),
+    _check("bs12", "slab(" + "1," * 3000 + ")", "(2,0)"),
+], ids=["zn1-digits", "zn2-coordinates", "trailing-set", "free-generator",
+        "bs12-digits", "rational", "slab"])
+def test_a_long_input_text_is_quoted_short(argv, capsys):
+    """An error quotes at most 60 characters of an input text and its length:
+    each of these echoed all 5,000-6,000 characters on its one line."""
+    assert cli.main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "… (" in line and len(line.encode()) < 200
+
+
+def test_a_long_translator_is_quoted_short_by_verify(tmp_path, capsys):
+    """A resealed deficiency whose translator has a 5,000-digit coordinate
+    fails `verify` with one short line."""
+    path = tmp_path / "deficiency.json"
+    assert cli.main(["check", "--group", "zn:2", "--set", "all", "--translators",
+                     "(1,0),(0,1)", "--window", "2", "--out", str(path),
+                     "--quiet"]) == 2
+    cert = json.loads(path.read_text())
+    cert["translators"][0] = "(" + "1" * 5000 + ",0)"
+    cert["digest"] = content_digest(cert)
+    path.write_text(json.dumps(cert))
+    assert cli.main(["verify", str(path), "--quiet"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("verification failed: ") and len(line.encode()) < 200

@@ -13,7 +13,11 @@ import time
 
 import pytest
 
-from paradox.certificates import transport_from_cert, window_from_descriptor
+from paradox.certificates import (
+    pi_witness_from_cert,
+    transport_from_cert,
+    window_from_descriptor,
+)
 from paradox.groups import ball, group_from_string
 from paradox.sets import AllSet, FiniteSet, parse_setexpr
 from paradox.witness import ParadoxWitness, witness_check
@@ -95,6 +99,16 @@ def _witness_parts(n):
     return run
 
 
+def _cp_terms(n):
+    """A cp-witness certificate whose v and w each have n single-entry terms,
+    with distinct zn:1 translators and `finite{…}` pieces, all read with
+    `group.parse` from a group that has shown no window."""
+    z1 = group_from_string("zn:1")
+    terms = [[f"({k})", [["1/2", f"finite{{({k}),({-k})}}"]]] for k in range(n)]
+    data = {"set": "all", "v": terms, "w": terms}
+    return lambda: pi_witness_from_cert(data, z1)
+
+
 def _explicit_window(n):
     """n distinct free:2 words: the binary digits of k = 1..n as b and a."""
     texts = [" ".join("ab"[int(d)] for d in bin(k)[2:]) for k in range(1, n + 1)]
@@ -109,9 +123,10 @@ def _explicit_window(n):
     (_semigroup, 9_000),
     (_transport_rows, 9_500),
     (_witness_parts, 720),
+    (_cp_terms, 700),
     (_explicit_window, 5_500),
 ], ids=["free2-word", "translate-chains", "finite", "semigroup", "transport-rows",
-        "witness-parts", "explicit-window"])
+        "witness-parts", "cp-witness-terms", "explicit-window"])
 def test_reader_is_linear(read, n):
     ratio, n = _ratio(read, n)
     if ratio > 8:

@@ -21,6 +21,8 @@ from paradox.groups import (
 )
 from paradox.sets import (
     BUDGET_EXCEEDED,
+    MAX_DEPTH,
+    MAX_NODES,
     AllSet,
     BallSet,
     BudgetError,
@@ -346,6 +348,37 @@ class TestDictionaryLaws:
         assert translate(BS.identity(), SEMI, BS) is SEMI
 
 
+def _random_expr(rng, group, elems, depth):
+    """A random set expression over the elements `elems` of group, of at most
+    `depth` operations in a chain: every node kind, about a third of the
+    nodes translated."""
+    if depth and rng.random() < 0.6:
+        kind = rng.choice((Union, Intersect, Diff))
+        expr = kind(_random_expr(rng, group, elems, depth - 1),
+                    _random_expr(rng, group, elems, depth - 1))
+    else:
+        expr = (
+            AllSet, EmptySet,
+            lambda: FiniteSet(tuple(rng.sample(elems, rng.randrange(4)))),
+            lambda: BallSet(rng.randrange(5)),
+            lambda: SemigroupSet(tuple(rng.sample(elems, rng.randrange(1, 4))),
+                                 rng.random() < 0.5),
+            lambda: Slab(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+                           for _ in range(3))),
+            lambda: GreedySet(rng.randrange(20)),
+        )[rng.randrange(7)]()
+    return expr if rng.random() < 0.7 else translate(rng.choice(elems), expr, group)
+
+
+def _nodes(expr):
+    """The atoms and operations of expr; a translate adds none."""
+    if isinstance(expr, Translate):
+        return _nodes(expr.inner)
+    if isinstance(expr, (Union, Intersect, Diff)):
+        return 1 + _nodes(expr.left) + _nodes(expr.right)
+    return 1
+
+
 class TestGrammar:
     CASES = [
         "all",
@@ -368,6 +401,24 @@ class TestGrammar:
         expr = parse_setexpr(text, BS)
         again = parse_setexpr(show_setexpr(expr, BS), BS)
         assert again == expr
+
+    @pytest.mark.parametrize("group", [F2, Z2, BS], ids=lambda g: g.key)
+    def test_random_expressions_round_trip(self, group):
+        """Seeded random expressions within MAX_DEPTH and MAX_NODES, trees and
+        chains at the depth cap, read back to the text they were shown as."""
+        rng = random.Random(14)
+        elems = group.ball_elements(3)
+        exprs = [_random_expr(rng, group, elems, rng.randrange(7)) for _ in range(300)]
+        for _ in range(5):
+            chain = _random_expr(rng, group, elems, 0)
+            for _ in range(MAX_DEPTH):
+                kind = rng.choice((Union, Intersect, Diff))
+                chain = kind(chain, _random_expr(rng, group, elems, 0))
+            exprs.append(chain)
+        assert max(map(_nodes, exprs)) <= MAX_NODES
+        for expr in exprs:
+            text = show_setexpr(expr, group)
+            assert show_setexpr(parse_setexpr(text, group), group) == text
 
     def test_precedence(self):
         expr = parse_setexpr("all&empty|ball(1)", Z1)
